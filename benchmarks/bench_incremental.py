@@ -19,8 +19,8 @@ day costs ≪ 1% of the cold run. Two entries land in
     The estimator-level half of the story: a forest grown from 12 to
     24 trees via ``fit(..., warm_start_from=prev)`` versus a cold
     24-tree fit. ``speedup_warm_refit`` gates; ``identical`` asserts
-    the warm model predicts byte-for-byte like the cold one through
-    both the naive and compiled paths.
+    the warm model predicts byte-for-byte like the cold one, both
+    through ``predict`` and through its warm-extended compiled tables.
 
 The study periods are shortened (in-process only) so the default
 1-day extension lands *after* the period ends — the same property the

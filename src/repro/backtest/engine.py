@@ -36,10 +36,9 @@ def model_forecasts(model, features) -> np.ndarray:
     """Forecast series for :func:`walk_forward` from a fitted model.
 
     ``features`` holds one row per backtest day (information up to that
-    day only — the caller owns the no-look-ahead alignment). Prediction
-    honours the active predictor mode (:mod:`repro.ml.compiled`): fitted
-    ensembles run the flat-array kernel under ``"compiled"``, and the
-    outputs are bit-identical to the interpreted path either way.
+    day only — the caller owns the no-look-ahead alignment). Fitted tree
+    ensembles predict through the flat-array kernel of
+    :mod:`repro.ml.compiled`.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:

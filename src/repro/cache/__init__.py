@@ -5,24 +5,28 @@ synthetic datasets regenerate per process, engineered scenario frames
 rebuild per run, and re-running a configuration repeats thousands of
 deterministic model fits. This package memoises those artifacts on disk,
 addressed by sha256 digests of *everything that determines them* —
-config fingerprints (via the :mod:`repro.resilience.checkpoint`
-machinery, which folds fault plans and degradation policies into the
-address so chaos runs never alias clean runs), estimator parameters, and
-raw data bytes.
+config fingerprints (:func:`config_fingerprint`, which folds fault
+plans and degradation policies into the address so chaos runs never
+alias clean runs), estimator parameters, and raw data bytes.
+
+The cache is also the run's only persistence layer: every finished
+scenario task is written as it completes, so a killed run resumes by
+rerunning it with the same ``cache_dir`` — finished scenarios are read
+back, only the rest are computed.
 
 Layout:
 
 * :mod:`~repro.cache.codec` — the self-verifying artifact frame (magic
-  + schema version + payload sha256) shared by the store and
-  checkpoint files; distinguishes :class:`CorruptArtifact` (damaged
+  + schema version + payload sha256) every store entry is written in;
+  distinguishes :class:`CorruptArtifact` (damaged
   bytes → quarantine) from :class:`StaleArtifact` (intact bytes, old
   schema → plain miss).
 * :mod:`~repro.cache.store` — :class:`CacheStore`, the atomic on-disk
   pickle store with hit/miss/corrupt/bytes counters in the metrics
   registry plus ``stats``/``verify``/``gc``/``clear`` maintenance
   (surfaced as the ``repro cache`` CLI).
-* :mod:`~repro.cache.keys` — key builders (dataset, scenario frames,
-  per-scenario task results, fitted models).
+* :mod:`~repro.cache.keys` — config fingerprints and key builders
+  (dataset, scenario frames, per-scenario task results, fitted models).
 * :mod:`~repro.cache.context` — :func:`use_cache` / :func:`current_cache`
   scoped store access, so deep layers need no signature changes.
 * :mod:`~repro.cache.fit` — :func:`fit_cached`, memoised ``fit`` through
@@ -49,6 +53,7 @@ from .fit import fit_cached
 from .keys import (
     array_digest,
     compiled_key,
+    config_fingerprint,
     dataset_key,
     fingerprint_parts,
     frame_digest,
@@ -66,6 +71,7 @@ __all__ = [
     "array_digest",
     "compile_cached",
     "compiled_key",
+    "config_fingerprint",
     "current_cache",
     "dataset_key",
     "dump_artifact",

@@ -1,9 +1,9 @@
-"""Self-verifying artifact framing shared by cache and checkpoints.
+"""Self-verifying artifact framing for the cache store.
 
-Every on-disk artifact this package writes — :class:`~repro.cache.CacheStore`
-entries and :class:`~repro.resilience.checkpoint.RunCheckpoint` scenario
-files — goes through one codec that wraps the pickled payload in a
-*frame*::
+Every on-disk artifact this package writes — each
+:class:`~repro.cache.CacheStore` entry, including the per-scenario task
+results a killed run resumes from — goes through one codec that wraps
+the pickled payload in a *frame*::
 
     magic (4B)  version (1B)  sha256(payload) (32B)  length (8B)  payload
 
@@ -59,7 +59,7 @@ FRAME_MAGIC = b"RPAF"
 FRAME_VERSION = 1
 _HEADER = struct.Struct(">4sB32sQ")
 
-#: Subdirectory (of a store/checkpoint root) corrupt entries move to.
+#: Subdirectory (of a store root) corrupt entries move to.
 QUARANTINE_DIR = "quarantine"
 
 
@@ -142,8 +142,8 @@ class _SanitizingPickler(pickle.Pickler):
     :class:`~repro.parallel.SharedDataset` closes — persisted as-is it
     would be a dangling pointer.  This pickler intercepts shared arrays
     (copying their bytes in) and frames (stripping the shared-segment
-    spec from their matrix cache), so every cache entry and checkpoint
-    is self-contained no matter where its payload was computed.
+    spec from their matrix cache), so every cache entry is
+    self-contained no matter where its payload was computed.
     """
 
     def reducer_override(self, obj):
@@ -213,8 +213,8 @@ def load_artifact(blob: bytes):
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
     """Write-then-rename so readers never observe a partial file.
 
-    Shared by the checkpoint store and :class:`~repro.cache.CacheStore`
-    — any on-disk artifact in this package goes through this helper.
+    Every on-disk artifact :class:`~repro.cache.CacheStore` writes goes
+    through this helper.
     """
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"

@@ -2,10 +2,9 @@
 
 All keys are full sha256 hex digests built from two kinds of material:
 
-* **Config fingerprints** — frozen-dataclass ``repr`` strings, the same
-  machinery :func:`repro.resilience.checkpoint.config_fingerprint` uses
-  to guard checkpoint directories. Fault plans and degradation policies
-  are part of those reprs, so a faulted/chaos run can *never* address a
+* **Config fingerprints** — :func:`config_fingerprint`, a digest of a
+  frozen-dataclass ``repr``. Fault plans and degradation policies are
+  part of those reprs, so a faulted/chaos run can *never* address a
   clean run's entry (and vice versa) — invalidation is structural, not
   bookkept.
 * **Data digests** — raw bytes of the arrays an artifact was computed
@@ -14,9 +13,10 @@ All keys are full sha256 hex digests built from two kinds of material:
   digest in, so a hand-modified dataset cannot collide with the
   config-derived one.
 
-Execution-shape fields (``n_jobs``, ``verbose``) never enter a key: the
-pipeline guarantees bit-identical results for any worker count, so a
-serial run may reuse a parallel run's artifacts.
+Execution-shape fields (``n_jobs``, ``verbose``, ``on_error``, ...)
+never enter a key: :func:`repro.core.pipeline.run_fingerprint`
+normalises them away, so a serial run may reuse a parallel run's
+artifacts and a ``--keep-going`` rerun may resume a killed strict one.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "array_digest",
     "compiled_key",
+    "config_fingerprint",
     "dataset_key",
     "fingerprint_parts",
     "frame_digest",
@@ -36,6 +37,12 @@ __all__ = [
     "scenarios_key",
     "task_key",
 ]
+
+
+def config_fingerprint(config) -> str:
+    """A stable short digest of a config object (dataclass reprs are
+    stable)."""
+    return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
 
 
 def fingerprint_parts(*parts) -> str:

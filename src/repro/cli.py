@@ -45,8 +45,8 @@ Examples::
     python -m repro update --preset default --days 1 --cache-dir cache/ \
         --ledger runs.jsonl
     python -m repro run --preset fast --trace t.jsonl --log-level info
-    python -m repro run --preset fast --checkpoint-dir ckpt/
-    python -m repro run --preset fast --resume ckpt/
+    python -m repro run --preset fast --cache-dir cache/ --keep-going
+    python -m repro run --preset fast --cache-dir cache/  # resume a killed run
     python -m repro run --preset fast --splitter hist --cache-dir cache/
     python -m repro run --preset fast --ledger runs.jsonl --profile
     python -m repro chaos --preset fast --chaos-seed 11
@@ -97,7 +97,6 @@ from .obs import (
 from .obs.trace import Span
 from .resilience import (
     DEGRADATION_POLICIES,
-    CheckpointMismatch,
     FaultPlan,
     random_fault_plan,
     render_chaos_table,
@@ -222,27 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "results) or 'hist' (quantile-binned histogram "
                           "kernel, substantially faster; statistically "
                           "equivalent output)")
-    run.add_argument("--predictor", choices=("compiled", "naive"),
-                     default=None,
-                     help="ensemble inference path: 'compiled' "
-                          "(flat-array level-wise kernel, the default) "
-                          "or 'naive' (interpreted per-tree loop); "
-                          "predictions are bit-identical either way")
     run.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                      help="content-addressed artifact cache: memoise the "
                           "dataset, scenario frames, per-scenario results "
-                          "and model fits here "
+                          "and model fits here; rerunning a killed run "
+                          "with the same cache resumes it "
                           "(default: $REPRO_CACHE_DIR if set)")
     run.add_argument("--no-cache", action="store_true",
                      help="disable the artifact cache even when "
                           "$REPRO_CACHE_DIR is set")
-    run.add_argument("--checkpoint-dir", type=Path, default=None,
-                     metavar="DIR",
-                     help="persist each finished scenario to this "
-                          "directory (atomic, per-scenario)")
-    run.add_argument("--resume", type=Path, default=None, metavar="DIR",
-                     help="resume from a checkpoint directory: completed "
-                          "scenarios are loaded, only the rest run")
     run.add_argument("--keep-going", action="store_true",
                      help="isolate scenario failures: record them and "
                           "keep the other scenarios' results instead of "
@@ -282,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="tree-growth kernel (must match the parent "
                              "run for its cached tasks to be reused)")
-    update.add_argument("--predictor", choices=("compiled", "naive"),
-                        default=None,
-                        help="ensemble inference path (bit-identical "
-                             "either way)")
     update.add_argument("--cache-dir", type=Path, default=None,
                         metavar="DIR",
                         help="the parent run's artifact cache — what "
@@ -295,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the artifact cache even when "
                              "$REPRO_CACHE_DIR is set (the update then "
                              "runs as a plain cold run)")
-    update.add_argument("--checkpoint-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="persist each finished scenario to this "
-                             "directory (atomic, per-scenario)")
     update.add_argument("--ledger", type=Path, default=None,
                         metavar="PATH",
                         help="append one kind=update record linked to "
@@ -540,8 +519,6 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, on_error="capture")
     if args.splitter is not None:
         config = dataclasses.replace(config, splitter=args.splitter)
-    if args.predictor is not None:
-        config = dataclasses.replace(config, predictor=args.predictor)
     if args.profile:
         config = dataclasses.replace(config, profile=True)
 
@@ -559,21 +536,7 @@ def _cmd_run(args) -> int:
     if ledger_path is not None:
         cache_kwargs["ledger_path"] = str(ledger_path)
 
-    checkpoint_dir = args.resume if args.resume is not None \
-        else args.checkpoint_dir
-    try:
-        results = run_experiment(
-            config,
-            checkpoint_dir=(str(checkpoint_dir)
-                            if checkpoint_dir is not None else None),
-            resume=args.resume is not None,
-            **cache_kwargs,
-        )
-    except CheckpointMismatch as exc:
-        print(f"cannot resume from {checkpoint_dir}: {exc}")
-        print("(the checkpointed run used a different config; "
-              "start fresh with --checkpoint-dir)")
-        return 1
+    results = run_experiment(config, **cache_kwargs)
     report = _render_full_report(results)
     print(report)
     if args.report is not None:
@@ -612,8 +575,6 @@ def _cmd_update(args) -> int:
         config = dataclasses.replace(config, n_jobs=args.jobs)
     if args.splitter is not None:
         config = dataclasses.replace(config, splitter=args.splitter)
-    if args.predictor is not None:
-        config = dataclasses.replace(config, predictor=args.predictor)
 
     ledger_path = args.ledger if args.ledger is not None \
         else os.environ.get("REPRO_LEDGER") or None
@@ -628,8 +589,6 @@ def _cmd_update(args) -> int:
     update = update_experiment(
         config,
         days=args.days,
-        checkpoint_dir=(str(args.checkpoint_dir)
-                        if args.checkpoint_dir is not None else None),
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         ledger_path=(str(ledger_path)
                      if ledger_path is not None else None),

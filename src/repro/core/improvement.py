@@ -30,7 +30,6 @@ from ..ml.ensemble import StackingRegressor
 from ..ml.forest import RandomForestRegressor
 from ..ml.linear import Ridge
 from ..ml.metrics import mean_squared_error, mse_improvement_pct
-from ..ml.compiled import current_predictor
 from ..ml.neural import MLPRegressor
 from ..ml.model_selection import GridSearchCV, KFold, TimeSeriesSplit, clone
 from ..obs import current_metrics, get_logger, span
@@ -187,8 +186,7 @@ def evaluate_feature_set(
     if not feature_names:
         raise ValueError("feature set is empty")
     with span("improvement.evaluate", scenario=scenario.key,
-              model=config.model, n_features=len(feature_names),
-              predictor=current_predictor()):
+              model=config.model, n_features=len(feature_names)):
         return _evaluate_feature_set(scenario, feature_names, config)
 
 

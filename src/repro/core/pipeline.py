@@ -24,6 +24,7 @@ from functools import partial
 
 from ..cache import (
     CacheStore,
+    config_fingerprint,
     dataset_key,
     frame_digest,
     scenarios_key,
@@ -32,7 +33,6 @@ from ..cache import (
 )
 from ..categories import DataCategory
 from ..frame.validation import ColumnRule, validate_frame
-from ..ml.compiled import PREDICTORS, use_predictor
 from ..obs import (
     MetricsRegistry,
     RunLedger,
@@ -68,8 +68,6 @@ from ..resilience import (
     DegradationReport,
     FaultPlan,
     RetryPolicy,
-    RunCheckpoint,
-    config_fingerprint,
     resilient_raw_dataset,
 )
 from ..synth.config import SimulationConfig
@@ -102,7 +100,7 @@ from .scenarios import (
 from .selection import SelectionResult, SHAPConfig, select_final_features
 
 __all__ = ["ExperimentConfig", "ScenarioArtifacts", "ScenarioFailure",
-           "ExperimentResults", "run_experiment"]
+           "ExperimentResults", "run_experiment", "run_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -135,22 +133,14 @@ class ExperimentConfig:
     and improvement model parameters unless a stage's params already pin
     a splitter explicitly."""
 
-    predictor: str = "compiled"
-    """Inference path for every fitted tree ensemble's ``predict``:
-    ``"compiled"`` (default; the flat-array level-wise kernel of
-    :mod:`repro.ml.compiled`) or ``"naive"`` (the interpreted per-tree
-    loop).  Predictions are bit-identical either way, so this is pure
-    execution shape — like ``n_jobs`` it never enters config
-    fingerprints or cache keys."""
-
     profile: bool = False
     """Opt-in resource profiling (:mod:`repro.obs.profile`): annotate
     the run's stage spans — parent and worker side — with CPU time,
     tracemalloc peaks, max-RSS and GC passes.  Pure observation: it
-    never changes results, so like ``n_jobs`` / ``verbose`` /
-    ``predictor`` it is excluded from config fingerprints and cache
-    keys.  ``REPRO_PROFILE=1`` enables it without touching the config
-    (CLI: ``repro run --profile``)."""
+    never changes results, so like ``n_jobs`` / ``verbose`` it is
+    excluded from config fingerprints and cache keys.
+    ``REPRO_PROFILE=1`` enables it without touching the config (CLI:
+    ``repro run --profile``)."""
 
     verbose: bool = False
     n_jobs: int | None = None
@@ -194,15 +184,19 @@ class ExperimentConfig:
     """Scenario failure isolation: ``"raise"`` aborts the run on the
     first failed scenario (historical behaviour); ``"capture"`` records
     a structured :class:`ScenarioFailure` and keeps the other scenarios'
-    results."""
+    results.  It never changes a successful scenario's result, so it is
+    excluded from fingerprints: a ``--keep-going`` rerun resumes a
+    killed strict run from the cache."""
 
     validate_inputs: bool = True
     """Pre-flight :func:`repro.frame.validate_frame` check on the raw
-    feature matrix before any model fitting."""
+    feature matrix before any model fitting (a check only; excluded
+    from fingerprints)."""
 
     strict_validation: bool = False
     """Escalate pre-flight validation issues from warnings to an
-    immediate ``ValueError``."""
+    immediate ``ValueError`` (a check only; excluded from
+    fingerprints)."""
 
     source_retry: RetryPolicy = RetryPolicy(base_delay=0.1, max_delay=2.0)
     """Backoff schedule for transient source failures during resilient
@@ -333,6 +327,51 @@ class ExperimentConfig:
 
 
 _SPLITTERS = ("exact", "hist")
+
+#: Execution-shape fields and their normal values.  None of them can
+#: change a successful scenario's result (determinism and bit-identity
+#: contracts), so :func:`run_fingerprint` resets them before hashing.
+_EXECUTION_SHAPE = {
+    "n_jobs": None,
+    "verbose": False,
+    "profile": False,
+    "task_timeout": None,
+    "task_retries": None,
+    "on_error": "raise",
+    "validate_inputs": True,
+    "strict_validation": False,
+}
+
+
+def run_fingerprint(config: ExperimentConfig) -> str:
+    """The config fingerprint that keys the cache and the run ledger.
+
+    Execution-shape fields are normalised away first, so a run killed
+    at ``--jobs 4`` resumes from its cache at ``--jobs 1``, a
+    ``--keep-going`` rerun reuses a strict run's scenarios, and a
+    profiled run's ledger record links to its unprofiled twin.
+    """
+    return config_fingerprint(replace(config, **_EXECUTION_SHAPE))
+
+
+def _scenario_task_keys(config: ExperimentConfig, digests: dict,
+                        scenario_keys) -> dict[str, str]:
+    """Scenario key → cache address of that scenario's task result.
+
+    Each scenario is addressed by its own period's digest, so tasks in
+    untouched periods survive a dataset extension.  The simulation
+    config is dropped from the address: everything it can change about
+    a scenario is already in the period digest, so an extended run
+    (new simulation end, same in-period bytes) re-serves every cached
+    task.
+    """
+    fingerprint = run_fingerprint(
+        replace(config, simulation=SimulationConfig())
+    )
+    return {
+        key: task_key(fingerprint, digests[key.rsplit("_", 1)[0]], key)
+        for key in scenario_keys
+    }
 
 
 def _params_with_splitter(params: dict, splitter: str) -> dict:
@@ -575,7 +614,6 @@ def _warm_scenario_worker() -> None:
 
 
 def _scenario_task(item: tuple, config: ExperimentConfig,
-                   checkpoint: RunCheckpoint | None = None,
                    cache: CacheStore | None = None,
                    task_keys: dict | None = None
                    ) -> tuple[str, ScenarioArtifacts,
@@ -593,7 +631,9 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
     deep single-fit call sites (FRA consensus, horizons RF, SHAP GB)
     reach it through :func:`repro.cache.current_cache`.  ``task_keys``
     maps scenario key → content address for the whole task result; the
-    parent already served cache hits, so this side only stores.
+    parent already served cache hits, so this side only stores — as
+    soon as the scenario finishes, which is what lets a killed run
+    resume from the cache.
     """
     key, scenario = item
     slog = get_logger("pipeline").bind(scenario=key)
@@ -602,8 +642,7 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
     # profile whenever the parent run does (any start method); the
     # resulting attrs ride the span records merged back by ParallelMap.
     profile = config.profile or resolve_profiling()
-    with cache_scope, use_predictor(config.predictor), \
-            use_profiling(profile), \
+    with cache_scope, use_profiling(profile), \
             profiled_span("pipeline.scenario", scenario=key):
         slog.info("selection.start", candidates=scenario.n_features)
         selection = select_final_features(
@@ -633,10 +672,6 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
                 scenario, selection.final_features, config.improvement_gb,
             )
     result = key, artifact, improvement_rf, improvement_gb
-    if checkpoint is not None:
-        # Written worker-side so a mid-run kill preserves every scenario
-        # that finished, not just the ones the parent got to collect.
-        checkpoint.save_scenario(key, result)
     if cache is not None and task_keys is not None and key in task_keys:
         cache.put(task_keys[key], result)
     return result
@@ -646,8 +681,6 @@ def run_experiment(config: ExperimentConfig | None = None,
                    raw: RawDataset | None = None,
                    tracer: Tracer | None = None,
                    metrics: MetricsRegistry | None = None,
-                   checkpoint_dir: str | None = None,
-                   resume: bool = False,
                    cache_dir: str | None = None,
                    ledger_path: str | None = None
                    ) -> ExperimentResults:
@@ -672,9 +705,9 @@ def run_experiment(config: ExperimentConfig | None = None,
       :class:`~repro.resilience.DegradationReport`.
     * ``config.on_error="capture"`` isolates scenario failures into
       ``results.failures`` instead of aborting the run.
-    * ``checkpoint_dir`` persists each finished scenario atomically;
-      ``resume=True`` skips scenarios already checkpointed by a
-      previous (possibly killed) run with the same config.
+    * To resume a killed run, rerun it with the same ``cache_dir``:
+      every scenario it finished was cached as it completed and is read
+      back; only the rest are computed.
 
     ``cache_dir`` (CLI: ``repro run --cache-dir``) enables the
     content-addressed artifact cache (:mod:`repro.cache`): the raw
@@ -684,7 +717,9 @@ def run_experiment(config: ExperimentConfig | None = None,
     fingerprints (fault plans and degradation policies included, so
     chaos runs never alias clean runs) and raw data bytes.  A warm
     re-run of the same config short-circuits to cache reads;
-    ``cache.hits`` / ``cache.misses`` counters land in the run summary.
+    ``cache.hits`` / ``cache.misses`` counters land in the run summary,
+    and ``experiment.scenarios_cached`` counts the scenarios served
+    from the cache.
 
     ``ledger_path`` (CLI: ``repro run --ledger``, or the
     ``REPRO_LEDGER`` environment variable via the CLI) appends one
@@ -700,11 +735,6 @@ def run_experiment(config: ExperimentConfig | None = None,
             f"splitter must be one of {_SPLITTERS}, got {config.splitter!r}"
         )
     config = _apply_splitter(config)
-    if config.predictor not in PREDICTORS:
-        raise ValueError(
-            f"predictor must be one of {PREDICTORS}, "
-            f"got {config.predictor!r}"
-        )
     if config.on_error not in ("raise", "capture"):
         raise ValueError(
             f"on_error must be 'raise' or 'capture', got {config.on_error!r}"
@@ -714,8 +744,6 @@ def run_experiment(config: ExperimentConfig | None = None,
             f"degradation must be one of {DEGRADATION_POLICIES}, "
             f"got {config.degradation!r}"
         )
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     # Fail fast on malformed supervision knobs (the resolvers raise)
     # rather than hours later at the scenario fan-out.
     resolve_task_timeout(config.task_timeout)
@@ -734,14 +762,12 @@ def run_experiment(config: ExperimentConfig | None = None,
     dkey = None
 
     with use_tracer(tracer), use_metrics(metrics), cache_scope, \
-            use_predictor(config.predictor), use_profiling(profile), \
-            profiled_span("experiment.run"):
+            use_profiling(profile), profiled_span("experiment.run"):
         # The run is one dependency-aware task graph: dataset →
         # preflight → scenarios → per-scenario tasks.  Nodes carrying a
-        # cache key are satisfied straight from the artifact store,
-        # checkpoint-restored scenarios are supplied without running,
-        # and the scenario wave is scheduled onto a persistent worker
-        # pool whose shared dataset carries the matrices zero-copy.
+        # cache key are satisfied straight from the artifact store, and
+        # the scenario wave is scheduled onto a persistent worker pool
+        # whose shared dataset carries the matrices zero-copy.
         graph = TaskGraph()
         scenario_cache_hits = [0]
 
@@ -826,66 +852,13 @@ def run_experiment(config: ExperimentConfig | None = None,
         scenarios = graph.results["scenarios"]
         metrics.gauge("experiment.scenarios").set(len(scenarios))
 
-        fingerprint = None
-        if (checkpoint_dir is not None or store is not None
-                or ledger_path is not None):
-            # n_jobs / verbose / predictor / profile / task_timeout /
-            # task_retries can't change results (determinism +
-            # bit-identity contracts), so they don't participate in the
-            # fingerprint: a run killed at --jobs 4 may resume at
-            # --jobs 1, a --predictor naive run may reuse a compiled
-            # run's cache entries, a profiled run's ledger record links
-            # to its unprofiled twin, and a run resumed with a tighter
-            # supervision deadline is still the same run.
-            fingerprint = config_fingerprint(
-                replace(config, n_jobs=None, verbose=False,
-                        predictor="compiled", profile=False,
-                        task_timeout=None, task_retries=None)
-            )
-
-        checkpoint: RunCheckpoint | None = None
-        resumed: dict[str, tuple] = {}
-        if checkpoint_dir is not None:
-            checkpoint = RunCheckpoint(checkpoint_dir)
-            checkpoint.initialise(
-                fingerprint, resume=resume,
-                info={"scenarios": sorted(scenarios)},
-            )
-            if resume:
-                done = set(checkpoint.completed_keys()) & set(scenarios)
-                for key in done:
-                    resumed[key] = checkpoint.load_scenario(key)
-                metrics.counter("checkpoint.skipped").inc(len(done))
-                log.info("checkpoint.resume", directory=checkpoint_dir,
-                         skipped=len(done),
-                         remaining=len(scenarios) - len(done))
-
         task_keys: dict[str, str] = {}
         if store is not None:
-            # Each scenario is addressed by its own period's digest, so
-            # tasks in untouched periods survive a dataset extension.
-            # The simulation config is dropped from the task address:
-            # everything it can change about a scenario is already in
-            # the period digest, so an extended run (new simulation
-            # end, same in-period bytes) re-serves every cached task.
-            # Checkpoints and the ledger keep the full fingerprint —
-            # resuming is stricter than cache addressing.
-            task_fingerprint = config_fingerprint(
-                replace(config, simulation=SimulationConfig(),
-                        n_jobs=None, verbose=False,
-                        predictor="compiled", profile=False,
-                        task_timeout=None, task_retries=None)
-            )
-            task_keys = {
-                key: task_key(task_fingerprint,
-                              digests[key.rsplit("_", 1)[0]], key)
-                for key in scenarios
-            }
+            task_keys = _scenario_task_keys(config, digests, scenarios)
 
-        pending = [key for key in scenarios if key not in resumed]
         # The cache kwargs ride along only when a store is active, so
         # cacheless runs call the task with its historical signature.
-        task_kwargs = {"config": config, "checkpoint": checkpoint}
+        task_kwargs = {"config": config}
         if store is not None:
             task_kwargs.update(cache=store, task_keys=task_keys)
         # With a deadline configured (config or $REPRO_TASK_TIMEOUT),
@@ -904,13 +877,13 @@ def run_experiment(config: ExperimentConfig | None = None,
         # matrices once; workers attach instead of unpickling them per
         # chunk.  Lazy: if every node cache-hits, no process is forked.
         pool = None
-        if (jobs > 1 and len(pending) > 1 and not in_worker()
+        if (jobs > 1 and len(scenarios) > 1 and not in_worker()
                 and resolve_backend(None) == "process"):
             pool = WorkerPool(n_jobs=jobs,
                               warmup=_warm_scenario_worker)
         for key, scenario in scenarios.items():
             shipped = scenario
-            if pool is not None and key not in resumed:
+            if pool is not None:
                 shipped = replace(
                     scenario,
                     X=pool.dataset.share(scenario.X),
@@ -923,8 +896,6 @@ def run_experiment(config: ExperimentConfig | None = None,
                 cache_key=task_keys.get(key),
                 store_result=False,  # the worker already cache.put()s
             )
-            if key in resumed:
-                graph.supply(f"scenario:{key}", resumed[key])
         try:
             pool_scope = (use_pool(pool) if pool is not None
                           else nullcontext())
@@ -943,7 +914,7 @@ def run_experiment(config: ExperimentConfig | None = None,
                 scenario_cache_hits[0]
             )
             log.info("scenario.cached", hits=scenario_cache_hits[0],
-                     remaining=len(pending) - scenario_cache_hits[0])
+                     remaining=len(scenarios) - scenario_cache_hits[0])
 
         by_key: dict[str, tuple] = {}
         failures: dict[str, ScenarioFailure] = {}
@@ -999,9 +970,8 @@ def run_experiment(config: ExperimentConfig | None = None,
             status="ok" if not failures else "partial",
             started_at=started_at,
             duration_s=round(runtime, 6),
-            fingerprint=fingerprint,
+            fingerprint=run_fingerprint(config),
             seed=config.simulation.seed,
-            resumed=resume,
             labels={
                 "periods": ",".join(config.periods),
                 "windows": ",".join(str(w) for w in config.windows),
@@ -1009,8 +979,6 @@ def run_experiment(config: ExperimentConfig | None = None,
                 "jobs": jobs,
             },
             cache=cache_info,
-            checkpoint=({"dir": checkpoint_dir}
-                        if checkpoint_dir is not None else {}),
             stages=stage_rows(tracer.spans),
             metrics=snapshot,
             host=host_info(),

@@ -175,7 +175,7 @@ class Frame:
 
     def __getstate__(self):
         # The memoised dense matrix is derived state: drop it from
-        # pickles so cached/checkpointed frames don't double in size
+        # pickles so cached frames don't double in size
         # (it rebuilds lazily on the first to_matrix after load).
         # When the matrix was published to shared memory
         # (:meth:`share_matrix`) its segment spec rides along instead,

@@ -25,6 +25,6 @@ fingerprint so ``repro report --compare`` renders cold-vs-incremental
 chains. CLI: ``repro update --days N``.
 """
 
-from .update import UpdateResult, parent_fingerprint, update_experiment
+from .update import UpdateResult, update_experiment
 
-__all__ = ["UpdateResult", "parent_fingerprint", "update_experiment"]
+__all__ = ["UpdateResult", "update_experiment"]

@@ -28,29 +28,14 @@ from dataclasses import dataclass, field, replace
 
 from ..cache import CacheStore, dataset_key
 from ..core.pipeline import ExperimentConfig, ExperimentResults, \
-    run_experiment
+    run_experiment, run_fingerprint
 from ..obs import MetricsRegistry, RunLedger, RunRecord, Tracer, \
     get_logger, git_describe, host_info, span, stage_rows, use_metrics, \
     use_tracer
-from ..resilience import config_fingerprint
 from ..synth.dataset import RawDataset
 from ..synth.extend import extend_raw_dataset, extended_config
 
-__all__ = ["UpdateResult", "parent_fingerprint", "update_experiment"]
-
-
-def parent_fingerprint(config: ExperimentConfig) -> str:
-    """The ledger/checkpoint fingerprint of ``config``'s cold run.
-
-    Uses the exact normalisation :func:`~repro.core.pipeline.run_experiment`
-    applies before recording a run — execution-shape fields excluded —
-    so an update record's parent link matches the parent record's
-    ``fingerprint`` field verbatim.
-    """
-    return config_fingerprint(
-        replace(config, n_jobs=None, verbose=False, predictor="compiled",
-                profile=False, task_timeout=None, task_retries=None)
-    )
+__all__ = ["UpdateResult", "update_experiment"]
 
 
 @dataclass
@@ -71,7 +56,8 @@ class UpdateResult:
 
     fingerprint: str | None = None
     parent: str | None = None
-    """The parent cold run's config fingerprint."""
+    """The parent cold run's config fingerprint
+    (:func:`~repro.core.pipeline.run_fingerprint`)."""
 
     parent_run_id: str | None = None
     """The newest ledger record carrying ``parent`` (None without a
@@ -122,7 +108,6 @@ def update_experiment(config: ExperimentConfig | None = None,
                       raw: RawDataset | None = None,
                       tracer: Tracer | None = None,
                       metrics: MetricsRegistry | None = None,
-                      checkpoint_dir: str | None = None,
                       cache_dir: str | None = None,
                       ledger_path: str | None = None) -> UpdateResult:
     """Run ``config``'s experiment extended by ``days`` simulated days.
@@ -136,12 +121,13 @@ def update_experiment(config: ExperimentConfig | None = None,
     the update is simply a correct cold run at ``n+days`` days.
 
     ``ledger_path`` appends one ``kind="update"`` record whose
-    ``extra.parent`` is the parent run's fingerprint — the link
+    ``extra.parent`` is the parent run's
+    :func:`~repro.core.pipeline.run_fingerprint` — the link
     ``repro report --compare`` renders. The extended run itself is
     recorded by that same record (not a separate ``kind="run"`` line).
     """
     config = config if config is not None else ExperimentConfig.default()
-    parent_print = parent_fingerprint(config)
+    parent_print = run_fingerprint(config)
     extended = replace(
         config, simulation=extended_config(config.simulation, days)
     )
@@ -176,14 +162,13 @@ def update_experiment(config: ExperimentConfig | None = None,
         raw=extended_raw,
         tracer=tracer,
         metrics=metrics,
-        checkpoint_dir=checkpoint_dir,
         cache_dir=cache_dir,
     )
 
     counters = results.run_summary.metrics.get("counters", {})
     cached = int(counters.get("experiment.scenarios_cached", 0))
     total = len(results.artifacts) + len(results.failures)
-    fingerprint = parent_fingerprint(extended)
+    fingerprint = run_fingerprint(extended)
     labels = {
         "days": days,
         "periods": ",".join(extended.periods),

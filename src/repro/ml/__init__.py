@@ -9,12 +9,9 @@ TreeSHAP treat every model family the same way.
 
 from .boosting import GradientBoostingRegressor
 from .compiled import (
-    PREDICTORS,
     CompiledEnsemble,
     compile_ensemble,
-    current_predictor,
     maybe_compile,
-    use_predictor,
 )
 from .forest import RandomForestRegressor
 from .importance import (
@@ -63,7 +60,6 @@ __all__ = [
     "LinearRegression",
     "MLPRegressor",
     "MinMaxScaler",
-    "PREDICTORS",
     "ParameterGrid",
     "RandomForestRegressor",
     "Ridge",
@@ -77,7 +73,6 @@ __all__ = [
     "compile_ensemble",
     "cross_val_predict",
     "cross_val_score",
-    "current_predictor",
     "load_model",
     "maybe_compile",
     "mdi_importance",
@@ -95,5 +90,4 @@ __all__ = [
     "shap_importance",
     "target_correlations",
     "train_test_split",
-    "use_predictor",
 ]

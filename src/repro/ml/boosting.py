@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs import current_metrics, span
-from .compiled import current_predictor, ensemble_compiled
+from ..obs import span
+from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features
 from .warm import fit_signature, reusable_members
 
@@ -208,27 +208,15 @@ class GradientBoostingRegressor:
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Predict targets for every row of X.
-
-        Under the ``"compiled"`` predictor mode (see
-        :mod:`repro.ml.compiled`) the flattened level-wise kernel runs
-        instead of the per-stage loop; outputs are bit-identical.
-        """
+        """Predict targets for every row of X, through the compiled
+        level-wise kernel (:mod:`repro.ml.compiled`)."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X must be 2-D with {self.n_features_in_} features"
             )
-        if current_predictor() == "compiled":
-            return ensemble_compiled(self).predict(X)
-        metrics = current_metrics()
-        metrics.counter("predict.naive_calls").inc()
-        metrics.counter("predict.naive_rows").inc(X.shape[0])
-        out = np.full(X.shape[0], self.base_prediction_, dtype=np.float64)
-        for tree in self.estimators_:
-            out += self.learning_rate * tree.tree_.predict(X)
-        return out
+        return ensemble_compiled(self).predict(X)
 
     def staged_predict(self, X):
         """Yield predictions after each successive boosting stage."""

@@ -1,10 +1,11 @@
 """Compiled flat-array inference for fitted tree ensembles.
 
-The interpreted predict path walks one tree at a time: a forest predict
-is ``n_estimators`` Python-level traversals, and the pipeline's hot
-stages — PFI over permutation matrices, grid-search fold scoring, the
-improvement evaluations, backtest forecasting — each issue thousands of
-such calls. This module compiles a *fitted* estimator once into
+This is the one inference path of every forest and booster ``predict``.
+Walking one tree at a time would make a forest predict ``n_estimators``
+Python-level traversals, and the pipeline's hot stages — PFI over
+permutation matrices, grid-search fold scoring, the improvement
+evaluations, backtest forecasting — each issue thousands of such calls.
+This module compiles a *fitted* estimator once into
 contiguous structure-of-arrays node tables (the LightGBM /
 ``HistGradientBoosting`` predictor-array design) and traverses **all
 rows through all trees one depth level per vectorised step**, turning
@@ -20,7 +21,8 @@ so per-level cost tracks the cursors still descending.
 
 Bit-identity contract
 ---------------------
-Compiled predictions are **bit-identical** to the interpreted path for
+Compiled predictions are **bit-identical** to the interpreted per-tree
+walk (kept only as the test oracle :func:`_interpreted_predict`) for
 every splitter, ensemble shape and ``n_jobs``:
 
 * per-tree leaf routing performs the same ``x <= threshold``
@@ -30,9 +32,6 @@ every splitter, ensemble shape and ``n_jobs``:
   the same ``mean(axis=0)``;
 * boosting accumulates stages in fit order from the same base value
   with the same ``out += learning_rate * stage`` operations.
-
-Because of this the predictor choice is pure *execution shape* — like a
-worker count — and never enters cache keys or config fingerprints.
 
 Hist-fit fast path
 ------------------
@@ -44,18 +43,11 @@ many variants of one matrix bin it once (:meth:`CompiledEnsemble.bin`)
 and traverse one-byte codes instead of float64s for every variant.
 ``numpy.searchsorted`` orders NaN after every cut, giving NaN rows the
 maximal code — they route right, matching the raw comparison.
-
-The active predictor is selected with :func:`use_predictor` (a plain
-module global, so forked worker processes inherit it); estimators
-consult :func:`current_predictor` inside ``predict``. The experiment
-pipeline drives it from ``ExperimentConfig.predictor`` (CLI:
-``repro run --predictor``).
 """
 
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -66,23 +58,11 @@ from .tree import _LEAF
 
 __all__ = [
     "CompiledEnsemble",
-    "PREDICTORS",
     "PermutationScorer",
     "compile_ensemble",
-    "current_predictor",
     "ensemble_compiled",
     "maybe_compile",
-    "use_predictor",
 ]
-
-#: Recognised predictor modes (``ExperimentConfig.predictor`` values).
-PREDICTORS = ("compiled", "naive")
-
-# A module global rather than a ContextVar: thread workers share it and
-# fork-started process workers inherit it, so one assignment covers the
-# whole fan-out. Bit-identity makes a stale value harmless — a worker
-# falling back to "naive" returns the same bits, just slower.
-_MODE = "naive"
 
 #: Tree-parallel prediction only engages above this many
 #: ``n_trees * n_rows`` kernel cells — below it the thread fan-out
@@ -99,34 +79,6 @@ _BATCH_BUDGET_CELLS = 4_000_000
 _KERNEL_BLOCK_CELLS = 16_384
 
 _COMPILED_FORMAT = 1
-
-
-def current_predictor() -> str:
-    """The active predictor mode: ``"compiled"`` or ``"naive"``."""
-    return _MODE
-
-
-@contextmanager
-def use_predictor(mode: str | None):
-    """Install a predictor mode for the ``with`` body.
-
-    ``None`` leaves the active mode unchanged (a no-op scope), which
-    lets call sites thread an optional override without branching.
-    """
-    global _MODE
-    if mode is None:
-        yield _MODE
-        return
-    if mode not in PREDICTORS:
-        raise ValueError(
-            f"predictor must be one of {PREDICTORS}, got {mode!r}"
-        )
-    previous = _MODE
-    _MODE = mode
-    try:
-        yield mode
-    finally:
-        _MODE = previous
 
 
 def _tree_chunk(bounds, compiled, mat, binned):
@@ -581,6 +533,29 @@ def _ensemble_parts(estimator):
     raise TypeError(
         f"{type(estimator).__name__} is not a fitted tree ensemble"
     )
+
+
+def _interpreted_predict(estimator, X) -> np.ndarray:
+    """The per-tree interpreted walk: the oracle the compiled kernel is
+    tested against.
+
+    Forests stack every member's predictions and take the same
+    ``mean(axis=0)``; boosting adds one shrunken stage at a time from
+    the base value. Not used by any estimator's ``predict``.
+    """
+    kind, trees, base, learning_rate = _ensemble_parts(estimator)
+    X = np.asarray(X, dtype=np.float64)
+    if kind == "forest":
+        stacked = np.empty((len(trees), X.shape[0]), dtype=np.float64)
+        for i, tree in enumerate(trees):
+            stacked[i] = tree.tree_.predict(X)
+        return stacked.mean(axis=0)
+    if kind == "boosting":
+        out = np.full(X.shape[0], base, dtype=np.float64)
+        for tree in trees:
+            out += learning_rate * tree.tree_.predict(X)
+        return out
+    return trees[0].tree_.predict(X)
 
 
 def _bin_thresholds(feature, threshold, leaf_mask, cuts, n_features):

@@ -17,9 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from ..obs import current_metrics, span
+from ..obs import span
 from ..parallel import ParallelMap, spawn_seeds
-from .compiled import current_predictor, ensemble_compiled
+from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features
 from .warm import fit_signature, reusable_members
 
@@ -189,28 +189,15 @@ class RandomForestRegressor:
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Mean prediction across all trees.
-
-        Under the ``"compiled"`` predictor mode (see
-        :mod:`repro.ml.compiled`) the flattened level-wise kernel runs
-        instead of the per-tree loop; outputs are bit-identical.
-        """
+        """Mean prediction across all trees, through the compiled
+        level-wise kernel (:mod:`repro.ml.compiled`)."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X must be 2-D with {self.n_features_in_} features"
             )
-        if current_predictor() == "compiled":
-            return ensemble_compiled(self).predict(X, n_jobs=self.n_jobs)
-        metrics = current_metrics()
-        metrics.counter("predict.naive_calls").inc()
-        metrics.counter("predict.naive_rows").inc(X.shape[0])
-        stacked = np.empty((len(self.estimators_), X.shape[0]),
-                           dtype=np.float64)
-        for i, tree in enumerate(self.estimators_):
-            stacked[i] = tree.tree_.predict(X)
-        return stacked.mean(axis=0)
+        return ensemble_compiled(self).predict(X, n_jobs=self.n_jobs)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from ..parallel import (
     pool_worthwhile,
     resolve_n_jobs,
 )
-from .compiled import current_predictor, maybe_compile
+from .compiled import maybe_compile
 from .metrics import mean_squared_error
 
 __all__ = [
@@ -181,11 +181,10 @@ def permutation_importance(
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     rng = np.random.default_rng(random_state)
-    compiled = codes = None
-    if current_predictor() == "compiled":
-        compiled = maybe_compile(estimator)
-        if compiled is not None and compiled.has_bins:
-            codes = compiled.bin(X)
+    codes = None
+    compiled = maybe_compile(estimator)
+    if compiled is not None and compiled.has_bins:
+        codes = compiled.bin(X)
     started = time.perf_counter()
     baseline = float(scoring(y, estimator.predict(X)))
     predict_seconds = time.perf_counter() - started

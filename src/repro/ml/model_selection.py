@@ -16,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from ..parallel import ParallelMap
-from .compiled import current_predictor, use_predictor
 from .metrics import mean_squared_error
 
 __all__ = [
@@ -133,20 +132,17 @@ class ParameterGrid:
             yield dict(zip(names, combo))
 
 
-def _fit_and_score(task, X, y, template, scoring, predictor=None):
+def _fit_and_score(task, X, y, template, scoring):
     """Fit one (params, fold) cell and return its test score.
 
     A pure work unit: every candidate carries its own ``random_state``
     inside ``params``/``template``, so cells evaluate identically no
-    matter which worker runs them. ``predictor`` re-installs the
-    caller's predictor mode inside spawned workers (bit-identity makes
-    the mode a pure speed knob, so scores never depend on it).
+    matter which worker runs them.
     """
     params, train_idx, test_idx = task
-    with use_predictor(predictor):
-        model = clone(template).set_params(**params)
-        model.fit(X[train_idx], y[train_idx])
-        return float(scoring(y[test_idx], model.predict(X[test_idx])))
+    model = clone(template).set_params(**params)
+    model.fit(X[train_idx], y[train_idx])
+    return float(scoring(y[test_idx], model.predict(X[test_idx])))
 
 
 def cross_val_score(estimator, X, y, cv=None, scoring=mean_squared_error,
@@ -162,7 +158,7 @@ def cross_val_score(estimator, X, y, cv=None, scoring=mean_squared_error,
     cv = cv if cv is not None else KFold(5)
     tasks = [({}, train_idx, test_idx) for train_idx, test_idx in cv.split(X)]
     score_one = partial(_fit_and_score, X=X, y=y, template=estimator,
-                        scoring=scoring, predictor=current_predictor())
+                        scoring=scoring)
     return np.asarray(ParallelMap(n_jobs).map(score_one, tasks))
 
 
@@ -241,8 +237,7 @@ class GridSearchCV:
             for train_idx, test_idx in folds
         ]
         score_one = partial(_fit_and_score, X=X, y=y,
-                            template=self.estimator, scoring=self.scoring,
-                            predictor=current_predictor())
+                            template=self.estimator, scoring=self.scoring)
         flat = ParallelMap(self.n_jobs).map(score_one, tasks)
         best_score = np.inf
         best_params: dict | None = None

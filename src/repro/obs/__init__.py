@@ -1,4 +1,4 @@
-"""Observability substrate: logging, tracing, metrics, ledger, export.
+"""Observability substrate: logging, tracing, metrics, ledger, bench gate.
 
 ``repro.obs`` is the zero-dependency (stdlib-only) telemetry layer the
 experiment pipeline reports through:
@@ -24,8 +24,6 @@ experiment pipeline reports through:
 * :mod:`repro.obs.ledger` — :class:`RunLedger`, the append-only JSONL
   record every run/chaos/bench invocation appends to, with query and
   compare helpers behind ``repro report``.
-* :mod:`repro.obs.export` — Prometheus text exposition and a lossless
-  metrics JSONL sink for :class:`MetricsRegistry`.
 * :mod:`repro.obs.bench` — the perf-regression gate comparing fresh
   ``BENCH_*.json`` artefacts to committed baselines
   (``repro bench check``).
@@ -48,13 +46,6 @@ from .bench import (
     load_bench,
     load_bench_dir,
     render_bench_check,
-)
-from .export import (
-    append_metrics_jsonl,
-    parse_prometheus,
-    prometheus_text,
-    read_metrics_jsonl,
-    sanitize_metric_name,
 )
 from .ledger import (
     RunLedger,
@@ -132,7 +123,6 @@ __all__ = [
     "StructuredLogger",
     "Tracer",
     "aggregate_spans",
-    "append_metrics_jsonl",
     "check_bench_dirs",
     "compare_benchmarks",
     "compare_records",
@@ -150,20 +140,16 @@ __all__ = [
     "load_bench",
     "load_bench_dir",
     "logging_configured",
-    "parse_prometheus",
     "percentile_of",
     "profiled_span",
     "profiling_enabled",
-    "prometheus_text",
     "read_jsonl",
-    "read_metrics_jsonl",
     "render_bench_check",
     "render_compare",
     "render_history",
     "render_record",
     "reset_logging",
     "resolve_profiling",
-    "sanitize_metric_name",
     "set_current_metrics",
     "set_current_tracer",
     "set_profiling",

@@ -11,7 +11,7 @@ perf-regression job.
 Gate semantics, chosen so the gate is host-portable:
 
 * ``speedup_*`` metrics are algorithmic **ratios** (hist vs exact,
-  warm vs cold, compiled vs naive...) and gate: a fresh value below
+  warm vs cold, ...) and gate: a fresh value below
   ``baseline * (1 - tolerance)`` fails.
 * Boolean invariants (``identical``, ``deterministic``) gate on any
   ``True -> False`` regression, tolerance-free.

@@ -13,8 +13,8 @@ Appends are durable and crash-tolerant: each record is a single
 killed run can at worst leave one torn trailing line, which readers
 skip.  Two runs of the same configuration link naturally through their
 ``fingerprint`` and cache ``dataset_key`` fields — a warm re-run
-addresses the same artifacts as the cold run that produced them — and
-resumed runs carry ``resumed=True`` plus the checkpoint fingerprint.
+(including one that resumes a killed run from its cache) addresses the
+same artifacts as the cold run that produced them.
 
 Query and comparison helpers (:meth:`RunLedger.query`,
 :meth:`RunLedger.latest`, :func:`compare_records`) plus the renderers
@@ -130,11 +130,10 @@ class RunRecord:
 
     duration_s: float = 0.0
     fingerprint: str | None = None
-    """Config fingerprint — the same digest checkpoint/cache layers use,
-    so records of identical configurations link across sessions."""
+    """Config fingerprint — the same digest the cache layer uses, so
+    records of identical configurations link across sessions."""
 
     seed: int | None = None
-    resumed: bool = False
     labels: dict = field(default_factory=dict)
     """Free-form discriminators (preset, policy, bench name, ...)."""
 
@@ -143,7 +142,6 @@ class RunRecord:
     run's hit/miss/write counters.  Cold and warm runs of one config
     share the same keys — that is the cross-run link."""
 
-    checkpoint: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)
     """Per-span-name aggregates (see :func:`stage_rows`)."""
 
@@ -164,10 +162,8 @@ class RunRecord:
             "duration_s": self.duration_s,
             "fingerprint": self.fingerprint,
             "seed": self.seed,
-            "resumed": self.resumed,
             "labels": dict(self.labels),
             "cache": dict(self.cache),
-            "checkpoint": dict(self.checkpoint),
             "stages": dict(self.stages),
             "metrics": dict(self.metrics),
             "host": dict(self.host),
@@ -177,7 +173,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        """Inverse of :meth:`to_dict`; tolerant of absent fields."""
+        """Inverse of :meth:`to_dict`; tolerant of absent fields and
+        of the retired ``resumed`` / ``checkpoint`` keys older lines
+        carry."""
         return cls(
             kind=payload["kind"],
             status=payload.get("status", "ok"),
@@ -186,10 +184,8 @@ class RunRecord:
             duration_s=float(payload.get("duration_s", 0.0)),
             fingerprint=payload.get("fingerprint"),
             seed=payload.get("seed"),
-            resumed=bool(payload.get("resumed", False)),
             labels=dict(payload.get("labels", {})),
             cache=dict(payload.get("cache", {})),
-            checkpoint=dict(payload.get("checkpoint", {})),
             stages=dict(payload.get("stages", {})),
             metrics=dict(payload.get("metrics", {})),
             host=dict(payload.get("host", {})),
@@ -367,8 +363,6 @@ def render_history(records: list[RunRecord]) -> str:
         ) or "-"
         hits = record.cache.get("hits")
         cache = (f"{hits} hits" if hits is not None else "-")
-        if record.resumed:
-            cache += " (resumed)"
         rss = max(
             (row.get("max_rss_kb") for row in record.stages.values()
              if row.get("max_rss_kb") is not None),
@@ -394,8 +388,7 @@ def render_record(record: RunRecord) -> str:
         f"status={record.status}  started={record.started_at or '-'}",
         f"duration {format_runtime(record.duration_s)}"
         + (f"  seed={record.seed}" if record.seed is not None else "")
-        + (f"  git={record.git}" if record.git else "")
-        + ("  resumed" if record.resumed else ""),
+        + (f"  git={record.git}" if record.git else ""),
     ]
     if record.fingerprint:
         lines.append(f"fingerprint {record.fingerprint}")

@@ -1,18 +1,15 @@
 """A small dependency-aware task graph over ``ParallelMap``.
 
-The pipeline historically composed caching, checkpointing, and
-parallelism by hand: every stage re-implemented "look up the cache key,
-skip if hit, otherwise fan out, then store".  :class:`TaskGraph` is the
-one runtime that owns that composition:
+The pipeline historically composed caching and parallelism by hand:
+every stage re-implemented "look up the cache key, skip if hit,
+otherwise fan out, then store".  :class:`TaskGraph` is the one runtime
+that owns that composition:
 
 * nodes declare *ordering* dependencies by key; a node only runs after
   its dependencies resolved;
 * a node with a ``cache_key`` is satisfied from the artifact store
   before it is scheduled (``graph.cache_hits`` counter), and its fresh
   result is written back through ``cache_put`` when it ran;
-* already-known results (e.g. scenarios restored from a run
-  checkpoint) are injected with :meth:`supply` and simply short-circuit
-  the node;
 * ready nodes are batched onto the caller's
   :class:`~repro.parallel.ParallelMap` — under a persistent
   :class:`~repro.parallel.pool.WorkerPool` the same warm workers serve
@@ -79,7 +76,7 @@ def _apply_node(fn):
 
 
 class TaskGraph:
-    """Build with :meth:`add` / :meth:`supply`, execute with :meth:`run`.
+    """Build with :meth:`add`, execute with :meth:`run`.
 
     ``run`` is incremental: nodes added after a ``run`` are picked up
     by the next ``run``, and resolved nodes are never re-executed — so
@@ -106,15 +103,6 @@ class TaskGraph:
                         index=len(self._nodes))
         self._nodes[key] = node
         return node
-
-    def supply(self, key: str, value) -> None:
-        """Inject an already-known result (checkpoint resume), marking
-        the node resolved without running or re-caching it."""
-        node = self._nodes[key]
-        if node.state != _PENDING:
-            raise ValueError(f"task {key!r} already resolved")
-        node.state = _DONE
-        self.results[key] = value
 
     def __contains__(self, key: str) -> bool:
         return key in self._nodes

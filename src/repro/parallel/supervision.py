@@ -131,7 +131,7 @@ class ItemFailure:
 
     def __getstate__(self):
         """Degrade an unpicklable ``exception`` to None instead of
-        poisoning whatever artifact (checkpoint, cache entry) carries
+        poisoning whatever artifact (e.g. a cache entry) carries
         this failure record."""
         import pickle
 

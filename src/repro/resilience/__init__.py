@@ -1,5 +1,5 @@
-"""Resilience layer: fault injection, degraded-source tolerance,
-checkpoint/resume, and chaos experiments.
+"""Resilience layer: fault injection, degraded-source tolerance and
+chaos experiments.
 
 The paper's dataset is stitched from five live feeds; this package
 makes the reproduction behave like a system that actually consumes
@@ -17,9 +17,6 @@ through :mod:`repro.obs`:
   assembles the dataset under a degradation policy (``abort`` /
   ``drop-category`` / ``fill``) and returns a :class:`DegradationReport`
   saying exactly what was retried, injected, filled or dropped.
-* :mod:`repro.resilience.checkpoint` — :class:`RunCheckpoint`, atomic
-  per-scenario artifact persistence behind ``repro run
-  --checkpoint-dir/--resume``.
 * :mod:`repro.resilience.chaos` — :func:`run_chaos`, the clean-vs-
   faulted MSE comparison behind ``repro chaos``.
 
@@ -35,6 +32,11 @@ Quick tour::
     )
     results = run_experiment(degraded)
     print(results.degradation.summary())
+
+Resuming a killed run needs nothing from this package: rerun it with
+the same ``cache_dir`` (CLI: ``--cache-dir``) and every scenario the
+first attempt finished is read back from the artifact cache
+(:mod:`repro.cache`); only the rest are computed.
 """
 
 from .chaos import (
@@ -42,12 +44,6 @@ from .chaos import (
     ChaosReport,
     render_chaos_table,
     run_chaos,
-)
-from .checkpoint import (
-    CheckpointMismatch,
-    RunCheckpoint,
-    atomic_write_bytes,
-    config_fingerprint,
 )
 from .degradation import (
     DEGRADATION_POLICIES,
@@ -74,9 +70,7 @@ from .source import (
 
 __all__ = [
     "CategoryDegradation",
-    "atomic_write_bytes",
     "ChaosReport",
-    "CheckpointMismatch",
     "CircuitBreaker",
     "CircuitOpen",
     "DEGRADATION_POLICIES",
@@ -88,11 +82,9 @@ __all__ = [
     "FlakyFetch",
     "InjectedFault",
     "RetryPolicy",
-    "RunCheckpoint",
     "SourceOutcome",
     "SourceUnavailable",
     "apply_fault_plan",
-    "config_fingerprint",
     "random_fault_plan",
     "render_chaos_table",
     "resilient_raw_dataset",

@@ -25,8 +25,7 @@ __all__ = ["CategoryDegradation", "ChaosReport", "run_chaos",
 _log = get_logger("resilience")
 
 #: Run-summary counter prefixes a chaos report surfaces.
-_COUNTER_PREFIXES = ("resilience.", "checkpoint.", "preflight.",
-                     "experiment.scenario")
+_COUNTER_PREFIXES = ("resilience.", "preflight.", "experiment.scenario")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Tests for the framed artifact codec shared by cache and checkpoints."""
+"""Tests for the framed artifact codec behind every cache entry."""
 
 import pickle
 import sys

@@ -15,8 +15,12 @@ from types import SimpleNamespace
 import pytest
 
 import repro.core.scenarios as scenarios
-from repro.core.pipeline import ExperimentConfig, run_experiment
-from repro.incremental import parent_fingerprint, update_experiment
+from repro.core.pipeline import (
+    ExperimentConfig,
+    run_experiment,
+    run_fingerprint,
+)
+from repro.incremental import update_experiment
 from repro.obs import RunLedger, render_record
 from repro.synth import generate_raw_dataset
 from repro.synth.config import SimulationConfig
@@ -106,7 +110,7 @@ class TestLedgerChain:
     def test_parent_linkage(self, study):
         records = RunLedger(study.ledger).records()
         run, update = records
-        assert update.extra["parent"] == parent_fingerprint(study.config)
+        assert update.extra["parent"] == run_fingerprint(study.config)
         assert update.extra["parent"] == run.fingerprint
         assert update.extra["parent_run_id"] == run.run_id
         assert study.update.parent_run_id == run.run_id

@@ -5,8 +5,8 @@ spawned seeds are the same for any ``n >= R``); boosters replay the
 reused stages' RNG draws and residual updates so the continuation
 stages see the exact cold generator state. Either way a warm fit at
 ``n`` estimators from a previous fit at ``m <= n`` must predict
-byte-for-byte like a cold fit at ``n`` — through the naive and the
-compiled predictors both.
+byte-for-byte like a cold fit at ``n`` — through ``predict`` and
+through compiled tables extended from the previous fit's.
 """
 
 import numpy as np

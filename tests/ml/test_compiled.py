@@ -3,8 +3,9 @@
 The contract under test (see :mod:`repro.ml.compiled`): for every
 splitter, ensemble shape, degenerate tree, NaN-bearing prediction row
 and worker count, the flat-array kernel returns byte-for-byte the same
-predictions as the interpreted per-tree path — so the predictor mode is
-pure execution shape, never a modelling decision.
+predictions as the interpreted per-tree walk, which survives only as the
+oracle :func:`repro.ml.compiled._interpreted_predict` these tests compare
+against.
 """
 
 import numpy as np
@@ -17,16 +18,17 @@ from repro.ml import (
     GradientBoostingRegressor,
     GridSearchCV,
     RandomForestRegressor,
+    KFold,
     compile_ensemble,
     cross_val_score,
-    current_predictor,
     maybe_compile,
-    use_predictor,
+    mean_squared_error,
 )
-from repro.ml.compiled import PREDICTORS, ensemble_compiled
+from repro.ml.compiled import _interpreted_predict, ensemble_compiled
 from repro.ml.ensemble import StackingRegressor
 from repro.ml.importance import permutation_importance
 from repro.ml.linear import Ridge
+from repro.ml.model_selection import clone
 from repro.obs import MetricsRegistry, use_metrics
 
 SPLITTERS = ("exact", "hist")
@@ -52,14 +54,29 @@ def x_messy():
     return Xt
 
 
-def _naive(est, X):
-    with use_predictor("naive"):
-        return est.predict(X)
+class _Interpreted:
+    """A fitted ensemble whose ``predict`` is the interpreted oracle.
+
+    Not compilable, so generic callers (PFI) take their plain
+    ``predict`` path through it.
+    """
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def predict(self, X):
+        return _interpreted_predict(self.estimator, X)
 
 
-def _compiled(est, X):
-    with use_predictor("compiled"):
-        return est.predict(X)
+def _oracle_fold_scores(estimator, X, y, params=None):
+    """Per-fold MSEs of the default 5-fold CV, scored by the oracle."""
+    scores = []
+    for train, test in KFold(5).split(X):
+        model = clone(estimator).set_params(**(params or {}))
+        model.fit(X[train], y[train])
+        scores.append(float(mean_squared_error(
+            y[test], _interpreted_predict(model, X[test]))))
+    return np.asarray(scores)
 
 
 class TestBitIdentity:
@@ -70,8 +87,8 @@ class TestBitIdentity:
             n_estimators=10, max_depth=6, max_features="sqrt",
             splitter=splitter, random_state=0,
         ).fit(X, y)
-        assert np.array_equal(_naive(est, x_messy), _compiled(est, x_messy),
-                              equal_nan=True)
+        assert np.array_equal(_interpreted_predict(est, x_messy),
+                              est.predict(x_messy), equal_nan=True)
 
     @pytest.mark.parametrize("splitter", SPLITTERS)
     def test_boosting(self, data, x_messy, splitter):
@@ -80,8 +97,8 @@ class TestBitIdentity:
             n_estimators=12, max_depth=3, splitter=splitter,
             random_state=1,
         ).fit(X, y)
-        assert np.array_equal(_naive(est, x_messy), _compiled(est, x_messy),
-                              equal_nan=True)
+        assert np.array_equal(_interpreted_predict(est, x_messy),
+                              est.predict(x_messy), equal_nan=True)
 
     @pytest.mark.parametrize("splitter", SPLITTERS)
     def test_single_tree(self, data, x_messy, splitter):
@@ -113,7 +130,8 @@ class TestBitIdentity:
         parallel = RandomForestRegressor(
             n_estimators=8, max_depth=5, random_state=4, n_jobs=4,
         ).fit(X, y)
-        assert np.array_equal(_compiled(serial, X), _naive(parallel, X))
+        assert np.array_equal(serial.predict(X),
+                              _interpreted_predict(parallel, X))
 
 
 class TestDegenerateTrees:
@@ -148,8 +166,8 @@ class TestDegenerateTrees:
                 n_estimators=5, max_depth=4, splitter=splitter,
                 random_state=0,
             ).fit(X, y)
-            assert np.array_equal(_naive(est, x_messy),
-                                  _compiled(est, x_messy), equal_nan=True)
+            assert np.array_equal(_interpreted_predict(est, x_messy),
+                                  est.predict(x_messy), equal_nan=True)
 
     def test_empty_prediction_batch(self, data):
         X, y = data
@@ -179,7 +197,7 @@ class TestBitIdentityProperty:
             max_depth=int(rng.integers(1, 8)),
             splitter=splitter, random_state=seed,
         ).fit(X, y)
-        assert np.array_equal(_naive(est, Xt), _compiled(est, Xt),
+        assert np.array_equal(_interpreted_predict(est, Xt), est.predict(Xt),
                               equal_nan=True)
 
 
@@ -209,7 +227,8 @@ class TestBinnedPath:
         codes = compiled.bin(x_messy)
         assert codes.dtype == np.uint8
         assert np.array_equal(compiled.predict_binned(codes),
-                              _naive(est, x_messy), equal_nan=True)
+                              _interpreted_predict(est, x_messy),
+                              equal_nan=True)
 
 
 class TestPredictMany:
@@ -233,32 +252,6 @@ class TestPredictMany:
         compiled = compile_ensemble(est)
         with pytest.raises(ValueError):
             compiled.predict_many([np.zeros((3, 5))])
-
-
-class TestPredictorMode:
-    def test_default_is_naive(self):
-        assert current_predictor() == "naive"
-
-    def test_context_nests_and_restores(self):
-        with use_predictor("compiled"):
-            assert current_predictor() == "compiled"
-            with use_predictor("naive"):
-                assert current_predictor() == "naive"
-            assert current_predictor() == "compiled"
-        assert current_predictor() == "naive"
-
-    def test_none_is_a_no_op(self):
-        with use_predictor("compiled"):
-            with use_predictor(None):
-                assert current_predictor() == "compiled"
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="predictor"):
-            with use_predictor("jit"):
-                pass  # pragma: no cover
-
-    def test_modes_are_exported(self):
-        assert PREDICTORS == ("compiled", "naive")
 
 
 class TestCompileDispatch:
@@ -306,7 +299,7 @@ class TestCompileDispatch:
 
 
 class TestDownstreamEquivalence:
-    """The knob must never change a pipeline-level number."""
+    """Compiled inference must never change a pipeline-level number."""
 
     def test_permutation_importance(self, data):
         X, y = data
@@ -315,12 +308,10 @@ class TestDownstreamEquivalence:
                 n_estimators=5, max_depth=4, splitter=splitter,
                 random_state=0,
             ).fit(X, y)
-            with use_predictor("naive"):
-                ref = permutation_importance(
-                    est, X, y, n_repeats=3, random_state=0)
-            with use_predictor("compiled"):
-                fast = permutation_importance(
-                    est, X, y, n_repeats=3, random_state=0)
+            ref = permutation_importance(
+                _Interpreted(est), X, y, n_repeats=3, random_state=0)
+            fast = permutation_importance(
+                est, X, y, n_repeats=3, random_state=0)
             assert np.array_equal(ref, fast)
 
     def test_permutation_importance_parallel_path(self, data):
@@ -328,56 +319,53 @@ class TestDownstreamEquivalence:
         est = GradientBoostingRegressor(
             n_estimators=5, max_depth=2, splitter="hist", random_state=0
         ).fit(X, y)
-        with use_predictor("compiled"):
-            serial = permutation_importance(
-                est, X, y, n_repeats=2, random_state=1, n_jobs=1)
-            fanned = permutation_importance(
-                est, X, y, n_repeats=2, random_state=1, n_jobs=2)
+        serial = permutation_importance(
+            est, X, y, n_repeats=2, random_state=1, n_jobs=1)
+        fanned = permutation_importance(
+            est, X, y, n_repeats=2, random_state=1, n_jobs=2)
         assert np.array_equal(serial, fanned)
 
     def test_cross_val_score(self, data):
         X, y = data
         est = RandomForestRegressor(
             n_estimators=4, max_depth=3, random_state=0)
-        with use_predictor("naive"):
-            ref = cross_val_score(est, X, y)
-        with use_predictor("compiled"):
-            fast = cross_val_score(est, X, y)
-        assert np.array_equal(ref, fast)
+        assert np.array_equal(_oracle_fold_scores(est, X, y),
+                              cross_val_score(est, X, y))
 
     def test_grid_search(self, data):
         X, y = data
         grid = {"max_depth": [2, 3], "random_state": [0]}
-        with use_predictor("naive"):
-            ref = GridSearchCV(
-                GradientBoostingRegressor(n_estimators=4),
-                grid, n_jobs=1).fit(X, y)
-        with use_predictor("compiled"):
-            fast = GridSearchCV(
-                GradientBoostingRegressor(n_estimators=4),
-                grid, n_jobs=2).fit(X, y)
-        assert ref.best_params_ == fast.best_params_
-        assert ref.best_score_ == fast.best_score_
+        template = GradientBoostingRegressor(n_estimators=4)
+        serial = GridSearchCV(template, grid, n_jobs=1).fit(X, y)
+        fanned = GridSearchCV(template, grid, n_jobs=2).fit(X, y)
+        assert serial.best_params_ == fanned.best_params_
+        assert serial.best_score_ == fanned.best_score_
+        oracle = {
+            depth: float(_oracle_fold_scores(
+                template, X, y,
+                {"max_depth": depth, "random_state": 0}).mean())
+            for depth in grid["max_depth"]
+        }
+        best = min(oracle, key=oracle.get)
+        assert serial.best_params_["max_depth"] == best
+        assert serial.best_score_ == oracle[best]
 
 
 class TestMetricsCounters:
-    def test_compiled_and_naive_counters(self, data):
+    def test_compiled_counters(self, data):
         X, y = data
         est = RandomForestRegressor(
             n_estimators=3, max_depth=3, random_state=0
         ).fit(X, y)
         registry = MetricsRegistry()
         with use_metrics(registry):
-            with use_predictor("compiled"):
-                est.predict(X)
-            with use_predictor("naive"):
-                est.predict(X)
+            est.predict(X)
+            est.predict(X)
         counters = registry.snapshot()["counters"]
-        assert counters["predict.compiled_calls"] == 1
-        assert counters["predict.compiled_rows"] == X.shape[0]
-        assert counters["predict.naive_calls"] == 1
-        assert counters["predict.naive_rows"] == X.shape[0]
+        assert counters["predict.compiled_calls"] == 2
+        assert counters["predict.compiled_rows"] == 2 * X.shape[0]
         assert counters["predict.compile_builds"] == 1
+        assert counters["predict.compile_reuse"] == 1
 
 
 class TestPermutationScorer:

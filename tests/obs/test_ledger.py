@@ -43,9 +43,8 @@ class TestRunRecord:
     def test_round_trips_through_dict(self):
         record = _record(
             status="partial", duration_s=12.5, fingerprint="abc",
-            seed=7, resumed=True, labels={"preset": "fast"},
+            seed=7, labels={"preset": "fast"},
             cache={"hits": 4, "dataset_key": "k1"},
-            checkpoint={"dir": "ckpt"},
             stages={"stage.a": {"count": 1, "total_s": 1.0,
                                 "self_s": 1.0, "max_s": 1.0}},
             metrics={"counters": {"cache.hits": 4}},
@@ -54,6 +53,16 @@ class TestRunRecord:
         )
         clone = RunRecord.from_dict(record.to_dict())
         assert clone == record
+
+    def test_from_dict_parses_retired_resume_fields(self):
+        # Ledger lines written before resume moved to the artifact
+        # cache carry ``resumed`` / ``checkpoint``; they still load.
+        payload = _record(fingerprint="cfg").to_dict()
+        payload.update(resumed=True, checkpoint={"dir": "ckpt"})
+        record = RunRecord.from_dict(payload)
+        assert record.fingerprint == "cfg"
+        assert "resumed" not in record.to_dict()
+        assert "checkpoint" not in record.to_dict()
 
     def test_from_dict_tolerates_missing_fields(self):
         minimal = RunRecord.from_dict({"kind": "run"})
@@ -164,10 +173,9 @@ class TestAppendUnderFault:
         # is the link 'repro report' groups by.
         ledger = RunLedger(tmp_path / "runs.jsonl")
         ledger.append(_record(fingerprint="cfg", status="partial"))
-        ledger.append(_record(fingerprint="cfg", resumed=True))
+        ledger.append(_record(fingerprint="cfg"))
         linked = ledger.query(fingerprint="cfg")
-        assert len(linked) == 2
-        assert linked[0].resumed is False and linked[1].resumed is True
+        assert [r.status for r in linked] == ["partial", "ok"]
 
 
 class TestQuery:

@@ -1,10 +1,9 @@
-"""TaskGraph: ordering, caching, supplied results, failure propagation.
+"""TaskGraph: ordering, caching, failure propagation.
 
-The graph is the pipeline's one composition of caching, checkpoint
-resume and pooled fan-out, so these tests pin its contract directly:
-deterministic insertion-order scheduling, cache hits short-circuiting
-execution, supplied results never re-running, and failures skipping
-dependents with the established ``ItemFailure`` shape.
+The graph is the pipeline's one composition of caching and pooled
+fan-out, so these tests pin its contract directly: deterministic
+insertion-order scheduling, cache hits short-circuiting execution, and
+failures skipping dependents with the established ``ItemFailure`` shape.
 """
 
 import pytest
@@ -111,15 +110,6 @@ class TestCaching:
         graph.run(cache_get=lambda *a: (False, None),
                   cache_put=lambda *a: stored.append(a))
         assert stored == []
-
-    def test_supplied_results_never_run(self):
-        graph = TaskGraph()
-        graph.add("a", _boom)
-        graph.supply("a", 42)
-        graph.add("b", lambda: graph.results["a"] + 1, deps=("a",))
-        assert graph.run() == {"a": 42, "b": 43}
-        with pytest.raises(ValueError, match="already resolved"):
-            graph.supply("a", 0)
 
 
 class TestFailures:

@@ -118,8 +118,8 @@ class TestExceptionTransport:
 
     def test_pickle_roundtrip_degrades_unpicklable_exception(self):
         # A failure captured in-process (thread/serial) may hold an
-        # unpicklable exception; persisting it to a checkpoint or cache
-        # entry must degrade the object to None, never fail the dump.
+        # unpicklable exception; persisting it to a cache entry must
+        # degrade the object to None, never fail the dump.
         import pickle
 
         failure = ItemFailure(index=0, error_type="UnpicklableError",

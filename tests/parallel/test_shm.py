@@ -10,8 +10,8 @@ The headline contracts under test:
   SIGKILLed (the multiprocessing resource tracker owns that case);
 * attaching an unlinked segment raises :class:`SharedSegmentGone` — a
   structured error, never a segfault;
-* the artifact codec materialises shared references, so cache and
-  checkpoint entries written by workers never name a segment.
+* the artifact codec materialises shared references, so cache entries
+  written by workers never name a segment.
 """
 
 import os

@@ -1,4 +1,4 @@
-"""Pipeline-level resilience: failure isolation, checkpoint/resume,
+"""Pipeline-level resilience: failure isolation, resume from the cache,
 pre-flight validation, and fault determinism across worker counts.
 
 The configs here are deliberately tiny (one window, no GB pass) so each
@@ -15,7 +15,7 @@ from repro import ExperimentConfig, run_experiment
 from repro.core.pipeline import ScenarioFailure, _preflight
 from repro.obs import MetricsRegistry, Tracer, get_logger, use_metrics, \
     use_tracer
-from repro.resilience import RunCheckpoint, random_fault_plan
+from repro.resilience import random_fault_plan
 from repro.synth import generate_raw_dataset
 
 _ORIGINAL_TASK = pipeline_module._scenario_task
@@ -24,11 +24,11 @@ _ORIGINAL_TASK = pipeline_module._scenario_task
 FAIL_KEY = "2017_7"
 
 
-def _failing_task(item, config, checkpoint=None):
+def _failing_task(item, config, **kwargs):
     key, _scenario = item
     if key == FAIL_KEY:
         raise RuntimeError(f"injected failure for {key}")
-    return _ORIGINAL_TASK(item, config, checkpoint=checkpoint)
+    return _ORIGINAL_TASK(item, config, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +81,6 @@ class TestArgumentValidation:
         config = dataclasses.replace(tiny_config, degradation="hope")
         with pytest.raises(ValueError, match="degradation"):
             run_experiment(config)
-
-    def test_resume_requires_checkpoint_dir(self, tiny_config):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_experiment(tiny_config, resume=True)
 
 
 class TestFailureIsolation:
@@ -173,27 +169,49 @@ class TestFaultDeterminismAcrossJobs:
             assert artifact.rf_importance == reference.rf_importance
 
 
-class TestCheckpointResume:
-    def test_kill_and_resume_matches_uninterrupted(
-            self, monkeypatch, tmp_path, faulted_config,
-            faulted_serial_results):
-        ckpt = tmp_path / "run"
-        # --- the "killed" run: dies after the first scenario lands ----
-        with monkeypatch.context() as patch:
-            patch.setattr(pipeline_module, "_scenario_task",
-                          _failing_task_second)
-            with pytest.raises(RuntimeError, match="injected failure"):
-                run_experiment(faulted_config,
-                               checkpoint_dir=str(ckpt))
-        survived = RunCheckpoint(ckpt).completed_keys()
-        assert survived == ["2017_7"]
+def _failing_task_second(item, config, **kwargs):
+    """Complete the first scenario, die on the second — a deterministic
+    stand-in for a mid-run kill (scenario one's result is already in the
+    cache when the 'kill' happens)."""
+    key, _scenario = item
+    if key == "2019_7":
+        raise RuntimeError(f"injected failure for {key}")
+    return _ORIGINAL_TASK(item, config, **kwargs)
 
-        # --- resume: only the missing scenario is recomputed ----------
-        resumed = run_experiment(faulted_config,
-                                 checkpoint_dir=str(ckpt), resume=True)
-        counters = resumed.run_summary.metrics["counters"]
-        assert counters["checkpoint.skipped"] == 1
+
+def _scenarios_cached(results) -> int:
+    counters = results.run_summary.metrics["counters"]
+    return counters.get("experiment.scenarios_cached", 0)
+
+
+@pytest.fixture(scope="module")
+def killed_then_resumed(tmp_path_factory, faulted_config):
+    """A run killed on its second scenario, then rerun with the same
+    cache: ``(cache_dir, rerun results)``."""
+    cache_dir = str(tmp_path_factory.mktemp("resume") / "cache")
+    patch = pytest.MonkeyPatch()
+    patch.setattr(pipeline_module, "_scenario_task", _failing_task_second)
+    try:
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_experiment(faulted_config, cache_dir=cache_dir)
+    finally:
+        patch.undo()
+    return cache_dir, run_experiment(faulted_config, cache_dir=cache_dir)
+
+
+class TestCheckpointResume:
+    """Resume is "rerun with the same cache": every scenario a killed
+    run finished was cached as it completed."""
+
+    def test_kill_and_resume_matches_uninterrupted(
+            self, killed_then_resumed, faulted_serial_results):
+        _cache_dir, resumed = killed_then_resumed
+        # only the scenario the kill interrupted is recomputed
+        assert _scenarios_cached(resumed) == 1
+        assert resumed.complete
         assert set(resumed.artifacts) == {"2017_7", "2019_7"}
+        assert resumed.table1_vector_sizes() == \
+            faulted_serial_results.table1_vector_sizes()
         assert resumed.improvements_rf == \
             faulted_serial_results.improvements_rf
         for key, artifact in resumed.artifacts.items():
@@ -202,44 +220,33 @@ class TestCheckpointResume:
                 reference.selection.final_features
             assert artifact.rf_importance == reference.rf_importance
 
-    def test_resume_with_different_config_refused(self, tmp_path,
-                                                  tiny_config, tiny_raw):
-        from repro.resilience import CheckpointMismatch
-
-        ckpt = tmp_path / "run"
-        run_experiment(tiny_config, raw=tiny_raw,
-                       checkpoint_dir=str(ckpt))
-        other = dataclasses.replace(
-            tiny_config,
-            simulation=dataclasses.replace(
-                tiny_config.simulation, seed=999
-            ),
+    def test_resume_tolerates_jobs_changes(self, killed_then_resumed,
+                                           faulted_config):
+        cache_dir, resumed = killed_then_resumed
+        rerun = run_experiment(
+            dataclasses.replace(faulted_config, n_jobs=2),
+            cache_dir=cache_dir,
         )
-        with pytest.raises(CheckpointMismatch):
-            run_experiment(other, raw=tiny_raw,
-                           checkpoint_dir=str(ckpt), resume=True)
+        assert _scenarios_cached(rerun) == 2
+        assert rerun.improvements_rf == resumed.improvements_rf
 
-    def test_resume_tolerates_jobs_changes(
-            self, tmp_path, tiny_config, tiny_raw):
-        ckpt = tmp_path / "run"
-        run_experiment(tiny_config, raw=tiny_raw,
-                       checkpoint_dir=str(ckpt))
-        relabelled = dataclasses.replace(tiny_config, n_jobs=2)
-        resumed = run_experiment(relabelled, raw=tiny_raw,
-                                 checkpoint_dir=str(ckpt), resume=True)
-        counters = resumed.run_summary.metrics["counters"]
-        assert counters["checkpoint.skipped"] == 2
-        assert set(resumed.artifacts) == {"2017_7", "2019_7"}
+    def test_resume_under_keep_going(self, killed_then_resumed,
+                                     faulted_config):
+        cache_dir, resumed = killed_then_resumed
+        rerun = run_experiment(
+            dataclasses.replace(faulted_config, on_error="capture"),
+            cache_dir=cache_dir,
+        )
+        assert _scenarios_cached(rerun) == 2
+        assert rerun.improvements_rf == resumed.improvements_rf
 
-
-def _failing_task_second(item, config, checkpoint=None):
-    """Complete the first scenario, die on the second — a deterministic
-    stand-in for a mid-run kill (the checkpoint for scenario one is
-    already on disk when the 'kill' happens)."""
-    key, _scenario = item
-    if key == "2019_7":
-        raise RuntimeError(f"injected failure for {key}")
-    return _ORIGINAL_TASK(item, config, checkpoint=checkpoint)
+    def test_resume_with_different_config_recomputes(
+            self, killed_then_resumed, faulted_config):
+        cache_dir, _resumed = killed_then_resumed
+        other = dataclasses.replace(faulted_config, top_k=20)
+        rerun = run_experiment(other, cache_dir=cache_dir)
+        assert _scenarios_cached(rerun) == 0
+        assert rerun.complete
 
 
 class TestPreflight:

@@ -62,19 +62,15 @@ class TestParser:
 
     def test_run_resilience_flags(self, tmp_path):
         args = build_parser().parse_args(
-            ["run", "--checkpoint-dir", str(tmp_path / "ckpt"),
-             "--keep-going", "--fault-plan", str(tmp_path / "p.json"),
+            ["run", "--keep-going", "--fault-plan", str(tmp_path / "p.json"),
              "--degradation", "fill"]
         )
-        assert args.checkpoint_dir.name == "ckpt"
         assert args.keep_going
         assert args.fault_plan.name == "p.json"
         assert args.degradation == "fill"
 
     def test_run_resilience_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.checkpoint_dir is None
-        assert args.resume is None
         assert not args.keep_going
         assert args.fault_plan is None
         assert args.degradation is None
@@ -244,9 +240,8 @@ class TestRunResilienceWiring:
     def _capture(monkeypatch, store):
         import repro.cli as cli
 
-        def stub(config, checkpoint_dir=None, resume=False):
-            store.update(config=config, checkpoint_dir=checkpoint_dir,
-                         resume=resume)
+        def stub(config, cache_dir=None):
+            store.update(config=config, cache_dir=cache_dir)
             raise _Captured
 
         monkeypatch.setattr(cli, "run_experiment", stub)
@@ -259,7 +254,7 @@ class TestRunResilienceWiring:
         store = {}
         self._capture(monkeypatch, store)
         with pytest.raises(_Captured):
-            main(["run", "--checkpoint-dir", str(tmp_path / "ckpt"),
+            main(["run", "--cache-dir", str(tmp_path / "cache"),
                   "--keep-going", "--fault-plan", str(plan_path),
                   "--degradation", "fill", "--quiet"])
         config = store["config"]
@@ -267,33 +262,15 @@ class TestRunResilienceWiring:
         assert config.degradation == "fill"
         assert config.fault_plan is not None
         assert len(config.fault_plan.events) > 0
-        assert store["checkpoint_dir"].endswith("ckpt")
-        assert store["resume"] is False
+        assert store["cache_dir"].endswith("cache")
 
-    def test_resume_flag_sets_dir_and_resume(self, tmp_path,
-                                             monkeypatch):
-        store = {}
-        self._capture(monkeypatch, store)
-        with pytest.raises(_Captured):
-            main(["run", "--resume", str(tmp_path / "ckpt"), "--quiet"])
-        assert store["checkpoint_dir"].endswith("ckpt")
-        assert store["resume"] is True
-
-    def test_checkpoint_mismatch_is_a_clean_failure(
-            self, tmp_path, monkeypatch, capsys):
-        import repro.cli as cli
-        from repro.resilience import CheckpointMismatch
-
-        def stub(config, checkpoint_dir=None, resume=False):
-            raise CheckpointMismatch("different configuration")
-
-        monkeypatch.setattr(cli, "run_experiment", stub)
-        code = main(["run", "--resume", str(tmp_path / "ckpt"),
-                     "--quiet"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "cannot resume" in out
-        assert "start fresh" in out
+    @pytest.mark.parametrize("flag", ["--checkpoint-dir", "--resume",
+                                      "--predictor"])
+    def test_retired_flags_rejected(self, tmp_path, flag):
+        # Resume is "rerun with the same --cache-dir"; compiled
+        # inference is the only predict path.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, str(tmp_path)])
 
 
 class TestChaosCommand:
@@ -371,7 +348,7 @@ class TestTraceSummaryCounters:
             name="run.metrics", start=spans[0].start,
             end=spans[0].start,
             attrs={"counters": {"resilience.retry": 3,
-                                "checkpoint.saved": 2}},
+                                "predict.compiled_rows": 4800}},
         ))
         return write_jsonl(spans, path)
 
@@ -384,6 +361,8 @@ class TestTraceSummaryCounters:
         assert "counters:" in out
         assert "resilience.retry" in out
         assert "3" in out
+        assert "predict.compiled_rows" in out
+        assert "4800" in out
         # the synthetic carrier never shows up as a timing stage
         assert "run.metrics" not in out
         assert "1 spans" in out
@@ -411,46 +390,6 @@ class TestIndexCommand:
 
 
 class TestPredictorWiring:
-    def test_parser_accepts_predictor(self):
-        args = build_parser().parse_args(["run", "--predictor", "naive"])
-        assert args.predictor == "naive"
-
-    def test_parser_default_is_none(self):
-        args = build_parser().parse_args(["run"])
-        assert args.predictor is None
-
-    def test_parser_rejects_unknown_predictor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--predictor", "jit"])
-
-    def test_flag_reaches_config(self, monkeypatch):
-        import repro.cli as cli
-
-        store = {}
-
-        def stub(config, checkpoint_dir=None, resume=False):
-            store["config"] = config
-            raise _Captured
-
-        monkeypatch.setattr(cli, "run_experiment", stub)
-        with pytest.raises(_Captured):
-            main(["run", "--predictor", "naive"])
-        assert store["config"].predictor == "naive"
-
-    def test_config_default_without_flag(self, monkeypatch):
-        import repro.cli as cli
-
-        store = {}
-
-        def stub(config, checkpoint_dir=None, resume=False):
-            store["config"] = config
-            raise _Captured
-
-        monkeypatch.setattr(cli, "run_experiment", stub)
-        with pytest.raises(_Captured):
-            main(["run"])
-        assert store["config"].predictor == "compiled"
-
     def test_trace_summary_shows_predict_counters(self, tmp_path, capsys):
         from repro.obs import Tracer, write_jsonl
         from repro.obs.trace import Span
@@ -503,8 +442,7 @@ class TestUpdateCommand:
     def _capture(monkeypatch, store):
         import repro.incremental
 
-        def stub(config, days=1, checkpoint_dir=None, cache_dir=None,
-                 ledger_path=None):
+        def stub(config, days=1, cache_dir=None, ledger_path=None):
             store.update(config=config, days=days, cache_dir=cache_dir,
                          ledger_path=ledger_path)
             raise _Captured

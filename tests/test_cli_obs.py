@@ -104,7 +104,7 @@ class TestRunLedgerWiring:
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         store = {}
 
-        def stub(config, checkpoint_dir=None, resume=False):
+        def stub(config):
             store.update(config=config)
             raise _Captured
 

@@ -40,7 +40,7 @@ class TestCheckNoPrint:
         assert "ml/compiled.py" in scanned
 
     def test_obs_modules_are_inside_the_scanned_tree(self):
-        # The ledger/profile/export/bench modules return strings for
+        # The ledger/profile/summary/bench modules return strings for
         # the CLI to print — they must never print themselves.
         scanned = {
             path.relative_to(REPO / "src" / "repro").as_posix()
@@ -48,7 +48,7 @@ class TestCheckNoPrint:
         }
         assert "obs/ledger.py" in scanned
         assert "obs/profile.py" in scanned
-        assert "obs/export.py" in scanned
+        assert "obs/summary.py" in scanned
         assert "obs/bench.py" in scanned
 
     def test_supervision_modules_are_inside_the_scanned_tree(self):
