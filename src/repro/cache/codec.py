@@ -141,8 +141,8 @@ class _SanitizingPickler(pickle.Pickler):
     segment *name* that is unlinked when the run's
     :class:`~repro.parallel.SharedDataset` closes — persisted as-is it
     would be a dangling pointer.  This pickler intercepts shared arrays
-    (copying their bytes in) and frames (stripping the shared-segment
-    spec from their matrix cache), so every cache entry is
+    (copying their bytes in) and frames (rebuilt from plain columns,
+    without their matrix cache), so every cache entry is
     self-contained no matter where its payload was computed.
     """
 

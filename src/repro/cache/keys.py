@@ -179,12 +179,10 @@ def model_fit_key(estimator, X, y, tag: str = "") -> str:
     """Key for a fitted estimator artifact.
 
     Covers the estimator class, its full parameter dict (including
-    ``random_state`` and ``splitter`` but not ``n_jobs`` — worker count
-    does not change the fit), and the training data bytes.
+    ``random_state`` and ``splitter``), and the training data bytes.
     """
-    params = dict(estimator.get_params())
-    params.pop("n_jobs", None)
     return fingerprint_parts(
-        "fit", tag, type(estimator).__name__, sorted(params.items()),
+        "fit", tag, type(estimator).__name__,
+        sorted(estimator.get_params().items()),
         array_digest(X), array_digest(y),
     )

@@ -58,10 +58,6 @@ class FRAConfig:
     pfi_max_rows: int = 400
     max_iterations: int = 80
     random_state: int = 0
-    n_jobs: int | None = 1
-    """Workers for the RF fits and PFI passes inside every iteration
-    (``1`` = serial; ``None`` resolves ``REPRO_JOBS`` → all cores).
-    Results are bit-identical for any value."""
 
     def __post_init__(self):
         if self.target_size < 1:
@@ -103,8 +99,7 @@ def _consensus_scores(X, y, names, config, rng) -> np.ndarray:
     # is identical whether fit_cached hits (reconstructs the fitted
     # model from the artifact store) or misses (plain fit).
     rf = fit_cached(RandomForestRegressor(
-        random_state=int(rng.integers(2**31)), n_jobs=config.n_jobs,
-        **config.rf_params
+        random_state=int(rng.integers(2**31)), **config.rf_params
     ), X, y, tag="fra.rf")
     gb = fit_cached(GradientBoostingRegressor(
         random_state=int(rng.integers(2**31)), **config.gb_params
@@ -118,11 +113,11 @@ def _consensus_scores(X, y, names, config, rng) -> np.ndarray:
         X_pfi, y_pfi = X, y
     rf_pfi = permutation_importance(
         rf, X_pfi, y_pfi, n_repeats=config.pfi_repeats,
-        random_state=int(rng.integers(2**31)), n_jobs=config.n_jobs,
+        random_state=int(rng.integers(2**31)),
     )
     gb_pfi = permutation_importance(
         gb, X_pfi, y_pfi, n_repeats=config.pfi_repeats,
-        random_state=int(rng.integers(2**31)), n_jobs=config.n_jobs,
+        random_state=int(rng.integers(2**31)),
     )
     return np.vstack([
         rf.feature_importances_,

@@ -52,13 +52,8 @@ def rf_feature_importance(
     feature_subset: list[str],
     rf_params: dict | None = None,
     random_state: int = 0,
-    n_jobs: int | None = 1,
 ) -> dict[str, float]:
-    """MDI importance of a random forest trained on a feature subset.
-
-    ``n_jobs`` fans the per-tree fits across workers; the importances
-    are bit-identical for any value.
-    """
+    """MDI importance of a random forest trained on a feature subset."""
     with span("horizons.rf_importance", scenario=scenario.key,
               n_features=len(feature_subset)):
         sub = scenario.select_features(feature_subset)
@@ -67,7 +62,7 @@ def rf_feature_importance(
             "min_samples_leaf": 2,
         }
         model = fit_cached(RandomForestRegressor(
-            random_state=random_state, n_jobs=n_jobs, **params
+            random_state=random_state, **params
         ), sub.X, sub.y, tag="horizons.rf")
         return dict(zip(sub.feature_names,
                         (float(v) for v in model.feature_importances_)))

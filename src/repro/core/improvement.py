@@ -98,11 +98,6 @@ class ImprovementConfig:
     min_category_features: int = 1
     """Categories with fewer candidate features are skipped."""
 
-    n_jobs: int | None = 1
-    """Workers for the candidate×fold grid-search cells (``1`` =
-    serial; ``None`` resolves ``REPRO_JOBS`` → all cores).  Scores and
-    the selected winner are identical for any value."""
-
     def resolved_grid(self) -> dict:
         """The effective hyper-parameter grid for this model family."""
         if self.param_grid is not None:
@@ -201,14 +196,13 @@ def _evaluate_feature_set(
     if config.evaluation == "cv":
         search = GridSearchCV(
             config.make_estimator(), config.resolved_grid(),
-            cv=cv, refit=False, n_jobs=config.n_jobs,
+            cv=cv, refit=False,
         ).fit(sub.X, sub.y)
         return float(search.best_score_)
     if config.evaluation == "holdout":
         X_train, X_test, y_train, y_test = sub.split(config.test_frac)
         search = GridSearchCV(
             config.make_estimator(), config.resolved_grid(), cv=cv,
-            n_jobs=config.n_jobs,
         ).fit(X_train, y_train)
         return mean_squared_error(y_test, search.predict(X_test))
     if config.evaluation == "walkforward":
@@ -217,7 +211,7 @@ def _evaluate_feature_set(
         cut = max(int(sub.n_samples * 0.6), config.cv_folds + 1)
         search = GridSearchCV(
             config.make_estimator(), config.resolved_grid(),
-            cv=cv, refit=False, n_jobs=config.n_jobs,
+            cv=cv, refit=False,
         ).fit(sub.X[:cut], sub.y[:cut])
         winner = clone(config.make_estimator()).set_params(
             **search.best_params_

@@ -57,7 +57,6 @@ from ..parallel import (
     TaskGraph,
     WorkerPool,
     in_worker,
-    resolve_backend,
     resolve_n_jobs,
     resolve_task_retries,
     resolve_task_timeout,
@@ -623,7 +622,7 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
 
     Runs identically inline (serial pipeline) or in a worker process:
     spans/metrics flow into whatever tracer/registry is current, which
-    under :class:`~repro.parallel.ParallelMap`'s process backend is a
+    under a :class:`~repro.parallel.ParallelMap` worker is a
     worker-local pair that gets merged back into the parent run.
 
     ``cache`` is the run's :class:`~repro.cache.CacheStore`, re-installed
@@ -871,14 +870,12 @@ def run_experiment(config: ExperimentConfig | None = None,
             max_retries=config.task_retries,
             chunk_size=1 if deadline is not None else None,
         )
-        # One persistent pool serves the whole fan-out (and any nested
-        # stage maps degrade to their serial in-worker paths exactly as
-        # before).  Its shared dataset publishes each scenario's
-        # matrices once; workers attach instead of unpickling them per
-        # chunk.  Lazy: if every node cache-hits, no process is forked.
+        # One persistent pool serves the whole fan-out.  Its shared
+        # dataset publishes each scenario's matrices once; workers
+        # attach instead of unpickling them per chunk.  Lazy: if every
+        # node cache-hits, no process is forked.
         pool = None
-        if (jobs > 1 and len(scenarios) > 1 and not in_worker()
-                and resolve_backend(None) == "process"):
+        if jobs > 1 and len(scenarios) > 1 and not in_worker():
             pool = WorkerPool(n_jobs=jobs,
                               warmup=_warm_scenario_worker)
         for key, scenario in scenarios.items():

@@ -43,9 +43,6 @@ class SHAPConfig:
     })
     max_rows: int = 120
     random_state: int = 0
-    n_jobs: int | None = 1
-    """Workers for the per-sample TreeSHAP attribution (``1`` = serial;
-    ``None`` resolves ``REPRO_JOBS`` → all cores)."""
 
 
 @dataclass
@@ -84,7 +81,7 @@ def shap_ranking(X, y, feature_names,
         ), X, y, tag="selection.shap_gb")
         importance = shap_importance(
             model, X, max_samples=config.max_rows,
-            random_state=config.random_state, n_jobs=config.n_jobs,
+            random_state=config.random_state,
         )
         order = np.argsort(-importance, kind="stable")
         return [names[i] for i in order]

@@ -37,7 +37,6 @@ def _rebuild_frame(index, names, data) -> "Frame":
         arr.flags.writeable = False
     frame._data = data
     frame._matrix = None
-    frame._matrix_src = None
     return frame
 
 
@@ -54,7 +53,7 @@ class Frame:
         NaN.
     """
 
-    __slots__ = ("_index", "_names", "_data", "_matrix", "_matrix_src")
+    __slots__ = ("_index", "_names", "_data", "_matrix")
 
     def __init__(self, index: DateIndex, columns: Mapping[str, Iterable]):
         if not isinstance(index, DateIndex):
@@ -63,7 +62,6 @@ class Frame:
         self._names: list[str] = []
         self._data: dict[str, np.ndarray] = {}
         self._matrix: np.ndarray | None = None
-        self._matrix_src = None
         for name, values in columns.items():
             arr = np.asarray(values, dtype=np.float64).copy()
             if arr.ndim != 1:
@@ -111,7 +109,6 @@ class Frame:
         frame._names = []
         frame._data = {}
         frame._matrix = matrix
-        frame._matrix_src = None
         for j, name in enumerate(names):
             if name in frame._data:
                 raise ValueError(f"duplicate column name {name!r}")
@@ -177,23 +174,14 @@ class Frame:
         # The memoised dense matrix is derived state: drop it from
         # pickles so cached frames don't double in size
         # (it rebuilds lazily on the first to_matrix after load).
-        # When the matrix was published to shared memory
-        # (:meth:`share_matrix`) its segment spec rides along instead,
-        # so an unpickling worker re-attaches the cache zero-copy
-        # rather than re-materialising a private copy.
-        state = {"_index": self._index, "_names": self._names,
-                 "_data": self._data}
-        src = getattr(self, "_matrix_src", None)
-        if src is not None:
-            state["_matrix_src"] = src
-        return state
+        return {"_index": self._index, "_names": self._names,
+                "_data": self._data}
 
     def __setstate__(self, state):
         self._index = state["_index"]
         self._names = state["_names"]
         self._data = state["_data"]
         self._matrix = None
-        self._matrix_src = state.get("_matrix_src")
 
     # ------------------------------------------------------------------
     # Column access
@@ -311,7 +299,6 @@ class Frame:
         frame._names = list(self._names)
         frame._data = {}
         frame._matrix = None
-        frame._matrix_src = None
         for name in self._names:
             arr = np.concatenate((self._data[name], other._data[name]))
             arr.flags.writeable = False
@@ -353,63 +340,11 @@ class Frame:
             # existed arrive without it.
             cached = getattr(self, "_matrix", None)
             if cached is None:
-                cached = self._attach_shared_matrix()
-            if cached is None:
                 cached = np.column_stack([self._data[n] for n in use])
                 cached.flags.writeable = False
             self._matrix = cached
             return cached
         return np.column_stack([self[n] for n in use])
-
-    def _attach_shared_matrix(self):
-        """Rebuild the matrix cache from a registered shared segment.
-
-        Frames that crossed a process boundary after
-        :meth:`share_matrix` carry the segment spec; attaching is a
-        zero-copy ``mmap``, not a re-stack.  A vanished segment (the
-        owning run closed its :class:`~repro.parallel.SharedDataset`)
-        degrades silently to the private rebuild path.
-        """
-        src = getattr(self, "_matrix_src", None)
-        if src is None:
-            return None
-        from ..parallel.shm import SharedSegmentGone, attach
-
-        try:
-            return attach(src).view()
-        except SharedSegmentGone:
-            self._matrix_src = None
-            return None
-
-    def share_matrix(self, dataset) -> "Frame":
-        """Publish the dense-matrix cache into ``dataset`` (a
-        :class:`~repro.parallel.SharedDataset`) and re-point this
-        frame's columns at zero-copy views of the shared copy.
-
-        After this, pickling the frame ships column *references*
-        instead of column bytes, and :meth:`to_matrix` in an unpickling
-        worker attaches the shared segment instead of re-materialising
-        a private matrix.  Values are bit-identical and stay read-only;
-        when the transport is disabled (``REPRO_SHM=0``) or the matrix
-        is too small to pay for a segment, the frame is left untouched.
-        Returns ``self``.
-        """
-        from ..parallel.shm import SharedArray
-
-        current = getattr(self, "_matrix", None)
-        if isinstance(current, SharedArray) or not self._names:
-            return self
-        # Column-major, so each column is a contiguous zero-copy slice
-        # of the shared segment.
-        matrix = np.asfortranarray(self.to_matrix())
-        shared = dataset.share(matrix)
-        if not isinstance(shared, SharedArray):
-            return self
-        self._matrix = shared
-        self._matrix_src = shared._shm.spec()
-        for j, name in enumerate(self._names):
-            self._data[name] = shared[:, j]
-        return self
 
     def to_dict(self) -> dict[str, np.ndarray]:
         """Shallow mapping of column name to (read-only) array."""

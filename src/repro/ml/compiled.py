@@ -23,7 +23,7 @@ Bit-identity contract
 ---------------------
 Compiled predictions are **bit-identical** to the interpreted per-tree
 walk (kept only as the test oracle :func:`_interpreted_predict`) for
-every splitter, ensemble shape and ``n_jobs``:
+every splitter and ensemble shape:
 
 * per-tree leaf routing performs the same ``x <= threshold``
   comparisons (NaN compares false and routes right, exactly as the
@@ -47,13 +47,9 @@ maximal code — they route right, matching the raw comparison.
 
 from __future__ import annotations
 
-import copy
-from functools import partial
-
 import numpy as np
 
 from ..obs import current_metrics
-from ..parallel import ParallelMap, in_worker, resolve_n_jobs
 from .tree import _LEAF
 
 __all__ = [
@@ -63,11 +59,6 @@ __all__ = [
     "ensemble_compiled",
     "maybe_compile",
 ]
-
-#: Tree-parallel prediction only engages above this many
-#: ``n_trees * n_rows`` kernel cells — below it the thread fan-out
-#: costs more than the traversal.
-_PARALLEL_MIN_CELLS = 262_144
 
 #: ``predict_many`` concatenates inputs until a pass would exceed this
 #: many kernel cells, bounding the ``(n_trees, n_rows)`` working set.
@@ -79,12 +70,6 @@ _BATCH_BUDGET_CELLS = 4_000_000
 _KERNEL_BLOCK_CELLS = 16_384
 
 _COMPILED_FORMAT = 1
-
-
-def _tree_chunk(bounds, compiled, mat, binned):
-    """Leaf values for a contiguous tree range (a thread work unit)."""
-    lo, hi = bounds
-    return compiled._kernel(mat, binned, slice(lo, hi))
 
 
 class CompiledEnsemble:
@@ -141,19 +126,6 @@ class CompiledEnsemble:
                 f"n_trees={self.n_trees}, n_nodes={self.n_nodes}, "
                 f"depth={self.depth}, binned={self.has_bins})")
 
-    def __shm_share__(self, share) -> "CompiledEnsemble":
-        """Copy with the flat node tables routed through the
-        shared-memory transport (:func:`repro.parallel.share_payload`
-        protocol), so a pooled fan-out ships the ensemble once per run
-        instead of once per chunk."""
-        clone = copy.copy(self)
-        for name in ("feature", "threshold", "left", "right", "value",
-                     "leaf_mask", "roots", "bin_threshold"):
-            table = getattr(clone, name)
-            if isinstance(table, np.ndarray):
-                setattr(clone, name, share(table))
-        return clone
-
     # ------------------------------------------------------------------
     def bin(self, X) -> np.ndarray:
         """``uint8`` bin codes of a raw matrix under the fit-time cuts.
@@ -172,13 +144,10 @@ class CompiledEnsemble:
         return codes
 
     # ------------------------------------------------------------------
-    def predict(self, X, n_jobs: int | None = 1) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
         """Ensemble prediction for every row of ``X``.
 
         Bit-identical to the interpreted estimator's ``predict``.
-        ``n_jobs > 1`` chunks the member trees across threads for large
-        batches (the per-tree leaf blocks are reassembled in tree order,
-        so the reduction — and therefore the result — is unchanged).
 
         Always walks raw float64 thresholds: binning a matrix costs more
         than the one-byte walk saves, so the binned path only pays when
@@ -190,9 +159,9 @@ class CompiledEnsemble:
             raise ValueError(
                 f"X must be 2-D with {self.n_features} features"
             )
-        return self._predict_resolved(X, False, n_jobs)
+        return self._predict_resolved(X, False)
 
-    def predict_binned(self, codes, n_jobs: int | None = 1) -> np.ndarray:
+    def predict_binned(self, codes) -> np.ndarray:
         """Predict directly from ``uint8`` codes made by :meth:`bin`.
 
         Lets callers that evaluate many variants of one matrix (PFI's
@@ -205,9 +174,9 @@ class CompiledEnsemble:
             raise ValueError(
                 f"codes must be 2-D with {self.n_features} features"
             )
-        return self._predict_resolved(codes, True, n_jobs)
+        return self._predict_resolved(codes, True)
 
-    def predict_many(self, matrices, n_jobs: int | None = 1,
+    def predict_many(self, matrices,
                      binned: bool = False) -> list[np.ndarray]:
         """Predict several matrices in batched kernel passes.
 
@@ -243,9 +212,9 @@ class CompiledEnsemble:
             big = (np.concatenate(group, axis=0) if len(group) > 1
                    else group[0])
             if binned:
-                preds = self.predict_binned(big, n_jobs=n_jobs)
+                preds = self.predict_binned(big)
             else:
-                preds = self._predict_resolved(big, False, n_jobs)
+                preds = self._predict_resolved(big, False)
             start = 0
             for m in group:
                 out.append(preds[start:start + m.shape[0]])
@@ -261,49 +230,31 @@ class CompiledEnsemble:
         return out
 
     # ------------------------------------------------------------------
-    def _predict_resolved(self, mat, binned, n_jobs):
+    def _predict_resolved(self, mat, binned):
         metrics = current_metrics()
         metrics.counter("predict.compiled_calls").inc()
         metrics.counter("predict.compiled_rows").inc(mat.shape[0])
-        return self._aggregate(self._leaf_values(mat, binned, n_jobs))
+        return self._aggregate(self._kernel(mat, binned))
 
-    def _leaf_values(self, mat, binned, n_jobs):
-        """Per-tree leaf values: ``(n_trees, n_rows)`` float64."""
-        jobs = 1 if n_jobs == 1 else resolve_n_jobs(n_jobs)
-        n_rows = mat.shape[0]
-        if (jobs > 1 and not in_worker() and self.n_trees >= 2 * jobs
-                and self.n_trees * n_rows >= _PARALLEL_MIN_CELLS):
-            edges = np.linspace(0, self.n_trees, jobs + 1, dtype=np.int64)
-            bounds = [(int(lo), int(hi))
-                      for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-            runner = partial(_tree_chunk, compiled=self, mat=mat,
-                             binned=binned)
-            blocks = ParallelMap(jobs, backend="thread").map(
-                runner, bounds
-            )
-            return np.vstack(blocks)
-        return self._kernel(mat, binned, slice(0, self.n_trees))
-
-    def _kernel(self, mat, binned, tree_slice):
-        """Per-tree leaf values of ``tree_slice``'s trees over all rows.
+    def _kernel(self, mat, binned):
+        """Per-tree leaf values: ``(n_trees, n_rows)`` float64.
 
         Large batches traverse in row blocks sized to
         ``_KERNEL_BLOCK_CELLS`` so the per-level working set stays
         cache-resident (rows are independent, so blocking cannot change
         a single bit of the result).
         """
-        n_sel = len(range(*tree_slice.indices(self.n_trees)))
-        block = max(256, _KERNEL_BLOCK_CELLS // max(1, n_sel))
+        block = max(256, _KERNEL_BLOCK_CELLS // max(1, self.n_trees))
         n_rows = mat.shape[0]
         if n_rows <= block:
-            return self.value[self._apply(mat, binned, tree_slice)]
-        out = np.empty((n_sel, n_rows), dtype=np.float64)
+            return self.value[self._apply(mat, binned)]
+        out = np.empty((self.n_trees, n_rows), dtype=np.float64)
         for lo in range(0, n_rows, block):
-            leaves = self._apply(mat[lo:lo + block], binned, tree_slice)
+            leaves = self._apply(mat[lo:lo + block], binned)
             out[:, lo:lo + leaves.shape[1]] = self.value[leaves]
         return out
 
-    def _apply(self, mat, binned, tree_slice):
+    def _apply(self, mat, binned):
         """Absolute leaf node id per (tree, row): level-wise traversal.
 
         All (tree, row) cursors advance one depth level per vectorised
@@ -317,8 +268,7 @@ class CompiledEnsemble:
         feature, left, right = self.feature, self.left, self.right
         leaf = self.leaf_mask
         n_rows = mat.shape[0]
-        roots = self.roots[tree_slice]
-        nodes = np.repeat(roots, n_rows)
+        nodes = np.repeat(self.roots, n_rows)
         elems = np.flatnonzero(~leaf[nodes])
         erows = elems % n_rows if elems.size else elems
         cur = nodes[elems]
@@ -333,7 +283,7 @@ class CompiledEnsemble:
             elems = elems[active]
             erows = erows[active]
             cur = cur[active]
-        return nodes.reshape(roots.size, n_rows)
+        return nodes.reshape(self.roots.size, n_rows)
 
     @property
     def path_mask(self) -> np.ndarray:
@@ -457,9 +407,7 @@ class PermutationScorer:
         self._compiled = compiled
         self._mat = mat
         self._binned = bool(binned)
-        self._leaves = compiled._apply(
-            mat, binned, slice(0, compiled.n_trees)
-        )
+        self._leaves = compiled._apply(mat, binned)
         self._base_values = compiled.value[self._leaves]
 
     def predict_feature(self, j: int, perms) -> np.ndarray:

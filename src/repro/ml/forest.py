@@ -5,20 +5,18 @@ fine-tuned with 5-fold cross-validation grid search, provide MDI feature
 importances for the Feature Reduction Algorithm, and measure the
 performance-improvement results of §4.3.
 
-Tree fitting is embarrassingly parallel: each tree's bootstrap draw and
-node-level feature subsampling run off an independent
-``SeedSequence.spawn`` child, so ``n_jobs=1`` and ``n_jobs=N`` produce
-bit-identical forests (see :mod:`repro.parallel`).
+Each tree's bootstrap draw and node-level feature subsampling run off
+an independent, prefix-stable ``SeedSequence.spawn`` child, so trees are
+exchangeable work units: a warm refit (:mod:`repro.ml.warm`) fits only
+the seed-tail trees and still matches a cold fit bit for bit.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..obs import span
-from ..parallel import ParallelMap, spawn_seeds
+from ..parallel import spawn_seeds
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features
 from .warm import fit_signature, reusable_members
@@ -67,11 +65,6 @@ class RandomForestRegressor:
         binned once per forest and the codes shared across trees).
     random_state:
         Seed controlling bootstrap draws and per-node feature subsets.
-        Results do not depend on ``n_jobs``.
-    n_jobs:
-        Trees fitted concurrently. ``1`` (default) is strictly serial;
-        ``None`` resolves via ``REPRO_JOBS`` → all cores; negative
-        counts back from the CPU total.
     """
 
     def __init__(
@@ -85,7 +78,6 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         splitter: str = "exact",
         random_state=None,
-        n_jobs: int | None = 1,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -98,7 +90,6 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.splitter = splitter
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self.estimators_: list[DecisionTreeRegressor] = []
         self.n_features_in_: int | None = None
         self.bin_cuts_: tuple | None = None
@@ -119,7 +110,6 @@ class RandomForestRegressor:
             "bootstrap": self.bootstrap,
             "splitter": self.splitter,
             "random_state": self.random_state,
-            "n_jobs": self.n_jobs,
         }
 
     def set_params(self, **params) -> "RandomForestRegressor":
@@ -136,7 +126,7 @@ class RandomForestRegressor:
 
         ``warm_start_from`` may be a previously fitted forest: when its
         fit signature matches this fit's — same parameters apart from
-        ``n_estimators``/``n_jobs`` and the same training bytes (see
+        ``n_estimators`` and the same training bytes (see
         :mod:`repro.ml.warm`) — its member trees are reused verbatim
         and only the seed-tail trees are fitted. ``spawn_seeds`` is
         prefix-stable, so the warm result is bit-identical to a cold
@@ -172,13 +162,10 @@ class RandomForestRegressor:
                 bins = bin_features(X) if self.splitter == "hist" else None
                 self.bin_cuts_ = bins.cuts if bins is not None else None
                 seeds = spawn_seeds(self.random_state, self.n_estimators)
-                fit_one = partial(
-                    _fit_tree, X=X, y=y, tree_params=tree_params,
-                    bootstrap=self.bootstrap, bins=bins,
-                )
-                fresh = ParallelMap(self.n_jobs).map(
-                    fit_one, seeds[len(reused or ()):]
-                )
+                fresh = [
+                    _fit_tree(seed, X, y, tree_params, self.bootstrap, bins)
+                    for seed in seeds[len(reused or ()):]
+                ]
                 self.estimators_ = (reused or []) + fresh
             self._fit_signature_ = signature
             if reused is not None and len(reused) == len(
@@ -197,7 +184,7 @@ class RandomForestRegressor:
             raise ValueError(
                 f"X must be 2-D with {self.n_features_in_} features"
             )
-        return ensemble_compiled(self).predict(X, n_jobs=self.n_jobs)
+        return ensemble_compiled(self).predict(X)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -9,17 +9,8 @@ Algorithm 1.
 
 from __future__ import annotations
 
-import time
-from functools import partial
-
 import numpy as np
 
-from ..parallel import (
-    ParallelMap,
-    in_worker,
-    pool_worthwhile,
-    resolve_n_jobs,
-)
 from .compiled import maybe_compile
 from .metrics import mean_squared_error
 
@@ -89,51 +80,36 @@ def _mean_delta(predictions, y, baseline, scoring, n_repeats, n_samples):
     return float(deltas.mean())
 
 
-def _feature_pfi(j, perms, estimator, X, y, baseline, scoring,
-                 compiled=None, codes=None):
-    """Mean score increase for feature ``j`` (a pure, shippable unit).
+def _feature_pfi(j, perms, estimator, X, y, baseline, scoring):
+    """Mean score increase for feature ``j`` of a non-compiled estimator.
 
     ``perms`` is the full ``(n_features, n_repeats, n_samples)`` block
-    of pre-drawn permutation index rows — workers slice their own
-    feature's rows, so under the shared-memory transport the block
-    ships by reference once and the per-item payload is a bare index.
-    All repeats are stacked into one matrix and predicted in a single
-    call — tree ensembles amortise their per-call Python overhead
-    across every repeat.
-
-    ``compiled`` routes prediction through a
-    :class:`~repro.ml.compiled.CompiledEnsemble` (``estimator`` is then
-    ``None`` — no reason to ship the fitted model twice); ``codes``
-    additionally replaces ``X`` with its ``uint8`` bin codes (binning
-    is elementwise per column, so permuting a code column equals
-    binning the permuted raw column — the two paths stay bit-identical).
+    of pre-drawn permutation index rows. All repeats are stacked into
+    one matrix and predicted in a single call — tree ensembles amortise
+    their per-call Python overhead across every repeat.
     """
     reps = perms[j]
     n_repeats, n_samples = reps.shape
-    base = codes if codes is not None else X
-    stacked = np.tile(base, (n_repeats, 1))
+    stacked = np.tile(X, (n_repeats, 1))
     # One gather fills the permuted column for every repeat at once:
-    # base[:, j][reps] is (n_repeats, n_samples) laid out in repeat order.
-    stacked[:, j] = base[:, j][reps].ravel()
-    if codes is not None:
-        predictions = compiled.predict_binned(stacked)
-    elif compiled is not None:
-        predictions = compiled.predict(stacked)
-    else:
-        predictions = estimator.predict(stacked)
+    # X[:, j][reps] is (n_repeats, n_samples) laid out in repeat order.
+    stacked[:, j] = X[:, j][reps].ravel()
+    predictions = estimator.predict(stacked)
     return _mean_delta(predictions, y, baseline, scoring,
                        n_repeats, n_samples)
 
 
 def _pfi_batched(compiled, X, codes, y, perms, baseline, scoring):
-    """All features' PFI through incremental compiled walks (serial path).
+    """All features' PFI through incremental compiled walks.
 
     One :class:`~repro.ml.compiled.PermutationScorer` runs the baseline
     traversal once, then each feature's permuted predictions re-walk
     only the (tree, row) pairs whose baseline path compared that
     feature — bit-identical to stacked full predicts at a fraction of
-    the traversal work. Scoring per feature is byte-for-byte the
-    :func:`_feature_pfi` computation.
+    the traversal work. Hist-fit ensembles walk ``uint8`` bin ``codes``
+    instead of ``X`` (binning is elementwise per column, so permuting a
+    code column equals binning the permuted raw column). Scoring per
+    feature is byte-for-byte the :func:`_feature_pfi` computation.
     """
     n_features, n_repeats, n_samples = perms.shape
     base = codes if codes is not None else X
@@ -153,7 +129,6 @@ def permutation_importance(
     n_repeats: int = 5,
     scoring=mean_squared_error,
     random_state=None,
-    n_jobs: int | None = 1,
 ) -> np.ndarray:
     """Permutation Feature Importance (mean score increase per feature).
 
@@ -167,10 +142,10 @@ def permutation_importance(
     training" (§3.2).
 
     All permutation indices are drawn up front from ``random_state``, so
-    the per-feature evaluations are pure functions and the result is
-    bit-identical for any ``n_jobs`` (features are evaluated across
-    workers when ``n_jobs > 1``; ``estimator`` and ``scoring`` must then
-    be picklable).
+    the per-feature evaluations are pure functions of the drawn block.
+    Compiled tree ensembles score every feature through incremental
+    re-walks (:func:`_pfi_batched`); any other estimator predicts one
+    stacked matrix per feature (:func:`_feature_pfi`).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -181,38 +156,17 @@ def permutation_importance(
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     rng = np.random.default_rng(random_state)
-    codes = None
     compiled = maybe_compile(estimator)
-    if compiled is not None and compiled.has_bins:
-        codes = compiled.bin(X)
-    started = time.perf_counter()
     baseline = float(scoring(y, estimator.predict(X)))
-    predict_seconds = time.perf_counter() - started
     n_samples, n_features = X.shape
     perms = np.empty((n_features, n_repeats, n_samples), dtype=np.intp)
     for j in range(n_features):
         for r in range(n_repeats):
             perms[j, r] = rng.permutation(n_samples)
-    # The baseline predict just timed one n_samples pass; every feature
-    # costs ~n_repeats such passes, so the whole PFI is about this much
-    # work. Below the pool-amortisation threshold fanning out is a net
-    # loss and the batched serial path wins outright.
-    cost_hint = predict_seconds * n_features * n_repeats
-    if compiled is not None and (resolve_n_jobs(n_jobs) <= 1
-                                 or in_worker()
-                                 or not pool_worthwhile(cost_hint)):
-        # The serial path (the common case inside pipeline workers)
-        # batches every feature's permutations through predict_many.
-        values = _pfi_batched(compiled, X, codes, y, perms, baseline,
-                              scoring)
-        return np.asarray(values, dtype=np.float64)
-    score_one = partial(
-        _feature_pfi, perms=perms,
-        estimator=None if compiled is not None else estimator,
-        X=None if codes is not None else X, y=y,
-        baseline=baseline, scoring=scoring,
-        compiled=compiled, codes=codes,
-    )
-    values = ParallelMap(n_jobs).map(score_one, range(n_features),
-                                     cost_hint=cost_hint)
-    return np.asarray(values, dtype=np.float64)
+    if compiled is not None:
+        codes = compiled.bin(X) if compiled.has_bins else None
+        return _pfi_batched(compiled, X, codes, y, perms, baseline, scoring)
+    return np.array([
+        _feature_pfi(j, perms, estimator, X, y, baseline, scoring)
+        for j in range(n_features)
+    ], dtype=np.float64)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from functools import partial
 
 import numpy as np
 
-from ..parallel import ParallelMap
 from .metrics import mean_squared_error
 
 __all__ = [
@@ -132,34 +130,28 @@ class ParameterGrid:
             yield dict(zip(names, combo))
 
 
-def _fit_and_score(task, X, y, template, scoring):
+def _fit_and_score(template, params, X, y, train_idx, test_idx, scoring):
     """Fit one (params, fold) cell and return its test score.
 
-    A pure work unit: every candidate carries its own ``random_state``
-    inside ``params``/``template``, so cells evaluate identically no
-    matter which worker runs them.
+    Every candidate carries its own ``random_state`` inside
+    ``params``/``template``, so a cell's score depends only on its
+    inputs.
     """
-    params, train_idx, test_idx = task
     model = clone(template).set_params(**params)
     model.fit(X[train_idx], y[train_idx])
     return float(scoring(y[test_idx], model.predict(X[test_idx])))
 
 
-def cross_val_score(estimator, X, y, cv=None, scoring=mean_squared_error,
-                    n_jobs: int | None = 1):
-    """Per-fold test scores for ``estimator`` (default scoring: MSE).
-
-    ``n_jobs > 1`` evaluates folds across worker processes (the
-    estimator must be picklable); scores are returned in fold order
-    either way.
-    """
+def cross_val_score(estimator, X, y, cv=None, scoring=mean_squared_error):
+    """Per-fold test scores for ``estimator`` (default scoring: MSE),
+    in fold order."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     cv = cv if cv is not None else KFold(5)
-    tasks = [({}, train_idx, test_idx) for train_idx, test_idx in cv.split(X)]
-    score_one = partial(_fit_and_score, X=X, y=y, template=estimator,
-                        scoring=scoring)
-    return np.asarray(ParallelMap(n_jobs).map(score_one, tasks))
+    return np.asarray([
+        _fit_and_score(estimator, {}, X, y, train_idx, test_idx, scoring)
+        for train_idx, test_idx in cv.split(X)
+    ])
 
 
 def cross_val_predict(estimator, X, y, cv=None):
@@ -191,23 +183,17 @@ class GridSearchCV:
 
     After :meth:`fit`, exposes ``best_params_``, ``best_score_`` (mean CV
     score of the winner), ``best_estimator_`` (refit on all data), and
-    ``cv_results_`` (one record per candidate).
-
-    ``n_jobs > 1`` spreads the candidate×fold grid across worker
-    processes.  Every cell is seeded by its candidate's parameters, so
-    scores, ``cv_results_`` and the selected winner are identical for
-    any worker count (ties still resolve to the earliest candidate in
-    grid order).
+    ``cv_results_`` (one record per candidate). Ties resolve to the
+    earliest candidate in grid order.
     """
 
     def __init__(self, estimator, param_grid: Mapping[str, Sequence],
-                 cv=None, scoring=mean_squared_error, refit: bool = True,
-                 n_jobs: int | None = 1):
+                 cv=None, scoring=mean_squared_error, refit: bool = True):
         self.estimator = estimator
         self.param_grid = ParameterGrid(param_grid)
         # Fail fast on names the template does not accept: a misspelled
         # axis (e.g. "spliter") would otherwise only surface as a
-        # set_params error deep inside a worker's fit cell.
+        # set_params error deep inside a fit cell.
         if hasattr(estimator, "get_params"):
             unknown = set(self.param_grid.grid) - set(estimator.get_params())
             if unknown:
@@ -218,7 +204,6 @@ class GridSearchCV:
         self.cv = cv if cv is not None else KFold(5)
         self.scoring = scoring
         self.refit = refit
-        self.n_jobs = n_jobs
         self.best_params_: dict | None = None
         self.best_score_: float | None = None
         self.best_estimator_ = None
@@ -231,14 +216,12 @@ class GridSearchCV:
         self.cv_results_ = []
         folds = list(self.cv.split(X))
         candidates = list(self.param_grid)
-        tasks = [
-            (params, train_idx, test_idx)
+        flat = [
+            _fit_and_score(self.estimator, params, X, y, train_idx,
+                           test_idx, self.scoring)
             for params in candidates
             for train_idx, test_idx in folds
         ]
-        score_one = partial(_fit_and_score, X=X, y=y,
-                            template=self.estimator, scoring=self.scoring)
-        flat = ParallelMap(self.n_jobs).map(score_one, tasks)
         best_score = np.inf
         best_params: dict | None = None
         for index, params in enumerate(candidates):

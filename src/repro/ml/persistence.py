@@ -25,6 +25,11 @@ from .tree import DecisionTreeRegressor, TreeStructure
 
 __all__ = ["save_model", "load_model", "model_to_dict", "model_from_dict"]
 
+#: Constructor parameters that older documents still carry but no
+#: estimator accepts any more. None of them affected a fit, so loading
+#: drops them; any other unknown parameter is still an error.
+_RETIRED_PARAMS = ("n_jobs",)
+
 _REGISTRY = {
     cls.__name__: cls
     for cls in (
@@ -175,7 +180,10 @@ def model_from_dict(doc: dict):
     if name not in _REGISTRY:
         raise ValueError(f"unknown model class {name!r}")
     cls = _REGISTRY[name]
-    model = cls(**_params_in(doc["params"]))
+    params = _params_in(doc["params"])
+    for name in _RETIRED_PARAMS:
+        params.pop(name, None)
+    model = cls(**params)
     state = doc["state"]
     if cls is DecisionTreeRegressor:
         model.tree_ = _tree_in(state["tree"])

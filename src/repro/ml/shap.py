@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 
-from ..parallel import ParallelMap
 from .boosting import GradientBoostingRegressor
 from .forest import RandomForestRegressor
 from .tree import DecisionTreeRegressor, TreeStructure
@@ -227,13 +225,8 @@ class TreeExplainer:
         """Model output when no feature is known (the SHAP base value)."""
         return float(self._base)
 
-    def shap_values(self, X, n_jobs: int | None = 1) -> np.ndarray:
-        """Per-sample, per-feature Shapley values, shape ``(n, n_features)``.
-
-        Rows are independent, so ``n_jobs > 1`` attributes samples
-        across worker processes; the result is identical to the serial
-        computation.
-        """
+    def shap_values(self, X) -> np.ndarray:
+        """Per-sample, per-feature Shapley values, ``(n, n_features)``."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -241,25 +234,22 @@ class TreeExplainer:
             raise ValueError(
                 f"X must be 2-D with {self._n_features} features"
             )
-        explain_one = partial(_shap_row, X=X, trees=self._trees,
-                              n_features=self._n_features)
-        rows = ParallelMap(n_jobs).map(explain_one, range(X.shape[0]))
+        rows = [_shap_row(x, self._trees, self._n_features) for x in X]
         if not rows:
             return np.zeros((0, self._n_features), dtype=np.float64)
         return np.vstack(rows)
 
 
-def _shap_row(i, X, trees, n_features):
-    """Ensemble SHAP values of one sample (a pure work unit)."""
+def _shap_row(x, trees, n_features):
+    """Ensemble SHAP values of one sample."""
     phi = np.zeros(n_features, dtype=np.float64)
     for tree, weight in trees:
-        phi += weight * _tree_shap_single(tree, X[i], n_features)
+        phi += weight * _tree_shap_single(tree, x, n_features)
     return phi
 
 
 def shap_importance(model, X, max_samples: int | None = None,
-                    random_state=None,
-                    n_jobs: int | None = 1) -> np.ndarray:
+                    random_state=None) -> np.ndarray:
     """Global importance: mean |SHAP value| per feature over (a sample of) X.
 
     This is the standard reduction of local SHAP values to a global
@@ -271,7 +261,7 @@ def shap_importance(model, X, max_samples: int | None = None,
         rows = rng.choice(X.shape[0], size=max_samples, replace=False)
         X = X[rows]
     explainer = TreeExplainer(model)
-    return np.abs(explainer.shap_values(X, n_jobs=n_jobs)).mean(axis=0)
+    return np.abs(explainer.shap_values(X)).mean(axis=0)
 
 
 # ----------------------------------------------------------------------

@@ -111,12 +111,6 @@ class FeatureBins:
         """
         return FeatureBins(codes=self.codes[rows], cuts=self.cuts)
 
-    def __shm_share__(self, share) -> "FeatureBins":
-        """Copy with the code matrix routed through the shared-memory
-        transport (:func:`repro.parallel.share_payload` protocol); the
-        cut arrays are tiny and pickle as-is."""
-        return FeatureBins(codes=share(self.codes), cuts=self.cuts)
-
 
 def default_max_bins(n_samples: int) -> int:
     """Adaptive bin budget for a sample of ``n_samples`` rows.

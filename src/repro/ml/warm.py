@@ -8,9 +8,9 @@ boosting estimators a ``fit(..., warm_start_from=prev)`` escape hatch
 built on one invariant:
 
 * every fitted estimator records its **fit signature** — the
-  fit-relevant constructor parameters (``n_estimators`` and ``n_jobs``
-  excluded: the first only grows the member list, the second never
-  changes results) plus a sha256 digest of the training bytes;
+  fit-relevant constructor parameters (``n_estimators`` excluded: it
+  only grows the member list) plus a sha256 digest of the training
+  bytes;
 * a warm fit whose signature matches the previous estimator's reuses
   its members verbatim and computes only what a cold fit would add —
   forest trees are exchangeable work units off a prefix-stable
@@ -41,7 +41,6 @@ def fit_signature(estimator, X, y) -> tuple:
     """
     params = dict(estimator.get_params())
     params.pop("n_estimators", None)
-    params.pop("n_jobs", None)
     digest = hashlib.sha256()
     for arr in (X, y):
         arr = np.ascontiguousarray(arr)

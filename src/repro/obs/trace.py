@@ -187,24 +187,6 @@ class Tracer:
                 del self._spans[:len(self._spans) - self.max_spans]
         return record
 
-    @contextmanager
-    def attach(self, parent_id: int | None):
-        """Nest this thread's subsequent spans under ``parent_id``.
-
-        Worker threads use this so their spans parent to the span that
-        was open in the submitting thread (thread-local stacks would
-        otherwise make them roots).  ``attach(None)`` is a no-op.
-        """
-        if parent_id is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent_id)
-        try:
-            yield
-        finally:
-            stack.pop()
-
     def absorb(self, records, parent_id: int | None = None) -> None:
         """Merge completed spans from another tracer into this one.
 

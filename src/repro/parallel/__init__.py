@@ -1,15 +1,16 @@
 """Deterministic multi-core execution for the experiment pipeline.
 
-``repro.parallel`` is the stdlib-only execution layer behind every hot
-loop in the package: per-tree forest fitting, per-feature permutation
-importance, candidate×fold grid-search evaluation, TreeSHAP rows, and
-the pipeline's per-scenario fan-out.
+``repro.parallel`` is the stdlib-only execution layer behind the one
+place the study runs in parallel: the pipeline's per-scenario fan-out
+(``ExperimentConfig.n_jobs``, CLI ``repro run --jobs N``).  Everything
+inside a scenario — forest fits, permutation importance, grid search,
+TreeSHAP — runs serially in whichever process owns the scenario.
 
 Design contract:
 
-* **Determinism** — callers pre-derive all randomness (via
-  :func:`spawn_seeds` / up-front permutation draws) before fanning out,
-  so results are bit-identical for any ``n_jobs`` and any backend.
+* **Determinism** — scenario tasks are pure and every random draw is
+  derived from the config (:func:`spawn_seeds` seeds forest trees), so
+  results are bit-identical for any ``n_jobs``.
 * **Worker-count resolution** — explicit ``n_jobs`` argument →
   ``REPRO_JOBS`` environment variable → ``os.cpu_count()``
   (:func:`resolve_n_jobs`); ``n_jobs=1`` is a guaranteed serial fast
@@ -20,21 +21,23 @@ Design contract:
   tracer and registry, so ``repro trace-summary`` accounts for all work
   no matter where it ran.
 * **No nested pools** — a :class:`ParallelMap` used inside a worker runs
-  inline, so parallel estimators compose safely under a parallel
-  pipeline without oversubscribing the machine.
-* **Supervision** — the process backend survives worker death: broken
-  pools are rebuilt, surviving chunks resubmitted under a bounded
-  retry budget, hung chunks killed after ``timeout=`` /
-  ``$REPRO_TASK_TIMEOUT`` seconds, and the poison item is bisected out
-  as a :class:`WorkerCrash` while every other item's result is
-  recovered (see :mod:`repro.parallel.supervision`).
+  inline (:func:`in_worker`), so a fan-out never oversubscribes the
+  machine.
+* **One pool, shared inputs** — the fan-out leases one persistent
+  :class:`WorkerPool`, and the scenario matrices are published once to
+  its :class:`SharedDataset` so workers attach instead of unpickling.
+* **Supervision** — the pool survives worker death: broken pools are
+  rebuilt, surviving chunks resubmitted under a bounded retry budget,
+  hung chunks killed after ``timeout=`` / ``$REPRO_TASK_TIMEOUT``
+  seconds, and the poison item is bisected out as a
+  :class:`WorkerCrash` while every other item's result is recovered
+  (see :mod:`repro.parallel.supervision`).
 
 Quick tour::
 
-    from repro.parallel import ParallelMap, resolve_n_jobs, spawn_seeds
+    from repro.parallel import ParallelMap
 
-    seeds = spawn_seeds(random_state=0, n=100)      # order-independent
-    results = ParallelMap(n_jobs=4).map(fit_one, seeds)
+    results = ParallelMap(n_jobs=4).map(run_one, items)  # item order
 """
 
 from .executor import (
@@ -42,10 +45,6 @@ from .executor import (
     ParallelMap,
     WorkerCrash,
     in_worker,
-    parallel_map,
-    pool_worthwhile,
-    resolve_backend,
-    resolve_min_cost,
     resolve_n_jobs,
     resolve_task_retries,
     resolve_task_timeout,
@@ -58,7 +57,6 @@ from .shm import (
     SharedDataset,
     SharedMatrix,
     SharedSegmentGone,
-    share_payload,
     shm_enabled,
 )
 
@@ -74,14 +72,9 @@ __all__ = [
     "WorkerPool",
     "current_pool",
     "in_worker",
-    "parallel_map",
-    "pool_worthwhile",
-    "resolve_backend",
-    "resolve_min_cost",
     "resolve_n_jobs",
     "resolve_task_retries",
     "resolve_task_timeout",
-    "share_payload",
     "shm_enabled",
     "spawn_seeds",
     "use_pool",

@@ -1,8 +1,7 @@
-"""``ParallelMap``: ordered, deterministic fan-out over processes/threads.
+"""``ParallelMap``: ordered, deterministic fan-out over worker processes.
 
-The facade wraps :class:`concurrent.futures.ProcessPoolExecutor` /
-:class:`~concurrent.futures.ThreadPoolExecutor` behind one ``map``-shaped
-API with a guaranteed serial fast path:
+The facade wraps :class:`concurrent.futures.ProcessPoolExecutor` behind
+one ``map``-shaped API with a guaranteed serial fast path:
 
 * ``n_jobs=1`` (or a single item, or a call from inside a worker) runs
   the function inline — no pool, no pickling, no obs indirection.
@@ -17,7 +16,7 @@ API with a guaranteed serial fast path:
   mode: a failing item yields an :class:`ItemFailure` at its position
   instead of aborting the whole map, so long fan-outs survive isolated
   failures (``KeyboardInterrupt``/``SystemExit`` still propagate).
-* The ``process`` backend is *supervised*
+* Process fan-out is *supervised*
   (:mod:`repro.parallel.supervision`): a worker killed by the OS or
   hung past the per-chunk deadline (``timeout=`` /
   ``$REPRO_TASK_TIMEOUT``) no longer aborts the fan-out — the pool is
@@ -29,9 +28,8 @@ API with a guaranteed serial fast path:
   the parent merges them into its current tracer/registry, re-parented
   under the span that was open at the call site.
 
-Functions mapped under the ``process`` backend must be picklable:
-module-level functions, optionally wrapped in :func:`functools.partial`
-to bind the shared arrays.
+Mapped functions must be picklable: module-level functions, optionally
+wrapped in :func:`functools.partial` to bind their arguments.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import os
 import pickle
 import threading
 import traceback as traceback_module
-from concurrent.futures import as_completed
 from functools import partial
 
 from ..obs import (
@@ -65,10 +62,6 @@ __all__ = [
     "ParallelMap",
     "WorkerCrash",
     "in_worker",
-    "parallel_map",
-    "pool_worthwhile",
-    "resolve_backend",
-    "resolve_min_cost",
     "resolve_n_jobs",
     "resolve_task_retries",
     "resolve_task_timeout",
@@ -76,18 +69,8 @@ __all__ = [
 
 _log = get_logger("parallel")
 
-BACKENDS = ("process", "thread", "serial")
-
-#: Environment variables honoured by the resolution chain.
+#: Environment variable honoured by :func:`resolve_n_jobs`.
 ENV_JOBS = "REPRO_JOBS"
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
-ENV_MIN_COST = "REPRO_PARALLEL_MIN_COST"
-
-#: Below this much estimated serial work (seconds) a fan-out is cheaper
-#: to run inline than to ship to a pool: fork + pickle + collect costs
-#: a few hundred milliseconds that a small map never earns back (the
-#: source of the historical PFI 0.85x regression on small models).
-DEFAULT_MIN_COST_S = 0.25
 
 _worker_state = threading.local()
 
@@ -126,45 +109,6 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
     if n_jobs < 0:
         return max(1, (os.cpu_count() or 1) + 1 + n_jobs)
     return n_jobs
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve the backend: arg → ``REPRO_PARALLEL_BACKEND`` → process."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "").strip() or "process"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
-def resolve_min_cost(min_cost: float | None = None) -> float:
-    """Pool amortization threshold (seconds): arg →
-    ``$REPRO_PARALLEL_MIN_COST`` → 0.25.  ``0`` disables the serial
-    fallback entirely (every hinted map fans out)."""
-    if min_cost is None:
-        env = os.environ.get(ENV_MIN_COST, "").strip()
-        if not env:
-            return DEFAULT_MIN_COST_S
-        try:
-            min_cost = float(env)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_MIN_COST} must be a number of seconds, got {env!r}"
-            ) from None
-    if min_cost < 0:
-        raise ValueError(f"min cost must be >= 0, got {min_cost!r}")
-    return float(min_cost)
-
-
-def pool_worthwhile(cost_hint: float | None,
-                    min_cost: float | None = None) -> bool:
-    """Whether ``cost_hint`` seconds of estimated serial work amortizes
-    a process fan-out.  ``None`` (no estimate) errs on fanning out."""
-    if cost_hint is None:
-        return True
-    return float(cost_hint) >= resolve_min_cost(min_cost)
 
 
 def _balanced_chunks(items: list, n_chunks: int) -> list:
@@ -241,29 +185,8 @@ def _run_chunk_process(fn, chunk, base_index=0, capture=False):
     )
 
 
-def _run_chunk_thread(fn, chunk, base_index=0, capture=False,
-                      parent_id=None):
-    """Run one chunk in a worker thread of the calling process.
-
-    Spans flow straight into the shared (thread-safe) current tracer;
-    ``attach`` re-parents them under the span open at the call site.
-    """
-    _worker_state.active = True
-    try:
-        with current_tracer().attach(parent_id):
-            if capture:
-                return [
-                    _capture_call(fn, item, base_index + offset,
-                                  ship_across_process=False)
-                    for offset, item in enumerate(chunk)
-                ]
-            return [fn(item) for item in chunk]
-    finally:
-        _worker_state.active = False
-
-
 class ParallelMap:
-    """Ordered parallel ``map`` with a serial fallback.
+    """Ordered process-parallel ``map`` with a serial fast path.
 
     Parameters
     ----------
@@ -271,20 +194,16 @@ class ParallelMap:
         Worker count; resolved through :func:`resolve_n_jobs`
         (``None`` → ``REPRO_JOBS`` → all cores; 1 = serial, never
         spawns a pool).
-    backend:
-        ``"process"`` (default; true multi-core), ``"thread"`` (no
-        pickling, best for code that releases the GIL), or ``"serial"``.
-        ``None`` reads ``REPRO_PARALLEL_BACKEND``.
     chunk_size:
         Items per submitted task. Default: one contiguous chunk per
         worker, which minimises how often shared ``partial`` payloads
         are pickled.
     timeout:
-        Per-chunk deadline in seconds for the ``process`` backend
-        (``None`` → ``$REPRO_TASK_TIMEOUT`` → no deadline).  A chunk
-        observed running past it has its worker killed and is retried /
-        bisected by the supervision layer.  Ignored by the ``thread``
-        and ``serial`` backends, which cannot kill a hung task.
+        Per-chunk deadline in seconds (``None`` →
+        ``$REPRO_TASK_TIMEOUT`` → no deadline).  A chunk observed
+        running past it has its worker killed and is retried /
+        bisected by the supervision layer.  The serial path cannot
+        kill a hung task and ignores it.
     max_retries:
         Pool-rebuild budget for the supervision layer (``None`` →
         ``$REPRO_TASK_RETRIES`` → 16).  Once spent, unresolved items
@@ -292,12 +211,10 @@ class ParallelMap:
     """
 
     def __init__(self, n_jobs: int | None = None,
-                 backend: str | None = None,
                  chunk_size: int | None = None,
                  timeout: float | None = None,
                  max_retries: int | None = None):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = resolve_backend(backend)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 (or None)")
         self.chunk_size = chunk_size
@@ -305,24 +222,17 @@ class ParallelMap:
         self.max_retries = resolve_task_retries(max_retries)
 
     # ------------------------------------------------------------------
-    def map(self, fn, items, return_exceptions: bool = False,
-            cost_hint: float | None = None) -> list:
+    def map(self, fn, items, return_exceptions: bool = False) -> list:
         """``[fn(item) for item in items]``, possibly across workers.
 
-        Results preserve item order.  Under the ``process`` backend
-        ``fn`` (plus bound arguments) and the items must be picklable.
-
-        ``cost_hint`` is the caller's estimate of the *total serial*
-        seconds the map represents; a hinted map below the pool
-        amortization threshold (``$REPRO_PARALLEL_MIN_COST`` → 0.25 s)
-        runs inline instead of paying fork + pickle overhead it cannot
-        earn back (counted by ``parallel.serial_fallbacks``).
+        Results preserve item order.  When the map fans out, ``fn``
+        (plus bound arguments) and the items must be picklable.
 
         With ``return_exceptions=True`` an item whose call raises an
         ``Exception`` contributes an :class:`ItemFailure` (carrying the
         worker-side traceback) at its position instead of aborting the
         map — the other items' results are preserved.  Worker deaths
-        and deadline overruns in the ``process`` backend surface as
+        and deadline overruns surface as
         ``error_type == "WorkerCrash"`` failures after the supervision
         layer has recovered every other item.  The default behaviour
         (raise on the first error, cancel the rest) is unchanged —
@@ -331,12 +241,7 @@ class ParallelMap:
         """
         items = list(items)
         n_jobs = min(self.n_jobs, len(items))
-        serial = n_jobs <= 1 or self.backend == "serial" or in_worker()
-        if (not serial and self.backend == "process"
-                and not pool_worthwhile(cost_hint)):
-            current_metrics().counter("parallel.serial_fallbacks").inc()
-            serial = True
-        if serial:
+        if n_jobs <= 1 or in_worker():
             if return_exceptions:
                 return [
                     _capture_call(fn, item, index,
@@ -353,76 +258,25 @@ class ParallelMap:
             ]
         else:
             chunks = _balanced_chunks(items, n_jobs)
-        tracer = current_tracer()
-        parent_id = tracer.current_span_id()
-
-        if self.backend == "thread":
-            return self._map_threads(fn, items, chunks, n_jobs,
-                                     parent_id, return_exceptions)
         return self._map_processes(fn, items, chunks, n_jobs,
-                                   parent_id, return_exceptions)
+                                   return_exceptions)
 
     # ------------------------------------------------------------------
-    def _map_threads(self, fn, items, chunks, n_jobs, parent_id,
-                     return_exceptions: bool) -> list:
-        """Thread backend: shared-memory chunks, completion-order errors."""
-        runner = partial(_run_chunk_thread, fn,
-                         capture=return_exceptions, parent_id=parent_id)
-        executor = self._make_executor(min(n_jobs, len(chunks)))
-        try:
-            futures = [
-                executor.submit(runner, chunk, base_index=base)
-                for base, chunk in chunks
-            ]
-            positions = {future: i for i, future in enumerate(futures)}
-            for future in as_completed(futures):
-                exc = future.exception()
-                if exc is not None:
-                    _log.error("chunk.failed",
-                               chunk=positions[future] + 1,
-                               chunks=len(chunks), backend=self.backend,
-                               error=f"{type(exc).__name__}: {exc}")
-                    raise exc
-            out: list = []
-            for future in futures:  # submission order
-                out.extend(future.result())
-        except BaseException:
-            # Fail fast for real: drop queued chunks and raise without
-            # waiting on threads already mid-chunk (mapped functions
-            # are pure, so abandoning them is safe).
-            executor.shutdown(wait=False, cancel_futures=True)
-            raise
-        executor.shutdown(wait=True)
-        return out
-
-    def _map_processes(self, fn, items, chunks, n_jobs, parent_id,
+    def _map_processes(self, fn, items, chunks, n_jobs,
                        return_exceptions: bool) -> list:
-        """Process backend: supervised pools that survive worker death.
+        """Supervised process fan-out that survives worker death.
 
         When a persistent :class:`~repro.parallel.pool.WorkerPool` is
         installed (:func:`~repro.parallel.pool.use_pool`) its executor
-        is leased instead of building a throwaway pool, and large
-        arrays bound into ``fn`` are published to the pool's shared
-        dataset so they ship by reference.  Without a pool the arrays
-        are published to an ephemeral dataset that lives exactly as
-        long as this call.
+        is leased instead of building a throwaway pool.
         """
         from .pool import current_pool
-        from .shm import SharedDataset, share_payload, shm_enabled
 
         pool = current_pool()
-        ephemeral = None
-        if shm_enabled():
-            dataset = pool.dataset if pool is not None else None
-            if dataset is None:
-                ephemeral = dataset = SharedDataset()
-            fn = share_payload(fn, dataset.share)
-            if ephemeral is not None and not len(ephemeral):
-                ephemeral.close()  # nothing published: no segment cost
-                ephemeral = None
         runner = partial(_run_chunk_process, fn,
                          capture=return_exceptions)
         tracer = current_tracer()
+        parent_id = tracer.current_span_id()
         metrics = current_metrics()
 
         def collect(payload):
@@ -454,25 +308,13 @@ class ParallelMap:
             return_exceptions=return_exceptions,
             reap=pool.reap if pool is not None else None,
         )
-        try:
-            return supervisor.run(chunks, len(items))
-        finally:
-            if ephemeral is not None:
-                ephemeral.close()
+        return supervisor.run(chunks, len(items))
 
     # ------------------------------------------------------------------
     def _make_executor(self, max_workers: int):
         """Build the pool, or None when the platform cannot provide one."""
-        from concurrent.futures import (
-            ProcessPoolExecutor,
-            ThreadPoolExecutor,
-        )
-
-        if self.backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-par"
-            )
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         try:
             context = multiprocessing.get_context("fork")
@@ -487,14 +329,3 @@ class ParallelMap:
                          fallback="serial")
             return None
 
-
-def parallel_map(fn, items, n_jobs: int | None = None,
-                 backend: str | None = None,
-                 chunk_size: int | None = None,
-                 timeout: float | None = None,
-                 max_retries: int | None = None) -> list:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
-    return ParallelMap(
-        n_jobs=n_jobs, backend=backend, chunk_size=chunk_size,
-        timeout=timeout, max_retries=max_retries,
-    ).map(fn, items)

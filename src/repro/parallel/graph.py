@@ -22,16 +22,17 @@ that owns that composition:
   failure raises.
 
 Node callables take **no arguments** — close over exactly the inputs
-you need (typically via ``functools.partial`` so large arrays ride the
-shared-memory transport).  Passing dependency *results* implicitly
-would re-ship them to workers, defeating zero-copy; dependencies here
-express ordering and failure propagation, and ``graph.results[dep]``
-is available in the parent when building later nodes.
+you need (typically via ``functools.partial`` over arrays already
+published to the pool's shared dataset).  Passing dependency *results*
+implicitly would re-ship them to workers, defeating zero-copy;
+dependencies here express ordering and failure propagation, and
+``graph.results[dep]`` is available in the parent when building later
+nodes.
 
 Determinism: scheduling order is a pure function of the declared graph
 (insertion order within a wave), and node callables are pure, so
 results are bit-identical to running every node serially in insertion
-order — for any ``n_jobs``, backend, or crash schedule.
+order — for any ``n_jobs`` or crash schedule.
 """
 
 from __future__ import annotations

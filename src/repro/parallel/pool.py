@@ -4,7 +4,7 @@ Every :class:`~repro.parallel.ParallelMap` used to build (and tear
 down) a fresh ``ProcessPoolExecutor`` per call — five pools per
 pipeline run, each paying fork + import + warmup before the first item.
 A :class:`WorkerPool` is created **once per run**, installed with
-:func:`use_pool`, and every process-backend ``map`` inside the scope
+:func:`use_pool`, and every fanned-out ``map`` inside the scope
 leases the same executor:
 
 * workers are *warmed* by an initializer that pre-attaches the run's

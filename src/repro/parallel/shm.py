@@ -1,10 +1,11 @@
-"""Zero-copy shared-memory transport for the ``process`` backend.
+"""Zero-copy shared-memory transport for the scenario fan-out.
 
-``ParallelMap`` ships work to process workers by pickling — fine for
-seeds and index tuples, ruinous for the multi-megabyte feature matrices
-that every tree fit, PFI permutation, and grid cell needs.  This module
-publishes those arrays into POSIX shared memory **once per run** and
-teaches them to pickle *by reference*:
+``ParallelMap`` ships work to worker processes by pickling — fine for
+seeds and index tuples, wasteful for the multi-megabyte feature
+matrices every scenario task trains on.  The pipeline publishes each
+scenario's ``X``/``y`` into POSIX shared memory **once per run**
+(through its :class:`~repro.parallel.WorkerPool`'s dataset) and this
+module teaches them to pickle *by reference*:
 
 * :class:`SharedDataset` — the owning registry.  ``publish(arr)`` copies
   an ndarray into a fresh :class:`multiprocessing.shared_memory`
@@ -20,11 +21,6 @@ teaches them to pickle *by reference*:
   zero bytes of array data cross the pipe — and falls back to an
   ordinary by-value copy when the segment is gone or the memory has
   been copied out of it.
-* :func:`share_payload` — walks a ``functools.partial`` payload (args,
-  kwargs, containers, ``__shm_share__`` protocol objects) and publishes
-  every large ndarray it finds; :class:`~repro.parallel.ParallelMap`
-  applies it automatically to the mapped function under the process
-  backend.
 
 Attaching to a segment that has been unlinked raises
 :class:`SharedSegmentGone` — a structured error, never a segfault:
@@ -61,7 +57,6 @@ __all__ = [
     "SharedDataset",
     "SharedMatrix",
     "SharedSegmentGone",
-    "share_payload",
     "shm_enabled",
 ]
 
@@ -483,48 +478,3 @@ def _close_live_datasets() -> None:  # pragma: no cover - exit hook
             dataset.close()
         except Exception:
             pass
-
-
-# ----------------------------------------------------------------------
-# Payload transformation.
-# ----------------------------------------------------------------------
-_SHARE_DEPTH = 4
-
-
-def share_payload(obj, share, _depth: int = 0):
-    """Return ``obj`` with every large ndarray replaced by its shared
-    view, recursing through ``functools.partial``, tuples, lists and
-    dicts (shallowly, to a small depth).
-
-    ``share`` is the replacement policy — typically
-    :meth:`SharedDataset.share`, which applies the size threshold and
-    degrades gracefully.  Objects exposing ``__shm_share__(share)``
-    (e.g. :class:`repro.ml.tree.FeatureBins`,
-    :class:`repro.ml.compiled.CompiledEnsemble`) return a copy of
-    themselves with their internal arrays shared.
-    """
-    if _depth > _SHARE_DEPTH:
-        return obj
-    if isinstance(obj, SharedArray):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return share(obj)
-    hook = getattr(obj, "__shm_share__", None)
-    if hook is not None and not isinstance(obj, type):
-        return hook(share)
-    from functools import partial
-
-    if isinstance(obj, partial):
-        new_args = tuple(share_payload(a, share, _depth + 1)
-                         for a in obj.args)
-        new_kwargs = {k: share_payload(v, share, _depth + 1)
-                      for k, v in obj.keywords.items()}
-        return partial(obj.func, *new_args, **new_kwargs)
-    if isinstance(obj, tuple):
-        return tuple(share_payload(v, share, _depth + 1) for v in obj)
-    if isinstance(obj, list):
-        return [share_payload(v, share, _depth + 1) for v in obj]
-    if isinstance(obj, dict):
-        return {k: share_payload(v, share, _depth + 1)
-                for k, v in obj.items()}
-    return obj

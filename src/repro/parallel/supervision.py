@@ -1,4 +1,4 @@
-"""Crash-tolerant pool supervision for the ``process`` backend.
+"""Crash-tolerant pool supervision for process fan-out.
 
 A worker killed by the OOM killer, a segfaulting extension, or a hung
 syscall used to take the whole :class:`~repro.parallel.ParallelMap`
@@ -203,7 +203,7 @@ class _Chunk:
 
 
 class Supervisor:
-    """Drives one supervised process-backend ``map`` call.
+    """Drives one supervised process fan-out ``map`` call.
 
     Parameters
     ----------

@@ -76,6 +76,26 @@ class TestFingerprint:
     def test_every_execution_shape_field_is_covered(self):
         assert set(pipeline_module._EXECUTION_SHAPE) == set(EXECUTION_SHAPE)
 
+    def test_worker_count_lives_only_at_the_top_level(self):
+        # _EXECUTION_SHAPE normalises top-level fields only, so a worker
+        # count nested in a sub-config would leak into repr(config)
+        # and split the cache between runs with identical results.
+        def nested_fields(obj, path):
+            for field in dataclasses.fields(obj):
+                value = getattr(obj, field.name)
+                yield f"{path}.{field.name}"
+                items = value if isinstance(value, (list, tuple)) else [value]
+                for item in items:
+                    if dataclasses.is_dataclass(item):
+                        yield from nested_fields(item, f"{path}.{field.name}")
+
+        found = {
+            name for config in (ExperimentConfig(), BASE)
+            for name in nested_fields(config, "config")
+            if name.endswith(".n_jobs")
+        }
+        assert found == {"config.n_jobs"}
+
 
 class TestExecutionShapeIsIgnored:
     @pytest.mark.parametrize("name", sorted(EXECUTION_SHAPE))

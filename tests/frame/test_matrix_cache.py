@@ -104,73 +104,3 @@ class TestPickleDropsCache:
         warm = pickle.dumps(frame)
         assert len(warm) == len(cold)
 
-
-class TestSharedMatrix:
-    """``share_matrix`` re-points the cache at a shared segment so a
-    pickled frame ships references, and ``to_matrix`` after a
-    round-trip attaches the shared copy instead of re-stacking."""
-
-    @pytest.fixture
-    def big(self):
-        idx = date_range("2000-01-01", periods=9000)
-        rows = np.arange(9000, dtype=np.float64)
-        return Frame(idx, {"a": rows, "b": rows * 2, "c": rows * 3})
-
-    def test_share_matrix_values_and_read_only(self, big):
-        from repro.parallel import SharedArray, SharedDataset, shm_enabled
-
-        if not shm_enabled():
-            pytest.skip("shared memory unsupported or disabled")
-        reference = np.column_stack([big["a"], big["b"], big["c"]])
-        with SharedDataset() as dataset:
-            big.share_matrix(dataset)
-            mat = big.to_matrix()
-            assert isinstance(mat, SharedArray)
-            assert np.array_equal(mat, reference)
-            for j, name in enumerate(big.columns):
-                assert np.shares_memory(mat, big[name])
-                assert not big[name].flags.writeable
-
-    def test_round_trip_ships_references_and_reattaches(self, big):
-        from repro.parallel import SharedArray, SharedDataset, shm_enabled
-
-        if not shm_enabled():
-            pytest.skip("shared memory unsupported or disabled")
-        plain_blob = pickle.dumps(big)
-        with SharedDataset() as dataset:
-            big.share_matrix(dataset)
-            shared_blob = pickle.dumps(big)
-            # Columns (3 × 72 KB) travel as segment references, not
-            # bytes — only the date index still ships by value.
-            assert len(shared_blob) < len(plain_blob) - 200_000
-            clone = pickle.loads(shared_blob)
-            assert clone == big
-            assert clone._matrix is None  # cache rebuilds lazily...
-            attached = clone.to_matrix()
-            assert isinstance(attached, SharedArray)  # ...zero-copy
-            assert np.array_equal(attached, big.to_matrix())
-
-    def test_vanished_segment_degrades_to_rebuild(self, big):
-        from repro.parallel import SharedDataset, shm_enabled
-
-        if not shm_enabled():
-            pytest.skip("shared memory unsupported or disabled")
-        reference = big.to_matrix().copy()
-        dataset = SharedDataset()
-        big.share_matrix(dataset)
-        clone = pickle.loads(pickle.dumps(big))
-        dataset.close()
-        clone._matrix = None  # drop any attached cache
-        rebuilt = clone.to_matrix()
-        assert np.array_equal(rebuilt, reference)
-        assert clone._matrix_src is None  # stale spec was discarded
-
-    def test_small_frame_left_untouched(self, frame):
-        from repro.parallel import SharedDataset, shm_enabled
-
-        if not shm_enabled():
-            pytest.skip("shared memory unsupported or disabled")
-        with SharedDataset() as dataset:
-            frame.share_matrix(dataset)
-            assert frame._matrix_src is None
-            assert len(dataset) == 0

@@ -46,9 +46,10 @@ def _gb(n, **overrides):
 
 class TestFitSignature:
     def test_ignores_execution_shape_params(self, data):
+        # n_estimators only grows the member list, so it stays out.
         X, y = data
         a = fit_signature(_forest(4), X, y)
-        b = fit_signature(_forest(16, n_jobs=4), X, y)
+        b = fit_signature(_forest(16), X, y)
         assert a == b
 
     def test_sensitive_to_data_and_params(self, data):

@@ -168,3 +168,51 @@ class TestBinCutsRoundTrip:
         compiled = compile_ensemble(clone)
         assert not compiled.has_bins
         assert np.array_equal(compiled.predict(X), est.predict(X))
+
+
+class TestLegacyDocuments:
+    """Forests saved while they still recorded a worker count load."""
+
+    def _legacy_doc(self, data):
+        X, y = data
+        est = RandomForestRegressor(
+            n_estimators=4, max_depth=4, random_state=0
+        ).fit(X, y)
+        doc = model_to_dict(est)
+        doc["params"]["n_jobs"] = 1  # what older documents carry
+        return est, doc
+
+    def test_worker_count_param_is_dropped(self, data, tmp_path):
+        import json
+
+        X, _ = data
+        est, doc = self._legacy_doc(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        restored = load_model(path)
+        assert restored.get_params() == est.get_params()
+        assert np.array_equal(restored.predict(X), est.predict(X))
+
+    def test_other_unknown_params_still_rejected(self, data):
+        _, doc = self._legacy_doc(data)
+        doc["params"]["n_trees"] = 4
+        with pytest.raises(TypeError):
+            model_from_dict(doc)
+
+    def test_cached_legacy_fit_is_a_hit(self, data, tmp_path):
+        from repro.cache import CacheStore, fit_cached, use_cache
+        from repro.cache.keys import model_fit_key
+        from repro.obs import MetricsRegistry, use_metrics
+
+        X, y = data
+        est, doc = self._legacy_doc(data)
+        store = CacheStore(tmp_path / "cache")
+        store.put(model_fit_key(est, X, y), doc)
+        registry = MetricsRegistry()
+        fresh = RandomForestRegressor(n_estimators=4, max_depth=4,
+                                      random_state=0)
+        with use_metrics(registry), use_cache(store):
+            fitted = fit_cached(fresh, X, y)
+        assert fitted is not fresh  # served from the cache, not refit
+        assert registry.snapshot()["counters"]["cache.hits"] == 1
+        assert np.array_equal(fitted.predict(X), est.predict(X))

@@ -1,11 +1,13 @@
 """Equivalence tests for the two tree-growth kernels.
 
 The ``exact`` splitter is the seed algorithm and must stay bit-identical
-to it — including across worker counts, since the forest's per-tree
-seeds are drawn up front. The ``hist`` splitter trades exactness on the
+to it — including inside fan-out worker processes, since the forest's
+per-tree seeds are drawn up front. The ``hist`` splitter trades exactness on the
 split grid for speed and only has to match statistically (MSE within a
 tolerance of exact on the same data).
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.ml import (
     mean_squared_error,
 )
 from repro.ml.tree import MAX_BINS, FeatureBins, bin_features
+from repro.parallel import ParallelMap
 
 
 @pytest.fixture(scope="module")
@@ -44,24 +47,34 @@ def _forests_identical(a, b):
     return True
 
 
+def _fit_forest(_, X, y, params):
+    return RandomForestRegressor(**params).fit(X, y)
+
+
+def _fit_in_workers(jobs, X, y, params):
+    """The same forest fitted once by each of ``jobs`` worker processes."""
+    fit = partial(_fit_forest, X=X, y=y, params=params)
+    return ParallelMap(jobs, chunk_size=1).map(fit, range(jobs))
+
+
 class TestExactAcrossWorkers:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_forest_bit_identical_vs_serial(self, data, jobs):
         X, y = data
         params = dict(n_estimators=6, max_depth=6, max_features="sqrt",
                       random_state=11, splitter="exact")
-        serial = RandomForestRegressor(n_jobs=1, **params).fit(X, y)
-        fanned = RandomForestRegressor(n_jobs=jobs, **params).fit(X, y)
-        assert _forests_identical(serial, fanned)
-        assert np.array_equal(serial.predict(X), fanned.predict(X))
+        serial = RandomForestRegressor(**params).fit(X, y)
+        for fanned in _fit_in_workers(jobs, X, y, params):
+            assert _forests_identical(serial, fanned)
+            assert np.array_equal(serial.predict(X), fanned.predict(X))
 
     def test_hist_forest_identical_across_workers(self, data):
         X, y = data
         params = dict(n_estimators=6, max_depth=6, max_features="sqrt",
                       random_state=11, splitter="hist")
-        serial = RandomForestRegressor(n_jobs=1, **params).fit(X, y)
-        fanned = RandomForestRegressor(n_jobs=2, **params).fit(X, y)
-        assert _forests_identical(serial, fanned)
+        serial = RandomForestRegressor(**params).fit(X, y)
+        for fanned in _fit_in_workers(2, X, y, params):
+            assert _forests_identical(serial, fanned)
 
 
 class TestHistStatisticalEquivalence:

@@ -1,13 +1,14 @@
-"""Bit-identical results for any ``n_jobs`` — the layer's core contract.
+"""Bit-identical results wherever the work runs — the layer's contract.
 
-Every parallelised stage draws its randomness from pre-spawned seeds (or
-pre-drawn permutation matrices), so splitting the work across workers
-cannot change which numbers are drawn.  These tests compare serial
-(``n_jobs=1``) against multi-worker runs with ``==`` on the raw floats:
-no tolerances.
+Parallelism happens in one place, the pipeline's per-scenario fan-out,
+so every estimator a scenario runs may execute either in the parent
+(``n_jobs=1``) or inside a pool worker, under worker-local obs sinks
+and the nested-map guard.  These tests compute each stage both ways
+and compare with ``==`` on the raw floats: no tolerances.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.importance import permutation_importance
 from repro.ml.model_selection import GridSearchCV, KFold
 from repro.ml.shap import shap_importance
+from repro.parallel import ParallelMap
 from repro.synth.config import SimulationConfig
 
 
@@ -32,93 +34,106 @@ def data():
     return X, y
 
 
-def _forest(n_jobs, X, y):
+def _in_workers(fn):
+    """``fn()`` computed by each of two fan-out worker processes."""
+    return ParallelMap(2, chunk_size=1).map(_call, [fn, fn])
+
+
+def _call(fn):
+    return fn()
+
+
+def _forest(X, y):
     return RandomForestRegressor(
-        n_estimators=9, max_depth=6, max_features="sqrt",
-        random_state=3, n_jobs=n_jobs,
+        n_estimators=9, max_depth=6, max_features="sqrt", random_state=3,
     ).fit(X, y)
+
+
+def _forest_outputs(X, y):
+    model = _forest(X, y)
+    return model.predict(X), model.feature_importances_
+
+
+def _pfi(X, y):
+    return permutation_importance(
+        _forest(X, y), X, y, n_repeats=3, random_state=11
+    )
+
+
+def _grid(X, y):
+    search = GridSearchCV(
+        RandomForestRegressor(random_state=0),
+        {"n_estimators": [5, 9], "max_depth": [4, 7]},
+        cv=KFold(3, shuffle=True, random_state=0), refit=False,
+    ).fit(X, y)
+    return (search.best_params_, search.best_score_,
+            [c["mean_score"] for c in search.cv_results_])
+
+
+def _shap(X, y):
+    model = GradientBoostingRegressor(
+        n_estimators=8, max_depth=3, random_state=0
+    ).fit(X, y)
+    return shap_importance(model, X, max_samples=30, random_state=0)
+
+
+def _fra(X, y):
+    names = [f"f{i}" for i in range(X.shape[1])]
+    result = fra_reduce(X, y, names, FRAConfig(
+        target_size=6, pfi_repeats=2, pfi_max_rows=60,
+        rf_params={"n_estimators": 6, "max_depth": 5,
+                   "max_features": "sqrt", "min_samples_leaf": 2},
+        gb_params={"n_estimators": 8, "max_depth": 3,
+                   "learning_rate": 0.2, "max_features": "sqrt",
+                   "subsample": 0.8, "reg_lambda": 1.0},
+    ))
+    return result.selected, result.importances, result.history
 
 
 class TestForestDeterminism:
     def test_predictions_bit_identical(self, data):
         X, y = data
-        serial = _forest(1, X, y)
-        parallel = _forest(4, X, y)
-        assert np.array_equal(serial.predict(X), parallel.predict(X))
+        serial, _ = _forest_outputs(X, y)
+        for predictions, _ in _in_workers(partial(_forest_outputs, X, y)):
+            assert np.array_equal(serial, predictions)
 
     def test_importances_bit_identical(self, data):
         X, y = data
-        assert np.array_equal(
-            _forest(1, X, y).feature_importances_,
-            _forest(4, X, y).feature_importances_,
-        )
+        _, serial = _forest_outputs(X, y)
+        for _, importances in _in_workers(partial(_forest_outputs, X, y)):
+            assert np.array_equal(serial, importances)
 
 
 class TestPFIDeterminism:
     def test_values_bit_identical(self, data):
         X, y = data
-        model = _forest(1, X, y)
-        serial = permutation_importance(
-            model, X, y, n_repeats=3, random_state=11, n_jobs=1
-        )
-        parallel = permutation_importance(
-            model, X, y, n_repeats=3, random_state=11, n_jobs=4
-        )
-        assert np.array_equal(serial, parallel)
+        serial = _pfi(X, y)
+        for values in _in_workers(partial(_pfi, X, y)):
+            assert np.array_equal(serial, values)
 
 
 class TestGridSearchDeterminism:
     def test_winner_and_scores_identical(self, data):
         X, y = data
-        grid = {"n_estimators": [5, 9], "max_depth": [4, 7]}
-
-        def run(n_jobs):
-            return GridSearchCV(
-                RandomForestRegressor(random_state=0),
-                grid, cv=KFold(3, shuffle=True, random_state=0),
-                refit=False, n_jobs=n_jobs,
-            ).fit(X, y)
-
-        serial, parallel = run(1), run(4)
-        assert serial.best_params_ == parallel.best_params_
-        assert serial.best_score_ == parallel.best_score_
-        assert [c["mean_score"] for c in serial.cv_results_] == \
-               [c["mean_score"] for c in parallel.cv_results_]
+        serial = _grid(X, y)
+        for fanned in _in_workers(partial(_grid, X, y)):
+            assert fanned == serial
 
 
 class TestSHAPDeterminism:
     def test_importance_bit_identical(self, data):
         X, y = data
-        model = GradientBoostingRegressor(
-            n_estimators=8, max_depth=3, random_state=0
-        ).fit(X, y)
-        serial = shap_importance(model, X, max_samples=30,
-                                 random_state=0, n_jobs=1)
-        parallel = shap_importance(model, X, max_samples=30,
-                                   random_state=0, n_jobs=4)
-        assert np.array_equal(serial, parallel)
+        serial = _shap(X, y)
+        for values in _in_workers(partial(_shap, X, y)):
+            assert np.array_equal(serial, values)
 
 
 class TestFRADeterminism:
     def test_selected_features_identical(self, data):
         X, y = data
-        names = [f"f{i}" for i in range(X.shape[1])]
-
-        def run(n_jobs):
-            return fra_reduce(X, y, names, FRAConfig(
-                target_size=6, pfi_repeats=2, pfi_max_rows=60,
-                rf_params={"n_estimators": 6, "max_depth": 5,
-                           "max_features": "sqrt", "min_samples_leaf": 2},
-                gb_params={"n_estimators": 8, "max_depth": 3,
-                           "learning_rate": 0.2, "max_features": "sqrt",
-                           "subsample": 0.8, "reg_lambda": 1.0},
-                n_jobs=n_jobs,
-            ))
-
-        serial, parallel = run(1), run(4)
-        assert serial.selected == parallel.selected
-        assert serial.importances == parallel.importances
-        assert serial.history == parallel.history
+        serial = _fra(X, y)
+        for fanned in _in_workers(partial(_fra, X, y)):
+            assert fanned == serial
 
 
 def _tiny_pipeline_config(n_jobs):

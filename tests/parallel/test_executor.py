@@ -11,19 +11,13 @@ from repro.obs import (
     use_metrics,
     use_tracer,
 )
-from repro.parallel import (
-    ParallelMap,
-    in_worker,
-    parallel_map,
-    resolve_backend,
-    resolve_n_jobs,
-)
-from repro.parallel.executor import ENV_BACKEND, ENV_JOBS
+from repro.parallel import ParallelMap, in_worker, resolve_n_jobs
+from repro.parallel.executor import ENV_JOBS
 from repro.parallel.seeding import spawn_seeds
 
 
 # ----------------------------------------------------------------------
-# Module-level work units (process backend requires picklable functions).
+# Module-level work units (worker processes need picklable functions).
 # ----------------------------------------------------------------------
 def _square(x):
     return x * x
@@ -41,7 +35,7 @@ def _am_i_in_a_worker(_):
 
 def _nested_map(_):
     # A worker that itself asks for parallelism must run inline.
-    inner = ParallelMap(4, backend="thread").map(_square, [1, 2, 3])
+    inner = ParallelMap(4).map(_square, [1, 2, 3])
     return (in_worker(), inner)
 
 
@@ -101,43 +95,28 @@ class TestResolveNJobs:
             resolve_n_jobs(None)
 
 
-class TestResolveBackend:
-    def test_default_is_process(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert resolve_backend(None) == "process"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "thread")
-        assert resolve_backend(None) == "thread"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("greenlet")
-
-
 class TestMapSemantics:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_ordered_results(self, backend):
+    @pytest.mark.parametrize("n_jobs", [1, 3], ids=["serial", "process"])
+    def test_ordered_results(self, n_jobs):
         items = list(range(13))
-        out = parallel_map(_square, items, n_jobs=3, backend=backend)
+        out = ParallelMap(n_jobs).map(_square, items)
         assert out == [x * x for x in items]
 
     def test_empty_items(self):
-        assert ParallelMap(4, backend="process").map(_square, []) == []
+        assert ParallelMap(4).map(_square, []) == []
 
     def test_chunk_size_honoured(self):
-        out = parallel_map(_square, range(10), n_jobs=2,
-                           backend="thread", chunk_size=3)
+        out = ParallelMap(2, chunk_size=3).map(_square, range(10))
         assert out == [x * x for x in range(10)]
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             ParallelMap(2, chunk_size=0)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_error_propagates_with_original_type(self, backend):
+    @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
+    def test_error_propagates_with_original_type(self, n_jobs):
         with pytest.raises(RuntimeError, match="item 3 exploded"):
-            parallel_map(_boom, range(6), n_jobs=2, backend=backend)
+            ParallelMap(n_jobs).map(_boom, range(6))
 
     def test_serial_path_never_builds_a_pool(self, monkeypatch):
         def forbidden(self, max_workers):
@@ -155,20 +134,27 @@ class TestMapSemantics:
         monkeypatch.setattr(ParallelMap, "_make_executor", forbidden)
         assert ParallelMap(8).map(_square, [4]) == [16]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_workers_know_they_are_workers(self, backend):
-        flags = parallel_map(_am_i_in_a_worker, range(4), n_jobs=2,
-                             backend=backend)
+    @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
+    def test_workers_know_they_are_workers(self, n_jobs):
+        flags = ParallelMap(n_jobs).map(_am_i_in_a_worker, range(4))
         assert flags == [True] * 4
         assert in_worker() is False  # parent flag untouched
 
-    def test_nested_map_runs_inline(self):
-        out = parallel_map(_nested_map, range(3), n_jobs=2,
-                           backend="thread")
+    def test_nested_map_runs_inline(self, monkeypatch):
+        # The worker's inner map must not fork a pool of its own (the
+        # patched guard is inherited by the forked workers).
+        build = ParallelMap._make_executor
+
+        def guarded(self, max_workers):
+            assert not in_worker(), "a worker tried to build a pool"
+            return build(self, max_workers)
+
+        monkeypatch.setattr(ParallelMap, "_make_executor", guarded)
+        out = ParallelMap(2).map(_nested_map, range(3))
         assert out == [(True, [1, 4, 9])] * 3
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_errors_observed_in_completion_order(self, backend):
+    @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
+    def test_errors_observed_in_completion_order(self, n_jobs):
         # Item 0 (the first-submitted chunk) sleeps a full second;
         # item 1 fails instantly.  Fail-fast must consume errors in
         # *completion* order: the fast failure aborts the map without
@@ -177,7 +163,7 @@ class TestMapSemantics:
 
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="fast failure"):
-            ParallelMap(2, backend=backend, chunk_size=1).map(
+            ParallelMap(n_jobs, chunk_size=1).map(
                 _slow_success_or_fast_boom, [0, 1]
             )
         elapsed = time.monotonic() - started
@@ -192,8 +178,7 @@ class TestObsMerging:
         metrics = MetricsRegistry()
         with use_tracer(tracer), use_metrics(metrics):
             with tracer.span("call.site") as caller:
-                out = parallel_map(_traced_unit, range(5), n_jobs=2,
-                                   backend="process")
+                out = ParallelMap(2).map(_traced_unit, range(5))
         assert out == [x * 10 for x in range(5)]
 
         workers = [s for s in tracer.spans if s.name == "worker.task"]
@@ -206,18 +191,6 @@ class TestObsMerging:
         snap = metrics.snapshot()
         assert snap["counters"]["worker.items"] == 5
         assert snap["histograms"]["worker.value"]["count"] == 5
-
-    def test_thread_spans_nest_under_call_site(self):
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        with use_tracer(tracer), use_metrics(metrics):
-            with tracer.span("call.site") as caller:
-                parallel_map(_traced_unit, range(4), n_jobs=2,
-                             backend="thread")
-        workers = [s for s in tracer.spans if s.name == "worker.task"]
-        assert len(workers) == 4
-        assert {s.parent_id for s in workers} == {caller.span_id}
-        assert metrics.snapshot()["counters"]["worker.items"] == 4
 
     def test_absorb_preserves_internal_nesting(self):
         worker = Tracer()

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.parallel import ItemFailure, ParallelMap, parallel_map
+from repro.parallel import ItemFailure, ParallelMap
+
+#: The serial path and a real process fan-out, under their old ids.
+PATHS = pytest.mark.parametrize("n_jobs", [1, 3], ids=["serial", "process"])
 
 
-# Module-level work units: the process backend pickles by reference.
+# Module-level work units: worker processes pickle them by reference.
 def _boom_on_multiples_of_three(x):
     if x % 3 == 0:
         raise ValueError(f"boom at {x}")
@@ -30,11 +33,11 @@ def _raise_keyboard_interrupt(x):
     raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@PATHS
 class TestPartialResults:
-    def test_failures_at_their_positions(self, backend):
+    def test_failures_at_their_positions(self, n_jobs):
         items = list(range(1, 8))  # 3 and 6 fail
-        out = ParallelMap(3, backend=backend).map(
+        out = ParallelMap(n_jobs).map(
             _boom_on_multiples_of_three, items, return_exceptions=True
         )
         assert len(out) == len(items)
@@ -48,16 +51,16 @@ class TestPartialResults:
             else:
                 assert result == item * 2
 
-    def test_all_ok_matches_default_mode(self, backend):
+    def test_all_ok_matches_default_mode(self, n_jobs):
         items = list(range(9))
-        with_flag = ParallelMap(2, backend=backend).map(
+        with_flag = ParallelMap(n_jobs).map(
             _always_ok, items, return_exceptions=True
         )
-        without = ParallelMap(2, backend=backend).map(_always_ok, items)
+        without = ParallelMap(n_jobs).map(_always_ok, items)
         assert with_flag == without
 
-    def test_all_failures_still_ordered(self, backend):
-        out = ParallelMap(2, backend=backend).map(
+    def test_all_failures_still_ordered(self, n_jobs):
+        out = ParallelMap(n_jobs).map(
             _boom_on_multiples_of_three, [0, 3, 6, 9],
             return_exceptions=True,
         )
@@ -66,10 +69,10 @@ class TestPartialResults:
 
 
 class TestDefaultModeUnchanged:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_raises_on_first_error(self, backend):
+    @PATHS
+    def test_raises_on_first_error(self, n_jobs):
         with pytest.raises(ValueError, match="boom at"):
-            ParallelMap(2, backend=backend).map(
+            ParallelMap(n_jobs).map(
                 _boom_on_multiples_of_three, [1, 2, 3, 4]
             )
 
@@ -82,7 +85,7 @@ class TestExceptionTransport:
         assert isinstance(out[0].exception, ValueError)
 
     def test_unpicklable_exception_degrades_to_strings(self):
-        out = ParallelMap(2, backend="process").map(
+        out = ParallelMap(2).map(
             _raise_unpicklable, [1, 2], return_exceptions=True
         )
         for failure in out:
@@ -91,8 +94,8 @@ class TestExceptionTransport:
             assert "weird failure" in failure.message
             assert failure.exception is None
 
-    def test_unpicklable_exception_kept_in_thread_backend(self):
-        out = ParallelMap(2, backend="thread").map(
+    def test_unpicklable_exception_kept_on_serial_path(self):
+        out = ParallelMap(1).map(
             _raise_unpicklable, [1, 2], return_exceptions=True
         )
         for failure in out:
@@ -117,7 +120,7 @@ class TestExceptionTransport:
         assert isinstance(clone.exception, ValueError)
 
     def test_pickle_roundtrip_degrades_unpicklable_exception(self):
-        # A failure captured in-process (thread/serial) may hold an
+        # A failure captured on the serial path may hold an
         # unpicklable exception; persisting it to a cache entry must
         # degrade the object to None, never fail the dump.
         import pickle
@@ -140,9 +143,3 @@ class TestBaseExceptionsStillPropagate:
             ParallelMap(1).map(_raise_keyboard_interrupt, [1],
                                return_exceptions=True)
 
-
-class TestConvenienceWrapperUnchanged:
-    def test_parallel_map_has_no_partial_mode(self):
-        # the one-shot helper stays raise-only by design
-        with pytest.raises(ValueError):
-            parallel_map(_boom_on_multiples_of_three, [3], n_jobs=1)

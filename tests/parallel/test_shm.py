@@ -30,7 +30,6 @@ from repro.parallel import (
     SharedArray,
     SharedDataset,
     SharedSegmentGone,
-    share_payload,
     shm_enabled,
 )
 from repro.parallel.shm import attach
@@ -230,56 +229,6 @@ def _crash_once_then_total(item, marker, shared):
     return float(shared.sum()) + item
 
 
-class TestSharePayload:
-    def test_partial_arguments_are_shared(self):
-        arr = _big(13)
-        with SharedDataset() as ds:
-            fn = partial(np.sum, a=arr)
-            shipped = share_payload(fn, ds.share)
-            assert isinstance(shipped.keywords["a"], SharedArray)
-            assert len(ds) == 1
-
-    def test_shm_share_hook_is_called(self):
-        class Carrier:
-            def __init__(self, arr):
-                self.arr = arr
-
-            def __shm_share__(self, share):
-                return Carrier(share(self.arr))
-
-        arr = _big(14)
-        with SharedDataset() as ds:
-            shipped = share_payload(Carrier(arr), ds.share)
-            assert isinstance(shipped.arr, SharedArray)
-
-    def test_feature_bins_hook(self):
-        from repro.ml.tree import bin_features
-
-        X = _big(15, shape=(70_000, 2))
-        bins = bin_features(X)
-        with SharedDataset() as ds:
-            shared = share_payload(bins, ds.share)
-            assert isinstance(shared.codes, SharedArray)
-            assert np.array_equal(shared.codes, bins.codes)
-            assert shared.cuts == bins.cuts
-
-    def test_compiled_ensemble_hook(self):
-        from repro.ml.compiled import compile_ensemble
-        from repro.ml.forest import RandomForestRegressor
-
-        rng = np.random.default_rng(16)
-        X = rng.normal(size=(200, 4))
-        y = rng.normal(size=200)
-        compiled = compile_ensemble(
-            RandomForestRegressor(n_estimators=3, max_depth=3,
-                                  random_state=0).fit(X, y)
-        )
-        with SharedDataset() as ds:
-            shared = share_payload(compiled, ds.share)
-            assert shared is not compiled
-            assert np.array_equal(shared.predict(X), compiled.predict(X))
-
-
 class TestCodecSanitisation:
     def test_shared_arrays_are_materialised(self):
         arr = _big(17)
@@ -291,20 +240,3 @@ class TestCodecSanitisation:
         assert type(loaded["X"]) is np.ndarray
         assert np.array_equal(loaded["X"], arr)
         assert np.array_equal(loaded["slice"], arr[5:20])
-
-    def test_frames_with_shared_matrix_are_materialised(self):
-        from repro.frame import Frame, date_range
-
-        index = date_range("2020-01-01", periods=9000)
-        frame = Frame(index, {
-            "a": np.arange(9000, dtype=np.float64),
-            "b": np.ones(9000),
-        })
-        ds = SharedDataset()
-        frame.share_matrix(ds)
-        blob = dump_artifact(frame)
-        ds.close()
-        loaded = load_artifact(blob)
-        assert type(loaded["a"]) is np.ndarray
-        assert np.array_equal(loaded["a"], np.arange(9000))
-        assert loaded._matrix_src is None

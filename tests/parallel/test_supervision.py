@@ -1,4 +1,4 @@
-"""Crash-injection tests for the supervised process backend.
+"""Crash-injection tests for the supervised process fan-out.
 
 The injected faults are driven by *file-based attempt counters*: each
 item records its attempt count in a shared directory before deciding to

@@ -24,10 +24,24 @@ def _run(*roots, cwd=REPO):
 
 class TestCheckNoPrint:
     def test_library_tree_is_clean(self):
-        result = _run("src/repro", "src/repro/cache", "src/repro/ml",
-                      "src/repro/obs", "src/repro/parallel",
-                      "src/repro/resilience")
+        result = _run()
         assert result.returncode == 0, result.stderr
+
+    def test_allow_list_does_not_depend_on_the_root(self):
+        # The allow-list names paths inside the repro package; scanning
+        # from the source root must not turn the CLI into an offender.
+        result = _run("src")
+        assert result.returncode == 0, result.stderr
+
+    def test_planted_offender_outside_allow_list_is_caught(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "core").mkdir(parents=True)
+        (package / "cli.py").write_text('print("ok")\n')
+        (package / "core" / "fra.py").write_text('print("leak")\n')
+        result = _run(tmp_path / "src")
+        assert result.returncode == 1
+        assert "fra.py:1" in result.stderr
+        assert "cli.py" not in result.stderr
 
     def test_cache_package_is_inside_the_scanned_tree(self):
         scanned = {

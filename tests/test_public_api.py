@@ -21,6 +21,9 @@ PACKAGES = [
     "repro.features",
     "repro.portfolio",
     "repro.incremental",
+    "repro.parallel",
+    "repro.cache",
+    "repro.resilience",
 ]
 
 

@@ -13,7 +13,9 @@ root — worker-side code in particular must log through
 
 Usage: ``python tools/check_no_print.py [root ...]`` (default
 ``src/repro``; several roots may be given).  Exits 1 listing
-offenders, 0 when clean.
+offenders, 0 when clean.  The allow-list is matched relative to the
+``repro`` package, so ``src``, ``src/repro`` and ``src/repro/core``
+all judge ``repro/cli.py`` the same way.
 """
 
 from __future__ import annotations
@@ -23,12 +25,24 @@ import sys
 from pathlib import Path
 
 #: Modules allowed to print: the CLI and the plain-text/markdown
-#: report renderers (paths relative to the scanned root).
+#: report renderers (paths relative to the ``repro`` package).
 ALLOWED = {
     "cli.py",
     "core/report.py",
     "core/reporting.py",
 }
+
+PACKAGE = "repro"
+
+
+def package_path(path: Path, root: Path) -> str:
+    """``path`` relative to its innermost ``repro`` package directory,
+    or to ``root`` when it does not live inside one."""
+    resolved = path.resolve()
+    for parent in resolved.parents:
+        if parent.name == PACKAGE:
+            return resolved.relative_to(parent).as_posix()
+    return path.relative_to(root).as_posix()
 
 
 def find_print_calls(path: Path) -> list[int]:
@@ -52,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {root} is not a directory", file=sys.stderr)
             return 2
         for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            if rel in ALLOWED:
+            if package_path(path, root) in ALLOWED:
                 continue
             for lineno in find_print_calls(path):
                 offenders.append(f"{path}:{lineno}")
