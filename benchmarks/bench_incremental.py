@@ -3,7 +3,7 @@
 
 Measures the tentpole claim behind ``repro update``: once a cold run
 has populated the artifact cache, extending the study by one simulated
-day costs ≪ 1% of the cold run. Two entries land in
+day costs ≪ 1% of the cold run. One entry lands in
 ``benchmarks/results/BENCH_incremental.json``:
 
 ``daily_update``
@@ -14,13 +14,6 @@ day costs ≪ 1% of the cold run. Two entries land in
     the ``identical`` bit (the update's improvement tables equal a
     cold ``n+1``-day rerun's, float for float) and
     ``daily_cost_below_1pct``.
-
-``warm_refit``
-    The estimator-level half of the story: a forest grown from 12 to
-    24 trees via ``fit(..., warm_start_from=prev)`` versus a cold
-    24-tree fit. ``speedup_warm_refit`` gates; ``identical`` asserts
-    the warm model predicts byte-for-byte like the cold one, both
-    through ``predict`` and through its warm-extended compiled tables.
 
 The study periods are shortened (in-process only) so the default
 1-day extension lands *after* the period ends — the same property the
@@ -43,8 +36,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 try:
@@ -55,9 +46,6 @@ except ImportError:  # run directly: benchmarks/ is sys.path[0]
 import repro.core.scenarios as scenarios  # noqa: E402
 from repro.core.pipeline import ExperimentConfig, run_experiment  # noqa: E402
 from repro.incremental import update_experiment  # noqa: E402
-from repro.ml.compiled import ensemble_compiled  # noqa: E402
-from repro.ml.forest import RandomForestRegressor  # noqa: E402
-from repro.obs import MetricsRegistry, use_metrics  # noqa: E402
 from repro.synth.config import SimulationConfig  # noqa: E402
 
 DAYS = 1
@@ -131,54 +119,8 @@ def bench_daily_update() -> dict:
     }
 
 
-def bench_warm_refit() -> dict:
-    """Forest grown 12 → 24 trees warm versus a cold 24-tree fit."""
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(900, 40))
-    y = X[:, :5] @ rng.normal(size=5) + 0.2 * rng.normal(size=900)
-    params = dict(n_estimators=24, max_depth=10, max_features="sqrt",
-                  random_state=0)
-
-    prev = RandomForestRegressor(**{**params, "n_estimators": 12}).fit(X, y)
-    ensemble_compiled(prev)  # leaves the compiled tables for extension
-
-    start = time.perf_counter()
-    cold = RandomForestRegressor(**params).fit(X, y)
-    cold_s = time.perf_counter() - start
-
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        start = time.perf_counter()
-        warm = RandomForestRegressor(**params).fit(
-            X, y, warm_start_from=prev
-        )
-        warm_s = time.perf_counter() - start
-        warm_compiled = ensemble_compiled(warm)
-    counters = registry.snapshot()["counters"]
-
-    identical = bool(
-        np.array_equal(cold.predict(X), warm.predict(X))
-        and np.array_equal(ensemble_compiled(cold).predict(X),
-                           warm_compiled.predict(X))
-    )
-    return {
-        "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
-        "speedup_warm_refit": round(cold_s / warm_s, 2)
-        if warm_s else float("nan"),
-        "identical": identical,
-        "warm_reused_members": int(
-            counters.get("ml.warm_reused_members", 0)
-        ),
-        "compile_reused_nodes": int(
-            counters.get("predict.compile_reused_nodes", 0)
-        ),
-    }
-
-
 def main() -> int:
-    benchmarks = {"daily_update": bench_daily_update(),
-                  "warm_refit": bench_warm_refit()}
+    benchmarks = {"daily_update": bench_daily_update()}
     daily = benchmarks["daily_update"]
     print(f"daily_update  cold={daily['cold_s']:.2f}s  "
           f"update={daily['update_s']:.3f}s  "
@@ -187,12 +129,6 @@ def main() -> int:
           f"identical={daily['identical']}  "
           f"cached={daily['scenarios_cached']}/"
           f"{daily['scenarios_total']}")
-    warm = benchmarks["warm_refit"]
-    print(f"warm_refit    cold={warm['cold_s']:.3f}s  "
-          f"warm={warm['warm_s']:.3f}s  "
-          f"speedup={warm['speedup_warm_refit']}x  "
-          f"identical={warm['identical']}  "
-          f"reused={warm['warm_reused_members']}")
     out = write_bench(
         "incremental", benchmarks,
         cpu_count=os.cpu_count(), days=DAYS,

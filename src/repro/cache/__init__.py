@@ -1,13 +1,15 @@
 """Content-addressed artifact caching for the experiment pipeline.
 
-The paper's workload recomputes identical artifacts constantly: raw
-synthetic datasets regenerate per process, engineered scenario frames
-rebuild per run, and re-running a configuration repeats thousands of
-deterministic model fits. This package memoises those artifacts on disk,
-addressed by sha256 digests of *everything that determines them* —
-config fingerprints (:func:`config_fingerprint`, which folds fault
+The paper's unit of work is one (period, window) scenario, and so is
+this cache's unit of reuse. Re-running a configuration would otherwise
+regenerate the raw synthetic dataset, rebuild every engineered scenario
+frame and repeat every scenario's deterministic selection and model
+fits. This package memoises three kinds of artifact on disk: the raw
+dataset, the scenario frames, and each scenario's whole task result.
+Each is addressed by a sha256 digest of *everything that determines
+it*: config fingerprints (:func:`config_fingerprint`, which folds fault
 plans and degradation policies into the address so chaos runs never
-alias clean runs), estimator parameters, and raw data bytes.
+alias clean runs) and the bytes of the data the artifact can see.
 
 The cache is also the run's only persistence layer: every finished
 scenario task is written as it completes, so a killed run resumes by
@@ -26,14 +28,9 @@ Layout:
   registry plus ``stats``/``verify``/``gc``/``clear`` maintenance
   (surfaced as the ``repro cache`` CLI).
 * :mod:`~repro.cache.keys` — config fingerprints and key builders
-  (dataset, scenario frames, per-scenario task results, fitted models).
+  (dataset, scenario frames, per-scenario task results).
 * :mod:`~repro.cache.context` — :func:`use_cache` / :func:`current_cache`
   scoped store access, so deep layers need no signature changes.
-* :mod:`~repro.cache.fit` — :func:`fit_cached`, memoised ``fit`` through
-  :mod:`repro.ml.persistence` (bit-identical round-trip).
-* :mod:`~repro.cache.compiled` — :func:`compile_cached`, memoised
-  flat-array predict compilation (:mod:`repro.ml.compiled`), addressed
-  by the fitted tree structure itself.
 
 Wired into ``run_experiment(cache_dir=...)`` and the CLI via
 ``repro run --cache-dir / --no-cache`` (see :mod:`repro.core.pipeline`).
@@ -47,17 +44,13 @@ from .codec import (
     load_artifact,
     quarantine_entry,
 )
-from .compiled import compile_cached
 from .context import current_cache, use_cache
-from .fit import fit_cached
 from .keys import (
     array_digest,
-    compiled_key,
     config_fingerprint,
     dataset_key,
     fingerprint_parts,
     frame_digest,
-    model_fit_key,
     range_digest,
     scenarios_key,
     task_key,
@@ -69,17 +62,13 @@ __all__ = [
     "CorruptArtifact",
     "StaleArtifact",
     "array_digest",
-    "compile_cached",
-    "compiled_key",
     "config_fingerprint",
     "current_cache",
     "dataset_key",
     "dump_artifact",
     "fingerprint_parts",
-    "fit_cached",
     "frame_digest",
     "load_artifact",
-    "model_fit_key",
     "quarantine_entry",
     "range_digest",
     "scenarios_key",

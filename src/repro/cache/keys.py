@@ -27,12 +27,10 @@ import numpy as np
 
 __all__ = [
     "array_digest",
-    "compiled_key",
     "config_fingerprint",
     "dataset_key",
     "fingerprint_parts",
     "frame_digest",
-    "model_fit_key",
     "range_digest",
     "scenarios_key",
     "task_key",
@@ -141,48 +139,3 @@ def task_key(config_fingerprint: str, dataset_digest: str,
         "task", config_fingerprint, dataset_digest, scenario_key
     )
 
-
-def compiled_key(estimator, tag: str = "") -> str:
-    """Key for a compiled-inference artifact of a *fitted* ensemble.
-
-    Content-addressed by the fitted structure itself — every member
-    tree's node arrays, the boosting base/shrinkage, and the hist cut
-    grid — rather than by fit params + data. Two estimators that fitted
-    to identical trees share one compiled artifact no matter how they
-    got there.
-    """
-    trees = getattr(estimator, "estimators_", None) or [estimator]
-    digest = hashlib.sha256()
-    digest.update(b"compiled\x1f")
-    digest.update(repr(tag).encode())
-    digest.update(type(estimator).__name__.encode())
-    digest.update(repr(getattr(estimator, "base_prediction_", None))
-                  .encode())
-    digest.update(repr(getattr(estimator, "learning_rate", None))
-                  .encode())
-    cuts = getattr(estimator, "bin_cuts_", None)
-    digest.update(repr(cuts is not None).encode())
-    if cuts is not None:
-        for cut in cuts:
-            digest.update(np.ascontiguousarray(cut).tobytes())
-            digest.update(b"\x1f")
-    for tree in trees:
-        t = tree.tree_
-        for array in (t.children_left, t.children_right, t.feature,
-                      t.threshold, t.value):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        digest.update(b"\x1f")
-    return digest.hexdigest()
-
-
-def model_fit_key(estimator, X, y, tag: str = "") -> str:
-    """Key for a fitted estimator artifact.
-
-    Covers the estimator class, its full parameter dict (including
-    ``random_state`` and ``splitter``), and the training data bytes.
-    """
-    return fingerprint_parts(
-        "fit", tag, type(estimator).__name__,
-        sorted(estimator.get_params().items()),
-        array_digest(X), array_digest(y),
-    )

@@ -95,6 +95,11 @@ from .obs import (
     write_jsonl,
 )
 from .obs.trace import Span
+from .parallel import (
+    resolve_n_jobs,
+    resolve_task_retries,
+    resolve_task_timeout,
+)
 from .resilience import (
     DEGRADATION_POLICIES,
     FaultPlan,
@@ -123,6 +128,27 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return number
+
+
+def _checked_by(parse, resolve):
+    """An argparse ``type=`` that parses with ``parse`` and validates
+    with the library's own ``resolve`` function, so the CLI and the
+    library share one rule and one message. The parsed value is
+    returned as given; the library resolves it again at run time."""
+    def check(text: str):
+        value = parse(text)  # argparse reports "invalid int value"
+        try:
+            resolve(value)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    check.__name__ = parse.__name__
+    return check
+
+
+_jobs = _checked_by(int, resolve_n_jobs)
+_task_timeout = _checked_by(float, resolve_task_timeout)
+_task_retries = _checked_by(int, resolve_task_retries)
 
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024 ** 2, "G": 1024 ** 3,
@@ -200,17 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit JSON log lines instead of key=value")
     run.add_argument("--trace", type=Path, default=None, metavar="PATH",
                      help="write the run's span trace to this JSONL file")
-    run.add_argument("--jobs", type=int, default=None, metavar="N",
+    run.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                      help="worker processes for the scenario fan-out "
                           "(default: $REPRO_JOBS or all cores; 1 = serial; "
                           "results are identical for any value)")
-    run.add_argument("--task-timeout", type=float, default=None,
+    run.add_argument("--task-timeout", type=_task_timeout, default=None,
                      metavar="SECONDS",
                      help="per-scenario deadline under --jobs: a hung "
                           "scenario is killed and reported while the "
                           "other scenarios' results are kept "
                           "(default: $REPRO_TASK_TIMEOUT or none)")
-    run.add_argument("--task-retries", type=int, default=None, metavar="N",
+    run.add_argument("--task-retries", type=_task_retries, default=None,
+                     metavar="N",
                      help="how many times a broken worker pool may be "
                           "rebuilt before giving up "
                           "(default: $REPRO_TASK_RETRIES or 16)")
@@ -223,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "equivalent output)")
     run.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                      help="content-addressed artifact cache: memoise the "
-                          "dataset, scenario frames, per-scenario results "
-                          "and model fits here; rerunning a killed run "
+                          "dataset, scenario frames and per-scenario "
+                          "results here; rerunning a killed run "
                           "with the same cache resumes it "
                           "(default: $REPRO_CACHE_DIR if set)")
     run.add_argument("--no-cache", action="store_true",
@@ -263,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "derives the extended config itself)")
     update.add_argument("--seed", type=int, default=20240701,
                         help="the parent run's simulation seed")
-    update.add_argument("--jobs", type=int, default=None, metavar="N",
+    update.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker processes for the scenario fan-out")
     update.add_argument("--splitter", choices=("exact", "hist"),
                         default=None,
@@ -308,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--degradation", choices=DEGRADATION_POLICIES,
                        default="fill",
                        help="policy for sources that stay bad")
-    chaos.add_argument("--jobs", type=int, default=None, metavar="N",
+    chaos.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="worker processes for both runs")
     chaos.add_argument("--report", type=Path, default=None,
                        help="also write the degradation table here")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache import fit_cached
 from ..ml.boosting import GradientBoostingRegressor
 from ..ml.forest import RandomForestRegressor
 from ..ml.importance import permutation_importance, target_correlations
@@ -95,15 +94,12 @@ def _bottom_half_mask(scores: np.ndarray) -> np.ndarray:
 
 def _consensus_scores(X, y, names, config, rng) -> np.ndarray:
     """Stack the four method scores as rows of a (4, n_features) matrix."""
-    # The seeds are drawn *before* each fit, so the caller's rng stream
-    # is identical whether fit_cached hits (reconstructs the fitted
-    # model from the artifact store) or misses (plain fit).
-    rf = fit_cached(RandomForestRegressor(
+    rf = RandomForestRegressor(
         random_state=int(rng.integers(2**31)), **config.rf_params
-    ), X, y, tag="fra.rf")
-    gb = fit_cached(GradientBoostingRegressor(
+    ).fit(X, y)
+    gb = GradientBoostingRegressor(
         random_state=int(rng.integers(2**31)), **config.gb_params
-    ), X, y, tag="fra.gb")
+    ).fit(X, y)
 
     if X.shape[0] > config.pfi_max_rows:
         rows = rng.choice(X.shape[0], size=config.pfi_max_rows,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache import fit_cached
 from ..ml.forest import RandomForestRegressor
 from ..obs import span
 from .scenarios import Scenario
@@ -61,9 +60,9 @@ def rf_feature_importance(
             "n_estimators": 30, "max_depth": 12, "max_features": "sqrt",
             "min_samples_leaf": 2,
         }
-        model = fit_cached(RandomForestRegressor(
+        model = RandomForestRegressor(
             random_state=random_state, **params
-        ), sub.X, sub.y, tag="horizons.rf")
+        ).fit(sub.X, sub.y)
         return dict(zip(sub.feature_names,
                         (float(v) for v in model.feature_importances_)))
 

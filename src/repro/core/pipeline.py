@@ -29,7 +29,6 @@ from ..cache import (
     frame_digest,
     scenarios_key,
     task_key,
-    use_cache,
 )
 from ..categories import DataCategory
 from ..frame.validation import ColumnRule, validate_frame
@@ -625,23 +624,20 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
     under a :class:`~repro.parallel.ParallelMap` worker is a
     worker-local pair that gets merged back into the parent run.
 
-    ``cache`` is the run's :class:`~repro.cache.CacheStore`, re-installed
-    here because context variables do not cross process boundaries: the
-    deep single-fit call sites (FRA consensus, horizons RF, SHAP GB)
-    reach it through :func:`repro.cache.current_cache`.  ``task_keys``
-    maps scenario key → content address for the whole task result; the
-    parent already served cache hits, so this side only stores — as
-    soon as the scenario finishes, which is what lets a killed run
-    resume from the cache.
+    ``cache`` is the run's :class:`~repro.cache.CacheStore` and
+    ``task_keys`` maps scenario key → content address for the whole
+    task result — the pipeline's one unit of reuse.  The parent already
+    served cache hits, so this side only stores — as soon as the
+    scenario finishes, which is what lets a killed run resume from the
+    cache.
     """
     key, scenario = item
     slog = get_logger("pipeline").bind(scenario=key)
-    cache_scope = use_cache(cache) if cache is not None else nullcontext()
     # use_profiling travels with the pickled config, so worker processes
     # profile whenever the parent run does (any start method); the
     # resulting attrs ride the span records merged back by ParallelMap.
     profile = config.profile or resolve_profiling()
-    with cache_scope, use_profiling(profile), \
+    with use_profiling(profile), \
             profiled_span("pipeline.scenario", scenario=key):
         slog.info("selection.start", candidates=scenario.n_features)
         selection = select_final_features(
@@ -709,16 +705,18 @@ def run_experiment(config: ExperimentConfig | None = None,
       back; only the rest are computed.
 
     ``cache_dir`` (CLI: ``repro run --cache-dir``) enables the
-    content-addressed artifact cache (:mod:`repro.cache`): the raw
-    dataset, the engineered scenario frames, each scenario's full task
-    result and the deep single-model fits are memoised on disk, keyed by
-    sha256 digests of everything that determines them — config
-    fingerprints (fault plans and degradation policies included, so
-    chaos runs never alias clean runs) and raw data bytes.  A warm
-    re-run of the same config short-circuits to cache reads;
-    ``cache.hits`` / ``cache.misses`` counters land in the run summary,
-    and ``experiment.scenarios_cached`` counts the scenarios served
-    from the cache.
+    content-addressed artifact cache (:mod:`repro.cache`).  The scenario
+    task is its one unit of reuse: the raw dataset, the engineered
+    scenario frames and each scenario's full task result are memoised
+    on disk, keyed by sha256 digests of everything that determines them
+    — config fingerprints (fault plans and degradation policies
+    included, so chaos runs never alias clean runs) and raw data bytes.
+    Model fits and compiled ensembles are never cached on their own; a
+    task hit skips them all.  A warm re-run of the same config
+    short-circuits to cache reads; ``cache.hits`` / ``cache.misses``
+    counters land in the run summary, and
+    ``experiment.scenarios_cached`` counts the scenarios served from
+    the cache.
 
     ``ledger_path`` (CLI: ``repro run --ledger``, or the
     ``REPRO_LEDGER`` environment variable via the CLI) appends one
@@ -756,11 +754,10 @@ def run_experiment(config: ExperimentConfig | None = None,
     log = get_logger("pipeline")
     jobs = resolve_n_jobs(config.n_jobs)
     store = CacheStore(cache_dir) if cache_dir is not None else None
-    cache_scope = use_cache(store) if store is not None else nullcontext()
     profile = config.profile or resolve_profiling()
     dkey = None
 
-    with use_tracer(tracer), use_metrics(metrics), cache_scope, \
+    with use_tracer(tracer), use_metrics(metrics), \
             use_profiling(profile), profiled_span("experiment.run"):
         # The run is one dependency-aware task graph: dataset →
         # preflight → scenarios → per-scenario tasks.  Nodes carrying a

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache import fit_cached
 from ..ml.boosting import GradientBoostingRegressor
 from ..ml.shap import shap_importance
 from ..obs import current_metrics, span
@@ -76,9 +75,9 @@ def shap_ranking(X, y, feature_names,
         raise ValueError("X width must match feature_names length")
     with span("selection.shap", n_candidates=len(names),
               max_rows=config.max_rows):
-        model = fit_cached(GradientBoostingRegressor(
+        model = GradientBoostingRegressor(
             random_state=config.random_state, **config.gb_params
-        ), X, y, tag="selection.shap_gb")
+        ).fit(X, y)
         importance = shap_importance(
             model, X, max_samples=config.max_rows,
             random_state=config.random_state,

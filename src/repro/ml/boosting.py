@@ -23,7 +23,6 @@ import numpy as np
 from ..obs import span
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features
-from .warm import fit_signature, reusable_members
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -90,8 +89,6 @@ class GradientBoostingRegressor:
         self.train_losses_: list[float] = []
         self.bin_cuts_: tuple | None = None
         self._compiled_ = None
-        self._fit_signature_: tuple | None = None
-        self._compile_reuse_ = None
 
     # ------------------------------------------------------------------
     def get_params(self) -> dict:
@@ -118,20 +115,8 @@ class GradientBoostingRegressor:
         return self
 
     # ------------------------------------------------------------------
-    def fit(self, X, y, warm_start_from=None) -> "GradientBoostingRegressor":
-        """Fit the estimator on (X, y); returns self.
-
-        ``warm_start_from`` may be a previously fitted booster: when
-        its fit signature matches this fit's — same parameters apart
-        from ``n_estimators`` and the same training bytes (see
-        :mod:`repro.ml.warm`) — its stage trees are reused verbatim.
-        Each reused stage replays the RNG draws a cold fit would have
-        made (tree seed, subsample rows) and re-accumulates its shrunken
-        prediction, so continuation stages start from the exact
-        generator state and ``current`` vector of a cold fit — the warm
-        result is bit-identical at the new ``n_estimators``. Signature
-        mismatches fall back to a full cold fit.
-        """
+    def fit(self, X, y) -> "GradientBoostingRegressor":
+        """Fit the estimator on (X, y); returns self."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2:
@@ -143,8 +128,6 @@ class GradientBoostingRegressor:
         n_samples = X.shape[0]
         self.n_features_in_ = X.shape[1]
         rng = np.random.default_rng(self.random_state)
-        signature = fit_signature(self, X, y)
-        reused = reusable_members(self, warm_start_from, signature)
 
         self.base_prediction_ = float(y.mean())
         current = np.full(n_samples, self.base_prediction_)
@@ -152,32 +135,12 @@ class GradientBoostingRegressor:
         self.train_losses_ = []
 
         with span("ml.gb_fit", splitter=self.splitter,
-                  n_estimators=self.n_estimators,
-                  reused=0 if reused is None else len(reused)):
-            n_reused = len(reused) if reused is not None else 0
-            if self.splitter == "hist" and n_reused < self.n_estimators:
-                bins = bin_features(X)
-            else:
-                bins = None
-            if reused is not None and n_reused == self.n_estimators:
-                self.bin_cuts_ = warm_start_from.bin_cuts_
-            else:
-                self.bin_cuts_ = bins.cuts if bins is not None else None
+                  n_estimators=self.n_estimators):
+            bins = bin_features(X) if self.splitter == "hist" else None
+            self.bin_cuts_ = bins.cuts if bins is not None else None
             self._compiled_ = None
-            self._compile_reuse_ = None
             sample_size = max(1, int(round(self.subsample * n_samples)))
-            for tree in reused or ():
-                # Replay the stage's draws (stage trees are sequential,
-                # unlike the forest's spawned seeds) and re-apply its
-                # shrunken prediction — the same statements a cold fit
-                # executes, so state and bits match exactly.
-                rng.integers(0, 2**32 - 1)
-                if sample_size < n_samples:
-                    rng.choice(n_samples, size=sample_size, replace=False)
-                current += self.learning_rate * tree.tree_.predict(X)
-                self.estimators_.append(tree)
-                self.train_losses_.append(float(np.mean((y - current) ** 2)))
-            for _ in range(self.n_estimators - n_reused):
+            for _ in range(self.n_estimators):
                 residual = y - current
                 tree = DecisionTreeRegressor(
                     max_depth=self.max_depth,
@@ -199,12 +162,6 @@ class GradientBoostingRegressor:
                 current += self.learning_rate * tree.tree_.predict(X)
                 self.estimators_.append(tree)
                 self.train_losses_.append(float(np.mean((y - current) ** 2)))
-            self._fit_signature_ = signature
-            if reused is not None and n_reused == len(
-                    warm_start_from.estimators_):
-                prev_compiled = getattr(warm_start_from, "_compiled_", None)
-                if prev_compiled is not None:
-                    self._compile_reuse_ = (prev_compiled, n_reused)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -69,8 +69,6 @@ _BATCH_BUDGET_CELLS = 4_000_000
 #: what keeps the flat kernel at interpreted-path speed on huge batches.
 _KERNEL_BLOCK_CELLS = 16_384
 
-_COMPILED_FORMAT = 1
-
 
 class CompiledEnsemble:
     """Flat SoA node tables of a fitted ensemble plus the level kernel.
@@ -88,10 +86,9 @@ class CompiledEnsemble:
             raise ValueError(f"unknown ensemble kind {kind!r}")
         self.kind = kind
         self.n_features = int(n_features)
-        # Node tables are kept at native index width (intp) in memory:
-        # every kernel op fancy-indexes with them, and int32 tables
-        # would force a cast pass per gather. to_dict narrows them to
-        # int32 for compact artifacts; loading widens them back.
+        # Node tables are kept at native index width (intp): every
+        # kernel op fancy-indexes with them, and int32 tables would
+        # force a cast pass per gather.
         self.feature = np.ascontiguousarray(feature, dtype=np.intp)
         self.threshold = threshold
         self.left = np.ascontiguousarray(left, dtype=np.intp)
@@ -342,44 +339,6 @@ class CompiledEnsemble:
             return out
         return values[0].copy()
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Portable dict form (arrays kept as numpy; pickle-friendly)."""
-        return {
-            "format": _COMPILED_FORMAT,
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "depth": self.depth,
-            "base": self.base,
-            "learning_rate": self.learning_rate,
-            "feature": self.feature.astype(np.int32),
-            "threshold": self.threshold,
-            "left": self.left.astype(np.int32),
-            "right": self.right.astype(np.int32),
-            "value": self.value,
-            "leaf_mask": self.leaf_mask,
-            "roots": self.roots.astype(np.int32),
-            "cuts": self.cuts,
-            "bin_threshold": self.bin_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CompiledEnsemble":
-        """Rebuild a compiled ensemble from :meth:`to_dict` output."""
-        if doc.get("format") != _COMPILED_FORMAT:
-            raise ValueError(
-                f"unsupported compiled format {doc.get('format')!r}"
-            )
-        return cls(
-            kind=doc["kind"], n_features=doc["n_features"],
-            feature=doc["feature"], threshold=doc["threshold"],
-            left=doc["left"], right=doc["right"], value=doc["value"],
-            leaf_mask=doc["leaf_mask"], roots=doc["roots"],
-            depth=doc["depth"], base=doc["base"],
-            learning_rate=doc["learning_rate"], cuts=doc["cuts"],
-            bin_threshold=doc["bin_threshold"],
-        )
-
 
 class PermutationScorer:
     """Incremental compiled predictions for PFI's permutation sweep.
@@ -533,31 +492,28 @@ def _bin_thresholds(feature, threshold, leaf_mask, cuts, n_features):
     return out
 
 
-def _flatten_trees(trees, base_offset=0):
+def _flatten_trees(trees):
     """Flat SoA node tables of ``trees`` with absolute child ids.
 
-    ``base_offset`` shifts every node id, so the tables can be appended
-    after an existing compiled prefix of ``base_offset`` nodes. Returns
-    ``(feature, threshold, left, right, value, leaf_mask, roots,
+    Returns ``(feature, threshold, left, right, value, leaf_mask, roots,
     depth)``.
     """
     counts = [t.tree_.node_count for t in trees]
     total = int(sum(counts))
     offsets = np.concatenate(
         ([0], np.cumsum(counts)[:-1])
-    ).astype(np.int64) + int(base_offset)
+    ).astype(np.int64)
     feature = np.zeros(total, dtype=np.intp)
     threshold = np.full(total, np.nan, dtype=np.float64)
     left = np.empty(total, dtype=np.intp)
     right = np.empty(total, dtype=np.intp)
     value = np.empty(total, dtype=np.float64)
     leaf_mask = np.empty(total, dtype=bool)
-    roots = (offsets - int(base_offset)).astype(np.intp)
     depth = 0
-    for local, off, tree in zip(roots, offsets, trees):
+    for off, tree in zip(offsets, trees):
         t = tree.tree_
         n = t.node_count
-        sl = slice(int(local), int(local) + n)
+        sl = slice(int(off), int(off) + n)
         leaf = t.children_left == _LEAF
         ids = np.arange(n, dtype=np.int64)
         # Leaves self-loop; their feature id is clamped to 0 so the
@@ -574,82 +530,7 @@ def _flatten_trees(trees, base_offset=0):
             offsets.astype(np.intp), depth)
 
 
-def _cuts_equal(a, b) -> bool:
-    """True when two hist cut grids are elementwise identical."""
-    if a is None or b is None or len(a) != len(b):
-        return False
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def _usable_prefix(estimator, reuse, kind, trees, base, learning_rate):
-    """The previous compiled ensemble when it is a valid table prefix.
-
-    ``reuse`` is the ``(prev_compiled, n_reused)`` hint a warm-start
-    fit records (:mod:`repro.ml.warm`); it is honoured only when the
-    previous tables cover exactly the leading ``n_reused`` member trees
-    of this estimator under the same aggregation — anything else falls
-    back to a full compile.
-    """
-    if reuse is None:
-        return None
-    prev, n_reused = reuse
-    if (
-        prev is None
-        or prev.kind != kind
-        or prev.n_trees != n_reused
-        or n_reused < 1
-        or n_reused > len(trees)
-        or prev.n_features != int(estimator.n_features_in_)
-        or prev.base != float(base)
-        or prev.learning_rate != float(learning_rate)
-    ):
-        return None
-    return prev
-
-
-def _extend_compiled(prev, estimator, kind, trees, base,
-                     learning_rate) -> CompiledEnsemble:
-    """Compiled tables for ``trees`` reusing ``prev`` as a prefix.
-
-    Member nodes concatenate in tree order, so the previous tables are
-    copied wholesale and only the new tail trees are flattened — the
-    result is identical to a from-scratch :func:`compile_ensemble`.
-    """
-    new_trees = trees[prev.n_trees:]
-    metrics = current_metrics()
-    if not new_trees:
-        metrics.counter("predict.compile_reuse").inc()
-        return prev
-    (feature, threshold, left, right, value, leaf_mask, roots,
-     depth) = _flatten_trees(new_trees, base_offset=prev.n_nodes)
-    cuts = getattr(estimator, "bin_cuts_", None)
-    bin_threshold = None
-    if prev.bin_threshold is not None and _cuts_equal(cuts, prev.cuts):
-        tail = _bin_thresholds(
-            feature, threshold, leaf_mask, cuts, prev.n_features
-        )
-        if tail is not None:
-            bin_threshold = np.concatenate((prev.bin_threshold, tail))
-    metrics.counter("predict.compile_builds").inc()
-    metrics.counter("predict.compile_nodes").inc(feature.size)
-    metrics.counter("predict.compile_reused_nodes").inc(prev.n_nodes)
-    return CompiledEnsemble(
-        kind=kind, n_features=prev.n_features,
-        feature=np.concatenate((prev.feature, feature)),
-        threshold=np.concatenate((prev.threshold, threshold)),
-        left=np.concatenate((prev.left, left)),
-        right=np.concatenate((prev.right, right)),
-        value=np.concatenate((prev.value, value)),
-        leaf_mask=np.concatenate((prev.leaf_mask, leaf_mask)),
-        roots=np.concatenate((prev.roots, roots)),
-        depth=max(prev.depth, depth), base=base,
-        learning_rate=learning_rate,
-        cuts=tuple(cuts) if bin_threshold is not None else None,
-        bin_threshold=bin_threshold,
-    )
-
-
-def compile_ensemble(estimator, reuse=None) -> CompiledEnsemble:
+def compile_ensemble(estimator) -> CompiledEnsemble:
     """Flatten a fitted tree / forest / boosting estimator.
 
     Concatenates every member tree's nodes into shared SoA arrays with
@@ -657,21 +538,10 @@ def compile_ensemble(estimator, reuse=None) -> CompiledEnsemble:
     carries ``bin_cuts_`` (hist splitter) the thresholds are also mapped
     to bin codes so prediction can run on ``uint8`` codes.
 
-    ``reuse`` is an optional ``(prev_compiled, n_reused)`` pair from a
-    warm-start refit: when the previous tables cover exactly the
-    leading ``n_reused`` member trees, they are copied wholesale and
-    only the changed (new) trees are flattened — same output, less
-    work.
-
     Raises ``TypeError`` for estimators that are not fitted tree
     ensembles (use :func:`maybe_compile` for a soft probe).
     """
     kind, trees, base, learning_rate = _ensemble_parts(estimator)
-    prev = _usable_prefix(estimator, reuse, kind, trees, base,
-                          learning_rate)
-    if prev is not None:
-        return _extend_compiled(prev, estimator, kind, trees, base,
-                                learning_rate)
     (feature, threshold, left, right, value, leaf_mask, roots,
      depth) = _flatten_trees(trees)
     n_features = int(estimator.n_features_in_)
@@ -696,21 +566,15 @@ def ensemble_compiled(estimator) -> CompiledEnsemble:
     """The estimator's compiled form, cached on the instance.
 
     ``fit`` resets the cached artifact, so refits never serve stale
-    tables. A warm-start refit that reused the previous members leaves
-    a ``(prev_compiled, n_reused)`` hint; compilation then extends the
-    previous tables instead of rebuilding them. Raises ``TypeError``
-    for non-ensemble estimators.
+    tables. Raises ``TypeError`` for non-ensemble estimators.
     """
     cached = getattr(estimator, "_compiled_", None)
     if cached is not None:
         current_metrics().counter("predict.compile_reuse").inc()
         return cached
-    compiled = compile_ensemble(
-        estimator, reuse=getattr(estimator, "_compile_reuse_", None)
-    )
+    compiled = compile_ensemble(estimator)
     try:
         estimator._compiled_ = compiled
-        estimator._compile_reuse_ = None
     except AttributeError:
         pass
     return compiled

@@ -6,9 +6,8 @@ importances for the Feature Reduction Algorithm, and measure the
 performance-improvement results of §4.3.
 
 Each tree's bootstrap draw and node-level feature subsampling run off
-an independent, prefix-stable ``SeedSequence.spawn`` child, so trees are
-exchangeable work units: a warm refit (:mod:`repro.ml.warm`) fits only
-the seed-tail trees and still matches a cold fit bit for bit.
+an independent ``SeedSequence.spawn`` child, so every tree is a pure
+work unit of its seed and the training data.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from ..obs import span
 from ..parallel import spawn_seeds
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features
-from .warm import fit_signature, reusable_members
 
 __all__ = ["RandomForestRegressor"]
 
@@ -94,8 +92,6 @@ class RandomForestRegressor:
         self.n_features_in_: int | None = None
         self.bin_cuts_: tuple | None = None
         self._compiled_ = None
-        self._fit_signature_: tuple | None = None
-        self._compile_reuse_ = None
 
     # ------------------------------------------------------------------
     def get_params(self) -> dict:
@@ -121,18 +117,8 @@ class RandomForestRegressor:
         return self
 
     # ------------------------------------------------------------------
-    def fit(self, X, y, warm_start_from=None) -> "RandomForestRegressor":
-        """Fit the estimator on (X, y); returns self.
-
-        ``warm_start_from`` may be a previously fitted forest: when its
-        fit signature matches this fit's — same parameters apart from
-        ``n_estimators`` and the same training bytes (see
-        :mod:`repro.ml.warm`) — its member trees are reused verbatim
-        and only the seed-tail trees are fitted. ``spawn_seeds`` is
-        prefix-stable, so the warm result is bit-identical to a cold
-        fit at the new ``n_estimators``; signature mismatches fall back
-        to a full cold fit.
-        """
+    def fit(self, X, y) -> "RandomForestRegressor":
+        """Fit the estimator on (X, y); returns self."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2:
@@ -148,31 +134,16 @@ class RandomForestRegressor:
             "min_impurity_decrease": self.min_impurity_decrease,
             "splitter": self.splitter,
         }
-        signature = fit_signature(self, X, y)
-        reused = reusable_members(self, warm_start_from, signature)
         with span("ml.forest_fit", splitter=self.splitter,
-                  n_estimators=self.n_estimators,
-                  reused=0 if reused is None else len(reused)):
+                  n_estimators=self.n_estimators):
             self._compiled_ = None
-            self._compile_reuse_ = None
-            if reused is not None and len(reused) == self.n_estimators:
-                self.bin_cuts_ = warm_start_from.bin_cuts_
-                self.estimators_ = reused
-            else:
-                bins = bin_features(X) if self.splitter == "hist" else None
-                self.bin_cuts_ = bins.cuts if bins is not None else None
-                seeds = spawn_seeds(self.random_state, self.n_estimators)
-                fresh = [
-                    _fit_tree(seed, X, y, tree_params, self.bootstrap, bins)
-                    for seed in seeds[len(reused or ()):]
-                ]
-                self.estimators_ = (reused or []) + fresh
-            self._fit_signature_ = signature
-            if reused is not None and len(reused) == len(
-                    warm_start_from.estimators_):
-                prev_compiled = getattr(warm_start_from, "_compiled_", None)
-                if prev_compiled is not None:
-                    self._compile_reuse_ = (prev_compiled, len(reused))
+            bins = bin_features(X) if self.splitter == "hist" else None
+            self.bin_cuts_ = bins.cuts if bins is not None else None
+            self.estimators_ = [
+                _fit_tree(seed, X, y, tree_params, self.bootstrap, bins)
+                for seed in spawn_seeds(self.random_state,
+                                        self.n_estimators)
+            ]
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -10,12 +10,10 @@ from repro.cache import (
     dataset_key,
     fingerprint_parts,
     frame_digest,
-    model_fit_key,
     scenarios_key,
     task_key,
 )
 from repro.frame import DateIndex, Frame
-from repro.ml import GradientBoostingRegressor, RandomForestRegressor
 from repro.resilience import FaultPlan, random_fault_plan
 from repro.synth import SimulationConfig
 
@@ -102,42 +100,3 @@ class TestPipelineKeys:
         assert _is_key(tkey)
         assert task_key("f" * 64, "d" * 64, "2017_90") != tkey
         assert task_key("e" * 64, "d" * 64, "2017_7") != tkey
-
-
-class TestModelFitKey:
-    @pytest.fixture(scope="class")
-    def data(self):
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(30, 3)), rng.normal(size=30)
-
-    def test_param_and_data_sensitivity(self, data):
-        X, y = data
-        base = model_fit_key(RandomForestRegressor(n_estimators=5), X, y)
-        assert _is_key(base)
-        assert model_fit_key(
-            RandomForestRegressor(n_estimators=6), X, y) != base
-        assert model_fit_key(
-            RandomForestRegressor(n_estimators=5), X + 1.0, y) != base
-        assert model_fit_key(
-            GradientBoostingRegressor(n_estimators=5), X, y) != base
-
-    def test_n_jobs_excluded(self, data):
-        # Forests once carried a worker count that keys left out; the
-        # key of a default forest is pinned so fits cached back then
-        # still hit now that the knob is gone.
-        X, y = data
-        assert model_fit_key(RandomForestRegressor(), X, y) == (
-            "e23bd882298d9566842ddae60ae7fdddc1e5c111ea88e8b556455bad2f697075"
-        )
-
-    def test_splitter_included(self, data):
-        X, y = data
-        exact = model_fit_key(RandomForestRegressor(splitter="exact"), X, y)
-        hist = model_fit_key(RandomForestRegressor(splitter="hist"), X, y)
-        assert exact != hist
-
-    def test_tag_namespaces(self, data):
-        X, y = data
-        model = RandomForestRegressor()
-        assert model_fit_key(model, X, y, tag="fra.rf") \
-            != model_fit_key(model, X, y, tag="horizons.rf")

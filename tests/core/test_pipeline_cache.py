@@ -7,6 +7,7 @@ only change *when* work happens, never its result.
 """
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -83,6 +84,15 @@ class TestCachedRunEquivalence:
         assert "cache.hits" not in counters
         assert CacheStore(cache_dir).entry_count() > 0
 
+    def test_cold_run_stores_one_entry_per_task(self, cold, cache_dir):
+        # The scenario task is the one unit of reuse: a cold run writes
+        # the dataset, the scenario frames and one result per scenario,
+        # and nothing finer (no per-model fits, no compiled ensembles).
+        expected = 2 + len(cold.artifacts)
+        counters = cold.run_summary.metrics["counters"]
+        assert counters["cache.writes"] == expected
+        assert CacheStore(cache_dir).entry_count() == expected
+
     def test_warm_run_serves_scenarios_from_cache(self, warm):
         counters = warm.run_summary.metrics["counters"]
         assert counters["experiment.scenarios_cached"] == 1
@@ -90,16 +100,19 @@ class TestCachedRunEquivalence:
         assert "cache.writes" not in counters
 
     def test_config_change_invalidates_tasks_not_inputs(
-            self, mini_config, cache_dir, warm):
+            self, mini_config, cache_dir, warm, tmp_path):
         # A different top_k must re-run the scenario task, but the
-        # dataset, the scenario frames and the single-model fits keep
-        # hitting — layered keys invalidate only what actually changed.
+        # dataset and the scenario frames keep hitting — layered keys
+        # invalidate only what actually changed.  The run gets a copy
+        # of the store so the shared one keeps only the cold entries.
+        copy = tmp_path / "cache"
+        shutil.copytree(cache_dir, copy)
         changed = dataclasses.replace(mini_config, top_k=25)
-        results = run_experiment(changed, cache_dir=str(cache_dir))
+        results = run_experiment(changed, cache_dir=str(copy))
         counters = results.run_summary.metrics["counters"]
         assert "experiment.scenarios_cached" not in counters
-        assert counters["cache.hits"] >= 4  # inputs + model-fit artifacts
-        assert counters["cache.writes"] > 0  # the new task result
+        assert counters["cache.hits"] == 2  # dataset + scenarios
+        assert counters["cache.writes"] == 1  # the new task result
 
 
 class TestSplitterConfig:

@@ -274,18 +274,6 @@ class TestCompileDispatch:
         assert est._compiled_ is None
         assert ensemble_compiled(est) is not first
 
-    def test_serialisation_round_trip(self, data, x_messy):
-        from repro.ml.compiled import CompiledEnsemble
-
-        X, y = data
-        est = GradientBoostingRegressor(
-            n_estimators=5, max_depth=3, splitter="hist", random_state=0
-        ).fit(X, y)
-        compiled = compile_ensemble(est)
-        clone = CompiledEnsemble.from_dict(compiled.to_dict())
-        assert np.array_equal(clone.predict(x_messy),
-                              compiled.predict(x_messy), equal_nan=True)
-
 
 class TestDownstreamEquivalence:
     """Compiled inference must never change a pipeline-level number."""

@@ -198,21 +198,3 @@ class TestLegacyDocuments:
         doc["params"]["n_trees"] = 4
         with pytest.raises(TypeError):
             model_from_dict(doc)
-
-    def test_cached_legacy_fit_is_a_hit(self, data, tmp_path):
-        from repro.cache import CacheStore, fit_cached, use_cache
-        from repro.cache.keys import model_fit_key
-        from repro.obs import MetricsRegistry, use_metrics
-
-        X, y = data
-        est, doc = self._legacy_doc(data)
-        store = CacheStore(tmp_path / "cache")
-        store.put(model_fit_key(est, X, y), doc)
-        registry = MetricsRegistry()
-        fresh = RandomForestRegressor(n_estimators=4, max_depth=4,
-                                      random_state=0)
-        with use_metrics(registry), use_cache(store):
-            fitted = fit_cached(fresh, X, y)
-        assert fitted is not fresh  # served from the cache, not refit
-        assert registry.snapshot()["counters"]["cache.hits"] == 1
-        assert np.array_equal(fitted.predict(X), est.predict(X))

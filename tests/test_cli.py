@@ -53,6 +53,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--log-level", "loud"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--jobs", "0"], "n_jobs must not be 0"),
+        (["update", "--jobs", "0"], "n_jobs must not be 0"),
+        (["chaos", "--jobs", "0"], "n_jobs must not be 0"),
+        (["run", "--task-timeout", "-1"], "timeout must be > 0 seconds"),
+        (["run", "--task-timeout", "0"], "timeout must be > 0 seconds"),
+        (["run", "--task-retries", "-1"], "max_retries must be >= 0"),
+    ])
+    def test_bad_execution_flags_are_usage_errors(self, argv, message,
+                                                  capsys):
+        # The resolver's rule and message, reported by argparse: exit
+        # code 2 and one usage line, never a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_good_execution_flags_pass_through_as_given(self):
+        args = build_parser().parse_args(
+            ["run", "--jobs", "-1", "--task-timeout", "2.5",
+             "--task-retries", "0"]
+        )
+        assert args.jobs == -1
+        assert args.task_timeout == 2.5
+        assert args.task_retries == 0
+
     def test_trace_summary_args(self, tmp_path):
         args = build_parser().parse_args(
             ["trace-summary", str(tmp_path / "t.jsonl"), "--top", "3"]

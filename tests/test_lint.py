@@ -49,8 +49,8 @@ class TestCheckNoPrint:
             for path in (REPO / "src" / "repro").rglob("*.py")
         }
         assert "cache/store.py" in scanned
-        assert "cache/fit.py" in scanned
-        assert "cache/compiled.py" in scanned
+        assert "cache/keys.py" in scanned
+        assert "cache/context.py" in scanned
         assert "ml/compiled.py" in scanned
 
     def test_obs_modules_are_inside_the_scanned_tree(self):
