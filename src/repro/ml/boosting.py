@@ -22,7 +22,7 @@ import numpy as np
 
 from ..obs import span
 from .compiled import ensemble_compiled
-from .tree import DecisionTreeRegressor, bin_features
+from .tree import DecisionTreeRegressor, bin_features, rank_features
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -49,7 +49,8 @@ class GradientBoostingRegressor:
         Split-finding kernel for the stage trees: ``"exact"`` (default)
         or ``"hist"``. ``X`` is constant across stages, so hist mode
         bins the features once per ``fit`` and every stage reuses the
-        codes (subsampled stages gather their rows' codes).
+        codes (subsampled stages gather their rows' codes); exact mode
+        likewise ranks the features once per ``fit``.
     random_state:
         Seed for subsampling and per-node feature draws.
     """
@@ -137,6 +138,7 @@ class GradientBoostingRegressor:
         with span("ml.gb_fit", splitter=self.splitter,
                   n_estimators=self.n_estimators):
             bins = bin_features(X) if self.splitter == "hist" else None
+            ranks = rank_features(X) if self.splitter == "exact" else None
             self.bin_cuts_ = bins.cuts if bins is not None else None
             self._compiled_ = None
             sample_size = max(1, int(round(self.subsample * n_samples)))
@@ -156,9 +158,10 @@ class GradientBoostingRegressor:
                         n_samples, size=sample_size, replace=False)
                     tree.fit(
                         X[rows], residual[rows],
-                        bins=bins.take(rows) if bins is not None else None)
+                        bins=bins.take(rows) if bins is not None else None,
+                        ranks=ranks[:, rows] if ranks is not None else None)
                 else:
-                    tree.fit(X, residual, bins=bins)
+                    tree.fit(X, residual, bins=bins, ranks=ranks)
                 current += self.learning_rate * tree.tree_.predict(X)
                 self.estimators_.append(tree)
                 self.train_losses_.append(float(np.mean((y - current) ** 2)))

@@ -17,17 +17,19 @@ import numpy as np
 from ..obs import span
 from ..parallel import spawn_seeds
 from .compiled import ensemble_compiled
-from .tree import DecisionTreeRegressor, bin_features
+from .tree import DecisionTreeRegressor, bin_features, rank_features
 
 __all__ = ["RandomForestRegressor"]
 
 
-def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None):
+def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None, ranks=None):
     """Fit one tree from its own seed sequence (a pure work unit).
 
     ``bins`` is the forest-shared :class:`~repro.ml.tree.FeatureBins`
-    for ``splitter="hist"``: the quantile pass runs once per forest and
-    each bootstrap draw just gathers its rows' codes.
+    for ``splitter="hist"`` and ``ranks`` the forest-shared
+    :func:`~repro.ml.tree.rank_features` ranks for ``splitter="exact"``:
+    the pass runs once per forest and each bootstrap draw just gathers
+    its rows.
     """
     rng = np.random.default_rng(seed)
     tree = DecisionTreeRegressor(
@@ -39,8 +41,9 @@ def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None):
         return tree.fit(
             X[sample], y[sample],
             bins=bins.take(sample) if bins is not None else None,
+            ranks=ranks[:, sample] if ranks is not None else None,
         )
-    return tree.fit(X, y, bins=bins)
+    return tree.fit(X, y, bins=bins, ranks=ranks)
 
 
 class RandomForestRegressor:
@@ -58,9 +61,10 @@ class RandomForestRegressor:
     bootstrap:
         Draw each tree's training set with replacement (size ``n``).
     splitter:
-        Split-finding kernel for every tree: ``"exact"`` (default) or
-        ``"hist"`` (quantile-binned histogram splits; features are
-        binned once per forest and the codes shared across trees).
+        Split-finding kernel for every tree: ``"exact"`` (default;
+        features are ranked once per forest and the ranks shared across
+        trees) or ``"hist"`` (quantile-binned histogram splits; features
+        are binned once per forest and the codes shared across trees).
     random_state:
         Seed controlling bootstrap draws and per-node feature subsets.
     """
@@ -138,9 +142,11 @@ class RandomForestRegressor:
                   n_estimators=self.n_estimators):
             self._compiled_ = None
             bins = bin_features(X) if self.splitter == "hist" else None
+            ranks = rank_features(X) if self.splitter == "exact" else None
             self.bin_cuts_ = bins.cuts if bins is not None else None
             self.estimators_ = [
-                _fit_tree(seed, X, y, tree_params, self.bootstrap, bins)
+                _fit_tree(seed, X, y, tree_params, self.bootstrap, bins,
+                          ranks)
                 for seed in spawn_seeds(self.random_state,
                                         self.n_estimators)
             ]

@@ -19,11 +19,16 @@ Leaf predictions are correspondingly ``G / (n + lambda)``.
 Two split-finding kernels are available via ``splitter``:
 
 ``"exact"`` (default)
-    Every distinct value boundary is a candidate. The per-node search is
-    fully vectorised: the node's feature block is gathered feature-major
-    (contiguous per-feature rows, no ``np.ix_`` row-scatter on the
-    sample-major matrix), all features are sorted at once and every
-    position is scored with prefix sums — ``O(n log n * f)`` per node.
+    Every distinct value boundary is a candidate. Features are ranked
+    once per *ensemble* fit (:func:`rank_features`, one
+    ``O(F * N log N)`` pass; a standalone tree ranks its own ``X``) and
+    member trees gather their rows' ranks. A node then sorts the
+    ``uint16`` ranks of its ``k`` candidate features — an ``O(k * n)``
+    radix sort, where a float sort would be ``O(k * n log n)`` on values
+    that never change within the fit — and scores every position at
+    once with prefix sums. A stable sort on (rank, position) is the
+    stable sort on (value, position), so the trees are exactly those of
+    a float search.
 ``"hist"``
     LightGBM-style histogram splitting. Each feature is quantile-binned
     once per ``fit`` (at most :data:`MAX_BINS` = 256 bins, ``uint8``
@@ -55,6 +60,7 @@ __all__ = [
     "FeatureBins",
     "TreeStructure",
     "bin_features",
+    "rank_features",
 ]
 
 _LEAF = -1
@@ -64,6 +70,11 @@ _LEAF = -1
 MAX_BINS = 256
 
 _SPLITTERS = ("exact", "hist")
+
+#: Exact-splitter nodes with more rows than this sort their ``uint16``
+#: ranks with numpy's radix sort; smaller nodes widen them first, since
+#: a comparison sort beats the radix sort's fixed per-row cost there.
+_RADIX_MIN_ROWS = 48
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,38 @@ def default_max_bins(n_samples: int) -> int:
     resolution — while shrinking the scoring arrays on small fits.
     """
     return int(min(MAX_BINS, max(32, n_samples // 8)))
+
+
+def rank_features(X) -> np.ndarray:
+    """Feature-major dense ranks of ``X``: ``(n_features, n_samples)``.
+
+    Within a column equal values share a rank and a larger value has a
+    larger rank (``-0.0`` and ``0.0`` are equal, as ``<`` sees them), so
+    a stable sort of any subset of a column's ranks gives the same
+    permutation as a stable sort of its values. Ranks are ``uint16``,
+    which numpy sorts with an O(n) radix sort, unless a column has more
+    than 65,536 distinct values; then they widen to ``uint32``.
+    Ensembles rank once per fit and each member tree gathers its rows'
+    columns.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    XT = np.ascontiguousarray(X.T)
+    n_features, n_samples = XT.shape
+    # Tied values get one rank whatever their order, so any sort will do.
+    order = XT.argsort(axis=1)
+    rows = np.arange(n_features)[:, None]
+    sorted_x = XT[rows, order]
+    dense = np.zeros(XT.shape, dtype=np.int64)
+    np.greater(sorted_x[:, 1:], sorted_x[:, :-1], out=dense[:, 1:],
+               casting="unsafe")
+    np.cumsum(dense, axis=1, out=dense)
+    top = int(dense[:, -1].max()) if dense.size else 0
+    dtype = np.uint16 if top <= np.iinfo(np.uint16).max else np.uint32
+    ranks = np.empty(XT.shape, dtype=dtype)
+    ranks[rows, order] = dense
+    return ranks
 
 
 def bin_features(X, max_bins: int | None = None) -> FeatureBins:
@@ -294,6 +337,70 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     raise ValueError(f"unsupported max_features spec: {max_features!r}")
 
 
+def _best_split(X, y, ranks, idx, feats, feat_rows, left_den, right_den,
+                node_den, msl):
+    """Vectorised exact search over all (feature, position) candidates.
+
+    ``ranks`` are the :func:`rank_features` ranks of the training matrix
+    ``X``, which is read only to place the threshold. A stable sort of a
+    node's ranks orders its rows exactly as a stable sort of their
+    values would, so the candidate grid, the gains and the tie-breaking
+    are those of a float search. ``left_den``/``right_den`` hold
+    ``count + lambda`` of each candidate's children, ``node_den`` the
+    node's, and ``feat_rows`` is the ``(k, 1)`` column ``arange(k)``.
+    Returns ``(gain, feature, threshold, left_mask)`` for the best valid
+    split, or ``None`` when no candidate satisfies the
+    ``min_samples_leaf`` and strict-ordering constraints.
+    """
+    n = idx.size
+    R = ranks[feats[:, None], idx]                     # (k, n)
+    # Radix sort for 16-bit keys is O(n) but has a fixed cost per row;
+    # on small nodes a comparison sort of wider ints is faster.
+    keys = R if n > _RADIX_MIN_ROWS else R.astype(np.intp)
+    order = keys.argsort(axis=1, kind="stable")        # (k, n)
+    sorted_r = R[feat_rows, order]
+    cum = y[idx][order].cumsum(axis=1)                 # prefix target sums
+    total = cum[:, -1:]                                # (k, 1)
+
+    # Candidate split after position i: left = [0..i], right = [i+1..].
+    sum_left = cum[:, :-1]
+    sum_right = total - sum_left
+    gain = (sum_left**2 / left_den + sum_right**2 / right_den
+            - total**2 / node_den)
+
+    # Invalid where equal adjacent values (can't separate) or leaf-size
+    # constraints would be violated.
+    valid = sorted_r[:, :-1] < sorted_r[:, 1:]
+    if msl > 1:
+        valid[:, :msl - 1] = False
+        valid[:, n - msl:] = False
+    if not valid.any():
+        # Degenerate node (e.g. every candidate feature constant):
+        # argmax over an all--inf gain matrix would return index 0.
+        return None
+    gain[~valid] = -np.inf
+
+    # Scan the transposed view so ties break in (position, feature)
+    # order — the same flat order the sample-major layout used, which
+    # keeps exact-mode trees bit-identical across kernel refactors.
+    row, col = divmod(int(gain.T.argmax()), feats.size)
+    best_gain = float(gain[col, row])
+    if not math.isfinite(best_gain) or best_gain <= 0.0:
+        return None
+    feat = int(feats[col])
+    lo = float(X[idx[order[col, row]], feat])
+    hi = float(X[idx[order[col, row + 1]], feat])
+    thr = 0.5 * (lo + hi)
+    # Guard against the midpoint rounding onto the upper value, or being
+    # NaN (lo = -inf, hi = +inf).
+    if not thr < hi:
+        thr = lo
+    # Node values are either <= lo or >= hi, so ``x <= thr`` is
+    # ``rank <= rank(lo)``.
+    left_mask = R[col] <= sorted_r[col, row]
+    return best_gain, feat, thr, left_mask
+
+
 class DecisionTreeRegressor:
     """Binary regression tree grown by greedy regularised-gain splitting.
 
@@ -383,14 +490,16 @@ class DecisionTreeRegressor:
         return self
 
     # ------------------------------------------------------------------
-    def fit(self, X, y, bins: FeatureBins | None = None
-            ) -> "DecisionTreeRegressor":
+    def fit(self, X, y, bins: FeatureBins | None = None,
+            ranks: np.ndarray | None = None) -> "DecisionTreeRegressor":
         """Fit the estimator on (X, y); returns self.
 
         ``bins`` (hist splitter only) short-circuits the per-fit
         quantile binning with a precomputed :class:`FeatureBins` whose
-        rows match ``X`` — ensembles bin once and share it across
-        member trees.
+        rows match ``X``; ``ranks`` (exact splitter only) does the same
+        for the per-fit :func:`rank_features` pass with ``(n_features,
+        n_samples)`` ranks of ``X``. Ensembles compute either once and
+        share it across member trees.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
@@ -412,13 +521,22 @@ class DecisionTreeRegressor:
                     "bins shape does not match X "
                     f"({bins.codes.shape} vs {X.shape})"
                 )
+        if ranks is not None:
+            if self.splitter != "exact":
+                raise ValueError(
+                    "precomputed ranks require splitter='exact'"
+                )
+            if ranks.shape != X.shape[::-1]:
+                raise ValueError(
+                    "ranks shape does not match X.T "
+                    f"({ranks.shape} vs {X.shape[::-1]})"
+                )
         n_samples, n_features = X.shape
         self.n_features_in_ = n_features
         rng = np.random.default_rng(self.random_state)
         k_features = _resolve_max_features(self.max_features, n_features)
 
         lam = float(self.reg_lambda)
-
         children_left: list[int] = []
         children_right: list[int] = []
         feature: list[int] = []
@@ -426,35 +544,8 @@ class DecisionTreeRegressor:
         value: list[float] = []
         n_node: list[int] = []
         impurity: list[float] = []
-
-        def new_node(idx: np.ndarray) -> int:
-            node_id = len(value)
-            y_node = y[idx]
-            total = float(y_node.sum())
-            n = idx.size
-            children_left.append(_LEAF)
-            children_right.append(_LEAF)
-            feature.append(_LEAF)
-            threshold.append(np.nan)
-            value.append(total / (n + lam))
-            n_node.append(n)
-            impurity.append(float(np.mean((y_node - total / n) ** 2)))
-            return node_id
-
-        def splittable(node_id: int, idx: np.ndarray, depth: int) -> bool:
-            n = idx.size
-            return not (
-                n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or impurity[node_id] == 0.0
-            )
-
-        def draw_feats() -> np.ndarray:
-            if k_features < n_features:
-                return rng.choice(n_features, size=k_features,
-                                  replace=False)
-            return np.arange(n_features)
+        lists = (children_left, children_right, feature, threshold,
+                 value, n_node, impurity)
 
         self._compiled_ = None
         if self.splitter == "hist":
@@ -465,15 +556,14 @@ class DecisionTreeRegressor:
             # thresholds back to bin codes (repro.ml.compiled); the
             # per-row codes stay fit-local.
             self.bin_cuts_ = bins.cuts
-            lists = (children_left, children_right, feature, threshold,
-                     value, n_node, impurity)
             self._grow_hist(X, y, bins, lam, rng, k_features, lists)
         else:
             current_metrics().counter("ml.tree_fit.exact").inc()
             self.bin_cuts_ = None
-            nodes = (children_left, children_right, feature, threshold)
-            self._grow_exact(X, y, lam, new_node, splittable,
-                             draw_feats, nodes)
+            if ranks is None:
+                ranks = rank_features(X)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._grow_exact(X, y, ranks, lam, rng, k_features, lists)
 
         self.tree_ = TreeStructure(
             children_left=np.asarray(children_left, dtype=np.int64),
@@ -489,29 +579,63 @@ class DecisionTreeRegressor:
     # ------------------------------------------------------------------
     # exact kernel
     # ------------------------------------------------------------------
-    def _grow_exact(self, X, y, lam, new_node, splittable, draw_feats,
-                    nodes) -> None:
-        """Depth-first growth with an explicit stack of (id, idx, depth)."""
-        children_left, children_right, feature, threshold = nodes
-        n_samples = X.shape[0]
-        # Feature-major copy: per-node gathers read contiguous
-        # per-feature rows instead of scattering across the sample-major
-        # layout (same values, so fitted trees are bit-identical).
-        XT = np.ascontiguousarray(X.T)
-        root = new_node(np.arange(n_samples))
+    def _grow_exact(self, X, y, ranks, lam, rng, k_features, lists) -> None:
+        """Depth-first growth with an explicit stack of (id, idx, depth).
+
+        Nodes sort integer ``ranks`` (see :func:`rank_features`), never
+        floats; a float is read only to place the winning threshold.
+        """
+        (children_left, children_right, feature, threshold,
+         value, n_node, impurity) = lists
+        n_samples, n_features = X.shape
+        msl = self.min_samples_leaf
+        mss = self.min_samples_split
+        max_depth = self.max_depth
+        min_decrease = self.min_impurity_decrease
+        all_feats = np.arange(n_features)
+        feat_rows = np.arange(k_features)[:, None]
+        # ``counts + lambda`` for every child size: an n-row node's
+        # left and right denominators are a view and a reversed view.
+        dens = np.arange(1, max(n_samples, 2), dtype=np.float64) + lam
+
+        def new_node(idx: np.ndarray) -> int:
+            node_id = len(value)
+            y_node = y[idx]
+            n = idx.size
+            total = float(np.add.reduce(y_node))
+            children_left.append(_LEAF)
+            children_right.append(_LEAF)
+            feature.append(_LEAF)
+            threshold.append(np.nan)
+            value.append(total / (n + lam))
+            n_node.append(n)
+            # np.add.reduce(d) / n is what np.mean computes, bit for bit.
+            dev = y_node - total / n
+            impurity.append(float(np.add.reduce(dev * dev) / n))
+            return node_id
+
+        root_idx = np.arange(n_samples)
         stack: list[tuple[int, np.ndarray, int]] = [
-            (root, np.arange(n_samples), 0)
+            (new_node(root_idx), root_idx, 0)
         ]
         while stack:
             node_id, idx, depth = stack.pop()
-            if not splittable(node_id, idx, depth):
+            n = idx.size
+            if (n < mss or n < 2 * msl
+                    or (max_depth is not None and depth >= max_depth)
+                    or impurity[node_id] == 0.0):
                 continue
-            feats = draw_feats()
-            best = self._best_split(XT, y, idx, feats, lam)
+            if k_features < n_features:
+                feats = rng.choice(n_features, size=k_features,
+                                   replace=False)
+            else:
+                feats = all_feats
+            best = _best_split(X, y, ranks, idx, feats, feat_rows,
+                               dens[:n - 1], dens[n - 2::-1], n + lam, msl)
             if best is None:
                 continue
             gain, feat, thr, left_mask = best
-            if gain / n_samples < self.min_impurity_decrease:
+            if gain / n_samples < min_decrease:
                 continue
 
             left_idx = idx[left_mask]
@@ -520,71 +644,10 @@ class DecisionTreeRegressor:
             right_id = new_node(right_idx)
             children_left[node_id] = left_id
             children_right[node_id] = right_id
-            feature[node_id] = int(feat)
-            threshold[node_id] = float(thr)
+            feature[node_id] = feat
+            threshold[node_id] = thr
             stack.append((left_id, left_idx, depth + 1))
             stack.append((right_id, right_idx, depth + 1))
-
-    def _best_split(self, XT, y, idx, feats, lam):
-        """Vectorised search over all (feature, position) candidates.
-
-        ``XT`` is the feature-major (transposed, C-contiguous) training
-        matrix. Returns ``(gain, feature, threshold, left_mask)`` for
-        the best valid split, or ``None`` when no candidate satisfies
-        the ``min_samples_leaf`` and strict-ordering constraints.
-        """
-        n = idx.size
-        Xs = XT[np.ix_(feats, idx)]                    # (f, n)
-        order = np.argsort(Xs, axis=1, kind="stable")  # (f, n)
-        sorted_x = np.take_along_axis(Xs, order, axis=1)
-        sorted_y = y[idx][order]                       # (f, n)
-
-        cum = np.cumsum(sorted_y, axis=1)              # prefix target sums
-        total = cum[:, -1]                             # (f,)
-
-        # Candidate split after position i: left = [0..i], right = [i+1..].
-        counts_left = np.arange(1, n, dtype=np.float64)[None, :]
-        counts_right = n - counts_left
-        sum_left = cum[:, :-1]
-        sum_right = total[:, None] - sum_left
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = (
-                sum_left**2 / (counts_left + lam)
-                + sum_right**2 / (counts_right + lam)
-                - total[:, None] ** 2 / (n + lam)
-            )
-
-        # Invalid where equal adjacent values (can't separate) or leaf-size
-        # constraints would be violated.
-        valid = sorted_x[:, :-1] < sorted_x[:, 1:]
-        msl = self.min_samples_leaf
-        if msl > 1:
-            pos = np.arange(1, n)[None, :]
-            valid &= (pos >= msl) & ((n - pos) >= msl)
-        if not valid.any():
-            # Degenerate node (e.g. every candidate feature constant):
-            # the whole gain matrix is -inf. Bail out explicitly rather
-            # than relying on argmax: argmax over an all--inf array
-            # returns index 0, which was only ever safe because the
-            # finite-gain check below rejected it.
-            return None
-        gain = np.where(valid, gain, -np.inf)
-
-        # Scan the transposed view so ties break in (position, feature)
-        # order — the same flat order the sample-major layout used, which
-        # keeps exact-mode trees bit-identical across kernel refactors.
-        flat = int(np.argmax(gain.T))
-        row, col = np.unravel_index(flat, (n - 1, len(feats)))
-        best_gain = gain[col, row]
-        if not np.isfinite(best_gain) or best_gain <= 0.0:
-            return None
-        thr = 0.5 * (sorted_x[col, row] + sorted_x[col, row + 1])
-        # Guard against midpoint rounding onto the upper value.
-        if thr >= sorted_x[col, row + 1]:
-            thr = sorted_x[col, row]
-        left_mask = Xs[col, :] <= thr
-        return float(best_gain), int(feats[col]), float(thr), left_mask
 
     # ------------------------------------------------------------------
     # histogram kernel
