@@ -13,7 +13,12 @@ day costs ≪ 1% of the cold run. One entry lands in
     seconds / update seconds) gates in the perf-regression job, as do
     the ``identical`` bit (the update's improvement tables equal a
     cold ``n+1``-day rerun's, float for float) and
-    ``daily_cost_below_1pct``.
+    ``daily_cost_below_1pct``. Two info-only keys split the update's
+    wall-clock, read from the spans its :class:`~repro.obs.Tracer`
+    records: ``extend_s`` (``synth.extend``: regenerating the extended
+    dataset plus the byte-for-byte prefix check) and ``rerun_s``
+    (``experiment.run``: the cached rerun of the study). Neither is a
+    ``speedup_*`` ratio or a boolean, so neither gates.
 
 The study periods are shortened (in-process only) so the default
 1-day extension lands *after* the period ends — the same property the
@@ -46,6 +51,7 @@ except ImportError:  # run directly: benchmarks/ is sys.path[0]
 import repro.core.scenarios as scenarios  # noqa: E402
 from repro.core.pipeline import ExperimentConfig, run_experiment  # noqa: E402
 from repro.incremental import update_experiment  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
 from repro.synth.config import SimulationConfig  # noqa: E402
 
 DAYS = 1
@@ -77,6 +83,11 @@ def _improvement_rows(results) -> list[tuple]:
     return sorted(rows)
 
 
+def _span_seconds(tracer: Tracer, name: str) -> float:
+    """Total duration of the tracer's spans called ``name``."""
+    return sum(s.duration for s in tracer.spans if s.name == name)
+
+
 def bench_daily_update() -> dict:
     """Cold run → 1-day update against the same cache, plus a cold
     ``n+1``-day rerun as the bit-identity reference."""
@@ -93,8 +104,10 @@ def bench_daily_update() -> dict:
             run_experiment(config, cache_dir=cache)
             cold_s = time.perf_counter() - start
 
+            tracer = Tracer()
             start = time.perf_counter()
-            update = update_experiment(config, days=DAYS, cache_dir=cache)
+            update = update_experiment(config, days=DAYS, cache_dir=cache,
+                                       tracer=tracer)
             update_s = time.perf_counter() - start
 
         # The reference: the same extended config run cold, no cache.
@@ -112,6 +125,8 @@ def bench_daily_update() -> dict:
         if update_s else float("nan"),
         "daily_cost_pct": round(100.0 * cost, 3),
         "daily_cost_below_1pct": bool(cost < 0.01),
+        "extend_s": round(_span_seconds(tracer, "synth.extend"), 3),
+        "rerun_s": round(_span_seconds(tracer, "experiment.run"), 3),
         "identical": identical,
         "dataset_reused": update.dataset_reused,
         "scenarios_cached": update.scenarios_cached,
@@ -124,6 +139,8 @@ def main() -> int:
     daily = benchmarks["daily_update"]
     print(f"daily_update  cold={daily['cold_s']:.2f}s  "
           f"update={daily['update_s']:.3f}s  "
+          f"(extend={daily['extend_s']:.3f}s "
+          f"rerun={daily['rerun_s']:.3f}s)  "
           f"speedup={daily['speedup_daily_vs_cold']}x  "
           f"cost={daily['daily_cost_pct']}%  "
           f"identical={daily['identical']}  "

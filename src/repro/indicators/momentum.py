@@ -13,8 +13,14 @@ __all__ = ["rsi", "macd", "roc", "stochastic_k", "stochastic_d"]
 def rsi(values: np.ndarray, window: int = 14) -> np.ndarray:
     """Relative Strength Index (Wilder's smoothing), in [0, 100].
 
-    RSI = 100 - 100 / (1 + avg_gain / avg_loss); an all-gain window reads
-    100, an all-loss window reads 0.
+    RSI = 100 - 100 / (1 + avg_gain / avg_loss); a flat window reads 50,
+    an all-gain window reads 100, an all-loss window reads 0, and a
+    series of at most ``window`` values is all NaN.
+
+    The seed averages are numpy means; Wilder's recursion then runs over
+    Python floats from ``tolist()`` in the same IEEE operation order, so
+    the bytes equal those of a loop over numpy scalars (DESIGN.md §7,
+    "Scalar recurrences").
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -26,13 +32,16 @@ def rsi(values: np.ndarray, window: int = 14) -> np.ndarray:
     gains = np.clip(delta, 0.0, None)
     losses = np.clip(-delta, 0.0, None)
     # Wilder: first average is plain mean, then recursive smoothing.
-    avg_gain = gains[:window].mean()
-    avg_loss = losses[:window].mean()
-    out[window] = _rsi_from_averages(avg_gain, avg_loss)
-    for i in range(window, delta.size):
-        avg_gain = (avg_gain * (window - 1) + gains[i]) / window
-        avg_loss = (avg_loss * (window - 1) + losses[i]) / window
-        out[i + 1] = _rsi_from_averages(avg_gain, avg_loss)
+    avg_gain = float(gains[:window].mean())
+    avg_loss = float(losses[:window].mean())
+    levels = [_rsi_from_averages(avg_gain, avg_loss)]
+    carry = window - 1
+    for gain, loss in zip(gains[window:].tolist(),
+                          losses[window:].tolist()):
+        avg_gain = (avg_gain * carry + gain) / window
+        avg_loss = (avg_loss * carry + loss) / window
+        levels.append(_rsi_from_averages(avg_gain, avg_loss))
+    out[window:] = levels
     return out
 
 

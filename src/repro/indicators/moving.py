@@ -24,21 +24,29 @@ def ema(values: np.ndarray, span: int) -> np.ndarray:
 
     Seeded with the first valid observation (standard convention); outputs
     before the first observation are NaN. Interior NaNs hold the previous
-    EMA value (the series "coasts" through the gap).
+    EMA value (the series "coasts" through the gap). A NaN state (e.g.
+    ``+inf`` followed by ``-inf``) reseeds at the next valid observation.
+
+    The recurrence runs over Python floats from ``values.tolist()`` with
+    the IEEE operation order ``alpha * x + (1 - alpha) * state``, so the
+    bytes equal those of a loop over numpy scalars at a fraction of the
+    interpreter cost (DESIGN.md §7, "Scalar recurrences").
     """
     if span < 1:
         raise ValueError("span must be >= 1")
     values = np.asarray(values, dtype=np.float64)
     alpha = 2.0 / (span + 1.0)
-    out = np.full(values.size, np.nan)
-    state = np.nan
-    for i, x in enumerate(values):
-        if np.isnan(state):
-            state = x if not np.isnan(x) else np.nan
-        elif not np.isnan(x):
-            state = alpha * x + (1.0 - alpha) * state
-        out[i] = state
-    return out
+    keep = 1.0 - alpha
+    nan = float("nan")
+    out = []
+    state = nan
+    for x in values.tolist():
+        if state != state:
+            state = x if x == x else nan
+        elif x == x:
+            state = alpha * x + keep * state
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def wma(values: np.ndarray, window: int) -> np.ndarray:

@@ -4,10 +4,15 @@ Because every generator draws each array from its own named RNG
 substream (see :mod:`repro.synth.rng`), a dataset generated over ``n``
 days and then extended by ``k`` days is **bit-identical** to one
 generated cold over ``n + k`` days. ``extend_raw_dataset`` exploits
-that contract: it re-runs the (cheap) simulator over the extended
-calendar, verifies the caller's dataset matches the regenerated prefix
+that contract: it re-runs the simulator over the extended calendar,
+verifies the caller's dataset matches the regenerated prefix
 byte-for-byte, and splices the new tail rows onto the existing feature
 frame via :meth:`~repro.frame.frame.Frame.append_rows`.
+
+Regeneration is not free: it is most of a 1-day update's wall-clock.
+On a 2-core host the default 2,738-day, 235-column dataset generates in
+about 0.09 s (0.26-0.41 s while the simulator's recurrences looped over
+numpy scalars); the prefix check and the splice add at most about 10 ms.
 
 The prefix verification is the safety interlock for the incremental
 pipeline (:mod:`repro.incremental`): a dataset that was corrupted by a

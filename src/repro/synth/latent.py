@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..frame.index import DateIndex, date_range
 from .config import SimulationConfig
@@ -85,36 +86,45 @@ def generate_latent_market(config: SimulationConfig) -> LatentMarket:
     vol_state = _vol_modulation(n, bank.generator("vol_state"))
     jumps = _jump_component(n, bank)
 
-    sentiment = np.zeros(n)
-    log_ret = np.zeros(n)
-    log_lvl = np.zeros(n)
+    # Terms that do not depend on the recurrence, computed elementwise
+    # up front; the loop adds them in the original left-to-right order.
+    flow_term = config.flow_coupling * _trailing_flow_mean(flows, 30)
+    lagged = np.zeros(n)
+    lag = config.macro_lag
+    lagged[lag:] = macro[:max(n - lag, 0)]
+    macro_term = config.macro_coupling * lagged
+    shock = vol * vol_state * eps
+    mood = 0.30 * sent_noise
     fair = 0.5 * adoption  # fundamental log value implied by adoption
 
-    lag = config.macro_lag
+    log_ret: list[float] = []
+    log_lvl: list[float] = []
+    sentiment: list[float] = []
     level = 0.0
-    for t in range(n):
-        mom = log_ret[max(0, t - 5):t].mean() if t > 0 else 0.0
-        sen = sentiment[t - 1] if t > 0 else 0.0
-        flo = flows[max(0, t - 30):t].mean() if t > 0 else 0.0
-        mac = macro[t - lag] if t >= lag else 0.0
-        rev = config.reversion_speed * (fair[t] - level)
+    sen = 0.0
+    for t, (drift_t, flow_t, macro_t, fair_t, shock_t, jump_t, mood_t) in \
+            enumerate(zip(drift.tolist(), flow_term.tolist(),
+                          macro_term.tolist(), fair.tolist(), shock.tolist(),
+                          jumps.tolist(), mood.tolist())):
+        mom = _mean(log_ret[max(0, t - 5):]) if t > 0 else 0.0
+        rev = config.reversion_speed * (fair_t - level)
         ret = (
-            drift[t]
+            drift_t
             + config.momentum_coupling * mom
             + config.sentiment_coupling * sen
-            + config.flow_coupling * flo
-            + config.macro_coupling * mac
+            + flow_t
+            + macro_t
             + rev
-            + vol[t] * vol_state[t] * eps[t]
-            + jumps[t]
+            + shock_t
+            + jump_t
         )
-        log_ret[t] = ret
+        log_ret.append(ret)
         level += ret
-        log_lvl[t] = level
+        log_lvl.append(level)
         # Sentiment chases the recent tape but has its own persistent mood.
-        recent = log_ret[max(0, t - 6):t + 1].mean()
-        prev = sentiment[t - 1] if t > 0 else 0.0
-        sentiment[t] = 0.90 * prev + 8.0 * recent + 0.30 * sent_noise[t]
+        recent = _mean(log_ret[max(0, t - 6):])
+        sen = 0.90 * sen + 8.0 * recent + mood_t
+        sentiment.append(sen)
 
     return LatentMarket(
         index=index,
@@ -122,9 +132,9 @@ def generate_latent_market(config: SimulationConfig) -> LatentMarket:
         macro=macro,
         adoption=adoption,
         flows=flows,
-        sentiment=sentiment,
-        market_log_return=log_ret,
-        market_log_level=log_lvl,
+        sentiment=np.array(sentiment, dtype=np.float64),
+        market_log_return=np.array(log_ret, dtype=np.float64),
+        market_log_level=np.array(log_lvl, dtype=np.float64),
     )
 
 
@@ -135,13 +145,15 @@ def _vol_modulation(n: int, rng: np.random.Generator) -> np.ndarray:
     |returns| that real crypto markets show — calm months alternate with
     turbulent ones even within a single regime.
     """
-    out = np.empty(n)
-    state = 0.0
     shocks = rng.normal(scale=0.10, size=n)
-    for t in range(n):
-        state = 0.97 * state + shocks[t]
-        out[t] = np.exp(state - 0.17)  # -sigma^2/2-ish: mean ~1
-    return out
+    states = []
+    state = 0.0
+    for shock in shocks.tolist():
+        state = 0.97 * state + shock
+        states.append(state)
+    # -sigma^2/2-ish: mean ~1. One ufunc call over the whole path, never
+    # libm's exp per element (the two can differ by an ulp).
+    return np.exp(np.array(states, dtype=np.float64) - 0.17)
 
 
 def _jump_component(n: int, bank: SeedBank) -> np.ndarray:
@@ -167,19 +179,20 @@ def _macro_factor(n: int, bank: SeedBank) -> np.ndarray:
     One substream per draw keeps each array prefix-stable under
     extension (see :mod:`repro.synth.rng`).
     """
-    out = np.zeros(n)
-    state = 0.0
     shocks = bank.substream("macro", "shocks").normal(scale=0.018, size=n)
     shift_days = bank.substream("macro", "shift_days").random(n) < 1.0 / 400.0
     shift_sizes = bank.substream("macro", "shift_sizes").normal(
         scale=0.8, size=n
     )
-    for t in range(n):
-        state = 0.998 * state + shocks[t]
-        if shift_days[t]:
-            state += shift_sizes[t]
-        out[t] = state
-    return out
+    out = []
+    state = 0.0
+    for shock, shifted, size in zip(shocks.tolist(), shift_days.tolist(),
+                                    shift_sizes.tolist()):
+        state = 0.998 * state + shock
+        if shifted:
+            state += size
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _adoption_curve(n: int, regimes: np.ndarray, flows: np.ndarray,
@@ -211,10 +224,40 @@ def _flow_process(n: int, regimes: np.ndarray,
         [0.75, -0.75, -1.8],
         default=0.05,
     )
-    out = np.zeros(n)
-    state = 0.0
+    pull = 0.035 * target
     noise = rng.normal(scale=0.16, size=n)
-    for t in range(n):
-        state = 0.965 * state + 0.035 * target[t] + noise[t]
-        out[t] = state
+    out = []
+    state = 0.0
+    for p, e in zip(pull.tolist(), noise.tolist()):
+        state = 0.965 * state + p + e
+        out.append(state)
+    return np.array(out, dtype=np.float64)
+
+
+def _trailing_flow_mean(flows: np.ndarray, window: int) -> np.ndarray:
+    """Mean of the ``window`` flows before each day (0 on day 0).
+
+    Warm-up days average the shorter history; from day ``window`` on, one
+    sliding-window mean gives every day's average at once.
+    """
+    n = flows.size
+    out = np.zeros(n)
+    for t in range(1, min(window, n)):
+        out[t] = flows[:t].mean()
+    if n > window:
+        out[window:] = sliding_window_view(flows[:-1], window).mean(axis=1)
     return out
+
+
+def _mean(values: list[float]) -> float:
+    """Left-to-right mean of a short list of Python floats.
+
+    Equals ``np.mean`` bit for bit for at most 7 values, where numpy's
+    reduction is a plain left-to-right sum from ``0.0``. Deliberately not
+    ``sum()``: from Python 3.12 that is a compensated sum with different
+    rounding.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)

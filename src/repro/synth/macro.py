@@ -24,6 +24,7 @@ from .rng import SeedBank
 __all__ = ["generate_macro"]
 
 _PUBLICATION_LAG = 45  # days between a macro move and its official print
+_MEETING_EVERY = 42  # days between policy meetings
 
 
 def generate_macro(config: SimulationConfig,
@@ -110,28 +111,25 @@ def _month_step_ids(n: int) -> np.ndarray:
 
 def _monthly_hold(values: np.ndarray, block_ids: np.ndarray) -> np.ndarray:
     """Hold each block at the value observed on its first day."""
-    out = np.empty_like(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     change = np.ones(values.size, dtype=bool)
     change[1:] = block_ids[1:] != block_ids[:-1]
-    current = values[0]
-    for i in range(values.size):
-        if change[i]:
-            current = values[i]
-        out[i] = current
-    return out
+    starts = np.maximum.accumulate(np.where(change, np.arange(values.size), 0))
+    return values[starts]
 
 
 def _policy_rate(lagged_macro: np.ndarray, base: float, sensitivity: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Step-wise policy rate moving in 25 bp increments every ~6 weeks."""
     n = lagged_macro.size
+    meetings = slice(0, n, _MEETING_EVERY)
+    targets = base + sensitivity * lagged_macro[meetings] + rng.normal(
+        scale=0.1, size=n
+    )[meetings]
+    rates = []
     rate = base
-    out = np.empty(n)
-    meeting_noise = rng.normal(scale=0.1, size=n)
-    for t in range(n):
-        if t % 42 == 0:  # policy meeting
-            target = base + sensitivity * lagged_macro[t] + meeting_noise[t]
-            step = np.clip(round((target - rate) / 0.25), -2, 2) * 0.25
-            rate = max(rate + step, -0.75)
-        out[t] = rate
-    return out
+    for target in targets.tolist():
+        step = min(max(round((target - rate) / 0.25), -2), 2) * 0.25
+        rate = max(rate + step, -0.75)
+        rates.append(rate)
+    return np.repeat(np.array(rates, dtype=np.float64), _MEETING_EVERY)[:n]

@@ -84,15 +84,15 @@ def _concentration_path(n: int, rng: np.random.Generator) -> np.ndarray:
     reads from the growing importance of ``fish_pct`` / ``SplyAdrBalUSD10K``
     in the 2019 set.
     """
-    out = np.empty(n)
-    state = 1.55
     noise = rng.normal(scale=0.0018, size=n)
-    for t in range(n):
+    out = []
+    state = 1.55
+    for e in noise.tolist():
         # gentle mean reversion toward 1.20 plus a slow secular decline
-        state += -0.0002 * (state - 1.20) - 0.00008 + noise[t]
+        state += -0.0002 * (state - 1.20) - 0.00008 + e
         state = min(max(state, 1.12), 1.9)
-        out[t] = state
-    return out
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _address_count_fraction(threshold: float, scale: float,
@@ -562,15 +562,15 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
 def _ema_like(values: np.ndarray, span: int) -> np.ndarray:
     """NaN-free EMA (seeded at the first value) for internal derivations."""
     values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
     if values.size == 0:
-        return out
+        return np.empty_like(values)
     alpha = 2.0 / (span + 1.0)
-    state = values[0]
-    for i, x in enumerate(values):
+    out = []
+    state = float(values[0])
+    for x in values.tolist():
         state = alpha * x + (1 - alpha) * state
-        out[i] = state
-    return out
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _trailing_roi(price: np.ndarray, window: int) -> np.ndarray:

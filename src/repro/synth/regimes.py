@@ -10,6 +10,7 @@ long-horizon forecasting exploits.
 
 from __future__ import annotations
 
+import bisect
 import enum
 
 import numpy as np
@@ -78,15 +79,13 @@ class RegimeProcess:
         """Sample ``n_days`` of regimes as an int array."""
         if n_days < 0:
             raise ValueError("n_days must be >= 0")
-        path = np.empty(n_days, dtype=np.int64)
+        rows = np.cumsum(self.transitions, axis=1).tolist()
+        path = []
         state = int(initial)
-        cdf = np.cumsum(self.transitions, axis=1)
-        draws = rng.random(n_days)
-        for t in range(n_days):
-            path[t] = state
-            state = int(np.searchsorted(cdf[state], draws[t], side="right"))
-            state = min(state, 3)
-        return path
+        for draw in rng.random(n_days).tolist():
+            path.append(state)
+            state = min(bisect.bisect_right(rows[state], draw), 3)
+        return np.array(path, dtype=np.int64)
 
     @staticmethod
     def drift(path: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ from .rng import SeedBank
 
 __all__ = ["generate_sentiment"]
 
+_EPOCH_ORDINAL = 719163  # dt.date(1970, 1, 1).toordinal()
+
 
 def generate_sentiment(config: SimulationConfig,
                        latent: LatentMarket) -> Frame:
@@ -91,7 +93,7 @@ def generate_sentiment(config: SimulationConfig,
         1.0 + 0.4 * np.tanh(0.4 * sent)
     )
     month_keys = _month_ids(latent.index.ordinals)
-    unique_months = np.unique(month_keys)
+    unique_months, month_pos = np.unique(month_keys, return_inverse=True)
     for term, scale, lag_days in (
         ("Bitcoin", 100.0, 0),
         ("Ethereum", 55.0, 5),
@@ -104,13 +106,10 @@ def generate_sentiment(config: SimulationConfig,
         # one sampling-noise multiplier per month keeps the step
         # structure; the per-term substream draws once (months only
         # append under extension, so the array is prefix-stable)
-        month_noise = dict(zip(
-            unique_months.tolist(),
-            np.exp(bank.substream(
-                "sentiment_metrics", f"gt_{term}"
-            ).normal(scale=0.08, size=unique_months.size)),
-        ))
-        noise_per_day = np.array([month_noise[m] for m in month_keys])
+        month_noise = np.exp(bank.substream(
+            "sentiment_metrics", f"gt_{term}"
+        ).normal(scale=0.08, size=unique_months.size))
+        noise_per_day = month_noise[month_pos]
         # Trends-style renormalisation against the interest peak *so
         # far* (an expanding max, not the sample max: the sample max
         # looks into the future and breaks prefix-stability).
@@ -128,14 +127,11 @@ def _squash(values: np.ndarray) -> np.ndarray:
 
 
 def _month_ids(ordinals: np.ndarray) -> np.ndarray:
-    """Integer id per calendar month for each ordinal date."""
-    import datetime as dt
-
-    ids = np.empty(ordinals.size, dtype=np.int64)
-    for i, o in enumerate(ordinals):
-        d = dt.date.fromordinal(int(o))
-        ids[i] = d.year * 12 + d.month
-    return ids
+    """Integer id (``year * 12 + month``) per calendar month for each
+    ordinal date."""
+    days = np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL
+    months = days.astype("datetime64[D]").astype("datetime64[M]")
+    return months.astype(np.int64) + (1970 * 12 + 1)
 
 
 def _monthly_average(values: np.ndarray, month_ids: np.ndarray) -> np.ndarray:

@@ -1,0 +1,40 @@
+"""sha256 pins of the simulated dataset.
+
+Each digest covers the feature frame's index ordinals plus every
+column's name and bytes, in column order. The values were recorded
+before the simulator's per-element loops were rewritten over Python
+floats, so they prove the rewrite kept every byte. A change to the
+simulator that moves any value must update these pins on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.synth import SimulationConfig, generate_raw_dataset
+
+_PINS = [
+    (SimulationConfig(seed=1),
+     "0aa7724aa06d0931cf3a3a1e7ccf7127dd956c4dc353e49634b85f4fab70eb4d"),
+    (SimulationConfig(seed=20240701),
+     "ff406409d391008aa3547fea7106fb242736c6b216ae8adde78abd25c9fafbf5"),
+    (SimulationConfig(start="2017-03-01", end="2020-02-29", seed=8,
+                      n_assets=105, include_eth=True),
+     "bbe38567ee7c8c20b6d0455f5c4292143550f575d66d6de01a5fe68510625045"),
+]
+
+
+def _features_digest(features) -> str:
+    digest = hashlib.sha256(features.index.ordinals.tobytes())
+    for name in features.columns:
+        digest.update(name.encode())
+        digest.update(features[name].tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, expected", _PINS,
+    ids=["seed1", "seed20240701", "eth_seed8"],
+)
+def test_generated_features_match_pin(config, expected):
+    assert _features_digest(generate_raw_dataset(config).features) == expected
