@@ -14,9 +14,8 @@ regression harness for the library.
 At session end the harness writes ``results/BENCH_obs.json`` through
 the shared :mod:`benchmarks._emit` writer (unified
 ``{"schema": 1, ..., "benchmarks": {...}}`` shape): each benchmark
-test's wall-time plus the bench run's span aggregates and metrics from
-:mod:`repro.obs` — the machine-readable performance trajectory
-``repro bench check`` regresses against.
+test's wall-time. The per-stage view of a run lives in
+``benchmarks/pipeline/``.
 """
 
 from pathlib import Path
@@ -33,9 +32,9 @@ from repro.synth import generate_latent_market, generate_universe
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: per-test wall times and the bench run's telemetry, filled as the
-#: session runs and flushed by pytest_sessionfinish.
-_obs: dict = {"benchmarks": {}, "run_summary": None}
+#: per-test wall times, filled as the session runs and flushed by
+#: pytest_sessionfinish.
+_durations: dict[str, float] = {}
 
 
 @pytest.fixture(scope="session")
@@ -46,9 +45,7 @@ def bench_config():
 @pytest.fixture(scope="session")
 def bench_results(bench_config):
     """One full paper reproduction at benchmark scale (computed once)."""
-    results = run_experiment(bench_config)
-    _obs["run_summary"] = results.run_summary
-    return results
+    return run_experiment(bench_config)
 
 
 def _bench_name(nodeid: str) -> str:
@@ -59,23 +56,17 @@ def _bench_name(nodeid: str) -> str:
 
 def pytest_runtest_logreport(report):
     if report.when == "call" and report.passed:
-        _obs["benchmarks"][_bench_name(report.nodeid)] = (
-            round(report.duration, 4)
-        )
+        _durations[_bench_name(report.nodeid)] = round(report.duration, 4)
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _obs["benchmarks"]:
+    if not _durations:
         return
-    summary = _obs["run_summary"]
     benchmarks = {
         name: {"seconds": duration}
-        for name, duration in sorted(_obs["benchmarks"].items())
+        for name, duration in sorted(_durations.items())
     }
-    meta = {"preset": "bench"}
-    if summary is not None:
-        meta["experiment"] = summary.to_dict()
-    write_bench("obs", benchmarks, **meta)
+    write_bench("obs", benchmarks, preset="bench")
 
 
 @pytest.fixture(scope="session")

@@ -29,12 +29,10 @@ Layout:
   (surfaced as the ``repro cache`` CLI).
 * :mod:`~repro.cache.keys` — config fingerprints and key builders
   (dataset, scenario frames, per-scenario task results).
-* :mod:`~repro.cache.context` — :func:`use_cache` / :func:`current_cache`
-  scoped store access, so deep layers need no signature changes.
 
 Wired into ``run_experiment(cache_dir=...)`` and the CLI via
 ``repro run --cache-dir / --no-cache`` (see :mod:`repro.core.pipeline`).
-Everything degrades to plain computation when no store is installed.
+Everything degrades to plain computation when no ``cache_dir`` is given.
 """
 
 from .codec import (
@@ -44,7 +42,6 @@ from .codec import (
     load_artifact,
     quarantine_entry,
 )
-from .context import current_cache, use_cache
 from .keys import (
     array_digest,
     config_fingerprint,
@@ -63,7 +60,6 @@ __all__ = [
     "StaleArtifact",
     "array_digest",
     "config_fingerprint",
-    "current_cache",
     "dataset_key",
     "dump_artifact",
     "fingerprint_parts",
@@ -73,5 +69,4 @@ __all__ = [
     "range_digest",
     "scenarios_key",
     "task_key",
-    "use_cache",
 ]

@@ -4,22 +4,16 @@
 relationships between data categories" — this package provides the
 building blocks: lagged copies, rolling-statistic blocks, and
 cross-column interaction features, all frame-in/frame-out so they
-compose with the scenario pipeline. The ``extend_*`` variants grow a
-previously computed result over appended rows, recomputing only the
-tail (see :mod:`repro.incremental`).
+compose with the scenario pipeline.
 """
 
 from .engineering import (
-    extend_lag_features,
-    extend_rolling_features,
     interaction_features,
     lag_features,
     rolling_features,
 )
 
 __all__ = [
-    "extend_lag_features",
-    "extend_rolling_features",
     "interaction_features",
     "lag_features",
     "rolling_features",

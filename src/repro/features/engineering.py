@@ -13,8 +13,6 @@ import numpy as np
 
 from ..frame.frame import Frame
 from ..frame.ops import (
-    extend_rolling,
-    extend_shift,
     rolling_max,
     rolling_mean,
     rolling_min,
@@ -24,8 +22,6 @@ from ..frame.ops import (
 )
 
 __all__ = [
-    "extend_lag_features",
-    "extend_rolling_features",
     "interaction_features",
     "lag_features",
     "rolling_features",
@@ -96,98 +92,6 @@ def rolling_features(frame: Frame, columns: Sequence[str] | None = None,
             for stat in stats:
                 out[f"{name}_roll{w}_{stat}"] = _ROLLING_STATS[stat](col, w)
     return Frame(frame.index, out)
-
-
-def _check_extendable(prev: Frame, extended: Frame,
-                      expected: list[str]) -> tuple[int, int]:
-    """Validate an incremental feature update and return ``(n, k)``."""
-    if prev.columns != expected:
-        raise ValueError(
-            "previous feature frame does not match the requested "
-            "columns/parameters"
-        )
-    n, k = prev.n_rows, extended.n_rows - prev.n_rows
-    if k < 0:
-        raise ValueError("extended frame has fewer rows than the previous")
-    if not np.array_equal(prev.index.ordinals,
-                          extended.index.ordinals[:n]):
-        raise ValueError(
-            "extended frame's calendar does not start with the "
-            "previous frame's"
-        )
-    return n, k
-
-
-def extend_lag_features(prev: Frame, extended: Frame,
-                        columns: Sequence[str] | None = None,
-                        lags: Sequence[int] = (1, 7, 30)) -> Frame:
-    """Grow a :func:`lag_features` result to cover ``extended``'s rows.
-
-    ``prev`` is the frame previously computed over the first ``n`` rows
-    of ``extended`` (same columns/lags); only the appended tail is
-    recomputed, touching the last ``max(lags) + k`` input rows per
-    column. The result is bit-identical to
-    ``lag_features(extended, columns, lags)``.
-    """
-    names = _resolve_columns(extended, columns)
-    lags = [int(k) for k in lags]
-    if not lags or any(k < 1 for k in lags):
-        raise ValueError("lags must be >= 1 (no look-ahead)")
-    expected = [f"{name}_lag{k}" for name in names for k in lags]
-    n, k = _check_extendable(prev, extended, expected)
-    if k == 0:
-        return prev
-    tail = {}
-    for name in names:
-        col = extended[name]
-        for lag in lags:
-            tail[f"{name}_lag{lag}"] = extend_shift(col[:n], col[n:], lag)
-    return prev.append_rows(
-        Frame(extended.index[slice(n, None)], tail)
-    )
-
-
-def extend_rolling_features(prev: Frame, extended: Frame,
-                            columns: Sequence[str] | None = None,
-                            windows: Sequence[int] = (7, 30),
-                            stats: Sequence[str] = ("mean", "std")) -> Frame:
-    """Grow a :func:`rolling_features` result to cover ``extended``'s rows.
-
-    Same contract as :func:`extend_lag_features`: ``prev`` holds the
-    statistics over the first ``n`` rows, and only the appended tail is
-    recomputed (touching the last ``window - 1 + k`` input rows per
-    column). Bit-identical to ``rolling_features(extended, ...)``.
-    """
-    names = _resolve_columns(extended, columns)
-    windows = [int(w) for w in windows]
-    if not windows or any(w < 1 for w in windows):
-        raise ValueError("windows must be positive")
-    unknown = [s for s in stats if s not in _ROLLING_STATS]
-    if unknown:
-        raise ValueError(
-            f"unknown stats {unknown}; choose from "
-            f"{sorted(_ROLLING_STATS)}"
-        )
-    if not stats:
-        raise ValueError("need at least one stat")
-    expected = [
-        f"{name}_roll{w}_{stat}"
-        for name in names for w in windows for stat in stats
-    ]
-    n, k = _check_extendable(prev, extended, expected)
-    if k == 0:
-        return prev
-    tail = {}
-    for name in names:
-        col = extended[name]
-        for w in windows:
-            for stat in stats:
-                tail[f"{name}_roll{w}_{stat}"] = extend_rolling(
-                    col[:n], col[n:], w, stat
-                )
-    return prev.append_rows(
-        Frame(extended.index[slice(n, None)], tail)
-    )
 
 
 def interaction_features(frame: Frame,

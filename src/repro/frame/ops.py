@@ -29,10 +29,6 @@ __all__ = [
     "rolling_min",
     "rolling_max",
     "rolling_sum",
-    "extend_shift",
-    "extend_pct_change",
-    "extend_log_returns",
-    "extend_rolling",
 ]
 
 
@@ -189,8 +185,9 @@ def _std_center(values: np.ndarray) -> float:
     The *first finite* value: it kills the large common offset that
     makes the raw ``E[x²] − E[x]²`` identity cancel catastrophically,
     and — unlike the global mean — it depends only on the series head,
-    so appending rows never changes it (the prefix-stability property
-    :func:`extend_rolling` relies on).
+    so appending rows never changes the outputs of the existing rows
+    (the prefix check of :func:`repro.synth.extend_raw_dataset` needs
+    every indicator to be prefix-stable).
     """
     finite = np.flatnonzero(~np.isnan(values))
     return float(values[finite[0]]) if finite.size else 0.0
@@ -292,142 +289,3 @@ def rolling_sum(values: np.ndarray, window: int) -> np.ndarray:
     out = np.full(values.size, np.nan)
     out[window - 1:] = result
     return out
-
-
-# ----------------------------------------------------------------------
-# Tail updates — the incremental (append-only) counterparts.
-#
-# Every ``extend_*`` function answers: the series grew from ``old`` to
-# ``concat(old, new)``; what are the op's outputs *for the appended
-# rows only*, bit-identical to recomputing over the concatenation and
-# slicing?  Lag/shift/min/max windows only ever look ``window - 1``
-# rows back, so those run on a short context slice; the cumsum-based
-# stats (mean/sum/std) carry the exact accumulator across the append
-# boundary — ``np.cumsum`` is a strictly sequential fold, so seeding a
-# tail accumulation with the history's final partial sum reproduces the
-# cold partial sums bit-for-bit (a fresh tail cumsum added to the carry
-# afterwards would round differently).
-# ----------------------------------------------------------------------
-
-#: Rolling stats servable by :func:`extend_rolling`.
-ROLLING_STATS = ("mean", "std", "min", "max", "sum")
-
-
-def _as_extend_pair(old, new):
-    old = np.asarray(old, dtype=np.float64)
-    new = np.asarray(new, dtype=np.float64)
-    if old.ndim != 1 or new.ndim != 1:
-        raise ValueError("extend ops take 1-D series")
-    return old, new
-
-
-def extend_shift(old: np.ndarray, new: np.ndarray,
-                 periods: int) -> np.ndarray:
-    """Tail of ``shift(concat(old, new), periods)`` for the new rows.
-
-    Bit-identical to the cold recomputation; touches only the last
-    ``|periods|`` history rows.
-    """
-    old, new = _as_extend_pair(old, new)
-    context = old[old.size - min(abs(periods), old.size):]
-    full = shift(np.concatenate((context, new)), periods)
-    return full[context.size:]
-
-
-def extend_pct_change(old: np.ndarray, new: np.ndarray,
-                      periods: int = 1) -> np.ndarray:
-    """Tail of ``pct_change(concat(old, new), periods)`` (bit-identical)."""
-    old, new = _as_extend_pair(old, new)
-    context = old[old.size - min(abs(periods), old.size):]
-    full = pct_change(np.concatenate((context, new)), periods)
-    return full[context.size:]
-
-
-def extend_log_returns(old: np.ndarray, new: np.ndarray,
-                       periods: int = 1) -> np.ndarray:
-    """Tail of ``log_returns(concat(old, new), periods)`` (bit-identical)."""
-    old, new = _as_extend_pair(old, new)
-    context = old[old.size - min(abs(periods), old.size):]
-    full = log_returns(np.concatenate((context, new)), periods)
-    return full[context.size:]
-
-
-def _extend_window_stats(old, new, window, stat):
-    """Closed-form mean/sum/std for the appended rows via carried cumsums."""
-    n, k = old.size, new.size
-    if stat == "std":
-        # The centring offset is the series' first finite value, which
-        # appending rows cannot change (unless the history had none).
-        center = _std_center(old if not np.all(np.isnan(old))
-                             else np.concatenate((old, new)))
-        old = old - center
-        new = new - center
-
-    def tail_sums(o, t):
-        isnan_o, isnan_t = np.isnan(o), np.isnan(t)
-        safe_o = np.where(isnan_o, 0.0, o)
-        safe_t = np.where(isnan_t, 0.0, t)
-        # Padded cumsum over the history, then a tail accumulation
-        # *seeded with the carry* — a sequential fold in the same
-        # order as the cold cumsum, hence bit-identical partial sums.
-        csum_o = np.concatenate(([0.0], np.cumsum(safe_o)))
-        csum_t = np.cumsum(np.concatenate(([csum_o[-1]], safe_t)))
-        csum = np.concatenate((csum_o, csum_t[1:]))
-        ncsum_o = np.concatenate(([0], np.cumsum(isnan_o)))
-        ncsum = np.concatenate(
-            (ncsum_o, ncsum_o[-1] + np.cumsum(isnan_t))
-        )
-        # Window sums for global rows n .. n+k-1 only.
-        hi = np.arange(n + 1, n + k + 1)
-        sums = csum[hi] - csum[hi - window]
-        bad = (ncsum[hi] - ncsum[hi - window]) > 0
-        return sums, bad
-
-    sums, bad = tail_sums(old, new)
-    if stat == "sum":
-        result = sums
-    elif stat == "mean":
-        result = sums / window
-    else:
-        squares, _ = tail_sums(old * old, new * new)
-        mean = sums / window
-        result = np.sqrt(np.maximum(squares / window - mean * mean, 0.0))
-    result[bad] = np.nan
-    return result
-
-
-def extend_rolling(old: np.ndarray, new: np.ndarray, window: int,
-                   stat: str) -> np.ndarray:
-    """Rolling-stat outputs for the appended rows of a growing series.
-
-    Equivalent to ``rolling_<stat>(concat(old, new), window)[old.size:]``
-    — bit-identical for ``mean``/``sum``/``std`` (carried cumulative
-    sums), value-identical for ``min``/``max`` (exact selections; only
-    a zero's sign bit can differ, as in :func:`rolling_min`).  Only the
-    ``new`` rows are recomputed: extrema read a ``window - 1`` context
-    slice, and the cumsum stats carry their accumulator state across
-    the boundary with one vectorised pass over the history.
-    """
-    if stat not in ROLLING_STATS:
-        raise ValueError(
-            f"stat must be one of {ROLLING_STATS}, got {stat!r}"
-        )
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    old, new = _as_extend_pair(old, new)
-    n, k = old.size, new.size
-    if stat in ("min", "max"):
-        context = old[n - min(window - 1, n):]
-        op = rolling_min if stat == "min" else rolling_max
-        return op(np.concatenate((context, new)), window)[context.size:]
-    closed_ok = (window > 1 and n + k >= window and n >= window - 1
-                 and not np.isinf(old).any() and not np.isinf(new).any())
-    if not closed_ok:
-        # Edge shapes (window 1, infs, short history) route through the
-        # cold path exactly as the non-incremental functions do.
-        full = {"mean": rolling_mean, "sum": rolling_sum,
-                "std": rolling_std}[stat](
-            np.concatenate((old, new)), window
-        )
-        return full[n:]
-    return _extend_window_stats(old, new, window, stat)

@@ -14,11 +14,9 @@ reuse:
   per-period content digests (:func:`repro.core.scenarios.period_digests`),
   so appending rows after a period's end leaves its cached task
   results valid and the update re-serves them whole — no model is
-  refitted for an untouched scenario;
-* **incremental features** — tail-update rolling/lag recomputation
-  (:mod:`repro.features.engineering`, :mod:`repro.frame.ops`).
+  refitted for an untouched scenario.
 
-:func:`update_experiment` composes the three: extend the parent run's
+:func:`update_experiment` composes the two: extend the parent run's
 dataset, re-run the experiment against the same artifact cache, and
 append a ``kind="update"`` ledger record linked to the parent run's
 fingerprint so ``repro report --compare`` renders cold-vs-incremental

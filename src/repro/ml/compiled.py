@@ -4,7 +4,7 @@ This is the one inference path of every forest and booster ``predict``.
 Walking one tree at a time would make a forest predict ``n_estimators``
 Python-level traversals, and the pipeline's hot stages — PFI over
 permutation matrices, grid-search fold scoring, the improvement
-evaluations, backtest forecasting — each issue thousands of such calls.
+evaluations — each issue thousands of such calls.
 This module compiles a *fitted* estimator once into
 contiguous structure-of-arrays node tables (the LightGBM /
 ``HistGradientBoosting`` predictor-array design) and traverses **all

@@ -18,6 +18,13 @@ def _moving_block_indices(n: int, block: int,
     return idx[:n]
 
 
+def _check_resampling(n_resamples: int, confidence: float) -> None:
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+
+
 def block_bootstrap_ci(
     values,
     statistic=np.mean,
@@ -39,10 +46,7 @@ def block_bootstrap_ci(
         raise ValueError("values must be non-empty")
     if not 1 <= block <= n:
         raise ValueError("block must be in [1, len(values)]")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    _check_resampling(n_resamples, confidence)
     rng = np.random.default_rng(random_state)
     point = float(statistic(values))
     draws = np.empty(n_resamples)
@@ -79,6 +83,7 @@ def improvement_ci(
         raise ValueError("inputs must be non-empty")
     if not 1 <= block <= n:
         raise ValueError("block must be in [1, len(y_true)]")
+    _check_resampling(n_resamples, confidence)
     rng = np.random.default_rng(random_state)
 
     point = mse_improvement_pct(

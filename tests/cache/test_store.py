@@ -1,10 +1,10 @@
-"""Unit tests for the content-addressed store and its context plumbing."""
+"""Unit tests for the content-addressed store."""
 
 import pickle
 
 import pytest
 
-from repro.cache import CacheStore, current_cache, use_cache
+from repro.cache import CacheStore
 from repro.obs import MetricsRegistry, use_metrics
 
 KEY_A = "ab" + "0" * 62
@@ -79,26 +79,3 @@ class TestCounters:
         assert snap["cache.writes"] == 1
         assert snap["cache.bytes_written"] > 0
         assert snap["cache.bytes_read"] > 0
-
-
-class TestContext:
-    def test_default_is_none(self):
-        assert current_cache() is None
-
-    def test_scoped_install_and_restore(self, store):
-        with use_cache(store) as active:
-            assert active is store
-            assert current_cache() is store
-        assert current_cache() is None
-
-    def test_explicit_none_disables(self, store):
-        with use_cache(store):
-            with use_cache(None):
-                assert current_cache() is None
-            assert current_cache() is store
-
-    def test_restored_after_exception(self, store):
-        with pytest.raises(RuntimeError):
-            with use_cache(store):
-                raise RuntimeError("boom")
-        assert current_cache() is None

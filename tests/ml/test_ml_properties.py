@@ -17,6 +17,7 @@ from repro.ml import (
     TreeExplainer,
     mean_squared_error,
     pearson_correlation,
+    permutation_importance,
     target_correlations,
 )
 from repro.ml.shap import shap_values_brute
@@ -129,6 +130,66 @@ class TestEnsembleInvariants:
             assert fi.shape == (X.shape[1],)
             assert (fi >= 0).all()
             assert fi.sum() == pytest.approx(1.0) or not fi.any()
+
+
+def _models(splitter, n_estimators, max_depth):
+    """One forest and one booster, the two model families PFI scores."""
+    return (
+        RandomForestRegressor(n_estimators=n_estimators, max_depth=max_depth,
+                              splitter=splitter, random_state=0),
+        GradientBoostingRegressor(n_estimators=n_estimators,
+                                  max_depth=max_depth, splitter=splitter,
+                                  random_state=0),
+    )
+
+
+def _split_features(model):
+    """Every column some tree of ``model`` splits on (leaves hold -1)."""
+    used = set()
+    for tree in model.estimators_:
+        feature = tree.tree_.feature
+        used.update(feature[feature >= 0].tolist())
+    return used
+
+
+class TestPermutationImportanceInvariants:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=4, max_value=6))
+    def test_unsplit_column_scores_exactly_zero(self, seed, n_features):
+        """Permuting a column no tree reads leaves every prediction intact.
+
+        Three depth-1 trees split on at most three columns, so at least
+        one of the four to six columns is never read.
+        """
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, n_features))
+        y = X @ rng.normal(size=n_features) + rng.normal(size=40)
+        for splitter in SPLITTERS:
+            for model in _models(splitter, n_estimators=3, max_depth=1):
+                model.fit(X, y)
+                unused = set(range(n_features)) - _split_features(model)
+                assert unused
+                pfi = permutation_importance(model, X, y, n_repeats=3,
+                                             random_state=seed)
+                for j in unused:
+                    assert pfi[j] == 0.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_noise_column_negligible_on_held_out_rows(self, seed):
+        """An independent noise column scores < 5% of the signal column."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(160, 2))
+        y = 2.0 * X[:, 0] + 0.1 * rng.normal(size=160)
+        train, test = slice(0, 80), slice(80, None)
+        for splitter in SPLITTERS:
+            for model in _models(splitter, n_estimators=10, max_depth=3):
+                model.fit(X[train], y[train])
+                signal, noise = permutation_importance(
+                    model, X[test], y[test], n_repeats=5, random_state=0
+                )
+                assert noise < 0.05 * signal
 
 
 def _assert_local_accuracy(model, X):

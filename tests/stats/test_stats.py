@@ -170,6 +170,13 @@ class TestImprovementCI:
     def test_validation(self):
         with pytest.raises(ValueError):
             improvement_ci(np.ones(5), np.ones(4), np.ones(5))
+        y = np.arange(100.0)
+        base, impr = y + 1.0, y + 0.5
+        with pytest.raises(ValueError, match="n_resamples"):
+            improvement_ci(y, base, impr, n_resamples=0)
+        for confidence in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="confidence"):
+                improvement_ci(y, base, impr, confidence=confidence)
 
 
 class TestDiagnostics:

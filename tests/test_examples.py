@@ -54,8 +54,7 @@ def fast_simulation(monkeypatch):
 class TestExamples:
     def test_examples_exist(self):
         names = {p.stem for p in EXAMPLES_DIR.glob("*.py")}
-        assert {"quickstart", "crypto100_index", "horizon_study",
-                "portfolio_backtest"} <= names
+        assert {"quickstart", "crypto100_index", "horizon_study"} <= names
 
     def test_crypto100_index_example(self, capsys):
         load_example("crypto100_index").main(seed=42)
@@ -75,24 +74,11 @@ class TestExamples:
         assert "Share of total model importance" in out
         assert "w=180" in out
 
-    def test_portfolio_backtest_example(self, capsys):
-        load_example("portfolio_backtest").main(seed=42)
-        out = capsys.readouterr().out
-        assert "Walk-forward long/flat backtest" in out
-        assert "buy & hold" in out
-
     def test_feature_engineering_example(self, capsys):
         load_example("feature_engineering").main(seed=42)
         out = capsys.readouterr().out
         assert "Cross-category feature engineering" in out
         assert "MVRV-style ratio" in out
-
-    def test_resilient_portfolio_example(self, capsys):
-        load_example("resilient_portfolio").main(seed=42)
-        out = capsys.readouterr().out
-        assert "crypto portfolio" in out
-        assert "risk parity" in out
-        assert "calmest allocation" in out
 
     def test_category_deep_dive_example(self, capsys):
         load_example("category_deep_dive").main(seed=42)

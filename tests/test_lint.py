@@ -50,7 +50,7 @@ class TestCheckNoPrint:
         }
         assert "cache/store.py" in scanned
         assert "cache/keys.py" in scanned
-        assert "cache/context.py" in scanned
+        assert "cache/codec.py" in scanned
         assert "ml/compiled.py" in scanned
 
     def test_obs_modules_are_inside_the_scanned_tree(self):

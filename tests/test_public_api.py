@@ -5,25 +5,16 @@ but missing from __all__ in the package fronts users see.
 """
 
 import importlib
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.frame",
-    "repro.ml",
-    "repro.indicators",
-    "repro.synth",
-    "repro.core",
-    "repro.obs",
-    "repro.stats",
-    "repro.backtest",
-    "repro.features",
-    "repro.portfolio",
-    "repro.incremental",
-    "repro.parallel",
-    "repro.cache",
-    "repro.resilience",
+import repro
+
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
 ]
 
 
