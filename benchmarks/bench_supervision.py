@@ -66,7 +66,7 @@ def bench_crash_recovery() -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         fn = partial(_crash_once, counter_dir=scratch)
         start = time.perf_counter()
-        got = ParallelMap(3, chunk_size=1).map(fn, items)
+        got = ParallelMap(3).map(fn, items)
         seconds = time.perf_counter() - start
     return {
         "recovers_from_crash": got == expected,

@@ -606,7 +606,7 @@ def _preflight(raw: RawDataset, config: ExperimentConfig,
 def _warm_scenario_worker() -> None:
     """Worker-pool warmup: pull in the fit/predict stack (tree kernels,
     compiled-ensemble node tables, selection, improvement) before the
-    first chunk lands, so stage latency measures work, not imports."""
+    first scenario lands, so stage latency measures work, not imports."""
     from ..ml import compiled, forest, importance  # noqa: F401
     from . import fra, horizons, improvement, selection  # noqa: F401
 
@@ -857,20 +857,15 @@ def run_experiment(config: ExperimentConfig | None = None,
         task_kwargs = {"config": config}
         if store is not None:
             task_kwargs.update(cache=store, task_keys=task_keys)
-        # With a deadline configured (config or $REPRO_TASK_TIMEOUT),
-        # one scenario per chunk so the clock measures a single
-        # scenario, not a batch of them.
-        deadline = resolve_task_timeout(config.task_timeout)
         mapper = ParallelMap(
             jobs,
-            timeout=deadline,
+            timeout=config.task_timeout,
             max_retries=config.task_retries,
-            chunk_size=1 if deadline is not None else None,
         )
         # One persistent pool serves the whole fan-out.  Its shared
         # dataset publishes each scenario's matrices once; workers
-        # attach instead of unpickling them per chunk.  Lazy: if every
-        # node cache-hits, no process is forked.
+        # attach instead of unpickling them.  Lazy: if every node
+        # cache-hits, no process is forked.
         pool = None
         if jobs > 1 and len(scenarios) > 1 and not in_worker():
             pool = WorkerPool(n_jobs=jobs,

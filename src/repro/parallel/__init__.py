@@ -26,12 +26,13 @@ Design contract:
 * **One pool, shared inputs** — the fan-out leases one persistent
   :class:`WorkerPool`, and the scenario matrices are published once to
   its :class:`SharedDataset` so workers attach instead of unpickling.
-* **Supervision** — the pool survives worker death: broken pools are
-  rebuilt, surviving chunks resubmitted under a bounded retry budget,
-  hung chunks killed after ``timeout=`` / ``$REPRO_TASK_TIMEOUT``
-  seconds, and the poison item is bisected out as a
-  :class:`WorkerCrash` while every other item's result is recovered
-  (see :mod:`repro.parallel.supervision`).
+* **Supervision** — one item per submission, at most ``n_jobs`` in
+  flight.  The pool survives worker death: broken pools are rebuilt,
+  unfinished items resubmitted under a bounded retry budget, hung items
+  killed after ``timeout=`` / ``$REPRO_TASK_TIMEOUT`` seconds, and an
+  item that dies alone twice ends as a :class:`WorkerCrash` while every
+  other item's result is recovered (see
+  :mod:`repro.parallel.supervision`).
 
 Quick tour::
 

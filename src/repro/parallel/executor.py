@@ -1,27 +1,26 @@
 """``ParallelMap``: ordered, deterministic fan-out over worker processes.
 
-The facade wraps :class:`concurrent.futures.ProcessPoolExecutor` behind
-one ``map``-shaped API with a guaranteed serial fast path:
+The facade runs one ``map``-shaped API over a supervised
+:class:`~repro.parallel.WorkerPool`, with a guaranteed serial fast
+path:
 
 * ``n_jobs=1`` (or a single item, or a call from inside a worker) runs
   the function inline — no pool, no pickling, no obs indirection.
-* Items are split into contiguous chunks (one per worker by default) so
-  shared payloads bound into ``functools.partial`` are pickled once per
-  chunk rather than once per item.
+* Each item is its own submission, with at most ``n_jobs`` in flight,
+  so the next item goes to the first free worker.
 * Results always come back in submission order; worker errors are
   consumed in *completion* order, so the first failure anywhere aborts
-  the map without waiting behind earlier chunks, and the remaining work
-  is cancelled.
+  the map without waiting behind earlier items.
 * ``map(..., return_exceptions=True)`` switches to *partial-results*
   mode: a failing item yields an :class:`ItemFailure` at its position
   instead of aborting the whole map, so long fan-outs survive isolated
   failures (``KeyboardInterrupt``/``SystemExit`` still propagate).
 * Process fan-out is *supervised*
   (:mod:`repro.parallel.supervision`): a worker killed by the OS or
-  hung past the per-chunk deadline (``timeout=`` /
-  ``$REPRO_TASK_TIMEOUT``) no longer aborts the fan-out — the pool is
-  rebuilt, surviving chunks are resubmitted under a bounded retry
-  budget, and the poison item is bisected out as a
+  hung past the per-item deadline (``timeout=`` /
+  ``$REPRO_TASK_TIMEOUT``) does not abort the fan-out — the pool is
+  rebuilt, unfinished items are resubmitted under a bounded retry
+  budget, and a poison item ends as a
   :class:`~repro.parallel.WorkerCrash` while every other item's result
   is recovered.
 * Process workers capture their :mod:`repro.obs` spans and metrics and
@@ -45,10 +44,10 @@ from ..obs import (
     Tracer,
     current_metrics,
     current_tracer,
-    get_logger,
     set_current_metrics,
     set_current_tracer,
 )
+from .pool import WorkerPool, current_pool
 from .supervision import (
     ItemFailure,
     Supervisor,
@@ -66,8 +65,6 @@ __all__ = [
     "resolve_task_retries",
     "resolve_task_timeout",
 ]
-
-_log = get_logger("parallel")
 
 #: Environment variable honoured by :func:`resolve_n_jobs`.
 ENV_JOBS = "REPRO_JOBS"
@@ -111,26 +108,6 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
     return n_jobs
 
 
-def _balanced_chunks(items: list, n_chunks: int) -> list:
-    """Split ``items`` into exactly ``n_chunks`` contiguous chunks whose
-    sizes differ by at most one.
-
-    The old ``ceil(len/n_jobs)``-sized chunking could produce *fewer*
-    chunks than workers (e.g. 5 items / 4 jobs → sizes ``[2, 2, 1]``,
-    one worker idle); balanced splitting gives ``[2, 1, 1, 1]`` so
-    every leased worker gets work.
-    """
-    quotient, remainder = divmod(len(items), n_chunks)
-    chunks = []
-    start = 0
-    for i in range(n_chunks):
-        size = quotient + (1 if i < remainder else 0)
-        if size:
-            chunks.append((start, items[start:start + size]))
-        start += size
-    return chunks
-
-
 def _capture_call(fn, item, index: int, ship_across_process: bool):
     """``fn(item)``, converting an ``Exception`` into an ItemFailure."""
     try:
@@ -152,12 +129,12 @@ def _capture_call(fn, item, index: int, ship_across_process: bool):
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level: picklable under every start method).
+# Worker entry point (module-level: picklable under every start method).
 # ----------------------------------------------------------------------
-def _run_chunk_process(fn, chunk, base_index=0, capture=False):
-    """Run one chunk in a worker process under fresh obs sinks.
+def _run_item_process(fn, item, index, capture=False):
+    """Run one item in a worker process under fresh obs sinks.
 
-    Returns ``(results, span_records, metrics_dump)`` so the parent can
+    Returns ``(result, span_records, metrics_dump)`` so the parent can
     merge the telemetry back into its own tracer/registry.
     """
     _worker_state.active = True
@@ -167,19 +144,16 @@ def _run_chunk_process(fn, chunk, base_index=0, capture=False):
     previous_metrics = set_current_metrics(metrics)
     try:
         if capture:
-            results = [
-                _capture_call(fn, item, base_index + offset,
-                              ship_across_process=True)
-                for offset, item in enumerate(chunk)
-            ]
+            result = _capture_call(fn, item, index,
+                                   ship_across_process=True)
         else:
-            results = [fn(item) for item in chunk]
+            result = fn(item)
     finally:
         set_current_tracer(previous_tracer)
         set_current_metrics(previous_metrics)
         _worker_state.active = False
     return (
-        results,
+        result,
         [record.to_dict() for record in tracer.spans],
         metrics.dump(),
     )
@@ -194,16 +168,12 @@ class ParallelMap:
         Worker count; resolved through :func:`resolve_n_jobs`
         (``None`` → ``REPRO_JOBS`` → all cores; 1 = serial, never
         spawns a pool).
-    chunk_size:
-        Items per submitted task. Default: one contiguous chunk per
-        worker, which minimises how often shared ``partial`` payloads
-        are pickled.
     timeout:
-        Per-chunk deadline in seconds (``None`` →
-        ``$REPRO_TASK_TIMEOUT`` → no deadline).  A chunk observed
-        running past it has its worker killed and is retried /
-        bisected by the supervision layer.  The serial path cannot
-        kill a hung task and ignores it.
+        Per-item deadline in seconds (``None`` →
+        ``$REPRO_TASK_TIMEOUT`` → no deadline).  An item observed
+        running past it has its worker killed and is reported by the
+        supervision layer.  The serial path cannot kill a hung task
+        and ignores it.
     max_retries:
         Pool-rebuild budget for the supervision layer (``None`` →
         ``$REPRO_TASK_RETRIES`` → 16).  Once spent, unresolved items
@@ -211,13 +181,9 @@ class ParallelMap:
     """
 
     def __init__(self, n_jobs: int | None = None,
-                 chunk_size: int | None = None,
                  timeout: float | None = None,
                  max_retries: int | None = None):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 (or None)")
-        self.chunk_size = chunk_size
         self.timeout = resolve_task_timeout(timeout)
         self.max_retries = resolve_task_retries(max_retries)
 
@@ -235,9 +201,8 @@ class ParallelMap:
         and deadline overruns surface as
         ``error_type == "WorkerCrash"`` failures after the supervision
         layer has recovered every other item.  The default behaviour
-        (raise on the first error, cancel the rest) is unchanged —
-        except that an unrecoverable worker death now raises
-        :class:`WorkerCrash` instead of ``BrokenProcessPool``.
+        raises on the first error; an unrecoverable worker death raises
+        :class:`WorkerCrash`.
         """
         items = list(items)
         n_jobs = min(self.n_jobs, len(items))
@@ -249,83 +214,52 @@ class ParallelMap:
                     for index, item in enumerate(items)
                 ]
             return [fn(item) for item in items]
-
-        if self.chunk_size is not None:
-            size = self.chunk_size
-            chunks = [
-                (i, items[i:i + size])
-                for i in range(0, len(items), size)
-            ]
-        else:
-            chunks = _balanced_chunks(items, n_jobs)
-        return self._map_processes(fn, items, chunks, n_jobs,
-                                   return_exceptions)
+        return self._map_processes(fn, items, n_jobs, return_exceptions)
 
     # ------------------------------------------------------------------
-    def _map_processes(self, fn, items, chunks, n_jobs,
+    def _map_processes(self, fn, items, n_jobs,
                        return_exceptions: bool) -> list:
         """Supervised process fan-out that survives worker death.
 
-        When a persistent :class:`~repro.parallel.pool.WorkerPool` is
-        installed (:func:`~repro.parallel.pool.use_pool`) its executor
-        is leased instead of building a throwaway pool.
+        Runs on the persistent pool installed by
+        :func:`~repro.parallel.pool.use_pool`, or on a
+        :class:`~repro.parallel.pool.WorkerPool` built for this call.
         """
-        from .pool import current_pool
-
         pool = current_pool()
-        runner = partial(_run_chunk_process, fn,
-                         capture=return_exceptions)
+        owned = pool is None
+        if owned:
+            pool = WorkerPool(n_jobs)
+        runner = partial(_run_item_process, fn, capture=return_exceptions)
         tracer = current_tracer()
         parent_id = tracer.current_span_id()
         metrics = current_metrics()
 
         def collect(payload):
-            results, span_records, metrics_dump = payload
+            result, span_records, metrics_dump = payload
             if span_records:
                 tracer.absorb(span_records, parent_id=parent_id)
             if metrics_dump:
                 metrics.merge(metrics_dump)
-            return results
+            return result
 
-        def fallback(chunk_items, base):
+        def fallback(item, index):
             if return_exceptions:
-                return [
-                    _capture_call(fn, item, base + offset,
-                                  ship_across_process=False)
-                    for offset, item in enumerate(chunk_items)
-                ]
-            return [fn(item) for item in chunk_items]
+                return _capture_call(fn, item, index,
+                                     ship_across_process=False)
+            return fn(item)
 
         supervisor = Supervisor(
-            make_executor=(pool.lease if pool is not None
-                           else self._make_executor),
+            pool=pool,
             runner=runner,
             collect=collect,
             fallback=fallback,
-            n_jobs=n_jobs,
+            n_jobs=min(n_jobs, pool.n_jobs),
             timeout=self.timeout,
             max_retries=self.max_retries,
             return_exceptions=return_exceptions,
-            reap=pool.reap if pool is not None else None,
         )
-        return supervisor.run(chunks, len(items))
-
-    # ------------------------------------------------------------------
-    def _make_executor(self, max_workers: int):
-        """Build the pool, or None when the platform cannot provide one."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork
-            context = None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context
-            )
-        except (OSError, PermissionError) as exc:
-            _log.warning("process_pool.unavailable", error=str(exc),
-                         fallback="serial")
-            return None
-
+            return supervisor.run(items)
+        finally:
+            if owned:
+                pool.close()

@@ -1,20 +1,16 @@
 """A persistent, supervised worker pool reused across ``map`` calls.
 
-Every :class:`~repro.parallel.ParallelMap` used to build (and tear
-down) a fresh ``ProcessPoolExecutor`` per call — five pools per
-pipeline run, each paying fork + import + warmup before the first item.
 A :class:`WorkerPool` is created **once per run**, installed with
-:func:`use_pool`, and every fanned-out ``map`` inside the scope
-leases the same executor:
+:func:`use_pool`, and every fanned-out
+:class:`~repro.parallel.ParallelMap` inside the scope leases the same
+executor (a ``map`` called outside any scope builds a pool for that
+call alone):
 
-* workers are *warmed* by an initializer that pre-attaches the run's
-  shared-memory segments (:meth:`SharedDataset.metas`) and runs an
-  optional ``warmup`` callable (e.g. rehydrating compiled-ensemble
-  node tables), so the first chunk of every stage starts hot;
-* supervision is unchanged — the pool plugs into
-  :class:`~repro.parallel.supervision.Supervisor` through the same
-  ``make_executor`` / ``reap`` seams, so per-chunk deadlines, retries
-  and poison bisection behave exactly as with throwaway pools.  A
+* workers are *warmed* by an optional ``warmup`` callable run once per
+  worker (e.g. importing the fit/predict stack), so the first item of
+  every stage starts hot;
+* the pool plugs into :class:`~repro.parallel.supervision.Supervisor`
+  through :meth:`WorkerPool.lease` and :meth:`WorkerPool.reap`.  A
   crash invalidates the executor; the next lease builds a fresh one
   (counted by ``parallel.pool_builds``), and because the *parent* owns
   every shared segment, a dead worker can never leak ``/dev/shm``;
@@ -31,7 +27,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from ..obs import current_metrics, get_logger
-from .shm import SharedDataset, SharedSegmentGone, attach, shm_enabled
+from .shm import SharedDataset
 
 __all__ = ["WorkerPool", "current_pool", "use_pool"]
 
@@ -60,28 +56,19 @@ def use_pool(pool: "WorkerPool"):
         _current_pool.reset(token)
 
 
-def _warm_worker(specs, warmup) -> None:
-    """Worker initializer: pre-attach shared segments, then warm up.
+def _warm_worker(warmup) -> None:
+    """Worker initializer: run ``warmup`` once per worker process.
 
-    Runs once per worker process.  Failures are logged, never raised —
-    an initializer exception would brick the pool, and a missing
-    segment simply means the worker re-attaches lazily (or the payload
-    arrives by value).
+    Failures are logged, never raised — an initializer exception would
+    brick the pool.
     """
-    for spec in specs:
-        try:
-            attach(spec)
-        except SharedSegmentGone:
-            pass
-        except Exception as exc:  # pragma: no cover - defensive
-            _log.warning("pool.warm_attach_failed", segment=spec[0],
-                         error=str(exc))
-    if warmup is not None:
-        try:
-            warmup()
-        except Exception as exc:
-            _log.warning("pool.warmup_failed",
-                         error=f"{type(exc).__name__}: {exc}")
+    if warmup is None:
+        return
+    try:
+        warmup()
+    except Exception as exc:
+        _log.warning("pool.warmup_failed",
+                     error=f"{type(exc).__name__}: {exc}")
 
 
 class WorkerPool:
@@ -98,7 +85,7 @@ class WorkerPool:
         ``close()``.
     warmup:
         Optional picklable zero-argument callable run once in every
-        worker after segment attachment.
+        worker.
 
     The pool is *lazy*: no process is forked until the first
     :meth:`lease`.  :meth:`reap` matches the
@@ -122,13 +109,8 @@ class WorkerPool:
         self._unavailable = False
 
     # ------------------------------------------------------------------
-    def lease(self, max_workers: int | None = None):
+    def lease(self):
         """The live executor, building one on first use / after a kill.
-
-        ``max_workers`` is accepted for ``make_executor`` signature
-        compatibility but the pool always runs at its configured
-        ``n_jobs`` — chunks submitted by a narrower round simply leave
-        workers idle for a moment instead of forcing a rebuild.
 
         Returns ``None`` when the platform refused a process pool
         (the supervisor then runs the work inline).
@@ -156,13 +138,12 @@ class WorkerPool:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platforms without fork
             context = None
-        specs = self.dataset.metas() if shm_enabled() else []
         try:
             return ProcessPoolExecutor(
                 max_workers=self.n_jobs,
                 mp_context=context,
                 initializer=_warm_worker,
-                initargs=(specs, self.warmup),
+                initargs=(self.warmup,),
             )
         except (OSError, PermissionError) as exc:
             _log.warning("process_pool.unavailable", error=str(exc),
@@ -177,9 +158,15 @@ class WorkerPool:
         ``map`` call — that is the whole point of the pool.  A dirty
         round terminates the workers (the only way to reclaim a hung
         one) and invalidates the executor; the supervisor's next
-        ``make_executor`` lease forks a fresh, re-warmed pool.
+        :meth:`lease` forks a fresh, re-warmed pool.  Exit codes are
+        read before any worker is terminated, so a death is reported
+        with its own code, not the teardown's SIGTERM.
+        ``_processes`` is stdlib-internal but stable since 3.7.
         """
         processes = dict(getattr(executor, "_processes", None) or {})
+        deaths = [(pid, process.exitcode)
+                  for pid, process in processes.items()
+                  if process.exitcode not in (0, None)]
         if kill:
             for process in processes.values():
                 if process.is_alive():
@@ -187,11 +174,6 @@ class WorkerPool:
             executor.shutdown(wait=True, cancel_futures=True)
             if executor is self._executor:
                 self._executor = None
-        deaths = []
-        for pid, process in processes.items():
-            code = process.exitcode
-            if code not in (0, None):
-                deaths.append((pid, code))
         if deaths and not kill and executor is self._executor:
             # A worker died without breaking the round's futures; do
             # not trust the executor for the next stage.

@@ -14,13 +14,12 @@ module teaches them to pickle *by reference*:
   ``atexit`` hook, and the stdlib resource tracker unlinks owned
   segments even if the owning process is SIGKILLed — a crashed run
   never leaks ``/dev/shm``.
-* :class:`SharedArray` — an ``np.ndarray`` subclass whose ``__reduce__``
-  emits ``(segment name, dtype, shape, strides, offset)`` instead of
-  bytes whenever its memory still lives inside a live segment (views
-  and slices included).  Unpickling attaches to the segment by name —
-  zero bytes of array data cross the pipe — and falls back to an
-  ordinary by-value copy when the segment is gone or the memory has
-  been copied out of it.
+* :class:`SharedArray` — an ``np.ndarray`` subclass.  A whole
+  published view pickles as its segment's spec (name, shape, dtype,
+  order) instead of bytes while the segment is alive; unpickling
+  attaches to the segment by name — zero bytes of array data cross the
+  pipe.  Slices and every other derived array pickle by value, as does
+  a view whose segment is gone.
 
 Attaching to a segment that has been unlinked raises
 :class:`SharedSegmentGone` — a structured error, never a segfault:
@@ -34,15 +33,13 @@ published, ``parallel.shm_segments`` counts segments,
 ``parallel.shm_attach`` counts worker attachments; all flow into
 ``repro trace-summary``.
 
-``REPRO_SHM=0`` disables the transport globally (everything falls back
-to plain pickling); ``REPRO_SHM_MIN_BYTES`` tunes the size below which
-arrays are cheaper to pickle than to publish (default 64 KiB).
+Arrays below :data:`SHM_MIN_BYTES` (64 KiB) are cheaper to pickle than
+to publish, so :meth:`SharedDataset.share` leaves them alone.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import weakref
 
 import numpy as np
@@ -50,8 +47,6 @@ import numpy as np
 from ..obs import current_metrics, get_logger
 
 __all__ = [
-    "ENV_SHM",
-    "ENV_SHM_MIN_BYTES",
     "SHM_MIN_BYTES",
     "SharedArray",
     "SharedDataset",
@@ -61,9 +56,6 @@ __all__ = [
 ]
 
 _log = get_logger("parallel")
-
-ENV_SHM = "REPRO_SHM"
-ENV_SHM_MIN_BYTES = "REPRO_SHM_MIN_BYTES"
 
 #: Below this many bytes an array is cheaper to pickle than to publish.
 SHM_MIN_BYTES = 64 * 1024
@@ -77,28 +69,8 @@ _GRAVEYARD: list = []
 
 
 def shm_enabled() -> bool:
-    """True when the shared-memory transport is available and not
-    disabled via ``REPRO_SHM=0`` (checked per call, so tests and the
-    benchmark harness can flip it at runtime)."""
-    flag = os.environ.get(ENV_SHM, "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return False
+    """True when the platform supports the shared-memory transport."""
     return _shared_memory() is not None
-
-
-def resolve_shm_min_bytes(min_bytes: int | None = None) -> int:
-    """Publish threshold: arg → ``$REPRO_SHM_MIN_BYTES`` → 64 KiB."""
-    if min_bytes is not None:
-        return int(min_bytes)
-    env = os.environ.get(ENV_SHM_MIN_BYTES, "").strip()
-    if not env:
-        return SHM_MIN_BYTES
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SHM_MIN_BYTES} must be an integer, got {env!r}"
-        ) from None
 
 
 def _shared_memory():
@@ -136,7 +108,7 @@ class SharedMatrix:
     """
 
     __slots__ = ("name", "shape", "dtype_str", "order", "nbytes",
-                 "owner", "retired", "_shm", "_base", "__weakref__")
+                 "owner", "retired", "_shm", "__weakref__")
 
     def __init__(self, shm, shape, dtype_str, order, nbytes, owner):
         self.name = shm.name
@@ -147,9 +119,6 @@ class SharedMatrix:
         self.owner = owner
         self.retired = False
         self._shm = shm
-        raw = np.ndarray(self.shape, dtype=np.dtype(dtype_str),
-                         buffer=shm.buf, order=order)
-        self._base = raw.__array_interface__["data"][0]
 
     def spec(self) -> tuple:
         return (self.name, self.shape, self.dtype_str, self.order,
@@ -167,41 +136,12 @@ class SharedMatrix:
         out._shm = self
         return out
 
-    def view_at(self, dtype_str, shape, strides, offset) -> "SharedArray":
-        """A read-only view at an explicit geometry (sliced pickles)."""
-        if self.retired:
-            raise SharedSegmentGone(self.name, "segment was retired")
-        raw = np.ndarray(shape, dtype=np.dtype(dtype_str),
-                         buffer=self._shm.buf, offset=offset,
-                         strides=strides)
-        raw.flags.writeable = False
-        out = raw.view(SharedArray)
-        out._shm = self
-        return out
-
-    def contains(self, arr: np.ndarray) -> bool:
-        """True when ``arr``'s memory lies entirely inside this segment
-        (negative strides included) — the precondition for pickling it
-        by reference."""
-        if self.retired or arr.size == 0:
-            return False
-        start = arr.__array_interface__["data"][0]
-        lo = hi = start
-        for extent, stride in zip(arr.shape, arr.strides):
-            span = (extent - 1) * stride
-            if span >= 0:
-                hi += span
-            else:
-                lo += span
-        hi += arr.dtype.itemsize
-        return self._base <= lo and hi <= self._base + self.nbytes
-
     # ------------------------------------------------------------------
     def retire(self) -> None:
         """Detach and (for the owner) unlink the segment.
 
-        After this every by-reference pickle of its views degrades to a
-        by-value copy, and attaching its name raises
+        After this every pickle of its views degrades to a by-value
+        copy, and attaching its name raises
         :class:`SharedSegmentGone`.
         """
         if self.retired:
@@ -298,9 +238,9 @@ def _untrack(shm) -> None:
         pass
 
 
-def _attach_view(spec, dtype_str, shape, strides, offset):
+def _attach_view(spec):
     """Unpickle hook for by-reference :class:`SharedArray` pickles."""
-    return attach(spec).view_at(dtype_str, shape, strides, offset)
+    return attach(spec).view()
 
 
 def _plain_array(arr: np.ndarray) -> np.ndarray:
@@ -313,28 +253,21 @@ class SharedArray(np.ndarray):
     """A read-only ndarray living in a shared-memory segment.
 
     Behaves exactly like the plain array it was published from — same
-    dtype, shape, values, read-only flag — but pickles *by reference*
-    (segment name + geometry) while its segment is alive, so shipping
-    it to a worker costs a few hundred bytes regardless of size.
-    Slices and transposes stay shared; fancy indexing and arithmetic
-    produce ordinary arrays (new memory outside the segment) that
-    pickle by value as usual.
+    dtype, shape, values, read-only flag.  Only the whole view handed
+    out by :meth:`SharedMatrix.view` pickles *by reference* (the
+    segment's spec) while its segment is alive, so shipping it to a
+    worker costs a few hundred bytes regardless of size.  Every derived
+    array — slices, transposes, fancy indexing, arithmetic — pickles by
+    value as usual.
     """
 
     def __array_finalize__(self, obj):
-        src = getattr(obj, "_shm", None)
-        if src is not None and not src.retired and src.contains(self):
-            self._shm = src
-        else:
-            self._shm = None
+        self._shm = None
 
     def __reduce__(self):
         src = getattr(self, "_shm", None)
-        if src is not None and not src.retired and src.contains(self):
-            offset = self.__array_interface__["data"][0] - src._base
-            return (_attach_view, (src.spec(), self.dtype.str,
-                                   self.shape, tuple(self.strides),
-                                   int(offset)))
+        if src is not None and not src.retired:
+            return (_attach_view, (src.spec(),))
         return (_plain_array, (np.ascontiguousarray(self),))
 
 
@@ -350,8 +283,8 @@ class SharedDataset:
     ``publish`` copies an array in and returns the shared read-only
     view; repeated publishes of the same object are deduplicated.
     ``share`` is the soft variant used on hot paths: it publishes only
-    when the transport is enabled, the array is large enough to pay for
-    a segment, and the platform cooperates — otherwise it returns the
+    when the platform supports shared memory and the array is large
+    enough to pay for a segment — otherwise it returns the
     array unchanged.  ``close`` unlinks everything (idempotent; also
     invoked from an ``atexit`` hook so a run that forgets is still
     clean, and the multiprocessing resource tracker unlinks owned
@@ -367,7 +300,7 @@ class SharedDataset:
         _LIVE_DATASETS.add(self)
 
     # ------------------------------------------------------------------
-    def publish(self, arr, key=None) -> SharedArray:
+    def publish(self, arr) -> SharedArray:
         """Copy ``arr`` into a fresh segment; return the shared view.
 
         The view is read-only and bit-exact.  Publishing the same
@@ -382,8 +315,7 @@ class SharedDataset:
             if src is not None and not src.retired:
                 return arr
         arr = np.asarray(arr)
-        ident = key if key is not None else id(arr)
-        existing = self._published.get(ident)
+        existing = self._published.get(id(arr))
         if existing is not None:
             return existing
         shared_memory = _shared_memory()
@@ -405,18 +337,17 @@ class SharedDataset:
         metrics.counter("parallel.shm_bytes").inc(arr.nbytes)
         metrics.counter("parallel.shm_segments").inc()
         view = matrix.view()
-        self._published[ident] = view
-        if key is None:
-            self._pins.append(arr)  # id() stays valid while pinned
+        self._published[id(arr)] = view
+        self._pins.append(arr)  # id() stays valid while pinned
         return view
 
-    def share(self, arr, min_bytes: int | None = None):
+    def share(self, arr):
         """Publish ``arr`` when worthwhile, else return it unchanged.
 
-        "Worthwhile" = transport enabled, real float/int/bool ndarray,
-        at least ``min_bytes`` (default ``$REPRO_SHM_MIN_BYTES`` → 64
-        KiB).  Platform errors degrade to the original array — callers
-        on the hot path never have to guard.
+        "Worthwhile" = shared memory supported, real float/int/bool
+        ndarray, at least :data:`SHM_MIN_BYTES`.  Platform errors
+        degrade to the original array — callers on the hot path never
+        have to guard.
         """
         if self.closed or not shm_enabled():
             return arr
@@ -424,7 +355,7 @@ class SharedDataset:
             return arr
         if arr.dtype.kind not in "fiub" or arr.dtype.hasobject:
             return arr
-        if arr.nbytes < resolve_shm_min_bytes(min_bytes):
+        if arr.nbytes < SHM_MIN_BYTES:
             return arr
         try:
             return self.publish(arr)
@@ -434,14 +365,6 @@ class SharedDataset:
             return arr
 
     # ------------------------------------------------------------------
-    def metas(self) -> list[tuple]:
-        """Specs of every live segment (for pool warm initializers)."""
-        return [m.spec() for m in self._segments if not m.retired]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.nbytes for m in self._segments)
-
     def __len__(self) -> int:
         return len(self._segments)
 

@@ -7,22 +7,25 @@ the pool broken and every future — finished work included — surfaces as
 ``BrokenProcessPool``.  This module wraps one ``map`` call in a
 :class:`Supervisor` that keeps the fan-out alive instead:
 
-* completed chunks are harvested continuously, so work finished before
+* one item per submission, at most ``n_jobs`` in flight: the next item
+  is submitted as soon as one finishes, so it goes to the first free
+  worker and its deadline clock starts when a worker can run it;
+* completed items are harvested continuously, so work finished before
   a crash is never recomputed;
-* a broken pool is rebuilt and the unfinished chunks are resubmitted
-  under a bounded retry budget;
-* a chunk whose worker died is *bisected* — halves are retried until
-  the single poison item is isolated, runs alone in a one-worker pool,
-  and is classified definitively as a :class:`WorkerCrash` (carrying
-  the dead worker's exit code / signal) while every other item's result
-  is recovered;
+* a broken pool is rebuilt under a bounded retry budget.  The items in
+  flight when it broke are *suspects*: each is rerun alone, with
+  nothing else in flight, so a death is attributable to it.  A single
+  death cannot tell a poison item from a transient crash, so an item
+  becomes a :class:`WorkerCrash` (carrying the dead worker's exit code
+  / signal) only after it has died alone twice; every other item's
+  result is recovered;
 * with a deadline (``ParallelMap(timeout=...)`` /
-  ``$REPRO_TASK_TIMEOUT``) a chunk observed running past it has its
-  pool terminated and is bisected the same way, ending in a
-  ``reason="timeout"`` :class:`WorkerCrash`.
+  ``$REPRO_TASK_TIMEOUT``) an item observed running past it has its
+  pool terminated and ends as a ``reason="timeout"``
+  :class:`WorkerCrash`; the items killed alongside it are resubmitted.
 
 Because mapped functions are pure (the package-wide determinism
-contract), re-running a chunk is always safe and the final result list
+contract), re-running an item is always safe and the final result list
 is bit-identical to the serial path for any crash schedule.  Progress
 is observable through the ``parallel.worker_crashes`` /
 ``parallel.retries`` / ``parallel.timeouts`` /
@@ -37,8 +40,9 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+from dataclasses import dataclass
+from signal import SIGTERM
 
 from ..obs import current_metrics, current_tracer, get_logger
 
@@ -59,26 +63,28 @@ _log = get_logger("parallel")
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 ENV_TASK_RETRIES = "REPRO_TASK_RETRIES"
 
-#: Default pool-rebuild budget: generous enough to bisect a poison item
-#: out of any realistic chunk, small enough to bound a pathological
-#: crash storm.
+#: Default pool-rebuild budget: generous enough to rerun every suspect
+#: of a realistic crash storm, small enough to bound a pathological one.
 DEFAULT_TASK_RETRIES = 16
 
 #: How often the supervisor polls in-flight futures (seconds).  Only
 #: affects detection latency, never results.
 _POLL_S = 0.05
 
+#: Deaths alone before an item is convicted as a poison item.
+_SOLO_DEATHS = 2
+
 _UNSET = object()
 
 
-def _shipped_bytes(runner, items) -> int:
-    """Size of the pickle stream a chunk submission pushes through the
-    pool's call pipe (fn payload + items).  Feeds the
+def _shipped_bytes(runner, item) -> int:
+    """Size of the pickle stream one submission pushes through the
+    pool's call pipe (fn payload + item).  Feeds the
     ``parallel.bytes_shipped`` counter — the observable that the
     shared-memory transport exists to shrink.  Never raises: an
     unpicklable payload is about to fail in ``submit`` anyway."""
     try:
-        return len(pickle.dumps((runner, items),
+        return len(pickle.dumps((runner, item),
                                 pickle.HIGHEST_PROTOCOL))
     except Exception:
         return 0
@@ -88,7 +94,7 @@ class WorkerCrash(RuntimeError):
     """A worker process died (or hung past its deadline) on one item.
 
     ``reason`` is ``"crash"`` (the worker exited abnormally),
-    ``"timeout"`` (it overran the per-chunk deadline and was killed) or
+    ``"timeout"`` (it overran the per-item deadline and was killed) or
     ``"budget"`` (the retry budget ran out before the item completed).
     ``exitcode`` / ``signal`` carry the dead worker's exit status when
     the supervisor could observe it.
@@ -133,8 +139,6 @@ class ItemFailure:
         """Degrade an unpicklable ``exception`` to None instead of
         poisoning whatever artifact (e.g. a cache entry) carries
         this failure record."""
-        import pickle
-
         state = dict(self.__dict__)
         if state.get("exception") is not None:
             try:
@@ -145,7 +149,7 @@ class ItemFailure:
 
 
 def resolve_task_timeout(timeout: float | None = None) -> float | None:
-    """Per-chunk deadline: arg → ``$REPRO_TASK_TIMEOUT`` → None.
+    """Per-item deadline: arg → ``$REPRO_TASK_TIMEOUT`` → None.
 
     ``None`` (the default everywhere) means no deadline.  Values must
     be positive seconds.
@@ -191,44 +195,35 @@ def resolve_task_retries(retries: int | None = None) -> int:
     return retries
 
 
-@dataclass(eq=False)
-class _Chunk:
-    """One contiguous slice of the item list, tracked across rounds."""
-
-    base: int
-    items: list
-    isolated: bool = field(default=False)
-    """True when this chunk already ran *alone* in a one-worker pool —
-    a failure there is definitively attributable to it."""
-
-
 class Supervisor:
     """Drives one supervised process fan-out ``map`` call.
 
     Parameters
     ----------
-    make_executor:
-        ``(max_workers) -> Executor | None`` — a fresh pool per round;
-        ``None`` means the platform refused one and the remaining work
-        runs through ``fallback`` inline.
+    pool:
+        The :class:`~repro.parallel.WorkerPool` whose executor runs the
+        items.  ``pool.lease()`` returning ``None`` means the platform
+        refused a process pool and the remaining work runs through
+        ``fallback`` inline; ``pool.reap`` tears a round down.
     runner:
-        The picklable chunk entry point: ``runner(items, base_index=)``
-        returning an opaque payload (results plus worker telemetry).
+        The picklable item entry point: ``runner(item, index=)``
+        returning an opaque payload (result plus worker telemetry).
     collect:
-        ``(payload) -> list`` — merges the payload's telemetry into the
-        parent sinks and returns the per-item results.
+        ``(payload) -> result`` — merges the payload's telemetry into
+        the parent sinks and returns the item's result.
     fallback:
-        ``(items, base) -> list`` — inline serial execution used when
+        ``(item, index) -> result`` — inline serial execution used when
         no pool can be built.
+    n_jobs:
+        Most items in flight at once; at most the pool's worker count.
     """
 
-    def __init__(self, make_executor, runner, collect, fallback,
-                 n_jobs: int, timeout: float | None = None,
+    def __init__(self, pool, runner, collect, fallback, n_jobs: int,
+                 timeout: float | None = None,
                  max_retries: int | None = None,
                  return_exceptions: bool = False,
-                 poll_s: float = _POLL_S, clock=time.monotonic,
-                 reap=None):
-        self.make_executor = make_executor
+                 poll_s: float = _POLL_S, clock=time.monotonic):
+        self.pool = pool
         self.runner = runner
         self.collect = collect
         self.fallback = fallback
@@ -238,47 +233,39 @@ class Supervisor:
         self.return_exceptions = return_exceptions
         self.poll_s = poll_s
         self._clock = clock
-        #: ``(executor, kill) -> deaths`` teardown; a persistent
-        #: :class:`~repro.parallel.pool.WorkerPool` overrides it to
-        #: keep its executor alive across clean rounds.
-        self.reap = reap if reap is not None else self._reap
 
     # ------------------------------------------------------------------
-    def run(self, chunks, n_items: int) -> list:
-        """Execute every chunk, surviving worker deaths; ordered results."""
-        slots: list = [_UNSET] * n_items
-        pending = deque(_Chunk(base, list(items)) for base, items in chunks)
-        isolate: deque[_Chunk] = deque()
+    def run(self, items) -> list:
+        """Execute every item, surviving worker deaths; ordered results."""
+        items = list(items)
+        slots: list = [_UNSET] * len(items)
+        queue = deque(range(len(items)))
+        suspects: deque[int] = deque()
+        solo_deaths: dict[int, int] = {}
         metrics = current_metrics()
-        rounds = 0
-        while pending or isolate:
-            if rounds > self.max_retries:
-                self._fail_remaining(
-                    list(pending) + list(isolate), slots
-                )
+        rounds = rebuilds = 0
+        while queue or suspects:
+            if rebuilds > self.max_retries:
+                self._fail_remaining(sorted([*queue, *suspects]), slots)
                 break
-            if isolate:
-                # Isolation round: one suspect chunk, alone in its own
-                # pool, so a failure is attributable beyond doubt.
-                batch = [isolate.popleft()]
-                batch[0].isolated = True
-            else:
-                batch = list(pending)
-                pending.clear()
-            executor = self.make_executor(min(self.n_jobs, len(batch)))
+            executor = self.pool.lease()
             if executor is None:  # platform refused a pool: go inline
-                for chunk in batch + list(pending) + list(isolate):
-                    self._fill(slots, chunk.base,
-                               self.fallback(chunk.items, chunk.base))
-                return slots
+                for index in sorted([*queue, *suspects]):
+                    slots[index] = self.fallback(items[index], index)
+                break
             if rounds:
                 metrics.counter("parallel.retries").inc()
             rounds += 1
+            # A suspect runs alone, so a death is attributable to it.
+            solo = bool(suspects)
+            todo = deque([suspects.popleft()]) if solo else queue
             unfinished, timed_out, broken, deaths = self._round(
-                executor, batch, slots
+                executor, items, todo, 1 if solo else self.n_jobs, slots
             )
-            if not unfinished:
-                continue
+            if solo:
+                suspects.extendleft(todo)  # the broken pool refused it
+            if broken or timed_out:
+                rebuilds += 1
             if broken and not timed_out:
                 metrics.counter("parallel.worker_crashes").inc(
                     max(1, len(deaths))
@@ -286,36 +273,31 @@ class Supervisor:
                 current_tracer().event(
                     "parallel.pool_broken",
                     dead_workers=len(deaths),
-                    unfinished_chunks=len(unfinished),
+                    unfinished_items=len(unfinished),
                 )
             resubmitted = 0
-            for chunk in unfinished:
-                hung = chunk in timed_out
-                if hung:
+            for index in unfinished:
+                if index in timed_out:
+                    # Definitive: the deadline names the future.
                     metrics.counter("parallel.timeouts").inc()
                     current_tracer().event(
-                        "parallel.chunk_timeout", base=chunk.base,
-                        items=len(chunk.items), deadline_s=self.timeout,
+                        "parallel.item_timeout", index=index,
+                        deadline_s=self.timeout,
                     )
-                if len(chunk.items) > 1:
-                    # Bisect: halves retry until the poison is cornered.
-                    mid = len(chunk.items) // 2
-                    pending.append(_Chunk(chunk.base, chunk.items[:mid]))
-                    pending.append(
-                        _Chunk(chunk.base + mid, chunk.items[mid:])
-                    )
-                    resubmitted += len(chunk.items)
-                elif hung or chunk.isolated:
-                    # Definitive: the deadline names the future, the
-                    # isolation pool names the chunk.
-                    self._poison(slots, chunk,
-                                 "timeout" if hung else "crash", deaths)
-                else:
-                    # A crashed singleton in a shared pool may be
-                    # collateral of another chunk's poison — prove it
-                    # alone before convicting it.
-                    isolate.append(chunk)
-                    resubmitted += 1
+                    self._poison(slots, index, "timeout", deaths)
+                    continue
+                if broken and solo:
+                    solo_deaths[index] = solo_deaths.get(index, 0) + 1
+                    if solo_deaths[index] >= _SOLO_DEATHS:
+                        self._poison(slots, index, "crash", deaths)
+                        continue
+                resubmitted += 1
+                if not broken:  # killed alongside a hung item
+                    queue.appendleft(index)
+                elif solo:
+                    suspects.appendleft(index)
+                else:  # may be collateral of another item's death
+                    suspects.append(index)
             if resubmitted:
                 metrics.counter("parallel.resubmitted_items").inc(
                     resubmitted
@@ -323,96 +305,76 @@ class Supervisor:
         return slots
 
     # ------------------------------------------------------------------
-    def _round(self, executor, batch, slots):
-        """Submit one batch and harvest until done, broken, or hung."""
-        futures: dict = {}
-        finished: set = set()
+    def _round(self, executor, items, todo, cap, slots):
+        """Keep up to ``cap`` items of ``todo`` in flight until it
+        drains, the pool breaks, or an item overruns its deadline.
+
+        Returns the indexes still in flight when the round ended, the
+        subset that overran the deadline, whether the pool broke, and
+        the ``(pid, exitcode)`` deaths the teardown observed.
+        """
+        in_flight: dict = {}  # future -> item index
+        started: dict = {}  # future -> submission time
         timed_out: set = set()
         broken = False
         error = None
         metrics = current_metrics()
-        try:
-            for chunk in batch:
+        while not (broken or timed_out or error):
+            while todo and len(in_flight) < cap:
+                index = todo.popleft()
                 metrics.counter("parallel.bytes_shipped").inc(
-                    _shipped_bytes(self.runner, chunk.items)
+                    _shipped_bytes(self.runner, items[index])
                 )
-                futures[executor.submit(
-                    self.runner, chunk.items, base_index=chunk.base
-                )] = chunk
-        except BrokenExecutor:
-            broken = True
-        running_since: dict = {}
-        in_flight = set(futures)
-        while in_flight and not broken and not timed_out and error is None:
-            done, not_done = wait(in_flight, timeout=self.poll_s)
-            now = self._clock()
-            for future in done:
-                in_flight.discard(future)
-                chunk = futures[future]
-                if future.cancelled():
-                    continue
-                exc = future.exception()
-                if exc is None:
-                    self._fill(slots, chunk.base,
-                               self.collect(future.result()))
-                    finished.add(chunk)
-                elif isinstance(exc, BrokenExecutor):
+                try:
+                    future = executor.submit(self.runner, items[index],
+                                             index=index)
+                except BrokenExecutor:
+                    todo.appendleft(index)
                     broken = True
-                else:
+                    break
+                in_flight[future] = index
+                started[future] = self._clock()
+            if broken or not in_flight:
+                break
+            done, _ = wait(in_flight, timeout=self.poll_s,
+                           return_when=FIRST_COMPLETED)
+            for future in done:
+                exc = future.exception()
+                if isinstance(exc, BrokenExecutor):
+                    broken = True
+                    continue
+                index = in_flight.pop(future)
+                if exc is None:
+                    slots[index] = self.collect(future.result())
+                elif error is None:
                     # A real error raised by the mapped function (or a
                     # result that failed to pickle): fail fast on the
                     # first *completed* failure, submission order
                     # notwithstanding.
-                    error = (chunk, exc)
-                    break
-            if self.timeout is None:
-                continue
-            for future in not_done:
-                if not future.running():
-                    continue  # queued chunks accrue no deadline
-                started = running_since.setdefault(future, now)
-                if now - started >= self.timeout:
-                    timed_out.add(futures[future])
-        deaths = self.reap(
+                    error = (index, exc)
+            if self.timeout is not None:
+                now = self._clock()
+                timed_out = {
+                    index for future, index in in_flight.items()
+                    if now - started[future] >= self.timeout
+                }
+        deaths = self.pool.reap(
             executor, kill=broken or bool(timed_out) or error is not None
         )
         if error is not None:
-            chunk, exc = error
-            _log.error("chunk.failed", base=chunk.base,
-                       items=len(chunk.items),
+            index, exc = error
+            _log.error("item.failed", index=index,
                        error=f"{type(exc).__name__}: {exc}")
             raise exc
-        unfinished = [c for c in batch if c not in finished]
-        return unfinished, timed_out, broken, deaths
-
-    def _reap(self, executor, kill: bool) -> list:
-        """Shut the pool down; returns ``(pid, exitcode)`` casualties.
-
-        ``kill=True`` terminates worker processes first — the only way
-        to reclaim a hung worker.  ``_processes`` is stdlib-internal
-        but stable since 3.7; when absent the shutdown alone suffices.
-        """
-        processes = dict(getattr(executor, "_processes", None) or {})
-        if kill:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-        executor.shutdown(wait=kill, cancel_futures=True)
-        deaths = []
-        for pid, process in processes.items():
-            code = process.exitcode
-            if code not in (0, None):
-                deaths.append((pid, code))
-        return deaths
+        return sorted(in_flight.values()), timed_out, broken, deaths
 
     # ------------------------------------------------------------------
-    def _fill(self, slots, base: int, results) -> None:
-        for offset, result in enumerate(results):
-            slots[base + offset] = result
-
-    def _poison(self, slots, chunk, reason: str, deaths) -> None:
-        index = chunk.base
-        exitcode = deaths[0][1] if deaths else None
+    def _poison(self, slots, index: int, reason: str, deaths) -> None:
+        # The death that broke the pool, not the SIGTERMs of the
+        # teardown that followed it.
+        codes = sorted((code for _, code in deaths),
+                       key=lambda code: code == -SIGTERM)
+        exitcode = codes[0] if codes else None
         signal = -exitcode if (exitcode is not None
                                and exitcode < 0) else None
         if reason == "timeout":
@@ -429,7 +391,7 @@ class Supervisor:
                             exitcode=exitcode, signal=signal)
         current_tracer().event("parallel.poison_isolated", index=index,
                                reason=reason)
-        _log.error("chunk.poison", index=index, reason=reason,
+        _log.error("item.poison", index=index, reason=reason,
                    exitcode=exitcode)
         if not self.return_exceptions:
             raise crash
@@ -438,12 +400,7 @@ class Supervisor:
             traceback="", exception=crash,
         )
 
-    def _fail_remaining(self, leftovers, slots) -> None:
-        indexes = sorted(
-            chunk.base + offset
-            for chunk in leftovers
-            for offset in range(len(chunk.items))
-        )
+    def _fail_remaining(self, indexes, slots) -> None:
         message = (f"retry budget exhausted after {self.max_retries} "
                    f"pool rebuilds; {len(indexes)} item(s) unresolved")
         _log.error("supervision.budget_exhausted",

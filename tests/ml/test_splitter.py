@@ -54,7 +54,7 @@ def _fit_forest(_, X, y, params):
 def _fit_in_workers(jobs, X, y, params):
     """The same forest fitted once by each of ``jobs`` worker processes."""
     fit = partial(_fit_forest, X=X, y=y, params=params)
-    return ParallelMap(jobs, chunk_size=1).map(fit, range(jobs))
+    return ParallelMap(jobs).map(fit, range(jobs))
 
 
 class TestExactAcrossWorkers:

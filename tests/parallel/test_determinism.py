@@ -36,7 +36,7 @@ def data():
 
 def _in_workers(fn):
     """``fn()`` computed by each of two fan-out worker processes."""
-    return ParallelMap(2, chunk_size=1).map(_call, [fn, fn])
+    return ParallelMap(2).map(_call, [fn, fn])
 
 
 def _call(fn):

@@ -11,7 +11,12 @@ from repro.obs import (
     use_metrics,
     use_tracer,
 )
-from repro.parallel import ParallelMap, in_worker, resolve_n_jobs
+from repro.parallel import (
+    ParallelMap,
+    WorkerPool,
+    in_worker,
+    resolve_n_jobs,
+)
 from repro.parallel.executor import ENV_JOBS
 from repro.parallel.seeding import spawn_seeds
 
@@ -52,7 +57,7 @@ def _slow_success_or_fast_boom(x):
     import time
 
     if x == 0:
-        time.sleep(1.0)  # an early chunk that is merely slow
+        time.sleep(1.0)  # an early item that is merely slow
         return x
     raise RuntimeError(f"fast failure at {x}")
 
@@ -105,33 +110,25 @@ class TestMapSemantics:
     def test_empty_items(self):
         assert ParallelMap(4).map(_square, []) == []
 
-    def test_chunk_size_honoured(self):
-        out = ParallelMap(2, chunk_size=3).map(_square, range(10))
-        assert out == [x * x for x in range(10)]
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelMap(2, chunk_size=0)
-
     @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
     def test_error_propagates_with_original_type(self, n_jobs):
         with pytest.raises(RuntimeError, match="item 3 exploded"):
             ParallelMap(n_jobs).map(_boom, range(6))
 
     def test_serial_path_never_builds_a_pool(self, monkeypatch):
-        def forbidden(self, max_workers):
+        def forbidden(self):
             raise AssertionError("n_jobs=1 must not spawn a pool")
 
-        monkeypatch.setattr(ParallelMap, "_make_executor", forbidden)
+        monkeypatch.setattr(WorkerPool, "_build", forbidden)
         assert ParallelMap(1).map(_square, range(5)) == [
             x * x for x in range(5)
         ]
 
     def test_single_item_never_builds_a_pool(self, monkeypatch):
-        def forbidden(self, max_workers):
+        def forbidden(self):
             raise AssertionError("one item must not spawn a pool")
 
-        monkeypatch.setattr(ParallelMap, "_make_executor", forbidden)
+        monkeypatch.setattr(WorkerPool, "_build", forbidden)
         assert ParallelMap(8).map(_square, [4]) == [16]
 
     @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
@@ -143,32 +140,32 @@ class TestMapSemantics:
     def test_nested_map_runs_inline(self, monkeypatch):
         # The worker's inner map must not fork a pool of its own (the
         # patched guard is inherited by the forked workers).
-        build = ParallelMap._make_executor
+        build = WorkerPool._build
 
-        def guarded(self, max_workers):
+        def guarded(self):
             assert not in_worker(), "a worker tried to build a pool"
-            return build(self, max_workers)
+            return build(self)
 
-        monkeypatch.setattr(ParallelMap, "_make_executor", guarded)
+        monkeypatch.setattr(WorkerPool, "_build", guarded)
         out = ParallelMap(2).map(_nested_map, range(3))
         assert out == [(True, [1, 4, 9])] * 3
 
     @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
     def test_errors_observed_in_completion_order(self, n_jobs):
-        # Item 0 (the first-submitted chunk) sleeps a full second;
-        # item 1 fails instantly.  Fail-fast must consume errors in
+        # Item 0 (the first submitted) sleeps a full second; item 1
+        # fails instantly.  Fail-fast must consume errors in
         # *completion* order: the fast failure aborts the map without
-        # waiting behind the slow earlier chunk.
+        # waiting behind the slow earlier item.
         import time
 
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="fast failure"):
-            ParallelMap(n_jobs, chunk_size=1).map(
+            ParallelMap(n_jobs).map(
                 _slow_success_or_fast_boom, [0, 1]
             )
         elapsed = time.monotonic() - started
         assert elapsed < 0.9, (
-            f"error waited {elapsed:.2f}s behind an earlier slow chunk"
+            f"error waited {elapsed:.2f}s behind an earlier slow item"
         )
 
 

@@ -2,12 +2,14 @@
 
 The pool's contract is that reuse is purely an execution-shape
 optimisation: every ``map`` under :func:`use_pool` returns exactly the
-bytes a throwaway pool (or the serial path) would, while the
+bytes a per-call pool (or the serial path) would, while the
 ``parallel.pool_builds`` / ``parallel.pool_reuse`` counters prove the
 same executor served every call.
 """
 
+import multiprocessing
 import os
+import time
 from functools import partial
 
 import numpy as np
@@ -44,6 +46,18 @@ def _crash_below(x, threshold, marker_dir):
 
 def _write_warm_marker(marker_dir):
     open(os.path.join(marker_dir, f"{os.getpid()}.warm"), "w").close()
+
+
+class _Executor:
+    """Just enough of ProcessPoolExecutor for ``WorkerPool.reap``."""
+
+    def __init__(self, processes):
+        self._processes = processes
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if wait:
+            for process in self._processes.values():
+                process.join(timeout=30)
 
 
 class TestReuse:
@@ -129,6 +143,27 @@ class TestCrashRebuild:
         pool.close()
         if name is not None:
             assert not os.path.exists(os.path.join("/dev/shm", name))
+
+    def test_reap_reads_exit_codes_before_terminating(self):
+        # A dirty round's teardown SIGTERMs the surviving workers; only
+        # the worker that died on its own is a death, with its own code.
+        context = multiprocessing.get_context("fork")
+        dead = context.Process(target=os._exit, args=(39,))
+        dead.start()
+        dead.join(timeout=30)
+        alive = context.Process(target=time.sleep, args=(60,))
+        alive.start()
+        pool = WorkerPool(n_jobs=2)
+        try:
+            deaths = pool.reap(
+                _Executor({alive.pid: alive, dead.pid: dead}), kill=True
+            )
+        finally:
+            alive.terminate()
+            alive.join(timeout=30)
+            pool.close()
+        assert not alive.is_alive()
+        assert deaths == [(dead.pid, 39)]
 
     def test_caller_owned_dataset_left_open(self):
         from repro.parallel import SharedDataset

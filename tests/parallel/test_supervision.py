@@ -17,6 +17,7 @@ import os
 import pickle
 import random
 import time
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -26,9 +27,11 @@ from repro.parallel import (
     ItemFailure,
     ParallelMap,
     WorkerCrash,
+    WorkerPool,
     in_worker,
     resolve_task_retries,
     resolve_task_timeout,
+    use_pool,
 )
 from repro.parallel.supervision import (
     DEFAULT_TASK_RETRIES,
@@ -82,7 +85,7 @@ def hang(item, hang_items=(), slow_s=0.0):
 
 def slow_then_crash(item, counter_dir="", crash_items=(), delay_s=0.5,
                     always=True):
-    """Give the other chunks a head start, then die.
+    """Give the other items a head start, then die.
 
     ``always=False`` makes the crash transient (first attempt only).
     """
@@ -94,7 +97,7 @@ def slow_then_crash(item, counter_dir="", crash_items=(), delay_s=0.5,
 
 
 class TestTransientCrashRecovery:
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 7])
     def test_bit_identical_to_serial_for_any_crash_schedule(
             self, tmp_path, seed):
         items = list(range(12))
@@ -111,8 +114,8 @@ class TestTransientCrashRecovery:
         assert counters["parallel.resubmitted_items"] >= 1
 
     def test_completed_work_is_not_recomputed(self, tmp_path):
-        # Only the crashing item and its chunk-mates may retry: items in
-        # chunks that completed before the crash run exactly once.
+        # Only the items in flight when the worker died may retry:
+        # items that completed before the crash run exactly once.
         items = list(range(8))
         fn = partial(slow_then_crash, counter_dir=str(tmp_path),
                      crash_items=(7,), delay_s=0.6, always=False)
@@ -122,8 +125,8 @@ class TestTransientCrashRecovery:
             int(p.name.split(".")[0]): int(p.read_text())
             for p in tmp_path.glob("*.attempts")
         }
-        # The first chunk (items 0-1) finished well inside the 0.6s
-        # head start, so the pool breakage never touched it.
+        # Items 0-1 finished well inside the 0.6s head start, so the
+        # pool breakage never touched them.
         assert attempts[0] == 1
         assert attempts[1] == 1
 
@@ -139,12 +142,24 @@ class TestTransientCrashRecovery:
 
 class TestPoisonIsolation:
     def test_capture_mode_isolates_the_poison_item(self, tmp_path):
+        self._isolate_the_poison_item(tmp_path, pooled=False)
+
+    def test_capture_mode_isolates_the_poison_item_in_use_pool(
+            self, tmp_path):
+        # The pipeline's path: the exit code is the poison worker's,
+        # not the SIGTERM the teardown sends its siblings.
+        self._isolate_the_poison_item(tmp_path, pooled=True)
+
+    @staticmethod
+    def _isolate_the_poison_item(tmp_path, pooled):
         items = list(range(10))
         fn = partial(crash_always, counter_dir=str(tmp_path),
                      crash_items=(6,))
         registry = MetricsRegistry()
         tracer = Tracer()
-        with use_metrics(registry), use_tracer(tracer):
+        with use_metrics(registry), use_tracer(tracer), \
+                WorkerPool(n_jobs=3) as pool, \
+                (use_pool(pool) if pooled else nullcontext()):
             got = ParallelMap(n_jobs=3).map(fn, items,
                                             return_exceptions=True)
         for i in items:
@@ -190,7 +205,7 @@ class TestDeadlines:
         registry = MetricsRegistry()
         with use_metrics(registry):
             started = time.monotonic()
-            got = ParallelMap(n_jobs=2, timeout=0.75, chunk_size=1).map(
+            got = ParallelMap(n_jobs=2, timeout=0.75).map(
                 fn, items, return_exceptions=True
             )
             elapsed = time.monotonic() - started
@@ -208,10 +223,23 @@ class TestDeadlines:
     def test_timeout_raises_in_default_mode(self):
         fn = partial(hang, hang_items=(1,))
         with pytest.raises(WorkerCrash) as excinfo:
-            ParallelMap(n_jobs=2, timeout=0.5, chunk_size=1).map(
+            ParallelMap(n_jobs=2, timeout=0.5).map(
                 fn, list(range(4))
             )
         assert excinfo.value.reason == "timeout"
+
+    def test_queued_item_accrues_no_deadline(self):
+        # Item 2 waits for a free worker while items 0 and 1 run; only
+        # its own 0.6s of work may count against the 1s deadline.
+        fn = partial(hang, slow_s=0.6)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            got = ParallelMap(n_jobs=2, timeout=1.0).map(
+                fn, [0, 1, 2], return_exceptions=True
+            )
+        assert got == [_transform(i) for i in range(3)]
+        counters = registry.snapshot()["counters"]
+        assert counters.get("parallel.timeouts", 0) == 0
 
     def test_no_deadline_means_slow_items_finish(self):
         fn = partial(hang, slow_s=0.1)
@@ -227,7 +255,7 @@ class TestRetryBudget:
         # a reason="budget" failure, not hang the map.
         fn = partial(slow_then_crash, counter_dir=str(tmp_path),
                      crash_items=(1,), delay_s=0.5)
-        got = ParallelMap(n_jobs=2, chunk_size=1, max_retries=0).map(
+        got = ParallelMap(n_jobs=2, max_retries=0).map(
             fn, [0, 1], return_exceptions=True
         )
         assert got[0] == _transform(0)
@@ -240,7 +268,7 @@ class TestRetryBudget:
         fn = partial(slow_then_crash, counter_dir=str(tmp_path),
                      crash_items=(1,), delay_s=0.5)
         with pytest.raises(WorkerCrash) as excinfo:
-            ParallelMap(n_jobs=2, chunk_size=1, max_retries=0).map(
+            ParallelMap(n_jobs=2, max_retries=0).map(
                 fn, [0, 1]
             )
         assert excinfo.value.reason == "budget"
