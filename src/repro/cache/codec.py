@@ -9,22 +9,17 @@ the pickled payload in a *frame*::
 
 Reads verify the frame before a single pickle opcode executes: a
 flipped bit anywhere in the payload fails the digest, a torn tail fails
-the length, and an alien file fails the magic.  The caller then decides
+the length, and an alien file — including a bare pickle written before
+the frame existed — fails the magic.  The caller then decides
 what a :class:`CorruptArtifact` means (the store quarantines the file
 and recomputes; silent loading of damaged state is structurally
 impossible).
 
-Two deliberate distinctions:
-
-* **Corrupt vs stale.**  A frame whose digest verifies but whose
-  payload references code that no longer imports (a class was renamed
-  between versions) raises :class:`StaleArtifact` instead — the file is
-  intact, the *schema* moved on; it is a plain miss, not quarantine
-  material.
-* **Legacy read-back.**  Blobs without the magic are treated as the
-  bare pickles every release before the frame wrote; they load
-  transparently (and re-save framed on the next write), so upgrading
-  never invalidates a warm cache.
+One deliberate distinction, **corrupt vs stale**: a frame whose
+digest verifies but whose payload references code that no longer
+imports (a class was renamed between versions) raises
+:class:`StaleArtifact` instead — the file is intact, the *schema* moved
+on; it is a plain miss, not quarantine material.
 
 ``MemoryError`` always propagates: an allocation failure is a machine
 problem, never evidence about the artifact.
@@ -66,9 +61,9 @@ QUARANTINE_DIR = "quarantine"
 class CorruptArtifact(ValueError):
     """An on-disk artifact failed its integrity check.
 
-    ``reason`` is a short machine-readable slug (``digest-mismatch``,
-    ``truncated-header``, ``length-mismatch``, ``unknown-version``,
-    ``unpicklable-payload``, ``legacy-unreadable``).
+    ``reason`` is a short machine-readable slug (``bad-magic``,
+    ``truncated-header``, ``unknown-version``, ``length-mismatch``,
+    ``digest-mismatch``, ``unpicklable-payload``).
     """
 
     def __init__(self, reason: str, detail: str = ""):
@@ -99,14 +94,14 @@ def frame(payload: bytes) -> bytes:
 
 def unframe(blob: bytes) -> bytes:
     """Verify and strip the frame; raises :class:`CorruptArtifact`."""
+    if not is_framed(blob):
+        raise CorruptArtifact("bad-magic", repr(blob[:len(FRAME_MAGIC)]))
     if len(blob) < _HEADER.size:
         raise CorruptArtifact(
             "truncated-header",
             f"{len(blob)} bytes < {_HEADER.size}-byte header",
         )
-    magic, version, digest, length = _HEADER.unpack_from(blob)
-    if magic != FRAME_MAGIC:
-        raise CorruptArtifact("bad-magic", repr(magic))
+    _, version, digest, length = _HEADER.unpack_from(blob)
     if version != FRAME_VERSION:
         raise CorruptArtifact("unknown-version", str(version))
     payload = blob[_HEADER.size:]
@@ -177,36 +172,24 @@ def dump_artifact(payload) -> bytes:
 
 
 def load_artifact(blob: bytes):
-    """Load a framed artifact (or a legacy bare pickle).
+    """Verify a framed artifact and unpickle its payload.
 
-    Raises :class:`CorruptArtifact` for damaged bytes,
+    Raises :class:`CorruptArtifact` for damaged or unframed bytes,
     :class:`StaleArtifact` for intact payloads whose classes no longer
     import.  ``MemoryError`` propagates untouched.
     """
-    if is_framed(blob):
-        payload = unframe(blob)
-        try:
-            return pickle.loads(payload)
-        except (AttributeError, ImportError) as exc:
-            raise StaleArtifact(str(exc)) from exc
-        except MemoryError:
-            raise
-        except Exception as exc:
-            # The digest verified, so the writer framed garbage — a
-            # bug, but still never something to load silently.
-            raise CorruptArtifact(
-                "unpicklable-payload", f"{type(exc).__name__}: {exc}"
-            ) from exc
-    # Pre-frame entry: a bare pickle written by an earlier release.
+    payload = unframe(blob)
     try:
-        return pickle.loads(blob)
+        return pickle.loads(payload)
     except (AttributeError, ImportError) as exc:
         raise StaleArtifact(str(exc)) from exc
     except MemoryError:
         raise
     except Exception as exc:
+        # The digest verified, so the writer framed garbage — a bug,
+        # but still never something to load silently.
         raise CorruptArtifact(
-            "legacy-unreadable", f"{type(exc).__name__}: {exc}"
+            "unpicklable-payload", f"{type(exc).__name__}: {exc}"
         ) from exc
 
 

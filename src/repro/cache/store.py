@@ -20,15 +20,17 @@ Properties:
   before any pickle opcode runs, the file is moved to ``quarantine/``
   and the read counts as ``cache.corrupt`` — never a silent hit, never
   a silent miss.  Bare-pickle entries written before the frame existed
-  load transparently.  ``MemoryError`` propagates: running out of
-  memory is not a cache miss.
+  fail the frame check too, so they are quarantined and recomputed.
+  ``MemoryError`` propagates: running out of memory is not a cache
+  miss.
 * **Observable.** Every operation bumps ``cache.hits`` /
   ``cache.misses`` (absent or stale entries) / ``cache.corrupt``
   (failed integrity checks) / ``cache.writes`` and the
   ``cache.bytes_read`` / ``cache.bytes_written`` counters in the
-  contextual :class:`~repro.obs.metrics.MetricsRegistry`, so
-  ``repro trace-summary`` shows cache effectiveness per run — including
-  from worker processes, whose registries merge back into the parent.
+  contextual :class:`~repro.obs.metrics.MetricsRegistry`, so the run
+  ledger (``repro report --run``) shows cache effectiveness per run —
+  including from worker processes, whose registries merge back into
+  the parent.
 * **Maintainable.** :meth:`stats`, :meth:`verify` (offline integrity
   sweep), :meth:`gc` (age/size pruning) and :meth:`clear` back the
   ``repro cache`` CLI.
@@ -49,7 +51,6 @@ from .codec import (
     StaleArtifact,
     atomic_write_bytes,
     dump_artifact,
-    is_framed,
     load_artifact,
     quarantine_entry,
     unframe,
@@ -196,25 +197,17 @@ class CacheStore:
         """Integrity-sweep every entry; optionally quarantine failures.
 
         Frames are verified without unpickling (the digest is the
-        proof); legacy bare pickles are test-loaded.  ``repair=True``
+        proof); an unframed entry is corrupt.  ``repair=True``
         (the default) moves corrupt entries to ``quarantine/`` and
         counts them as ``cache.corrupt``, exactly as a hot read would.
         """
-        report = {"checked": 0, "ok": 0, "legacy": 0, "stale": 0,
-                  "corrupt": [], "quarantined": 0}
+        report = {"checked": 0, "ok": 0, "corrupt": [], "quarantined": 0}
         metrics = current_metrics()
         for path in self._entry_paths():
             report["checked"] += 1
-            blob = path.read_bytes()
             try:
-                if is_framed(blob):
-                    unframe(blob)
-                else:
-                    load_artifact(blob)  # legacy: loading is the check
-                    report["legacy"] += 1
+                unframe(path.read_bytes())
                 report["ok"] += 1
-            except StaleArtifact:
-                report["stale"] += 1
             except CorruptArtifact as exc:
                 report["corrupt"].append(path.stem)
                 _log.warning("cache.verify.corrupt", entry=path.name,

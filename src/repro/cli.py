@@ -7,8 +7,8 @@ Commands
     target) to CSV files.
 ``run``
     Execute the full experiment at a chosen preset and print every
-    reproduced table; optionally write them to a report file and the
-    span trace to a JSONL file.
+    reproduced table; optionally write them to a report file and append
+    a run record to the ledger.
 ``update``
     Append-only incremental update (:mod:`repro.incremental`): extend
     the dataset by ``--days`` simulated days and re-run the experiment
@@ -17,17 +17,15 @@ Commands
     the extended length; ledger records link to the parent run.
 ``index``
     Print the Crypto100 scaling-factor analysis (Figures 1-2 data).
-``trace-summary``
-    Summarise a span trace written by ``run --trace``: aggregate
-    per-stage table, the slowest individual spans, and the run's
-    counters (retries, breaker trips, injected faults, ...).
 ``chaos``
     Run the experiment twice — clean, then under a fault plan with a
     degradation policy — and print the per-category forecast-MSE
     degradation table (see :mod:`repro.resilience`).
 ``report``
     Render the run ledger (``run --ledger`` / ``$REPRO_LEDGER``): run
-    history, one run's per-stage breakdown, or a two-run comparison.
+    history, one run's report (per-stage table with self/mean time and
+    CPU/max-RSS, the slowest spans with their attrs, and the counters:
+    retries, breaker trips, cache hits, ...), or a two-run comparison.
 ``bench``
     Perf-regression gate: ``bench check`` compares fresh BENCH_*.json
     results against committed baselines (ratio metrics gate with a
@@ -44,11 +42,11 @@ Examples::
     python -m repro run --preset default --cache-dir cache/ --ledger runs.jsonl
     python -m repro update --preset default --days 1 --cache-dir cache/ \
         --ledger runs.jsonl
-    python -m repro run --preset fast --trace t.jsonl --log-level info
+    python -m repro run --preset fast --log-level info
     python -m repro run --preset fast --cache-dir cache/ --keep-going
     python -m repro run --preset fast --cache-dir cache/  # resume a killed run
     python -m repro run --preset fast --splitter hist --cache-dir cache/
-    python -m repro run --preset fast --ledger runs.jsonl --profile
+    python -m repro run --preset fast --ledger runs.jsonl
     python -m repro chaos --preset fast --chaos-seed 11
     python -m repro report runs.jsonl --last 10
     python -m repro report runs.jsonl --run 1a2b3c4d
@@ -56,14 +54,12 @@ Examples::
     python -m repro cache stats --dir cache/
     python -m repro cache verify --dir cache/
     python -m repro cache gc --dir cache/ --max-size 2G --max-age 30d
-    python -m repro trace-summary t.jsonl
     python -m repro index --seed 7
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -85,16 +81,11 @@ from .obs import (
     check_bench_dirs,
     configure_logging,
     format_runtime,
-    format_slowest,
-    format_stage_table,
-    read_jsonl,
     render_bench_check,
     render_compare,
     render_history,
     render_record,
-    write_jsonl,
 )
-from .obs.trace import Span
 from .parallel import (
     resolve_n_jobs,
     resolve_task_retries,
@@ -224,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "implied info when the preset is verbose)")
     run.add_argument("--log-json", action="store_true",
                      help="emit JSON log lines instead of key=value")
-    run.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                     help="write the run's span trace to this JSONL file")
     run.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                      help="worker processes for the scenario fan-out "
                           "(default: $REPRO_JOBS or all cores; 1 = serial; "
@@ -271,12 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: abort)")
     run.add_argument("--ledger", type=Path, default=None, metavar="PATH",
                      help="append a run record (fingerprint, cache keys, "
-                          "stage timings, metrics) to this JSONL ledger "
+                          "stage timings, slowest spans, metrics) to this "
+                          "JSONL ledger; 'report --run' renders it "
                           "(default: $REPRO_LEDGER if set)")
-    run.add_argument("--profile", action="store_true",
-                     help="resource-profile every stage span (CPU time, "
-                          "tracemalloc peak, max-RSS, GC passes); also "
-                          "enabled by REPRO_PROFILE=1")
 
     update = sub.add_parser(
         "update",
@@ -358,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("run", "update", "chaos", "bench"),
                         default=None, help="filter by record kind")
     report.add_argument("--run", default=None, metavar="ID",
-                        help="full detail (stage breakdown, counters) "
-                             "for one run id (prefix accepted)")
+                        help="full detail (stage table, slowest spans, "
+                             "counters) for one run id (prefix accepted)")
     report.add_argument("--compare", nargs=2, default=None,
                         metavar=("A", "B"),
                         help="stage-by-stage comparison of two run ids")
@@ -417,15 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "index", help="Crypto100 scaling-factor analysis"
     )
     index.add_argument("--seed", type=int, default=20240701)
-
-    trace = sub.add_parser(
-        "trace-summary",
-        help="summarise a span trace written by 'run --trace'",
-    )
-    trace.add_argument("path", type=Path,
-                       help="the trace JSONL file to summarise")
-    trace.add_argument("--top", type=_positive_int, default=10,
-                       help="how many slowest spans to list")
     return parser
 
 
@@ -546,8 +523,6 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, on_error="capture")
     if args.splitter is not None:
         config = dataclasses.replace(config, splitter=args.splitter)
-    if args.profile:
-        config = dataclasses.replace(config, profile=True)
 
     ledger_path = args.ledger if args.ledger is not None \
         else os.environ.get("REPRO_LEDGER") or None
@@ -575,18 +550,6 @@ def _cmd_run(args) -> int:
 
         path = write_markdown_report(results, args.markdown)
         print(f"markdown report written to {path}")
-    if args.trace is not None:
-        spans = list(results.run_summary.spans)
-        counters = results.run_summary.metrics.get("counters", {})
-        if counters:
-            # Synthetic zero-duration record carrying the run's counters
-            # so 'trace-summary' can report them alongside the stages.
-            anchor = spans[0].start if spans else 0.0
-            spans.append(Span(name="run.metrics", start=anchor,
-                              end=anchor, attrs={"counters": counters}))
-        path = write_jsonl(spans, args.trace)
-        print(f"span trace ({len(results.run_summary.spans)} spans) "
-              f"written to {path}")
     return 0
 
 
@@ -729,45 +692,6 @@ def _cmd_bench(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_trace_summary(args) -> int:
-    try:
-        spans = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"trace file not found: {args.path}")
-        return 1
-    except (json.JSONDecodeError, KeyError) as exc:
-        print(f"not a span trace ({args.path}): {exc}")
-        return 1
-    if not spans:
-        print(f"no spans found in {args.path}")
-        return 1
-    # 'run.metrics' records are synthetic counter carriers written by
-    # 'run --trace', not real work — keep them out of the timing tables.
-    counters: dict = {}
-    for record in spans:
-        if record.name == "run.metrics":
-            counters.update(record.attrs.get("counters", {}))
-    spans = [s for s in spans if s.name != "run.metrics"]
-    if not spans:
-        print(f"no timing spans found in {args.path}")
-        return 1
-    roots = [s for s in spans if s.parent_id is None]
-    total = (max(s.duration for s in roots) if roots
-             else max(s.end for s in spans) - min(s.start for s in spans))
-    print(f"{len(spans)} spans, total traced time "
-          f"{format_runtime(total)}\n")
-    print(format_stage_table(spans))
-    print()
-    print(format_slowest(spans, args.top))
-    if counters:
-        print()
-        print("counters:")
-        width = max(len(name) for name in counters)
-        for name in sorted(counters):
-            print(f"  {name:<{width}}  {int(counters[name])}")
-    return 0
-
-
 def _cmd_cache(args) -> int:
     from .cache import CacheStore
 
@@ -790,9 +714,7 @@ def _cmd_cache(args) -> int:
     if args.action == "verify":
         report = store.verify(repair=not args.no_repair)
         print(f"checked {report['checked']} entries: "
-              f"{report['ok']} ok ({report['legacy']} legacy), "
-              f"{report['stale']} stale, "
-              f"{len(report['corrupt'])} corrupt")
+              f"{report['ok']} ok, {len(report['corrupt'])} corrupt")
         for key in report["corrupt"]:
             print(f"  corrupt: {key}")
         if report["quarantined"]:
@@ -847,7 +769,6 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "cache": _cmd_cache,
         "index": _cmd_index,
-        "trace-summary": _cmd_trace_summary,
     }
     return handlers[args.command](args)
 

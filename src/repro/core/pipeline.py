@@ -44,11 +44,10 @@ from ..obs import (
     host_info,
     logging_configured,
     profiled_span,
-    resolve_profiling,
+    slowest_rows,
     span,
     stage_rows,
     use_metrics,
-    use_profiling,
     use_tracer,
 )
 from ..parallel import (
@@ -131,15 +130,6 @@ class ExperimentConfig:
     and improvement model parameters unless a stage's params already pin
     a splitter explicitly."""
 
-    profile: bool = False
-    """Opt-in resource profiling (:mod:`repro.obs.profile`): annotate
-    the run's stage spans — parent and worker side — with CPU time,
-    tracemalloc peaks, max-RSS and GC passes.  Pure observation: it
-    never changes results, so like ``n_jobs`` / ``verbose`` it is
-    excluded from config fingerprints and cache keys.
-    ``REPRO_PROFILE=1`` enables it without touching the config (CLI:
-    ``repro run --profile``)."""
-
     verbose: bool = False
     n_jobs: int | None = None
     """Scenario fan-out width: each (period, window) scenario — feature
@@ -195,10 +185,6 @@ class ExperimentConfig:
     """Escalate pre-flight validation issues from warnings to an
     immediate ``ValueError`` (a check only; excluded from
     fingerprints)."""
-
-    source_retry: RetryPolicy = RetryPolicy(base_delay=0.1, max_delay=2.0)
-    """Backoff schedule for transient source failures during resilient
-    dataset assembly."""
 
     # ------------------------------------------------------------------
     @classmethod
@@ -326,13 +312,16 @@ class ExperimentConfig:
 
 _SPLITTERS = ("exact", "hist")
 
+#: Backoff schedule for transient source failures during resilient
+#: dataset assembly.
+_SOURCE_RETRY = RetryPolicy(base_delay=0.1, max_delay=2.0)
+
 #: Execution-shape fields and their normal values.  None of them can
 #: change a successful scenario's result (determinism and bit-identity
 #: contracts), so :func:`run_fingerprint` resets them before hashing.
 _EXECUTION_SHAPE = {
     "n_jobs": None,
     "verbose": False,
-    "profile": False,
     "task_timeout": None,
     "task_retries": None,
     "on_error": "raise",
@@ -345,9 +334,8 @@ def run_fingerprint(config: ExperimentConfig) -> str:
     """The config fingerprint that keys the cache and the run ledger.
 
     Execution-shape fields are normalised away first, so a run killed
-    at ``--jobs 4`` resumes from its cache at ``--jobs 1``, a
-    ``--keep-going`` rerun reuses a strict run's scenarios, and a
-    profiled run's ledger record links to its unprofiled twin.
+    at ``--jobs 4`` resumes from its cache at ``--jobs 1`` and a
+    ``--keep-going`` rerun reuses a strict run's scenarios.
     """
     return config_fingerprint(replace(config, **_EXECUTION_SHAPE))
 
@@ -633,12 +621,9 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
     """
     key, scenario = item
     slog = get_logger("pipeline").bind(scenario=key)
-    # use_profiling travels with the pickled config, so worker processes
-    # profile whenever the parent run does (any start method); the
-    # resulting attrs ride the span records merged back by ParallelMap.
-    profile = config.profile or resolve_profiling()
-    with use_profiling(profile), \
-            profiled_span("pipeline.scenario", scenario=key):
+    # The CPU/RSS attrs of this span ride the span records merged back
+    # by ParallelMap, so worker-side resource use reaches the ledger.
+    with profiled_span("pipeline.scenario", scenario=key):
         slog.info("selection.start", candidates=scenario.n_features)
         selection = select_final_features(
             scenario.X, scenario.y, scenario.feature_names,
@@ -722,9 +707,10 @@ def run_experiment(config: ExperimentConfig | None = None,
     ``REPRO_LEDGER`` environment variable via the CLI) appends one
     :class:`~repro.obs.RunRecord` to the append-only run ledger when
     the run finishes: config fingerprint, cache lineage keys, metrics
-    snapshot, per-stage aggregates (with resource columns when
-    ``config.profile`` is on), host info and ``git describe``.  Ledger
-    failures are logged, never raised — a finished run always returns.
+    snapshot, per-stage aggregates (with CPU and max-RSS columns for
+    the run and each scenario), the slowest spans with their attrs,
+    host info and ``git describe``.  Ledger failures are logged, never
+    raised — a finished run always returns.
     """
     config = config if config is not None else ExperimentConfig.default()
     if config.splitter not in _SPLITTERS:
@@ -754,11 +740,10 @@ def run_experiment(config: ExperimentConfig | None = None,
     log = get_logger("pipeline")
     jobs = resolve_n_jobs(config.n_jobs)
     store = CacheStore(cache_dir) if cache_dir is not None else None
-    profile = config.profile or resolve_profiling()
     dkey = None
 
     with use_tracer(tracer), use_metrics(metrics), \
-            use_profiling(profile), profiled_span("experiment.run"):
+            profiled_span("experiment.run"):
         # The run is one dependency-aware task graph: dataset →
         # preflight → scenarios → per-scenario tasks.  Nodes carrying a
         # cache key are satisfied straight from the artifact store, and
@@ -801,7 +786,7 @@ def run_experiment(config: ExperimentConfig | None = None,
                     config.simulation,
                     plan=config.fault_plan,
                     policy=config.degradation,
-                    retry=config.source_retry,
+                    retry=_SOURCE_RETRY,
                 )
             return generate_raw_dataset(config.simulation), None
 
@@ -969,6 +954,7 @@ def run_experiment(config: ExperimentConfig | None = None,
             },
             cache=cache_info,
             stages=stage_rows(tracer.spans),
+            slowest=slowest_rows(tracer.spans),
             metrics=snapshot,
             host=host_info(),
             git=git_describe(),

@@ -30,8 +30,8 @@ from ..cache import CacheStore, dataset_key
 from ..core.pipeline import ExperimentConfig, ExperimentResults, \
     run_experiment, run_fingerprint
 from ..obs import MetricsRegistry, RunLedger, RunRecord, Tracer, \
-    get_logger, git_describe, host_info, span, stage_rows, use_metrics, \
-    use_tracer
+    get_logger, git_describe, host_info, slowest_rows, span, stage_rows, \
+    use_metrics, use_tracer
 from ..synth.dataset import RawDataset
 from ..synth.extend import extend_raw_dataset, extended_config
 
@@ -195,6 +195,7 @@ def update_experiment(config: ExperimentConfig | None = None,
             labels=labels,
             cache=cache_info,
             stages=stage_rows(tracer.spans),
+            slowest=slowest_rows(tracer.spans),
             metrics=results.run_summary.metrics,
             host=host_info(),
             git=git_describe(),

@@ -8,35 +8,36 @@ experiment pipeline reports through:
   configured via :func:`configure_logging`, ``REPRO_LOG_LEVEL`` /
   ``REPRO_LOG_JSON``, or the CLI ``--log-level`` / ``--log-json`` flags.
 * :mod:`repro.obs.trace` — nested wall-time spans with an injectable
-  clock, thread-safe collection, and JSONL export/import.  The pipeline
-  wraps every stage (dataset synthesis, scenario construction, FRA
-  iterations, SHAP, improvement studies) in spans.
+  clock and thread-safe collection.  The pipeline wraps every stage
+  (dataset synthesis, scenario construction, FRA iterations, SHAP,
+  improvement studies) in spans.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   histograms with ``snapshot()`` summaries and lossless
   ``dump()``/``merge()`` exchange.
-* :mod:`repro.obs.profile` — opt-in resource profiling
-  (:func:`profiled_span`: tracemalloc peak/current, ``getrusage`` CPU
-  and max-RSS, GC passes) riding ordinary span attrs, enabled via
-  :func:`use_profiling` / ``REPRO_PROFILE`` / ``repro run --profile``.
+* :mod:`repro.obs.profile` — :func:`profiled_span`, a span that also
+  records ``getrusage`` CPU time and max-RSS and the GC passes inside
+  it, riding ordinary span attrs (the run root and each scenario).
 * :mod:`repro.obs.summary` — :class:`RunSummary`, the per-run bundle of
-  spans + metrics attached to ``ExperimentResults.run_summary`` and
-  rendered by reports and ``repro trace-summary``.
+  spans + metrics attached to ``ExperimentResults.run_summary``, and
+  the span aggregations the ledger persists.
 * :mod:`repro.obs.ledger` — :class:`RunLedger`, the append-only JSONL
   record every run/chaos/bench invocation appends to, with query and
-  compare helpers behind ``repro report``.
+  compare helpers behind ``repro report`` — the one run report: stage
+  table, slowest spans and counters.
 * :mod:`repro.obs.bench` — the perf-regression gate comparing fresh
   ``BENCH_*.json`` artefacts to committed baselines
   (``repro bench check``).
 
 Quick tour::
 
-    from repro.obs import Tracer, use_tracer, span, current_metrics
+    from repro.obs import (Tracer, aggregate_spans, current_metrics,
+                           span, use_tracer)
 
     tracer = Tracer()
     with use_tracer(tracer):
         with span("stage.work", scenario="2017_7"):
             current_metrics().counter("work.items").inc()
-    tracer.export("trace.jsonl")
+    stats = aggregate_spans(tracer.spans)   # per-name count, total, self
 """
 
 from .bench import (
@@ -56,6 +57,7 @@ from .ledger import (
     render_compare,
     render_history,
     render_record,
+    slowest_rows,
     stage_rows,
 )
 from .log import (
@@ -77,21 +79,12 @@ from .metrics import (
     set_current_metrics,
     use_metrics,
 )
-from .profile import (
-    PROFILE_ATTRS,
-    profiled_span,
-    profiling_enabled,
-    resolve_profiling,
-    set_profiling,
-    use_profiling,
-)
+from .profile import PROFILE_ATTRS, profiled_span
 from .summary import (
     RunSummary,
     aggregate_spans,
     format_memory,
     format_runtime,
-    format_slowest,
-    format_stage_table,
     slowest_spans,
     stage_breakdown,
 )
@@ -100,11 +93,9 @@ from .trace import (
     Tracer,
     current_tracer,
     event,
-    read_jsonl,
     set_current_tracer,
     span,
     use_tracer,
-    write_jsonl,
 )
 
 __all__ = [
@@ -132,8 +123,6 @@ __all__ = [
     "event",
     "format_memory",
     "format_runtime",
-    "format_slowest",
-    "format_stage_table",
     "get_logger",
     "git_describe",
     "host_info",
@@ -142,23 +131,18 @@ __all__ = [
     "logging_configured",
     "percentile_of",
     "profiled_span",
-    "profiling_enabled",
-    "read_jsonl",
     "render_bench_check",
     "render_compare",
     "render_history",
     "render_record",
     "reset_logging",
-    "resolve_profiling",
     "set_current_metrics",
     "set_current_tracer",
-    "set_profiling",
+    "slowest_rows",
     "slowest_spans",
     "span",
     "stage_breakdown",
     "stage_rows",
     "use_metrics",
-    "use_profiling",
     "use_tracer",
-    "write_jsonl",
 ]

@@ -4,9 +4,11 @@ The paper's headline claim rests on comparing many experiment runs;
 :class:`RunLedger` is the persistent record that keeps those runs
 comparable.  Every ``run_experiment``, chaos run, and benchmark appends
 one :class:`RunRecord` — config fingerprint, cache lineage keys,
-metrics snapshot, per-stage span aggregates (with resource-profile
-columns when :mod:`repro.obs.profile` was enabled), host/env info and
-``git describe`` — to one JSON-lines file.
+metrics snapshot, per-stage span aggregates (with the CPU and max-RSS
+columns of :mod:`repro.obs.profile`), the slowest spans with their
+attrs, host/env info and ``git describe`` — to one JSON-lines file.
+The record is the one place a run explains itself: ``repro report
+--run`` renders it.
 
 Appends are durable and crash-tolerant: each record is a single
 ``write`` to an ``O_APPEND`` descriptor followed by ``fsync``, so a
@@ -35,7 +37,12 @@ from pathlib import Path
 
 from .log import get_logger
 from .profile import PROFILE_ATTRS
-from .summary import aggregate_spans, format_memory, format_runtime
+from .summary import (
+    aggregate_spans,
+    format_memory,
+    format_runtime,
+    slowest_spans,
+)
 
 __all__ = [
     "RunLedger",
@@ -46,6 +53,7 @@ __all__ = [
     "render_compare",
     "render_history",
     "render_record",
+    "slowest_rows",
     "stage_rows",
 ]
 
@@ -91,27 +99,25 @@ def git_describe(directory=None) -> str | None:
 def stage_rows(spans) -> dict[str, dict]:
     """Per-span-name aggregates ready to persist in a ledger record.
 
-    Wall-time stats come from :func:`aggregate_spans`; when profiling
-    attrs are present on the spans, each stage row additionally carries
-    the summed ``cpu_s`` / ``gc_collections`` and the max of the memory
-    columns across that stage's spans.
+    A projection of :func:`aggregate_spans`: the wall-time fields, plus
+    the resource columns (summed ``cpu_s`` / ``gc_collections``, max
+    ``max_rss_kb``) on the names whose spans carry them.
     """
-    stats = aggregate_spans(spans)
-    rows = {
-        name: {key: entry[key] for key in _STAGE_FIELDS}
-        for name, entry in stats.items()
+    keep = _STAGE_FIELDS + PROFILE_ATTRS
+    return {
+        name: {key: entry[key] for key in keep if key in entry}
+        for name, entry in aggregate_spans(spans).items()
     }
-    for record in spans:
-        row = rows[record.name]
-        for attr in PROFILE_ATTRS:
-            value = record.attrs.get(attr)
-            if value is None:
-                continue
-            if attr in ("cpu_s", "gc_collections"):
-                row[attr] = round(row.get(attr, 0) + value, 6)
-            else:
-                row[attr] = max(row.get(attr, 0.0), value)
-    return rows
+
+
+def slowest_rows(spans, n: int = 10) -> list[dict]:
+    """The ``n`` longest spans (see :func:`slowest_spans`) as ledger
+    rows: name, duration and attrs."""
+    return [
+        {"name": record.name, "duration_s": round(record.duration, 6),
+         "attrs": dict(record.attrs)}
+        for record in slowest_spans(spans, n)
+    ]
 
 
 @dataclass
@@ -145,6 +151,9 @@ class RunRecord:
     stages: dict = field(default_factory=dict)
     """Per-span-name aggregates (see :func:`stage_rows`)."""
 
+    slowest: list = field(default_factory=list)
+    """The run's slowest individual spans (see :func:`slowest_rows`)."""
+
     metrics: dict = field(default_factory=dict)
     """The run's :meth:`~repro.obs.MetricsRegistry.snapshot`."""
 
@@ -165,6 +174,7 @@ class RunRecord:
             "labels": dict(self.labels),
             "cache": dict(self.cache),
             "stages": dict(self.stages),
+            "slowest": list(self.slowest),
             "metrics": dict(self.metrics),
             "host": dict(self.host),
             "git": self.git,
@@ -187,6 +197,7 @@ class RunRecord:
             labels=dict(payload.get("labels", {})),
             cache=dict(payload.get("cache", {})),
             stages=dict(payload.get("stages", {})),
+            slowest=list(payload.get("slowest", [])),
             metrics=dict(payload.get("metrics", {})),
             host=dict(payload.get("host", {})),
             git=payload.get("git"),
@@ -220,7 +231,10 @@ class RunLedger:
         """
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        # default=str: a span attr that JSON cannot encode is recorded
+        # as its text rather than failing the finished run.
+        line = json.dumps(record.to_dict(), sort_keys=True,
+                          default=str) + "\n"
         fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
@@ -382,7 +396,9 @@ def render_history(records: list[RunRecord]) -> str:
 
 
 def render_record(record: RunRecord) -> str:
-    """One run's detail: header lines + per-stage wall/memory table."""
+    """One run's detail: header lines, the per-stage table (count,
+    total/self/mean/max seconds, plus cpu/max-rss when the rows carry
+    them), the slowest spans with their attrs, and the counters."""
     lines = [
         f"run {record.run_id}  kind={record.kind}  "
         f"status={record.status}  started={record.started_at or '-'}",
@@ -403,35 +419,46 @@ def render_record(record: RunRecord) -> str:
         parts = [f"{k}={v}" for k, v in sorted(record.cache.items())]
         lines.append("cache " + " ".join(parts))
     if record.stages:
-        profiled = any(
-            "mem_peak_kb" in row or "cpu_s" in row
-            for row in record.stages.values()
-        )
-        headers = ("stage", "count", "total", "max")
-        if profiled:
-            headers += ("cpu", "peak-mem", "max-rss")
+        measured = any("cpu_s" in row for row in record.stages.values())
+        headers = ("stage", "count", "total", "self", "mean", "max")
+        if measured:
+            headers += ("cpu", "max-rss")
         rows = []
         ordered = sorted(
             record.stages.items(),
             key=lambda kv: -kv[1].get("total_s", 0.0),
         )
         for name, row in ordered:
+            count = row.get("count", 0)
+            total = row.get("total_s", 0.0)
             cells = (
                 name,
-                str(row.get("count", 0)),
-                format_runtime(row.get("total_s", 0.0)),
+                str(count),
+                format_runtime(total),
+                format_runtime(row.get("self_s", 0.0)),
+                format_runtime(total / count if count else 0.0),
                 format_runtime(row.get("max_s", 0.0)),
             )
-            if profiled:
+            if measured:
                 cpu = row.get("cpu_s")
                 cells += (
                     format_runtime(cpu) if cpu is not None else "-",
-                    format_memory(row.get("mem_peak_kb")),
                     format_memory(row.get("max_rss_kb")),
                 )
             rows.append(cells)
         lines.append("")
         lines.append(_table(headers, rows))
+    if record.slowest:
+        lines.append("")
+        lines.append(f"slowest {len(record.slowest)} spans:")
+        for row in record.slowest:
+            attrs = " ".join(
+                f"{k}={v}" for k, v in row.get("attrs", {}).items()
+            )
+            lines.append(
+                f"  {format_runtime(row['duration_s']):>8}  {row['name']}"
+                + (f" {attrs}" if attrs else "")
+            )
     counters = record.metrics.get("counters", {})
     if counters:
         lines.append("")

@@ -1,46 +1,36 @@
-"""Opt-in resource profiling spans: memory, CPU and GC per traced region.
+"""Resource-measuring spans: CPU, max-RSS and GC per traced region.
 
 :func:`profiled_span` is a drop-in replacement for
-:func:`repro.obs.trace.span` that, when profiling is enabled, annotates
-the span's ``attrs`` with resource measurements:
+:func:`repro.obs.trace.span` that annotates the span's ``attrs`` with
+resource measurements:
 
 ``cpu_s``
     Process CPU time (user + system) consumed inside the span, via
     ``resource.getrusage``.
-``mem_peak_kb`` / ``mem_current_kb``
-    ``tracemalloc`` peak and current traced allocations at span exit,
-    in KiB.  The profiler starts ``tracemalloc`` on the first profiled
-    span and resets the peak counter at each span entry, so the peak is
-    per-span for non-overlapping stages (nested profiled spans share
-    one process-wide peak counter — a child's reset hides allocations
-    the parent made before the child started).
 ``max_rss_kb``
-    The process high-water RSS (``ru_maxrss``), normalised to KiB.
+    The process high-water RSS (``ru_maxrss``) at span exit, in KiB.
 ``gc_collections``
     Garbage-collector collection passes that ran inside the span.
 
-Profiling is **off by default** and the disabled path adds only a flag
-check — ``profiled_span`` returns the plain tracing context manager
-untouched, so instrumented code pays nothing until someone opts in via
-:func:`use_profiling` / :func:`set_profiling`, the ``REPRO_PROFILE``
-environment variable, or the CLI ``run --profile`` flag.
+Measuring costs one ``getrusage`` and one ``gc.get_stats`` at each end
+of the span (a few microseconds), so the pipeline uses it only on its
+coarse spans: the run root and one span per scenario.
 
 The measurements ride ordinary span ``attrs``, so worker-process spans
 merged back by :class:`repro.parallel.ParallelMap` carry them too, and
-``repro trace-summary`` / the run ledger render them as extra columns.
+the run ledger's stage rows (``repro report --run``) show them as
+``cpu`` / ``max-rss`` columns.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
-import tracemalloc
 from contextlib import contextmanager
 
 from .trace import span as _trace_span
 
-try:  # POSIX only; Windows keeps the tracemalloc/GC measurements.
+try:  # POSIX only; elsewhere only the GC count is measured.
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX platform
     _resource = None
@@ -48,60 +38,10 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 __all__ = [
     "PROFILE_ATTRS",
     "profiled_span",
-    "profiling_enabled",
-    "resolve_profiling",
-    "set_profiling",
-    "use_profiling",
 ]
 
-#: Environment variable consulted by :func:`resolve_profiling`.
-ENV_PROFILE = "REPRO_PROFILE"
-
-#: Attr keys a profiled span may carry (render order for reports).
-PROFILE_ATTRS = ("cpu_s", "mem_peak_kb", "mem_current_kb",
-                 "max_rss_kb", "gc_collections")
-
-_enabled = False
-_owns_tracemalloc = False
-
-
-def profiling_enabled() -> bool:
-    """Whether :func:`profiled_span` currently measures resources."""
-    return _enabled
-
-
-def set_profiling(enabled: bool) -> bool:
-    """Turn profiling on or off; returns the previous state.
-
-    Disabling stops ``tracemalloc`` again if the profiler was the one
-    that started it, so the (substantial) allocation-tracking overhead
-    never outlives the opt-in.
-    """
-    global _enabled, _owns_tracemalloc
-    previous = _enabled
-    _enabled = bool(enabled)
-    if not _enabled and _owns_tracemalloc:
-        tracemalloc.stop()
-        _owns_tracemalloc = False
-    return previous
-
-
-@contextmanager
-def use_profiling(enabled: bool = True):
-    """Temporarily enable (or force-disable) resource profiling."""
-    previous = set_profiling(enabled)
-    try:
-        yield
-    finally:
-        set_profiling(previous)
-
-
-def resolve_profiling(flag: bool | None = None) -> bool:
-    """Resolve a profiling request: arg → ``REPRO_PROFILE`` → off."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(ENV_PROFILE, "").strip().lower()
-    return env in ("1", "true", "yes", "on")
+#: Attr keys a profiled span carries (render order for reports).
+PROFILE_ATTRS = ("cpu_s", "max_rss_kb", "gc_collections")
 
 
 def _rusage() -> tuple[float, float]:
@@ -120,36 +60,17 @@ def _gc_collections() -> int:
 
 
 @contextmanager
-def _measured_span(name: str, attrs: dict):
-    global _owns_tracemalloc
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
-        _owns_tracemalloc = True
-    tracemalloc.reset_peak()
+def profiled_span(name: str, **attrs):
+    """A traced region whose record also carries :data:`PROFILE_ATTRS`."""
     cpu_before, _ = _rusage()
     gc_before = _gc_collections()
     with _trace_span(name, **attrs) as record:
         try:
             yield record
         finally:
-            current, peak = tracemalloc.get_traced_memory()
             cpu_after, max_rss = _rusage()
             record.attrs["cpu_s"] = round(cpu_after - cpu_before, 6)
-            record.attrs["mem_peak_kb"] = round(peak / 1024.0, 1)
-            record.attrs["mem_current_kb"] = round(current / 1024.0, 1)
             record.attrs["max_rss_kb"] = round(max_rss, 1)
             record.attrs["gc_collections"] = (
                 _gc_collections() - gc_before
             )
-
-
-def profiled_span(name: str, **attrs):
-    """A traced region that also measures resources when profiling is on.
-
-    Disabled (the default), this *is* :func:`repro.obs.trace.span` — the
-    plain context manager is returned directly, so the only cost over an
-    unprofiled span is this flag check.
-    """
-    if not _enabled:
-        return _trace_span(name, **attrs)
-    return _measured_span(name, attrs)

@@ -3,7 +3,8 @@
 :class:`RunSummary` is the per-run telemetry bundle the pipeline
 attaches to ``ExperimentResults.run_summary``: the full span list, a
 metrics snapshot, and aggregate accessors.  The module also hosts the
-pure functions the ``repro trace-summary`` CLI renders with —
+pure span aggregations behind the run ledger's records
+(:mod:`repro.obs.ledger`) and the report footers —
 :func:`aggregate_spans` (per-name stats with self-time),
 :func:`stage_breakdown` (top-level stage → seconds), and
 :func:`slowest_spans`.
@@ -23,8 +24,6 @@ __all__ = [
     "slowest_spans",
     "format_memory",
     "format_runtime",
-    "format_stage_table",
-    "format_slowest",
 ]
 
 
@@ -82,8 +81,8 @@ def aggregate_spans(spans: list[Span]) -> dict[str, dict]:
             0.0, record.duration - child_time.get(record.span_id, 0.0)
         )
         entry["max_s"] = max(entry["max_s"], record.duration)
-        # Resource-profile attrs (repro.obs.profile) are additive-only:
-        # unprofiled runs keep the original key set.
+        # Resource attrs (repro.obs.profile) appear only on the names
+        # whose spans carry them; plain spans keep the wall-time keys.
         for attr in PROFILE_ATTRS:
             value = record.attrs.get(attr)
             if value is None:
@@ -108,19 +107,12 @@ def stage_breakdown(spans: list[Span]) -> dict[str, float]:
     ordering follows each stage's first appearance in the trace, which
     for the pipeline matches execution order.
     """
+    stats = aggregate_spans(spans)
     out: dict[str, float] = {}
-    child_time: dict[int, float] = {}
-    for record in spans:
-        if record.parent_id is not None:
-            child_time[record.parent_id] = (
-                child_time.get(record.parent_id, 0.0) + record.duration
-            )
-    for record in sorted(spans, key=lambda s: s.start):
-        stage = record.name.split(".", 1)[0]
-        self_s = max(
-            0.0, record.duration - child_time.get(record.span_id, 0.0)
-        )
-        out[stage] = out.get(stage, 0.0) + self_s
+    first_seen = sorted(spans, key=lambda record: record.start)
+    for name in dict.fromkeys(record.name for record in first_seen):
+        stage = name.split(".", 1)[0]
+        out[stage] = out.get(stage, 0.0) + stats[name]["self_s"]
     return out
 
 
@@ -129,68 +121,6 @@ def slowest_spans(spans: list[Span], n: int = 10) -> list[Span]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return sorted(spans, key=lambda s: -s.duration)[:n]
-
-
-def format_stage_table(spans: list[Span]) -> str:
-    """The aggregate per-span-name table ``trace-summary`` prints.
-
-    When resource-profiled spans are present (see
-    :mod:`repro.obs.profile`) the table grows ``cpu`` / ``peak-mem`` /
-    ``max-rss`` columns; unprofiled traces render exactly as before.
-    """
-    stats = aggregate_spans(spans)
-    profiled = any(
-        "cpu_s" in entry or "mem_peak_kb" in entry
-        for entry in stats.values()
-    )
-    headers = ("span", "count", "total", "self", "mean", "max")
-    if profiled:
-        headers += ("cpu", "peak-mem", "max-rss")
-    rows = []
-    for name, entry in stats.items():
-        row = (
-            name,
-            str(entry["count"]),
-            format_runtime(entry["total_s"]),
-            format_runtime(entry["self_s"]),
-            format_runtime(entry["mean_s"]),
-            format_runtime(entry["max_s"]),
-        )
-        if profiled:
-            cpu = entry.get("cpu_s")
-            row += (
-                format_runtime(cpu) if cpu is not None else "-",
-                format_memory(entry.get("mem_peak_kb")),
-                format_memory(entry.get("max_rss_kb")),
-            )
-        rows.append(row)
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        )
-    return "\n".join(lines)
-
-
-def format_slowest(spans: list[Span], n: int = 10) -> str:
-    """The ``n`` slowest spans with their attributes, one per line."""
-    lines = [f"slowest {min(n, len(spans))} spans:"]
-    for record in slowest_spans(spans, n):
-        attrs = " ".join(f"{k}={v}" for k, v in record.attrs.items())
-        suffix = f" {attrs}" if attrs else ""
-        lines.append(
-            f"  {format_runtime(record.duration):>8}  "
-            f"{record.name}{suffix}"
-        )
-    return "\n".join(lines)
 
 
 @dataclass
@@ -227,10 +157,6 @@ class RunSummary:
             if stage != "experiment"
         ]
         return " | ".join(parts)
-
-    def stage_table(self) -> str:
-        """Rendered aggregate table (see :func:`format_stage_table`)."""
-        return format_stage_table(self.spans)
 
     def to_dict(self) -> dict:
         """JSON-ready dump: aggregates + metrics (not raw spans)."""

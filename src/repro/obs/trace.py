@@ -1,4 +1,4 @@
-"""Span tracing: nested wall-time measurements with JSONL persistence.
+"""Span tracing: nested wall-time measurements.
 
 A :class:`Tracer` collects :class:`Span` records.  Spans nest through a
 per-thread stack, so concurrent threads each build their own correct
@@ -12,8 +12,9 @@ parent chain while appending to one shared (lock-guarded) list::
                 s.attrs["n_removed"] = removed
 
 The clock is injectable (``Tracer(clock=fake)``) so tests get
-deterministic timings.  ``tracer.export(path)`` writes one JSON object
-per line; :func:`read_jsonl` loads them back.
+deterministic timings.  A run's spans end up aggregated in its ledger
+record (:mod:`repro.obs.ledger`); :meth:`Span.to_dict` /
+:meth:`Span.from_dict` carry them across process boundaries.
 
 Module-level helpers maintain a *current* tracer so library code can be
 instrumented without threading a tracer argument through every call:
@@ -23,12 +24,10 @@ instrumented without threading a tracer argument through every call:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "Span",
@@ -38,8 +37,6 @@ __all__ = [
     "use_tracer",
     "span",
     "event",
-    "write_jsonl",
-    "read_jsonl",
 ]
 
 
@@ -61,7 +58,7 @@ class Span:
         return self.end - self.start
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (one JSONL record)."""
+        """JSON-ready representation (what workers ship back)."""
         return {
             "name": self.name,
             "start": self.start,
@@ -161,8 +158,8 @@ class Tracer:
 
         Events mark moments rather than regions — a pool breakage, a
         quarantined cache entry — and ride the ordinary span stream, so
-        exports, worker merges and ``trace-summary`` need no new
-        machinery to carry them.
+        worker merges and the run ledger need no new machinery to
+        carry them.
         """
         if not self.enabled:
             return Span(name=name, start=0.0, attrs=attrs)
@@ -234,10 +231,6 @@ class Tracer:
         with self._lock:
             self._spans.clear()
 
-    def export(self, path) -> Path:
-        """Write the collected spans as JSONL; returns the path."""
-        return write_jsonl(self.spans, path)
-
 
 # ----------------------------------------------------------------------
 # The process-wide "current" tracer.
@@ -285,25 +278,3 @@ def event(name: str, **attrs) -> Span:
     """``current_tracer().event(...)`` — record an instantaneous mark."""
     return _current.event(name, **attrs)
 
-
-# ----------------------------------------------------------------------
-def write_jsonl(spans, path) -> Path:
-    """Write spans (one JSON object per line) to ``path``."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for record in spans:
-            handle.write(json.dumps(record.to_dict()) + "\n")
-    return path
-
-
-def read_jsonl(path) -> list[Span]:
-    """Load spans previously written by :func:`write_jsonl`."""
-    spans = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(Span.from_dict(json.loads(line)))
-    return spans

@@ -18,8 +18,8 @@ Design contract:
 * **Observability** — process workers run under a fresh
   :class:`repro.obs.Tracer` / :class:`repro.obs.MetricsRegistry` whose
   spans and metric values are merged back into the parent's current
-  tracer and registry, so ``repro trace-summary`` accounts for all work
-  no matter where it ran.
+  tracer and registry, so the run ledger (``repro report --run``)
+  accounts for all work no matter where it ran.
 * **No nested pools** — a :class:`ParallelMap` used inside a worker runs
   inline (:func:`in_worker`), so a fan-out never oversubscribes the
   machine.

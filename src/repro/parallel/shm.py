@@ -30,8 +30,8 @@ Determinism is untouched: ``publish`` stores a bit-exact copy and every
 view is read-only, so a worker computes on exactly the bytes the serial
 path would see.  Observability: ``parallel.shm_bytes`` counts bytes
 published, ``parallel.shm_segments`` counts segments,
-``parallel.shm_attach`` counts worker attachments; all flow into
-``repro trace-summary``.
+``parallel.shm_attach`` counts worker attachments; all flow into the
+run ledger's counters (``repro report --run``).
 
 Arrays below :data:`SHM_MIN_BYTES` (64 KiB) are cheaper to pickle than
 to publish, so :meth:`SharedDataset.share` leaves them alone.

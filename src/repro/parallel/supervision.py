@@ -30,7 +30,7 @@ is bit-identical to the serial path for any crash schedule.  Progress
 is observable through the ``parallel.worker_crashes`` /
 ``parallel.retries`` / ``parallel.timeouts`` /
 ``parallel.resubmitted_items`` counters and ``parallel.*`` span events,
-which flow into ``repro trace-summary`` and the run ledger like every
+which flow into the run ledger (``repro report --run``) like every
 other metric.
 """
 

@@ -17,8 +17,8 @@ classic resilience stack:
 Every retry, trip and failure surfaces as a :mod:`repro.obs` counter
 (``resilience.retry``, ``resilience.breaker.trip``,
 ``resilience.fetch.failure``) and fetches run inside a
-``resilience.fetch`` span, so chaos runs are fully visible in
-``trace-summary`` output.
+``resilience.fetch`` span, so a run's retries and breaker trips show
+among its ledger counters (``repro report --run``).
 """
 
 from __future__ import annotations

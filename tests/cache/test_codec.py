@@ -102,24 +102,29 @@ class TestStaleVsCorrupt:
         with pytest.raises(StaleArtifact):
             load_artifact(self._ghost_blob())
 
-    def test_stale_legacy_blob(self):
+    def test_unframed_stale_blob_is_corrupt(self):
         blob = self._ghost_blob()
-        legacy = unframe(blob)  # bare pickle, digest-valid
-        with pytest.raises(StaleArtifact):
+        legacy = unframe(blob)  # bare pickle of a vanished class
+        # Without a frame nothing vouches for the bytes, so they are
+        # never unpickled — corrupt, not stale.
+        with pytest.raises(CorruptArtifact) as excinfo:
             load_artifact(legacy)
+        assert excinfo.value.reason == "bad-magic"
 
 
 class TestLegacyReadBack:
-    def test_bare_pickle_loads_transparently(self):
+    def test_bare_pickle_is_corrupt(self):
         legacy = pickle.dumps({"old": "entry"},
                               protocol=pickle.HIGHEST_PROTOCOL)
         assert not is_framed(legacy)
-        assert load_artifact(legacy) == {"old": "entry"}
+        with pytest.raises(CorruptArtifact) as excinfo:
+            load_artifact(legacy)
+        assert excinfo.value.reason == "bad-magic"
 
     def test_legacy_garbage_is_corrupt(self):
         with pytest.raises(CorruptArtifact) as excinfo:
             load_artifact(b"definitely not a pickle")
-        assert excinfo.value.reason == "legacy-unreadable"
+        assert excinfo.value.reason == "bad-magic"
 
     def test_empty_blob_is_corrupt(self):
         with pytest.raises(CorruptArtifact):

@@ -72,11 +72,16 @@ class TestCorruptReads:
         # and the entry was NOT quarantined: OOM says nothing about it
         assert store.contains(KEY_A)
 
-    def test_legacy_bare_pickle_still_loads(self, store):
+    def test_legacy_bare_pickle_is_quarantined(self, store):
         path = store._path_for(KEY_A)
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"legacy": True}))
-        assert store.get(KEY_A) == {"legacy": True}
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            assert store.get(KEY_A) is None   # a miss: recomputed
+        assert registry.snapshot()["counters"]["cache.corrupt"] == 1
+        assert not path.exists()
+        assert store.stats()["quarantined"] == 1
 
     def test_quarantine_is_never_counted_as_an_entry(self, store):
         store.put(KEY_A, 1)
@@ -111,14 +116,17 @@ class TestVerify:
         assert report["quarantined"] == 0
         assert path.exists()
 
-    def test_counts_legacy_entries(self, store):
+    def test_legacy_entries_are_quarantined(self, store):
         path = store._path_for(KEY_A)
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps("legacy"))
         store.put(KEY_B, "framed")
         report = store.verify()
-        assert report["legacy"] == 1
-        assert report["ok"] == 2
+        assert "legacy" not in report
+        assert report["ok"] == 1
+        assert report["corrupt"] == [KEY_A]
+        assert report["quarantined"] == 1
+        assert not path.exists()
 
     def test_clean_store_verifies_clean(self, store):
         store.put(KEY_A, 1)

@@ -26,7 +26,6 @@ SCENARIOS = [f"{p}_{w}" for p in BASE.periods for w in BASE.windows]
 EXECUTION_SHAPE = {
     "n_jobs": 4,
     "verbose": True,
-    "profile": True,
     "task_timeout": 30.0,
     "task_retries": 2,
     "on_error": "capture",

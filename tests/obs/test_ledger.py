@@ -21,12 +21,14 @@ from repro.obs import (
     RunLedger,
     RunRecord,
     Tracer,
+    aggregate_spans,
     compare_records,
     git_describe,
     host_info,
     render_compare,
     render_history,
     render_record,
+    slowest_rows,
     span,
     stage_rows,
     use_tracer,
@@ -219,9 +221,8 @@ class TestCompareAndRender:
             cache={"hits": 0, "dataset_key": "k1"},
             stages={"pipeline.scenario": {"count": 4, "total_s": 16.0,
                                           "self_s": 15.0, "max_s": 5.0,
-                                          "mem_peak_kb": 4096.0,
                                           "cpu_s": 14.0,
-                                          "max_rss_kb": 100_000.0},
+                                          "max_rss_kb": 4096.0},
                     "synth.dataset": {"count": 1, "total_s": 2.0,
                                       "self_s": 2.0, "max_s": 2.0}},
         )
@@ -256,7 +257,9 @@ class TestCompareAndRender:
         cold, _ = self._pair()
         text = render_record(cold)
         assert "pipeline.scenario" in text
-        assert "peak-mem" in text and "4.0MB" in text
+        assert "max-rss" in text and "4.0MB" in text
+        assert "14.0s" in text                   # cpu column
+        assert "4.00s" in text                   # mean: 16 s / 4
         assert "fingerprint cfg" in text
         assert "dataset_key=k1" in text
 
@@ -264,7 +267,7 @@ class TestCompareAndRender:
         _, warm = self._pair()
         text = render_record(warm)
         assert "pipeline.scenario" in text
-        assert "peak-mem" not in text
+        assert "max-rss" not in text
 
     def test_render_compare(self):
         cold, warm = self._pair()
@@ -278,14 +281,14 @@ class TestStageRows:
         tracer = Tracer()
         with use_tracer(tracer):
             with span("stage.a") as record:
-                record.attrs["mem_peak_kb"] = 512.0
+                record.attrs["max_rss_kb"] = 512.0
                 record.attrs["cpu_s"] = 0.5
             with span("stage.a") as record:
-                record.attrs["mem_peak_kb"] = 1024.0
+                record.attrs["max_rss_kb"] = 1024.0
                 record.attrs["cpu_s"] = 0.25
         rows = stage_rows(tracer.spans)
         assert rows["stage.a"]["count"] == 2
-        assert rows["stage.a"]["mem_peak_kb"] == 1024.0   # max
+        assert rows["stage.a"]["max_rss_kb"] == 1024.0   # max
         assert rows["stage.a"]["cpu_s"] == pytest.approx(0.75)  # sum
 
     def test_plain_spans_keep_wall_time_fields_only(self):
@@ -296,6 +299,49 @@ class TestStageRows:
         rows = stage_rows(tracer.spans)
         assert set(rows["stage.a"]) == {"count", "total_s", "self_s",
                                         "max_s"}
+
+    def test_rows_are_a_projection_of_aggregate_spans(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with span("stage.outer") as record:
+                record.attrs["cpu_s"] = 0.5
+                with span("stage.inner"):
+                    pass
+        stats = aggregate_spans(tracer.spans)
+        rows = stage_rows(tracer.spans)
+        assert list(rows) == list(stats)
+        for name, row in rows.items():
+            assert row == {key: stats[name][key] for key in row}
+        assert rows["stage.outer"]["cpu_s"] == 0.5
+
+
+class TestSlowestRows:
+    def test_longest_first_with_attrs(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with span("stage.a", scenario="2017_7"):
+                with span("stage.b", iteration=2):
+                    pass
+        rows = slowest_rows(tracer.spans, n=1)
+        assert rows == [{"name": "stage.a",
+                         "duration_s": rows[0]["duration_s"],
+                         "attrs": {"scenario": "2017_7"}}]
+        assert [row["name"] for row in slowest_rows(tracer.spans)] == [
+            "stage.a", "stage.b"]
+        assert slowest_rows([]) == []
+
+    def test_round_trip_through_the_ledger(self, tmp_path):
+        rows = [{"name": "experiment.run", "duration_s": 2.5,
+                 "attrs": {"scenario": "2017_7", "path": Path("k")}}]
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        ledger.append(_record(slowest=rows))
+        # an attr JSON cannot encode is kept as its text
+        assert ledger.latest().slowest == [
+            {**rows[0], "attrs": {"scenario": "2017_7", "path": "k"}}]
+        # Records written before the field existed load with none.
+        payload = _record().to_dict()
+        del payload["slowest"]
+        assert RunRecord.from_dict(payload).slowest == []
 
 
 class TestHostAndGit:

@@ -1,16 +1,19 @@
-"""Run summary: runtime formatting, aggregation, stage breakdown."""
+"""Run summary: runtime formatting, aggregation, stage breakdown, and
+the run report's stage table and slowest-span list built from them."""
 
 import pytest
 
 from repro.obs import (
+    RunRecord,
     RunSummary,
     Span,
     aggregate_spans,
     format_runtime,
-    format_slowest,
-    format_stage_table,
+    render_record,
+    slowest_rows,
     slowest_spans,
     stage_breakdown,
+    stage_rows,
 )
 
 
@@ -112,21 +115,29 @@ class TestSlowest:
             slowest_spans(trace, 0)
 
     def test_format_includes_attrs(self, trace):
-        text = format_slowest(trace, 3)
-        assert "scenario=2017_7" in text
+        record = RunRecord(kind="run", slowest=slowest_rows(trace, 3))
+        text = render_record(record)
+        assert "slowest 3 spans:" in text
+        assert "stage_b.work scenario=2017_7" in text
 
 
 class TestRenderings:
     def test_stage_table_contains_all_names(self, trace):
-        table = format_stage_table(trace)
+        text = render_record(RunRecord(kind="run",
+                                       stages=stage_rows(trace)))
         for name in ("experiment.run", "stage_a.work",
                      "stage_a.inner", "stage_b.work"):
-            assert name in table
-        assert "self" in table.splitlines()[0]
+            assert name in text
+        header = next(line for line in text.splitlines()
+                      if line.startswith("stage "))
+        assert header.split() == ["stage", "count", "total", "self",
+                                  "mean", "max"]
 
     def test_stage_table_empty_trace(self):
-        table = format_stage_table([])
-        assert "span" in table
+        record = RunRecord(kind="run", stages=stage_rows([]),
+                           slowest=slowest_rows([]))
+        text = render_record(record)
+        assert "stage " not in text and "slowest" not in text
 
 
 class TestRunSummary:

@@ -1,5 +1,6 @@
-"""Span tracer: nesting, ordering, JSONL round-trip, thread safety."""
+"""Span tracer: nesting, ordering, JSON round-trip, thread safety."""
 
+import json
 import threading
 
 import pytest
@@ -8,10 +9,8 @@ from repro.obs import (
     Span,
     Tracer,
     current_tracer,
-    read_jsonl,
     span,
     use_tracer,
-    write_jsonl,
 )
 
 
@@ -129,30 +128,18 @@ class TestCurrentTracer:
 
 
 class TestJsonlRoundTrip:
-    def test_round_trip_preserves_everything(self, tmp_path):
+    def test_round_trip_preserves_everything(self):
+        # to_dict -> JSON -> from_dict is how worker spans travel back
+        # to the parent tracer (Tracer.absorb).
         tracer = Tracer(clock=FakeClock())
         with tracer.span("outer", scenario="2017_7"):
             with tracer.span("inner", iteration=3):
                 pass
-        path = tracer.export(tmp_path / "trace.jsonl")
-        loaded = read_jsonl(path)
+        lines = [json.dumps(s.to_dict()) for s in tracer.spans]
+        loaded = [Span.from_dict(json.loads(line)) for line in lines]
         assert [s.to_dict() for s in loaded] == [
             s.to_dict() for s in tracer.spans
         ]
-
-    def test_write_jsonl_creates_parent_dirs(self, tmp_path):
-        spans = [Span(name="a", start=0.0, end=1.0, span_id=1)]
-        path = write_jsonl(spans, tmp_path / "deep" / "dir" / "t.jsonl")
-        assert path.exists()
-        assert read_jsonl(path)[0].name == "a"
-
-    def test_read_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        record = Span(name="a", start=0.0, end=1.0, span_id=1).to_dict()
-        import json
-
-        path.write_text(json.dumps(record) + "\n\n")
-        assert len(read_jsonl(path)) == 1
 
 
 class TestThreadSafety:

@@ -37,17 +37,17 @@ class TestParser:
     def test_run_observability_flags(self, tmp_path):
         args = build_parser().parse_args(
             ["run", "--log-level", "debug", "--log-json",
-             "--trace", str(tmp_path / "t.jsonl")]
+             "--ledger", str(tmp_path / "runs.jsonl")]
         )
         assert args.log_level == "debug"
         assert args.log_json
-        assert args.trace.name == "t.jsonl"
+        assert args.ledger.name == "runs.jsonl"
 
     def test_run_observability_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.log_level is None
         assert not args.log_json
-        assert args.trace is None
+        assert args.ledger is None
 
     def test_bad_log_level_rejected(self):
         with pytest.raises(SystemExit):
@@ -82,11 +82,12 @@ class TestParser:
         assert args.task_retries == 0
 
     def test_trace_summary_args(self, tmp_path):
-        args = build_parser().parse_args(
-            ["trace-summary", str(tmp_path / "t.jsonl"), "--top", "3"]
-        )
-        assert args.command == "trace-summary"
-        assert args.top == 3
+        # The command is gone: 'report --run' renders the run's stage
+        # table, slowest spans and counters from its ledger record.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["trace-summary", str(tmp_path / "t.jsonl")]
+            )
 
     def test_run_resilience_flags(self, tmp_path):
         args = build_parser().parse_args(
@@ -205,31 +206,43 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "SimulationConfig", small)
 
 
-class TestTraceSummaryCommand:
-    @staticmethod
-    def _write_trace(path):
-        from repro.obs import Tracer, write_jsonl
+def _ledger_with_run(path, counters=None):
+    """A ledger holding one record built from a fake-clock trace."""
+    from repro.obs import (RunLedger, RunRecord, Tracer, slowest_rows,
+                           stage_rows)
 
-        class Clock:
-            def __init__(self):
-                self.now = 0.0
+    class Clock:
+        def __init__(self):
+            self.now = 0.0
 
-            def __call__(self):
-                self.now += 0.5
-                return self.now
+        def __call__(self):
+            self.now += 0.5
+            return self.now
 
-        tracer = Tracer(clock=Clock())
-        with tracer.span("experiment.run"):
-            with tracer.span("fra.reduce", scenario="2017_7"):
-                with tracer.span("fra.iteration", iteration=0):
-                    pass
-            with tracer.span("improvement.scenario", scenario="2017_7"):
+    tracer = Tracer(clock=Clock())
+    with tracer.span("experiment.run"):
+        with tracer.span("fra.reduce", scenario="2017_7"):
+            with tracer.span("fra.iteration", iteration=0):
                 pass
-        return write_jsonl(tracer.spans, path)
+        with tracer.span("improvement.scenario", scenario="2017_7"):
+            pass
+    record = RunRecord(
+        kind="run",
+        stages=stage_rows(tracer.spans),
+        slowest=slowest_rows(tracer.spans, n=2),
+        metrics={"counters": dict(counters or {})},
+    )
+    return RunLedger(path).append(record)
+
+
+class TestTraceSummaryCommand:
+    """The run's trace summary, now ``report --run`` over its ledger
+    record."""
 
     def test_renders_table_and_slowest(self, tmp_path, capsys):
-        path = self._write_trace(tmp_path / "t.jsonl")
-        code = main(["trace-summary", str(path), "--top", "2"])
+        path = tmp_path / "runs.jsonl"
+        record = _ledger_with_run(path)
+        code = main(["report", str(path), "--run", record.run_id])
         assert code == 0
         out = capsys.readouterr().out
         assert "experiment.run" in out
@@ -240,21 +253,40 @@ class TestTraceSummaryCommand:
     def test_empty_trace_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        code = main(["trace-summary", str(path)])
+        code = main(["report", str(path), "--run", "any"])
         assert code == 1
-        assert "no spans" in capsys.readouterr().out
+        assert "no ledger records" in capsys.readouterr().out
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
-        code = main(["trace-summary", str(tmp_path / "nope.jsonl")])
+        code = main(["report", str(tmp_path / "nope.jsonl"),
+                     "--run", "any"])
         assert code == 1
-        assert "not found" in capsys.readouterr().out
+        assert "no ledger records" in capsys.readouterr().out
 
     def test_corrupt_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "garbage.jsonl"
         path.write_text("not json\n")
-        code = main(["trace-summary", str(path)])
+        code = main(["report", str(path), "--run", "any"])
         assert code == 1
-        assert "not a span trace" in capsys.readouterr().out
+        assert "no ledger records" in capsys.readouterr().out
+
+
+class TestTraceSummaryCounters:
+    def test_counters_rendered_outside_stage_table(self, tmp_path,
+                                                   capsys):
+        path = tmp_path / "runs.jsonl"
+        record = _ledger_with_run(path, counters={
+            "resilience.retry": 3, "predict.compiled_rows": 4800,
+        })
+        code = main(["report", str(path), "--run", record.run_id])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        counters = lines.index("counters:")
+        assert lines[counters + 1].split() == ["predict.compiled_rows",
+                                               "4800"]
+        assert lines[counters + 2].split() == ["resilience.retry", "3"]
+        # the counters come after the stage table and the slowest list
+        assert counters > lines.index("slowest 2 spans:")
 
 
 class _Captured(Exception):
@@ -293,10 +325,11 @@ class TestRunResilienceWiring:
         assert store["cache_dir"].endswith("cache")
 
     @pytest.mark.parametrize("flag", ["--checkpoint-dir", "--resume",
-                                      "--predictor"])
+                                      "--predictor", "--trace"])
     def test_retired_flags_rejected(self, tmp_path, flag):
         # Resume is "rerun with the same --cache-dir"; compiled
-        # inference is the only predict path.
+        # inference is the only predict path; the ledger record
+        # ('--ledger', then 'report --run') replaced the span trace.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", flag, str(tmp_path)])
 
@@ -354,59 +387,6 @@ class TestChaosCommand:
         assert "clean MSE" in report_path.read_text()
 
 
-class TestTraceSummaryCounters:
-    @staticmethod
-    def _write_trace_with_counters(path):
-        from repro.obs import Tracer, write_jsonl
-        from repro.obs.trace import Span
-
-        class Clock:
-            def __init__(self):
-                self.now = 0.0
-
-            def __call__(self):
-                self.now += 0.5
-                return self.now
-
-        tracer = Tracer(clock=Clock())
-        with tracer.span("experiment.run"):
-            pass
-        spans = list(tracer.spans)
-        spans.append(Span(
-            name="run.metrics", start=spans[0].start,
-            end=spans[0].start,
-            attrs={"counters": {"resilience.retry": 3,
-                                "predict.compiled_rows": 4800}},
-        ))
-        return write_jsonl(spans, path)
-
-    def test_counters_rendered_outside_stage_table(self, tmp_path,
-                                                   capsys):
-        path = self._write_trace_with_counters(tmp_path / "t.jsonl")
-        code = main(["trace-summary", str(path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "counters:" in out
-        assert "resilience.retry" in out
-        assert "3" in out
-        assert "predict.compiled_rows" in out
-        assert "4800" in out
-        # the synthetic carrier never shows up as a timing stage
-        assert "run.metrics" not in out
-        assert "1 spans" in out
-
-    def test_counters_only_trace_fails_cleanly(self, tmp_path, capsys):
-        from repro.obs import write_jsonl
-        from repro.obs.trace import Span
-
-        spans = [Span(name="run.metrics", start=0.0, end=0.0,
-                      attrs={"counters": {"a": 1}})]
-        path = write_jsonl(spans, tmp_path / "t.jsonl")
-        code = main(["trace-summary", str(path)])
-        assert code == 1
-        assert "no timing spans" in capsys.readouterr().out
-
-
 class TestIndexCommand:
     def test_prints_analysis(self, capsys, monkeypatch):
         TestSimulateCommand._patch_small(monkeypatch)
@@ -419,21 +399,12 @@ class TestIndexCommand:
 
 class TestPredictorWiring:
     def test_trace_summary_shows_predict_counters(self, tmp_path, capsys):
-        from repro.obs import Tracer, write_jsonl
-        from repro.obs.trace import Span
-
-        tracer = Tracer()
-        with tracer.span("experiment.run"):
-            pass
-        spans = list(tracer.spans)
-        spans.append(Span(
-            name="run.metrics", start=spans[0].start, end=spans[0].start,
-            attrs={"counters": {"predict.compiled_calls": 12,
-                                "predict.compiled_rows": 4800,
-                                "cache.hits": 2}},
-        ))
-        path = write_jsonl(spans, tmp_path / "t.jsonl")
-        code = main(["trace-summary", str(path)])
+        path = tmp_path / "runs.jsonl"
+        record = _ledger_with_run(path, counters={
+            "predict.compiled_calls": 12, "predict.compiled_rows": 4800,
+            "cache.hits": 2,
+        })
+        code = main(["report", str(path), "--run", record.run_id])
         assert code == 0
         out = capsys.readouterr().out
         assert "counters:" in out

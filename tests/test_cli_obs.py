@@ -50,10 +50,11 @@ class TestParser:
 
     def test_run_ledger_and_profile_flags(self, tmp_path):
         args = build_parser().parse_args(
-            ["run", "--ledger", str(tmp_path / "runs.jsonl"),
-             "--profile"])
+            ["run", "--ledger", str(tmp_path / "runs.jsonl")])
         assert str(args.ledger).endswith("runs.jsonl")
-        assert args.profile is True
+        # Every run measures CPU and max-RSS; the switch is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--profile"])
 
     def test_run_ledger_default_is_unset(self):
         # Env resolution ($REPRO_LEDGER) happens at command time, not
@@ -82,9 +83,10 @@ class TestRunLedgerWiring:
         self._capture(monkeypatch, store)
         with pytest.raises(_Captured):
             main(["run", "--ledger", str(tmp_path / "runs.jsonl"),
-                  "--profile", "--quiet"])
+                  "--quiet"])
         assert store["ledger_path"].endswith("runs.jsonl")
-        assert store["config"].profile is True
+        # No profiling setting travels with the config any more.
+        assert not hasattr(store["config"], "profile")
 
     def test_env_ledger_reaches_run_experiment(self, tmp_path,
                                                monkeypatch):
@@ -111,7 +113,7 @@ class TestRunLedgerWiring:
         monkeypatch.setattr(cli, "run_experiment", stub)
         with pytest.raises(_Captured):
             main(["run", "--quiet"])
-        assert store["config"].profile is False
+        assert set(store) == {"config"}
 
 
 class TestReportCommand:

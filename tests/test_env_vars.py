@@ -18,7 +18,6 @@ EXPECTED = {
     "REPRO_LEDGER",
     "REPRO_LOG_JSON",
     "REPRO_LOG_LEVEL",
-    "REPRO_PROFILE",
     "REPRO_TASK_RETRIES",
     "REPRO_TASK_TIMEOUT",
 }
