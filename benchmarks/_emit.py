@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 SCHEMA = 1
@@ -70,17 +69,8 @@ def _ledger_append(name: str, benchmarks: dict) -> None:
     ledger_path = os.environ.get("REPRO_LEDGER", "").strip()
     if not ledger_path:
         return
-    try:
-        from repro.obs import RunLedger, RunRecord, git_describe, host_info
+    from repro.obs import RunLedger, build_record
 
-        record = RunRecord(
-            kind="bench",
-            started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            labels={"suite": name},
-            host=host_info(),
-            git=git_describe(),
-            extra={"benchmarks": benchmarks},
-        )
-        RunLedger(ledger_path).append(record)
-    except (ImportError, OSError):
-        pass
+    RunLedger(ledger_path).try_append(build_record(
+        "bench", labels={"suite": name}, extra={"benchmarks": benchmarks},
+    ))

@@ -25,7 +25,7 @@ Commands
     Render the run ledger (``run --ledger`` / ``$REPRO_LEDGER``): run
     history, one run's report (per-stage table with self/mean time and
     CPU/max-RSS, the slowest spans with their attrs, and the counters:
-    retries, breaker trips, cache hits, ...), or a two-run comparison.
+    retries, cache hits, ...), or a two-run comparison.
 ``bench``
     Perf-regression gate: ``bench check`` compares fresh BENCH_*.json
     results against committed baselines (ratio metrics gate with a
@@ -85,6 +85,7 @@ from .obs import (
     render_compare,
     render_history,
     render_record,
+    stage_breakdown,
 )
 from .parallel import (
     resolve_n_jobs,
@@ -135,6 +136,30 @@ def _checked_by(parse, resolve):
         return value
     check.__name__ = parse.__name__
     return check
+
+
+def _flag_or_env(value, variable: str):
+    """A flag's value, else ``$variable`` (None when unset or empty)."""
+    return value if value is not None else os.environ.get(variable) or None
+
+
+def _write_report(path, text: str) -> None:
+    """Write ``text`` to the ``--report`` path, when one was given."""
+    if path is None:
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    print(f"\nreport written to {path}")
+
+
+def _stage_line(spans) -> str:
+    """The console report's one-line stage breakdown: self time per
+    stage, without the run root's own ``experiment`` stage."""
+    return " | ".join(
+        f"{stage} {format_runtime(seconds)}"
+        for stage, seconds in stage_breakdown(spans).items()
+        if stage != "experiment"
+    )
 
 
 _jobs = _checked_by(int, resolve_n_jobs)
@@ -491,7 +516,7 @@ def _render_full_report(results) -> str:
             lines.append(f"  {model.upper()} set {period}: {value:.2f}%")
     sections.append("\n".join(lines))
     runtime_lines = [f"runtime: {format_runtime(results.runtime_seconds)}"]
-    breakdown = results.run_summary.breakdown_line()
+    breakdown = _stage_line(results.run_summary.spans)
     if breakdown:
         runtime_lines.append(f"stages: {breakdown}")
     sections.append("\n".join(runtime_lines))
@@ -524,13 +549,10 @@ def _cmd_run(args) -> int:
     if args.splitter is not None:
         config = dataclasses.replace(config, splitter=args.splitter)
 
-    ledger_path = args.ledger if args.ledger is not None \
-        else os.environ.get("REPRO_LEDGER") or None
-
+    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
     cache_dir = None
     if not args.no_cache:
-        cache_dir = args.cache_dir if args.cache_dir is not None \
-            else os.environ.get("REPRO_CACHE_DIR") or None
+        cache_dir = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
     # Passed as a conditional kwarg so callers that wrap run_experiment
     # with a narrower signature keep working when no cache is requested.
     cache_kwargs = {"cache_dir": str(cache_dir)} \
@@ -541,10 +563,7 @@ def _cmd_run(args) -> int:
     results = run_experiment(config, **cache_kwargs)
     report = _render_full_report(results)
     print(report)
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(report + "\n")
-        print(f"\nreport written to {args.report}")
+    _write_report(args.report, report)
     if args.markdown is not None:
         from .core.report import write_markdown_report
 
@@ -566,12 +585,10 @@ def _cmd_update(args) -> int:
     if args.splitter is not None:
         config = dataclasses.replace(config, splitter=args.splitter)
 
-    ledger_path = args.ledger if args.ledger is not None \
-        else os.environ.get("REPRO_LEDGER") or None
+    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
     cache_dir = None
     if not args.no_cache:
-        cache_dir = args.cache_dir if args.cache_dir is not None \
-            else os.environ.get("REPRO_CACHE_DIR") or None
+        cache_dir = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
     if cache_dir is None:
         print("note: no artifact cache (--cache-dir or $REPRO_CACHE_DIR) "
               "— the update runs cold")
@@ -598,10 +615,7 @@ def _cmd_update(args) -> int:
     print()
     report = _render_full_report(update.results)
     print(report)
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(report + "\n")
-        print(f"\nreport written to {args.report}")
+    _write_report(args.report, report)
     return 0 if update.results.complete else 1
 
 
@@ -621,8 +635,7 @@ def _cmd_chaos(args) -> int:
     if args.save_plan is not None:
         path = plan.save(args.save_plan)
         print(f"fault plan written to {path}")
-    ledger_path = args.ledger if args.ledger is not None \
-        else os.environ.get("REPRO_LEDGER") or None
+    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
     # Conditional kwarg so callers that wrap run_chaos with a narrower
     # signature keep working when no ledger is requested.
     ledger_kwargs = {"ledger_path": str(ledger_path)} \
@@ -631,16 +644,12 @@ def _cmd_chaos(args) -> int:
                        **ledger_kwargs)
     table = render_chaos_table(report)
     print(table)
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(table + "\n")
-        print(f"\nreport written to {args.report}")
+    _write_report(args.report, table)
     return 0
 
 
 def _cmd_report(args) -> int:
-    path = args.ledger if args.ledger is not None \
-        else os.environ.get("REPRO_LEDGER") or None
+    path = _flag_or_env(args.ledger, "REPRO_LEDGER")
     if path is None:
         print("no ledger given (pass a path or set $REPRO_LEDGER)")
         return 1
@@ -675,8 +684,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    results_dir = args.results if args.results is not None \
-        else os.environ.get("REPRO_BENCH_DIR") or None
+    results_dir = _flag_or_env(args.results, "REPRO_BENCH_DIR")
     if results_dir is None:
         print("no fresh results directory "
               "(pass --results or set $REPRO_BENCH_DIR)")
@@ -695,8 +703,7 @@ def _cmd_bench(args) -> int:
 def _cmd_cache(args) -> int:
     from .cache import CacheStore
 
-    directory = args.cache_dir if args.cache_dir is not None \
-        else os.environ.get("REPRO_CACHE_DIR") or None
+    directory = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
     if directory is None:
         print("no cache directory given (pass --dir or set "
               "$REPRO_CACHE_DIR)")

@@ -35,18 +35,14 @@ from ..frame.validation import ColumnRule, validate_frame
 from ..obs import (
     MetricsRegistry,
     RunLedger,
-    RunRecord,
     RunSummary,
     Tracer,
+    build_record,
     configure_logging,
     get_logger,
-    git_describe,
-    host_info,
     logging_configured,
     profiled_span,
-    slowest_rows,
     span,
-    stage_rows,
     use_metrics,
     use_tracer,
 )
@@ -732,7 +728,6 @@ def run_experiment(config: ExperimentConfig | None = None,
     resolve_task_timeout(config.task_timeout)
     resolve_task_retries(config.task_retries)
     started = time.perf_counter()
-    started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     tracer = tracer if tracer is not None else Tracer()
     metrics = metrics if metrics is not None else MetricsRegistry()
     if config.verbose and not logging_configured():
@@ -927,23 +922,17 @@ def run_experiment(config: ExperimentConfig | None = None,
     log.info("experiment.done", scenarios=len(artifacts),
              failed=len(failures), runtime_s=runtime)
     if ledger_path is not None:
-        snapshot = metrics.snapshot()
-        cache_info = {
-            name.split(".", 1)[1]: value
-            for name, value in snapshot["counters"].items()
-            if name.startswith("cache.")
-        }
+        lineage = {}
         if dkey is not None:
-            cache_info["dataset_key"] = dkey
+            lineage["dataset_key"] = dkey
         if store is not None and digests is not None:
-            cache_info["dataset_digest"] = frame_digest(raw.features)
+            lineage["dataset_digest"] = frame_digest(raw.features)
             for period, digest in digests.items():
-                cache_info[f"period_digest_{period}"] = digest
-        record = RunRecord(
-            kind="run",
+                lineage[f"period_digest_{period}"] = digest
+        RunLedger(ledger_path).try_append(build_record(
+            "run", tracer.spans, metrics.snapshot(),
             status="ok" if not failures else "partial",
-            started_at=started_at,
-            duration_s=round(runtime, 6),
+            duration_s=runtime,
             fingerprint=run_fingerprint(config),
             seed=config.simulation.seed,
             labels={
@@ -952,22 +941,10 @@ def run_experiment(config: ExperimentConfig | None = None,
                 "splitter": config.splitter,
                 "jobs": jobs,
             },
-            cache=cache_info,
-            stages=stage_rows(tracer.spans),
-            slowest=slowest_rows(tracer.spans),
-            metrics=snapshot,
-            host=host_info(),
-            git=git_describe(),
+            cache=lineage,
             extra={"scenarios": len(artifacts),
                    "failures": sorted(failures)},
-        )
-        try:
-            RunLedger(ledger_path).append(record)
-        except OSError as exc:
-            # The experiment finished; a broken ledger must not
-            # retroactively fail it.
-            log.warning("ledger.append_failed", path=ledger_path,
-                        error=str(exc))
+        ))
     return ExperimentResults(
         config=config,
         raw=raw,

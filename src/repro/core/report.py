@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..categories import CATEGORY_LABELS
-from ..obs import format_runtime
+from ..obs import format_runtime, stage_breakdown, stage_rows, stage_table
 from .pipeline import ExperimentResults
 
 __all__ = ["export_markdown", "write_markdown_report"]
@@ -151,27 +151,16 @@ def export_markdown(results: ExperimentResults) -> str:
             rows.append([label, period, f"{value:.2f}%"])
     parts.append(_md_table(["Model", "Set", "Mean improvement"], rows))
 
-    # Run telemetry
+    # Run telemetry: the stage table of ``repro report --run``
     summary = results.run_summary
     if summary.spans:
         parts.append("## Run telemetry")
-        breakdown = summary.breakdown()
         parts.append(_md_table(
             ["Stage", "Self time"],
             [(stage, format_runtime(seconds))
-             for stage, seconds in breakdown.items()],
+             for stage, seconds in stage_breakdown(summary.spans).items()],
         ))
-        stages = summary.stages()
-        parts.append(_md_table(
-            ["Span", "Count", "Total", "Mean", "Max"],
-            [
-                (name, entry["count"],
-                 format_runtime(entry["total_s"]),
-                 format_runtime(entry["mean_s"]),
-                 format_runtime(entry["max_s"]))
-                for name, entry in stages.items()
-            ],
-        ))
+        parts.append(_md_table(*stage_table(stage_rows(summary.spans))))
         counters = summary.metrics.get("counters", {})
         if counters:
             parts.append(_md_table(

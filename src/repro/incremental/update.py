@@ -29,9 +29,8 @@ from dataclasses import dataclass, field, replace
 from ..cache import CacheStore, dataset_key
 from ..core.pipeline import ExperimentConfig, ExperimentResults, \
     run_experiment, run_fingerprint
-from ..obs import MetricsRegistry, RunLedger, RunRecord, Tracer, \
-    get_logger, git_describe, host_info, slowest_rows, span, stage_rows, \
-    use_metrics, use_tracer
+from ..obs import MetricsRegistry, RunLedger, Tracer, build_record, \
+    get_logger, span, use_metrics, use_tracer
 from ..synth.dataset import RawDataset
 from ..synth.extend import extend_raw_dataset, extended_config
 
@@ -135,7 +134,6 @@ def update_experiment(config: ExperimentConfig | None = None,
     metrics = metrics if metrics is not None else MetricsRegistry()
     log = get_logger("incremental")
     store = CacheStore(cache_dir) if cache_dir is not None else None
-    started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     started = time.perf_counter()
 
     resilient = (config.fault_plan is not None
@@ -180,25 +178,13 @@ def update_experiment(config: ExperimentConfig | None = None,
         parent_record = ledger.latest(fingerprint=parent_print)
         if parent_record is not None:
             parent_run_id = parent_record.run_id
-        cache_info = {
-            name.split(".", 1)[1]: value
-            for name, value in counters.items()
-            if name.startswith("cache.")
-        }
-        record = RunRecord(
-            kind="update",
+        ledger.try_append(build_record(
+            "update", tracer.spans, results.run_summary.metrics,
             status="ok" if not results.failures else "partial",
-            started_at=started_at,
-            duration_s=round(time.perf_counter() - started, 6),
+            duration_s=time.perf_counter() - started,
             fingerprint=fingerprint,
             seed=config.simulation.seed,
             labels=labels,
-            cache=cache_info,
-            stages=stage_rows(tracer.spans),
-            slowest=slowest_rows(tracer.spans),
-            metrics=results.run_summary.metrics,
-            host=host_info(),
-            git=git_describe(),
             extra={
                 "parent": parent_print,
                 "parent_run_id": parent_run_id,
@@ -208,14 +194,7 @@ def update_experiment(config: ExperimentConfig | None = None,
                 "scenarios_cached": cached,
                 "failures": sorted(results.failures),
             },
-        )
-        try:
-            ledger.append(record)
-        except OSError as exc:
-            # The update finished; a broken ledger must not
-            # retroactively fail it.
-            log.warning("ledger.append_failed", path=ledger_path,
-                        error=str(exc))
+        ))
     log.info("update.done", days=days, cached=cached, total=total,
              dataset_reused=extended_raw is not None)
     return UpdateResult(

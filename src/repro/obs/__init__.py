@@ -18,10 +18,12 @@ experiment pipeline reports through:
   records ``getrusage`` CPU time and max-RSS and the GC passes inside
   it, riding ordinary span attrs (the run root and each scenario).
 * :mod:`repro.obs.summary` — :class:`RunSummary`, the per-run bundle of
-  spans + metrics attached to ``ExperimentResults.run_summary``, and
-  the span aggregations the ledger persists.
+  spans + metrics (plain data) attached to
+  ``ExperimentResults.run_summary``, and the span aggregations the
+  ledger persists.
 * :mod:`repro.obs.ledger` — :class:`RunLedger`, the append-only JSONL
-  record every run/chaos/bench invocation appends to, with query and
+  record every run/update/chaos/bench invocation appends to;
+  :func:`build_record`, the one place a run becomes a record; query and
   compare helpers behind ``repro report`` — the one run report: stage
   table, slowest spans and counters.
 * :mod:`repro.obs.bench` — the perf-regression gate comparing fresh
@@ -51,6 +53,7 @@ from .bench import (
 from .ledger import (
     RunLedger,
     RunRecord,
+    build_record,
     compare_records,
     git_describe,
     host_info,
@@ -59,6 +62,7 @@ from .ledger import (
     render_record,
     slowest_rows,
     stage_rows,
+    stage_table,
 )
 from .log import (
     JsonFormatter,
@@ -114,6 +118,7 @@ __all__ = [
     "StructuredLogger",
     "Tracer",
     "aggregate_spans",
+    "build_record",
     "check_bench_dirs",
     "compare_benchmarks",
     "compare_records",
@@ -143,6 +148,7 @@ __all__ = [
     "span",
     "stage_breakdown",
     "stage_rows",
+    "stage_table",
     "use_metrics",
     "use_tracer",
 ]

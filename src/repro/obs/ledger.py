@@ -18,9 +18,12 @@ skip.  Two runs of the same configuration link naturally through their
 (including one that resumes a killed run from its cache) addresses the
 same artifacts as the cold run that produced them.
 
-Query and comparison helpers (:meth:`RunLedger.query`,
-:meth:`RunLedger.latest`, :func:`compare_records`) plus the renderers
-behind the ``repro report`` CLI command live here too.
+:func:`build_record` is the one place a finished run becomes a record,
+and :meth:`RunLedger.try_append` the one append that logs a broken
+ledger instead of failing the run.  Query and comparison helpers
+(:meth:`RunLedger.query`, :meth:`RunLedger.latest`,
+:func:`compare_records`) plus the renderers behind the ``repro report``
+CLI command live here too.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .summary import (
 __all__ = [
     "RunLedger",
     "RunRecord",
+    "build_record",
     "compare_records",
     "git_describe",
     "host_info",
@@ -55,6 +59,7 @@ __all__ = [
     "render_record",
     "slowest_rows",
     "stage_rows",
+    "stage_table",
 ]
 
 _log = get_logger("obs")
@@ -206,9 +211,49 @@ class RunRecord:
 
     @classmethod
     def started_now(cls, kind: str, **kwargs) -> "RunRecord":
-        """A record stamped with the current UTC wall-clock time."""
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        """A record stamped with the UTC wall-clock time the run began:
+        now, less the ``duration_s`` it is given."""
+        began = time.time() - kwargs.get("duration_s", 0.0)
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(began))
         return cls(kind=kind, started_at=stamp, **kwargs)
+
+
+def build_record(kind: str, spans=(), metrics: dict | None = None, *,
+                 status: str = "ok", duration_s: float = 0.0,
+                 fingerprint: str | None = None, seed: int | None = None,
+                 labels: dict | None = None, cache: dict | None = None,
+                 extra: dict | None = None) -> RunRecord:
+    """The ledger record of one finished run.
+
+    ``spans`` become the per-stage aggregates and the slowest-span list,
+    and the ``cache.*`` counters of the ``metrics`` snapshot become the
+    record's cache counters (next to the lineage keys in ``cache``).
+    The start time, host info and ``git describe`` are filled in here.
+    Callers build a record only when a ledger asked for one, so runs
+    without a ledger pay for none of it.
+    """
+    metrics = dict(metrics or {})
+    cache_info = {
+        name.split(".", 1)[1]: value
+        for name, value in metrics.get("counters", {}).items()
+        if name.startswith("cache.")
+    }
+    cache_info.update(cache or {})
+    return RunRecord.started_now(
+        kind,
+        status=status,
+        duration_s=round(duration_s, 6),
+        fingerprint=fingerprint,
+        seed=seed,
+        labels=dict(labels or {}),
+        cache=cache_info,
+        stages=stage_rows(spans),
+        slowest=slowest_rows(spans),
+        metrics=metrics,
+        host=host_info(),
+        git=git_describe(),
+        extra=dict(extra or {}),
+    )
 
 
 class RunLedger:
@@ -246,6 +291,21 @@ class RunLedger:
         _log.debug("ledger.append", path=str(self.path),
                    run_id=record.run_id, kind=record.kind)
         return record
+
+    def try_append(self, record: RunRecord) -> bool:
+        """:meth:`append`, logging an ``OSError`` instead of raising it.
+
+        The run being recorded has already finished; a broken ledger
+        must not retroactively fail it.  Returns whether the record was
+        written.
+        """
+        try:
+            self.append(record)
+        except OSError as exc:
+            _log.warning("ledger.append_failed", path=str(self.path),
+                         run_id=record.run_id, error=str(exc))
+            return False
+        return True
 
     # ------------------------------------------------------------------
     def scan(self) -> tuple[list[RunRecord], int]:
@@ -364,6 +424,41 @@ def _table(headers: tuple, rows: list[tuple]) -> str:
     return "\n".join(lines)
 
 
+def stage_table(stages: dict) -> tuple[tuple, list[tuple]]:
+    """(headers, rows) of the per-stage table, longest total first.
+
+    Columns: count, total/self/mean/max seconds, plus cpu/max-rss when
+    the rows carry them (:func:`stage_rows`).  :func:`render_record`
+    lays it out as text and the markdown report as a markdown table.
+    """
+    measured = any("cpu_s" in row for row in stages.values())
+    headers = ("stage", "count", "total", "self", "mean", "max")
+    if measured:
+        headers += ("cpu", "max-rss")
+    rows = []
+    ordered = sorted(stages.items(),
+                     key=lambda kv: -kv[1].get("total_s", 0.0))
+    for name, row in ordered:
+        count = row.get("count", 0)
+        total = row.get("total_s", 0.0)
+        cells = (
+            name,
+            str(count),
+            format_runtime(total),
+            format_runtime(row.get("self_s", 0.0)),
+            format_runtime(total / count if count else 0.0),
+            format_runtime(row.get("max_s", 0.0)),
+        )
+        if measured:
+            cpu = row.get("cpu_s")
+            cells += (
+                format_runtime(cpu) if cpu is not None else "-",
+                format_memory(row.get("max_rss_kb")),
+            )
+        rows.append(cells)
+    return headers, rows
+
+
 def render_history(records: list[RunRecord]) -> str:
     """The run-history table: one line per ledger record."""
     if not records:
@@ -419,35 +514,8 @@ def render_record(record: RunRecord) -> str:
         parts = [f"{k}={v}" for k, v in sorted(record.cache.items())]
         lines.append("cache " + " ".join(parts))
     if record.stages:
-        measured = any("cpu_s" in row for row in record.stages.values())
-        headers = ("stage", "count", "total", "self", "mean", "max")
-        if measured:
-            headers += ("cpu", "max-rss")
-        rows = []
-        ordered = sorted(
-            record.stages.items(),
-            key=lambda kv: -kv[1].get("total_s", 0.0),
-        )
-        for name, row in ordered:
-            count = row.get("count", 0)
-            total = row.get("total_s", 0.0)
-            cells = (
-                name,
-                str(count),
-                format_runtime(total),
-                format_runtime(row.get("self_s", 0.0)),
-                format_runtime(total / count if count else 0.0),
-                format_runtime(row.get("max_s", 0.0)),
-            )
-            if measured:
-                cpu = row.get("cpu_s")
-                cells += (
-                    format_runtime(cpu) if cpu is not None else "-",
-                    format_memory(row.get("max_rss_kb")),
-                )
-            rows.append(cells)
         lines.append("")
-        lines.append(_table(headers, rows))
+        lines.append(_table(*stage_table(record.stages)))
     if record.slowest:
         lines.append("")
         lines.append(f"slowest {len(record.slowest)} spans:")

@@ -1,10 +1,10 @@
-"""Run summaries: aggregate span/metric views and their renderings.
+"""Run summaries: the per-run telemetry bundle and span aggregations.
 
 :class:`RunSummary` is the per-run telemetry bundle the pipeline
-attaches to ``ExperimentResults.run_summary``: the full span list, a
-metrics snapshot, and aggregate accessors.  The module also hosts the
-pure span aggregations behind the run ledger's records
-(:mod:`repro.obs.ledger`) and the report footers —
+attaches to ``ExperimentResults.run_summary``: the full span list and a
+metrics snapshot, as plain data.  The module also hosts the pure span
+aggregations behind the run ledger's records (:mod:`repro.obs.ledger`)
+and the report footers —
 :func:`aggregate_spans` (per-name stats with self-time),
 :func:`stage_breakdown` (top-level stage → seconds), and
 :func:`slowest_spans`.
@@ -57,18 +57,20 @@ def format_memory(kb: float | None) -> str:
 def aggregate_spans(spans: list[Span]) -> dict[str, dict]:
     """Per-name stats: count, total/self/mean/max seconds.
 
-    *Self* time is a span's duration minus its direct children's, so a
-    parent stage is not double-counted against the work nested inside
-    it; summing ``self_s`` over all names recovers total traced time
-    for serial runs.  Children absorbed from parallel workers overlap
-    in wall-clock and can exceed their parent's duration, so self time
-    is floored at zero.
+    *Self* time is a span's duration minus the union of its direct
+    children's intervals, clipped to the span, so a parent stage is not
+    double-counted against the work nested inside it; summing
+    ``self_s`` over all names recovers total traced time for serial
+    runs.  Children absorbed from parallel workers overlap each other
+    in wall-clock; the union counts the time they cover once, so the
+    parent keeps the time it spent outside them (pool build, dispatch,
+    cache reads).
     """
-    child_time: dict[int, float] = {}
+    children: dict[int, list[tuple[float, float]]] = {}
     for record in spans:
         if record.parent_id is not None:
-            child_time[record.parent_id] = (
-                child_time.get(record.parent_id, 0.0) + record.duration
+            children.setdefault(record.parent_id, []).append(
+                (record.start, record.end)
             )
     stats: dict[str, dict] = {}
     for record in spans:
@@ -77,9 +79,10 @@ def aggregate_spans(spans: list[Span]) -> dict[str, dict]:
         })
         entry["count"] += 1
         entry["total_s"] += record.duration
-        entry["self_s"] += max(
-            0.0, record.duration - child_time.get(record.span_id, 0.0)
-        )
+        # max(0, ...): rounding when children tile the span exactly.
+        entry["self_s"] += max(0.0, record.duration - _covered(
+            record.start, record.end, children.get(record.span_id, ())
+        ))
         entry["max_s"] = max(entry["max_s"], record.duration)
         # Resource attrs (repro.obs.profile) appear only on the names
         # whose spans carry them; plain spans keep the wall-time keys.
@@ -98,6 +101,18 @@ def aggregate_spans(spans: list[Span]) -> dict[str, dict]:
     return dict(
         sorted(stats.items(), key=lambda kv: -kv[1]["total_s"])
     )
+
+
+def _covered(start: float, end: float, intervals) -> float:
+    """Length of the union of ``intervals`` inside ``[start, end]``."""
+    covered = 0.0
+    cursor = start
+    for lo, hi in sorted(intervals):
+        lo, hi = max(lo, cursor), min(hi, end)
+        if hi > lo:
+            covered += hi - lo
+            cursor = hi
+    return covered
 
 
 def stage_breakdown(spans: list[Span]) -> dict[str, float]:
@@ -125,44 +140,9 @@ def slowest_spans(spans: list[Span], n: int = 10) -> list[Span]:
 
 @dataclass
 class RunSummary:
-    """Telemetry bundle for one experiment run."""
+    """Telemetry bundle for one experiment run: every span and the
+    metrics snapshot.  Aggregate with :func:`stage_breakdown` or
+    :func:`repro.obs.stage_rows`."""
 
     spans: list[Span] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Duration of the root span (falls back to span extent)."""
-        roots = [s for s in self.spans if s.parent_id is None]
-        if roots:
-            return max(s.duration for s in roots)
-        if self.spans:
-            return (max(s.end for s in self.spans)
-                    - min(s.start for s in self.spans))
-        return 0.0
-
-    def stages(self) -> dict[str, dict]:
-        """Per-span-name aggregate stats (see :func:`aggregate_spans`)."""
-        return aggregate_spans(self.spans)
-
-    def breakdown(self) -> dict[str, float]:
-        """Stage → self-seconds (see :func:`stage_breakdown`)."""
-        return stage_breakdown(self.spans)
-
-    def breakdown_line(self) -> str:
-        """One-line stage breakdown for console reports."""
-        parts = [
-            f"{stage} {format_runtime(seconds)}"
-            for stage, seconds in self.breakdown().items()
-            if stage != "experiment"
-        ]
-        return " | ".join(parts)
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump: aggregates + metrics (not raw spans)."""
-        return {
-            "total_seconds": self.total_seconds,
-            "stages": self.stages(),
-            "breakdown": self.breakdown(),
-            "metrics": dict(self.metrics),
-        }

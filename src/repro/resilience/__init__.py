@@ -10,9 +10,9 @@ through :mod:`repro.obs`:
   JSON-serialisable schedule of source degradations (outages, stale
   runs, spikes, NaN gaps, delistings, fetch errors) whose application
   is bit-reproducible from ``(seed, plan)``.
-* :mod:`repro.resilience.source` — :class:`DataSource` with retry,
-  exponential backoff and a circuit breaker (injectable clock/sleep);
-  :class:`SourceUnavailable` is the transient error currency.
+* :mod:`repro.resilience.source` — :class:`DataSource` with retry and
+  exponential backoff (injectable sleep); :class:`SourceUnavailable` is
+  the transient error currency.
 * :mod:`repro.resilience.degradation` — :func:`resilient_raw_dataset`
   assembles the dataset under a degradation policy (``abort`` /
   ``drop-category`` / ``fill``) and returns a :class:`DegradationReport`
@@ -60,8 +60,6 @@ from .faults import (
     random_fault_plan,
 )
 from .source import (
-    CircuitBreaker,
-    CircuitOpen,
     DataSource,
     FlakyFetch,
     RetryPolicy,
@@ -71,8 +69,6 @@ from .source import (
 __all__ = [
     "CategoryDegradation",
     "ChaosReport",
-    "CircuitBreaker",
-    "CircuitOpen",
     "DEGRADATION_POLICIES",
     "DataSource",
     "DegradationReport",

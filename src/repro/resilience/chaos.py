@@ -11,11 +11,10 @@ robustness extension of the paper's Table 6.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from ..categories import DataCategory
-from ..obs import RunLedger, RunRecord, get_logger, git_describe, host_info
+from ..obs import RunLedger, Tracer, build_record, get_logger
 from .degradation import DegradationReport
 from .faults import FaultPlan
 
@@ -95,20 +94,22 @@ def run_chaos(config, plan: FaultPlan, policy: str = "fill",
     ``ledger_path`` appends one ``kind="chaos"`` record summarising the
     whole clean-vs-faulted comparison to the run ledger (the inner
     experiment runs deliberately do not append their own records, so a
-    chaos run is one ledger line, not three).
+    chaos run is one ledger line, not three).  Both inner runs trace
+    into one tracer, so the record's stage table covers both: its
+    ``experiment.run`` row has count 2.
     """
     from ..core.pipeline import run_experiment  # late: avoids cycle
 
-    started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    tracer = Tracer()
     base = replace(config, fault_plan=None, degradation="abort")
     _log.info("chaos.clean_run", seed=config.simulation.seed)
-    clean = run_experiment(base)
+    clean = run_experiment(base, tracer=tracer)
 
     faulted_config = replace(
         config, fault_plan=plan, degradation=policy, on_error="capture",
     )
     _log.info("chaos.faulted_run", events=len(plan.events), policy=policy)
-    faulted = run_experiment(faulted_config)
+    faulted = run_experiment(faulted_config, tracer=tracer)
 
     clean_imp = [i for i in _improvements(clean, model)]
     faulted_imp = [i for i in _improvements(faulted, model)]
@@ -161,33 +162,21 @@ def run_chaos(config, plan: FaultPlan, policy: str = "fill",
         faulted_runtime=faulted.runtime_seconds,
     )
     if ledger_path is not None:
-        diverse = report.rows[0]
-        record = RunRecord(
-            kind="chaos",
+        RunLedger(ledger_path).try_append(build_record(
+            "chaos", tracer.spans, {"counters": dict(report.counters)},
             status="ok" if not report.failures else "partial",
-            started_at=started_at,
-            duration_s=round(
-                clean.runtime_seconds + faulted.runtime_seconds, 6
-            ),
+            duration_s=clean.runtime_seconds + faulted.runtime_seconds,
             seed=config.simulation.seed,
             labels={"policy": policy, "model": model,
                     "fault_events": len(plan.events)},
-            metrics={"counters": dict(report.counters)},
-            host=host_info(),
-            git=git_describe(),
             extra={
                 "scenarios_compared": report.n_scenarios_compared,
                 "failures": sorted(report.failures),
-                "diverse_pct_change": diverse.pct_change,
+                "diverse_pct_change": report.rows[0].pct_change,
                 "clean_runtime_s": round(clean.runtime_seconds, 6),
                 "faulted_runtime_s": round(faulted.runtime_seconds, 6),
             },
-        )
-        try:
-            RunLedger(ledger_path).append(record)
-        except OSError as exc:
-            _log.warning("ledger.append_failed", path=ledger_path,
-                         error=str(exc))
+        ))
     return report
 
 

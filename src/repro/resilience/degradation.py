@@ -151,7 +151,6 @@ def resilient_raw_dataset(
     retry: RetryPolicy | None = None,
     fill_limit: int | None = None,
     sleep=None,
-    clock=None,
 ) -> tuple[RawDataset, DegradationReport]:
     """Assemble the dataset through the full resilience stack.
 
@@ -160,8 +159,8 @@ def resilient_raw_dataset(
     generators are deterministic and independently seeded), plus an
     all-``ok`` report.
 
-    ``sleep``/``clock`` are forwarded to every :class:`DataSource` so
-    tests (and the serial pipeline) never wait on real backoff.
+    ``sleep`` is forwarded to every :class:`DataSource` so tests (and
+    the serial pipeline) never wait on real backoff.
     """
     if policy not in DEGRADATION_POLICIES:
         raise ValueError(
@@ -174,8 +173,6 @@ def resilient_raw_dataset(
     source_kwargs = {}
     if sleep is not None:
         source_kwargs["sleep"] = sleep
-    if clock is not None:
-        source_kwargs["clock"] = clock
 
     metrics = current_metrics()
     report = DegradationReport(policy=policy)

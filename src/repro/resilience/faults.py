@@ -30,7 +30,7 @@ Fault kinds
     The *source itself* fails at fetch time: the category's generator
     raises :class:`~repro.resilience.source.SourceUnavailable` for the
     first ``failures`` attempts (or forever when ``permanent``). This is
-    the hook the retry/circuit-breaker machinery is tested against.
+    the hook the retry/backoff machinery is tested against.
 
 Determinism contract: every random draw derives from
 ``(plan.seed, event index, column name)`` through independent

@@ -44,3 +44,14 @@ class TestMarkdownExport:
     def test_metadata_line(self, results):
         doc = export_markdown(results)
         assert str(results.config.simulation.seed) in doc
+
+    def test_telemetry_stage_table_matches_run_report(self, results):
+        # The same stage columns as ``repro report --run``.
+        doc = export_markdown(results)
+        telemetry = doc[doc.index("## Run telemetry"):]
+        header = next(line for line in telemetry.splitlines()
+                      if line.startswith("| stage |"))
+        cells = [cell.strip() for cell in header.strip("|").split("|")]
+        assert cells == ["stage", "count", "total", "self", "mean",
+                         "max", "cpu", "max-rss"]
+        assert "| experiment.run |" in telemetry

@@ -20,8 +20,10 @@ import pytest
 from repro.obs import (
     RunLedger,
     RunRecord,
+    Span,
     Tracer,
     aggregate_spans,
+    build_record,
     compare_records,
     git_describe,
     host_info,
@@ -80,6 +82,57 @@ class TestRunRecord:
         assert record.started_at.endswith("Z")
         assert record.kind == "bench"
 
+    def test_started_now_backdates_by_duration(self):
+        import time
+
+        record = RunRecord.started_now("run", duration_s=7200.0)
+        stamp = time.strptime(record.started_at, "%Y-%m-%dT%H:%M:%SZ")
+        began = time.time() - 7200.0
+        assert abs(time.mktime(stamp) - time.mktime(
+            time.gmtime(began))) <= 2
+
+
+class TestBuildRecord:
+    def _spans(self):
+        return [
+            Span(name="fra.reduce", start=1.0, end=3.0, span_id=2,
+                 parent_id=1),
+            Span(name="experiment.run", start=0.0, end=4.0, span_id=1,
+                 attrs={"cpu_s": 3.5, "max_rss_kb": 2048}),
+        ]
+
+    def test_fills_stages_cache_host_and_git(self):
+        metrics = {"counters": {"cache.hits": 3, "cache.misses": 1,
+                                "fra.iterations": 9}}
+        record = build_record(
+            "run", self._spans(), metrics, duration_s=4.0,
+            fingerprint="fp", seed=7, labels={"jobs": 1},
+            cache={"dataset_key": "dk"}, extra={"scenarios": 2},
+        )
+        assert record.kind == "run" and record.status == "ok"
+        assert record.started_at.endswith("Z")
+        assert record.cache == {"hits": 3, "misses": 1,
+                                "dataset_key": "dk"}
+        assert record.stages["experiment.run"]["max_rss_kb"] == 2048
+        assert record.stages["fra.reduce"]["total_s"] == 2.0
+        assert record.slowest[0]["name"] == "experiment.run"
+        assert record.metrics == metrics
+        assert record.host["python"]
+        assert record.git == git_describe()
+        assert (record.fingerprint, record.seed) == ("fp", 7)
+        assert record.labels == {"jobs": 1}
+        assert record.extra == {"scenarios": 2}
+
+    def test_json_keys_unchanged(self):
+        record = build_record("bench", labels={"suite": "x"})
+        assert set(record.to_dict()) == {
+            "run_id", "kind", "status", "started_at", "duration_s",
+            "fingerprint", "seed", "labels", "cache", "stages",
+            "slowest", "metrics", "host", "git", "extra",
+        }
+        assert record.stages == {} and record.slowest == []
+        assert record.cache == {} and record.metrics == {}
+
 
 class TestRunLedgerAppend:
     def test_append_then_read_back(self, tmp_path):
@@ -104,6 +157,17 @@ class TestRunLedgerAppend:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)
+
+    def test_try_append_logs_instead_of_raising(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        ledger = RunLedger(blocker / "runs.jsonl")
+        with pytest.raises(OSError):
+            ledger.append(_record())
+        assert ledger.try_append(_record()) is False
+        good = RunLedger(tmp_path / "runs.jsonl")
+        assert good.try_append(_record()) is True
+        assert len(good) == 1
 
     def test_missing_file_reads_as_empty(self, tmp_path):
         ledger = RunLedger(tmp_path / "absent.jsonl")

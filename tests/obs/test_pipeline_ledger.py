@@ -107,13 +107,38 @@ class TestProfiledRunLedger:
         assert "max-rss" in render_record(record)
 
 
+@pytest.fixture(scope="module")
+def chaos_ledger(mini_config, tmp_path_factory):
+    ledger_path = tmp_path_factory.mktemp("chaos") / "runs.jsonl"
+    plan = FaultPlan(seed=11, events=())
+    run_chaos(mini_config, plan, ledger_path=str(ledger_path))
+    return ledger_path
+
+
 class TestChaosLedger:
-    def test_chaos_run_appends_a_chaos_record(self, mini_config,
-                                              tmp_path):
-        ledger_path = tmp_path / "runs.jsonl"
-        plan = FaultPlan(seed=11, events=())
-        run_chaos(mini_config, plan, ledger_path=str(ledger_path))
-        record = RunLedger(ledger_path).latest()
+    def test_chaos_run_appends_a_chaos_record(self, chaos_ledger):
+        record = RunLedger(chaos_ledger).latest()
         assert record.kind == "chaos"
         assert record.labels["policy"]
         assert "clean_runtime_s" in record.extra
+
+    def test_chaos_record_has_stages_of_both_runs(self, chaos_ledger):
+        # The clean and the faulted run trace into one tracer.
+        record = RunLedger(chaos_ledger).latest()
+        root = record.stages["experiment.run"]
+        assert root["count"] == 2
+        assert root["max_rss_kb"] > 0
+        assert record.slowest[0]["name"] == "experiment.run"
+
+    def test_chaos_record_renders_stage_table(self, chaos_ledger):
+        text = render_record(RunLedger(chaos_ledger).latest())
+        header = next(line for line in text.splitlines()
+                      if line.startswith("stage "))
+        assert header.split() == ["stage", "count", "total", "self",
+                                  "mean", "max", "cpu", "max-rss"]
+        assert "counters:" in text
+
+    def test_chaos_history_shows_peak_rss(self, chaos_ledger):
+        history = render_history(RunLedger(chaos_ledger).records())
+        peak_rss = history.splitlines()[2].split()[-1]
+        assert peak_rss != "-"

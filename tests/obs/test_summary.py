@@ -88,6 +88,27 @@ class TestAggregateSpans:
         assert stats["x.a"]["mean_s"] == pytest.approx(2.0)
         assert stats["x.a"]["max_s"] == pytest.approx(3.0)
 
+    def test_self_time_subtracts_union_of_overlapping_children(self):
+        # Two worker spans absorbed under one root overlap in
+        # wall-clock: they cover [0, 3.5] of the root's [0, 4], so the
+        # root keeps 0.5 s of its own (a sum of durations reads 0).
+        spans = [
+            make_span("pipeline.scenario", 0.0, 3.0, 2, parent_id=1),
+            make_span("pipeline.scenario", 0.5, 3.5, 3, parent_id=1),
+            make_span("experiment.run", 0.0, 4.0, 1),
+        ]
+        stats = aggregate_spans(spans)
+        assert stats["experiment.run"]["self_s"] == pytest.approx(0.5)
+        assert stats["pipeline.scenario"]["self_s"] == pytest.approx(6.0)
+
+    def test_children_clipped_to_parent(self):
+        spans = [
+            make_span("x.child", 3.0, 6.0, 2, parent_id=1),
+            make_span("x.root", 0.0, 4.0, 1),
+        ]
+        stats = aggregate_spans(spans)
+        assert stats["x.root"]["self_s"] == pytest.approx(3.0)
+
 
 class TestStageBreakdown:
     def test_groups_by_prefix_in_start_order(self, trace):
@@ -97,7 +118,10 @@ class TestStageBreakdown:
         assert breakdown["stage_b"] == pytest.approx(5.0)
 
     def test_breakdown_line_skips_experiment(self, trace):
-        line = RunSummary(spans=trace).breakdown_line()
+        # The console report's "stages:" line, built on stage_breakdown.
+        from repro.cli import _stage_line
+
+        line = _stage_line(trace)
         assert "experiment" not in line
         assert "stage_a 3.00s" in line
         assert "stage_b 5.00s" in line
@@ -141,21 +165,24 @@ class TestRenderings:
 
 
 class TestRunSummary:
+    """RunSummary is plain data; the views are the span aggregations."""
+
     def test_total_seconds_from_root(self, trace):
-        assert RunSummary(spans=trace).total_seconds == (
-            pytest.approx(10.0)
-        )
+        roots = [s for s in RunSummary(spans=trace).spans
+                 if s.parent_id is None]
+        assert [s.duration for s in roots] == [pytest.approx(10.0)]
 
     def test_total_seconds_without_root(self):
         spans = [make_span("a.x", 1.0, 2.0, 1, parent_id=99)]
-        assert RunSummary(spans=spans).total_seconds == (
-            pytest.approx(1.0)
-        )
+        assert stage_breakdown(RunSummary(spans=spans).spans) == {
+            "a": pytest.approx(1.0)
+        }
 
     def test_empty_summary(self):
         summary = RunSummary()
-        assert summary.total_seconds == 0.0
-        assert summary.breakdown_line() == ""
+        assert summary.spans == [] and summary.metrics == {}
+        assert stage_breakdown(summary.spans) == {}
+        assert stage_rows(summary.spans) == {}
 
     def test_to_dict_json_ready(self, trace):
         import json
@@ -163,7 +190,13 @@ class TestRunSummary:
         summary = RunSummary(
             spans=trace, metrics={"counters": {"c": 1}},
         )
-        payload = summary.to_dict()
-        json.dumps(payload)  # must serialise
-        assert payload["total_seconds"] == pytest.approx(10.0)
+        # What a ledger record persists of a summary.
+        payload = json.loads(json.dumps({
+            "stages": stage_rows(summary.spans),
+            "breakdown": stage_breakdown(summary.spans),
+            "metrics": summary.metrics,
+        }))
+        assert payload["stages"]["experiment.run"]["total_s"] == (
+            pytest.approx(10.0)
+        )
         assert payload["metrics"]["counters"] == {"c": 1}

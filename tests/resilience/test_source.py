@@ -1,29 +1,14 @@
-"""Unit tests for repro.resilience.source (retry/backoff/breaker)."""
+"""Unit tests for repro.resilience.source (retry/backoff)."""
 
 import pytest
 
 from repro.obs import MetricsRegistry, use_metrics
 from repro.resilience import (
-    CircuitBreaker,
-    CircuitOpen,
     DataSource,
     FlakyFetch,
     RetryPolicy,
     SourceUnavailable,
 )
-
-
-class FakeClock:
-    """A manually-advanced monotonic clock."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class SleepRecorder:
@@ -59,148 +44,6 @@ class TestRetryPolicy:
             RetryPolicy().delay(0)
 
 
-class TestCircuitBreaker:
-    def test_trips_after_threshold(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60,
-                                 clock=clock)
-        assert breaker.state == "closed"
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True  # trip
-        assert breaker.state == "open"
-        assert breaker.allow() is False
-
-    def test_half_open_after_timeout_single_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(61)
-        assert breaker.state == "half-open"
-        assert breaker.allow() is True   # the probe
-        assert breaker.allow() is False  # everyone else waits
-
-    def test_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(61)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_window(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(61)
-        assert breaker.allow()
-        breaker.record_failure()  # failed probe
-        assert breaker.state == "open"
-        clock.advance(59)
-        assert breaker.state == "open"
-        clock.advance(2)
-        assert breaker.state == "half-open"
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        assert breaker.record_failure() is False  # streak restarted
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout=-1)
-
-    def test_failed_probe_allows_a_new_probe_next_window(self):
-        # probe exclusivity must reset with the window: after a failed
-        # probe re-opens the circuit, the *next* half-open transition
-        # gets exactly one fresh probe again.
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(61)
-        assert breaker.allow() is True
-        breaker.record_failure()          # probe fails, window restarts
-        assert breaker.allow() is False   # open again: fail fast
-        clock.advance(61)
-        assert breaker.state == "half-open"
-        assert breaker.allow() is True    # one new probe
-        assert breaker.allow() is False   # still exactly one
-
-    def test_probe_slot_freed_by_success_mid_window(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(61)
-        assert breaker.allow() is True
-        assert breaker.allow() is False   # exclusive while undecided
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow() is True    # everyone flows again
-
-
-class TestDataSourceHalfOpenRecovery:
-    def test_end_to_end_open_probe_close_cycle(self):
-        # Trip the breaker, fail fast while open, recover via the
-        # half-open probe — all on a fake clock, no real waiting.
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60,
-                                 clock=clock)
-        fetch = FlakyFetch(lambda: "payload", failures=2, name="macro")
-        source = DataSource(
-            "macro", fetch,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.1),
-            breaker=breaker, sleep=SleepRecorder(), clock=clock,
-        )
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            with pytest.raises(SourceUnavailable):
-                source.fetch()            # 2 failures: breaker trips
-            assert breaker.state == "open"
-            with pytest.raises(CircuitOpen):
-                source.fetch()            # open: fail fast, no attempt
-            attempts_while_open = source.attempts
-            clock.advance(61)             # reset window elapses
-            assert breaker.state == "half-open"
-            assert source.fetch() == "payload"  # the probe succeeds
-            assert breaker.state == "closed"
-            assert source.fetch() == "payload"  # closed: flows freely
-        assert attempts_while_open == 2   # CircuitOpen never fetched
-        counters = registry.snapshot()["counters"]
-        assert counters["resilience.breaker.trip"] == 1
-        assert counters["resilience.breaker.rejected"] == 1
-
-    def test_failed_probe_goes_back_to_fail_fast(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        fetch = FlakyFetch(lambda: "ok", failures=2, name="onchain")
-        source = DataSource(
-            "onchain", fetch,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=breaker, sleep=SleepRecorder(), clock=clock,
-        )
-        with pytest.raises(SourceUnavailable):
-            source.fetch()                # trips immediately
-        clock.advance(61)
-        with pytest.raises(SourceUnavailable):
-            source.fetch()                # the probe itself fails
-        assert breaker.state == "open"    # window restarted
-        with pytest.raises(CircuitOpen):
-            source.fetch()                # fail fast again
-        clock.advance(61)
-        assert source.fetch() == "ok"     # next probe recovers
-
-
 class TestDataSource:
     def test_recovers_after_transient_failures(self):
         sleep = SleepRecorder()
@@ -229,44 +72,6 @@ class TestDataSource:
             source.fetch()
         assert source.attempts == 2
         assert sleep.slept == [0.1]  # no sleep after the final attempt
-
-    def test_open_breaker_fails_fast(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60,
-                                 clock=clock)
-        breaker.record_failure()
-        calls = []
-
-        def fetch():
-            calls.append(1)
-            return "x"
-
-        source = DataSource("feed", fetch, breaker=breaker,
-                            sleep=lambda s: None, clock=clock)
-        metrics = MetricsRegistry()
-        with use_metrics(metrics):
-            with pytest.raises(CircuitOpen):
-                source.fetch()
-        assert calls == []  # fetch never reached
-        assert metrics.snapshot()["counters"][
-            "resilience.breaker.rejected"] == 1
-
-    def test_breaker_trip_counted(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        fetch = FlakyFetch(lambda: "x", permanent=True)
-        source = DataSource("feed", fetch, breaker=breaker,
-                            retry=RetryPolicy(max_attempts=2,
-                                              base_delay=0.0),
-                            sleep=lambda s: None)
-        metrics = MetricsRegistry()
-        with use_metrics(metrics):
-            with pytest.raises(SourceUnavailable):
-                source.fetch()
-        assert metrics.snapshot()["counters"][
-            "resilience.breaker.trip"] == 1
-
-    def test_circuit_open_is_a_source_unavailable(self):
-        assert issubclass(CircuitOpen, SourceUnavailable)
 
     def test_fetch_span_records_outcome(self):
         from repro.obs import Tracer, use_tracer
