@@ -10,8 +10,9 @@ test-suite runs every day:
   :mod:`repro.ml.tree`);
 * cold vs warm runs of the cached experiment pipeline
   (``run_experiment(cache_dir=...)``), which on a warm store
-  short-circuits the dataset, the scenario frames and every scenario
-  task to content-addressed reads.
+  short-circuits the dataset and every scenario task to
+  content-addressed reads (the scenario frames are not read: each task
+  result carries its own scenario).
 
 Writes ``benchmarks/results/BENCH_kernels.json`` with the timings, the
 speedup ratios, and the host shape (``cpu_count``, ``n_jobs``) — the

@@ -47,6 +47,7 @@ __all__ = [
     "load_artifact",
     "quarantine_entry",
     "unframe",
+    "write_artifact",
 ]
 
 #: Frame header: magic, schema version, payload sha256, payload length.
@@ -79,23 +80,33 @@ class StaleArtifact(ValueError):
     """
 
 
-def is_framed(blob: bytes) -> bool:
+def is_framed(blob) -> bool:
     """Whether ``blob`` starts with the artifact-frame magic."""
     return blob[:len(FRAME_MAGIC)] == FRAME_MAGIC
 
 
-def frame(payload: bytes) -> bytes:
-    """Wrap raw payload bytes in a verified frame."""
+def _frame_header(payload) -> bytes:
+    """The frame header for raw payload bytes (any buffer)."""
     return _HEADER.pack(
         FRAME_MAGIC, FRAME_VERSION,
         hashlib.sha256(payload).digest(), len(payload),
-    ) + payload
+    )
 
 
-def unframe(blob: bytes) -> bytes:
-    """Verify and strip the frame; raises :class:`CorruptArtifact`."""
+def frame(payload: bytes) -> bytes:
+    """Wrap raw payload bytes in a verified frame."""
+    return _frame_header(payload) + payload
+
+
+def unframe(blob) -> memoryview:
+    """Verify the frame; return a view of the payload inside ``blob``.
+
+    The view shares ``blob``'s memory, so verifying an artifact never
+    copies its payload.  Raises :class:`CorruptArtifact`.
+    """
     if not is_framed(blob):
-        raise CorruptArtifact("bad-magic", repr(blob[:len(FRAME_MAGIC)]))
+        raise CorruptArtifact("bad-magic",
+                              repr(bytes(blob[:len(FRAME_MAGIC)])))
     if len(blob) < _HEADER.size:
         raise CorruptArtifact(
             "truncated-header",
@@ -104,7 +115,7 @@ def unframe(blob: bytes) -> bytes:
     _, version, digest, length = _HEADER.unpack_from(blob)
     if version != FRAME_VERSION:
         raise CorruptArtifact("unknown-version", str(version))
-    payload = blob[_HEADER.size:]
+    payload = memoryview(blob)[_HEADER.size:]
     if len(payload) != length:
         raise CorruptArtifact(
             "length-mismatch", f"{len(payload)} != {length}"
@@ -161,18 +172,36 @@ class _SanitizingPickler(pickle.Pickler):
         return NotImplemented
 
 
-def dump_artifact(payload) -> bytes:
-    """Pickle ``payload`` (sanitising any shared-memory references)
-    and wrap it in a verified frame."""
+def _pickled(payload) -> memoryview:
+    """Pickle ``payload`` (sanitising any shared-memory references);
+    returns a view of the pickler's own buffer, not a copy of it."""
     buffer = io.BytesIO()
     _SanitizingPickler(
         buffer, protocol=pickle.HIGHEST_PROTOCOL
     ).dump(payload)
-    return frame(buffer.getvalue())
+    return buffer.getbuffer()
 
 
-def load_artifact(blob: bytes):
-    """Verify a framed artifact and unpickle its payload.
+def dump_artifact(payload) -> bytes:
+    """Pickle ``payload`` (sanitising any shared-memory references)
+    and wrap it in a verified frame."""
+    return frame(_pickled(payload))
+
+
+def write_artifact(path: Path, payload) -> int:
+    """Atomically write ``payload`` as a framed artifact; returns the
+    bytes written.
+
+    The file holds exactly :func:`dump_artifact`'s bytes, but the
+    header and a view of the pickled payload are written one after the
+    other, so the payload is held once, never copied into a frame.
+    """
+    payload = _pickled(payload)
+    return atomic_write_bytes(path, _frame_header(payload), payload)
+
+
+def load_artifact(blob):
+    """Verify a framed artifact and unpickle its payload in place.
 
     Raises :class:`CorruptArtifact` for damaged or unframed bytes,
     :class:`StaleArtifact` for intact payloads whose classes no longer
@@ -193,18 +222,20 @@ def load_artifact(blob: bytes):
         ) from exc
 
 
-def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write-then-rename so readers never observe a partial file.
+def atomic_write_bytes(path: Path, *chunks) -> int:
+    """Write ``chunks`` back to back, then rename into place, so readers
+    never observe a partial file; returns the bytes written.
 
     Every on-disk artifact :class:`~repro.cache.CacheStore` writes goes
-    through this helper.
+    through this helper (via :func:`write_artifact`).
     """
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -214,6 +245,7 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
         except FileNotFoundError:
             pass
         raise
+    return sum(len(chunk) for chunk in chunks)
 
 
 def quarantine_entry(path: Path, root: Path) -> Path | None:

@@ -57,12 +57,16 @@ def fingerprint_parts(*parts) -> str:
 
 
 def array_digest(array) -> str:
-    """sha256 of an array's dtype, shape, and raw bytes."""
+    """sha256 of an array's dtype, shape, and raw bytes.
+
+    The bytes are hashed in place, through a byte view of the
+    contiguous buffer, never copied out with ``tobytes()``.
+    """
     array = np.ascontiguousarray(array)
     digest = hashlib.sha256()
     digest.update(str(array.dtype).encode())
     digest.update(repr(array.shape).encode())
-    digest.update(array.tobytes())
+    digest.update(array.reshape(-1).view(np.uint8))
     return digest.hexdigest()
 
 

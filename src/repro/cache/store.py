@@ -10,7 +10,7 @@ is a different key; stale entries are simply never addressed again).
 Properties:
 
 * **Atomic writes.** Entries are written through
-  :func:`repro.cache.codec.atomic_write_bytes` (temp file +
+  :func:`repro.cache.codec.write_artifact` (temp file +
   ``os.replace``), so concurrent writers and killed processes can never
   leave a readable-but-corrupt entry; two workers racing on the same key
   both write the same content and either rename wins.
@@ -49,11 +49,10 @@ from .codec import (
     QUARANTINE_DIR,
     CorruptArtifact,
     StaleArtifact,
-    atomic_write_bytes,
-    dump_artifact,
     load_artifact,
     quarantine_entry,
     unframe,
+    write_artifact,
 )
 
 __all__ = ["CacheStore"]
@@ -130,13 +129,12 @@ class CacheStore:
         """Atomically store ``payload`` under ``key``; returns bytes written."""
         path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = dump_artifact(payload)
-        atomic_write_bytes(path, blob)
+        written = write_artifact(path, payload)
         metrics = current_metrics()
         metrics.counter("cache.writes").inc()
-        metrics.counter("cache.bytes_written").inc(len(blob))
-        _log.debug("cache.put", key=key, bytes=len(blob))
-        return len(blob)
+        metrics.counter("cache.bytes_written").inc(written)
+        _log.debug("cache.put", key=key, bytes=written)
+        return written
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` has an entry on disk (no counters, no read)."""

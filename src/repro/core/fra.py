@@ -207,9 +207,10 @@ def fra_reduce(X, y, feature_names, config: FRAConfig | None = None
                     active = active[keep]
                 corr_threshold += config.corr_step
 
-        # Final consensus importance over survivors (refit if anything
-        # changed since the last scoring pass, or if no iteration ran at
-        # all).
+        # Final consensus importance over survivors: always refit, also
+        # when the last iteration removed nothing and its scores would
+        # still do.  Skipping that refit would shift the RNG stream and
+        # with it every result digest.
         with span("fra.final_scores", n_survivors=int(active.size)):
             X_cur = X[:, active]
             scores = _consensus_scores(X_cur, y, names, config, rng)

@@ -89,6 +89,7 @@ from .scenarios import (
     Scenario,
     build_all_scenarios,
     period_digests,
+    scenario_key,
 )
 from .selection import SelectionResult, SHAPConfig, select_final_features
 
@@ -693,9 +694,15 @@ def run_experiment(config: ExperimentConfig | None = None,
     — config fingerprints (fault plans and degradation policies
     included, so chaos runs never alias clean runs) and raw data bytes.
     Model fits and compiled ensembles are never cached on their own; a
-    task hit skips them all.  A warm re-run of the same config
-    short-circuits to cache reads; ``cache.hits`` / ``cache.misses``
-    counters land in the run summary, and
+    task hit skips them all.  A cold run writes ``2 + n`` entries for
+    ``n`` scenarios.  The task entries are probed first, and each
+    carries its own :class:`Scenario`: a warm re-run of the same config
+    reads the dataset entry plus the ``n`` task entries, and a cached
+    :func:`~repro.incremental.update_experiment` (which passes ``raw``)
+    reads only the ``n`` task entries.  Neither reads the scenario
+    frames; only a run with a missing or corrupt task entry reads them,
+    once, and recomputes just those scenarios.  ``cache.hits`` /
+    ``cache.misses`` counters land in the run summary, and
     ``experiment.scenarios_cached`` counts the scenarios served from
     the cache.
 
@@ -740,12 +747,12 @@ def run_experiment(config: ExperimentConfig | None = None,
     with use_tracer(tracer), use_metrics(metrics), \
             profiled_span("experiment.run"):
         # The run is one dependency-aware task graph: dataset →
-        # preflight → scenarios → per-scenario tasks.  Nodes carrying a
-        # cache key are satisfied straight from the artifact store, and
-        # the scenario wave is scheduled onto a persistent worker pool
-        # whose shared dataset carries the matrices zero-copy.
+        # preflight → scenarios → per-scenario tasks.  The dataset and
+        # scenario-frames nodes carry a cache key and are satisfied
+        # straight from the artifact store; the scenario wave is
+        # scheduled onto a persistent worker pool whose shared dataset
+        # carries the matrices zero-copy.
         graph = TaskGraph()
-        scenario_cache_hits = [0]
 
         def _cache_get(node_key, cache_key):
             if store is None:
@@ -755,8 +762,6 @@ def run_experiment(config: ExperimentConfig | None = None,
                 return False, None
             if node_key == "dataset":
                 log.info("dataset.cached", seed=config.simulation.seed)
-            elif node_key.startswith("scenario:"):
-                scenario_cache_hits[0] += 1
             return True, value
 
         def _cache_put(node_key, cache_key, value):
@@ -806,31 +811,51 @@ def run_experiment(config: ExperimentConfig | None = None,
         # daily refresh into cache reads plus a handful of tail tasks).
         digests = (period_digests(raw, config.periods)
                    if store is not None else None)
-        skey = None
-        if store is not None:
-            skey = scenarios_key(
-                tuple(digests[p] for p in config.periods),
-                config.periods, config.windows,
-            )
+        scenario_keys = [scenario_key(period, window)
+                         for period in config.periods
+                         for window in config.windows]
+        metrics.gauge("experiment.scenarios").set(len(scenario_keys))
 
-        def _scenarios_stage():
-            return build_all_scenarios(
-                raw, periods=config.periods, windows=config.windows
-            )
-
-        graph.add("scenarios", _scenarios_stage, deps=("preflight",),
-                  cache_key=skey, inline=True)
-        log.info("scenarios.build", periods=",".join(config.periods),
-                 windows=",".join(str(w) for w in config.windows),
-                 jobs=jobs)
-        with tracer.span("pipeline.scenarios"):
-            graph.run(cache_get=_cache_get, cache_put=_cache_put)
-        scenarios = graph.results["scenarios"]
-        metrics.gauge("experiment.scenarios").set(len(scenarios))
-
+        # Probe every task entry before anything else: each cached task
+        # result carries its own Scenario, so a run whose tasks all hit
+        # never reads (or builds) the scenario frames, and each entry
+        # is read and counted exactly once.
+        by_key: dict[str, tuple] = {}
         task_keys: dict[str, str] = {}
         if store is not None:
-            task_keys = _scenario_task_keys(config, digests, scenarios)
+            task_keys = _scenario_task_keys(config, digests, scenario_keys)
+            for key in scenario_keys:
+                value = store.get(task_keys[key])
+                if value is not None:
+                    by_key[key] = value
+        if by_key:
+            metrics.counter("experiment.scenarios_cached").inc(len(by_key))
+            log.info("scenario.cached", hits=len(by_key),
+                     remaining=len(scenario_keys) - len(by_key))
+        missing = [key for key in scenario_keys if key not in by_key]
+
+        scenarios: dict[str, Scenario] = {}
+        if missing:
+            skey = None
+            if store is not None:
+                skey = scenarios_key(
+                    tuple(digests[p] for p in config.periods),
+                    config.periods, config.windows,
+                )
+
+            def _scenarios_stage():
+                return build_all_scenarios(
+                    raw, periods=config.periods, windows=config.windows
+                )
+
+            graph.add("scenarios", _scenarios_stage, deps=("preflight",),
+                      cache_key=skey, inline=True)
+            log.info("scenarios.build", periods=",".join(config.periods),
+                     windows=",".join(str(w) for w in config.windows),
+                     jobs=jobs)
+            with tracer.span("pipeline.scenarios"):
+                graph.run(cache_get=_cache_get, cache_put=_cache_put)
+            scenarios = graph.results["scenarios"]
 
         # The cache kwargs ride along only when a store is active, so
         # cacheless runs call the task with its historical signature.
@@ -844,26 +869,25 @@ def run_experiment(config: ExperimentConfig | None = None,
         )
         # One persistent pool serves the whole fan-out.  Its shared
         # dataset publishes each scenario's matrices once; workers
-        # attach instead of unpickling them.  Lazy: if every node
-        # cache-hits, no process is forked.
+        # attach instead of unpickling them.
         pool = None
-        if jobs > 1 and len(scenarios) > 1 and not in_worker():
+        if jobs > 1 and len(missing) > 1 and not in_worker():
             pool = WorkerPool(n_jobs=jobs,
                               warmup=_warm_scenario_worker)
-        for key, scenario in scenarios.items():
-            shipped = scenario
+        for key in missing:
+            shipped = scenarios[key]
             if pool is not None:
                 shipped = replace(
-                    scenario,
-                    X=pool.dataset.share(scenario.X),
-                    y=pool.dataset.share(scenario.y),
+                    shipped,
+                    X=pool.dataset.share(shipped.X),
+                    y=pool.dataset.share(shipped.y),
                 )
+            # No cache key: the probe above already read this entry,
+            # and the task stores its own result when it finishes.
             graph.add(
                 f"scenario:{key}",
                 partial(_scenario_task, (key, shipped), **task_kwargs),
                 deps=("scenarios",),
-                cache_key=task_keys.get(key),
-                store_result=False,  # the worker already cache.put()s
             )
         try:
             pool_scope = (use_pool(pool) if pool is not None
@@ -871,21 +895,12 @@ def run_experiment(config: ExperimentConfig | None = None,
             with pool_scope:
                 graph.run(
                     mapper=mapper,
-                    cache_get=_cache_get,
-                    cache_put=_cache_put,
                     return_exceptions=(config.on_error == "capture"),
                 )
         finally:
             if pool is not None:
                 pool.close()
-        if scenario_cache_hits[0]:
-            metrics.counter("experiment.scenarios_cached").inc(
-                scenario_cache_hits[0]
-            )
-            log.info("scenario.cached", hits=scenario_cache_hits[0],
-                     remaining=len(scenarios) - scenario_cache_hits[0])
 
-        by_key: dict[str, tuple] = {}
         failures: dict[str, ScenarioFailure] = {}
         for node_key, failure in graph.failures.items():
             if not node_key.startswith("scenario:"):
@@ -901,7 +916,7 @@ def run_experiment(config: ExperimentConfig | None = None,
             log.error("scenario.failed", scenario=key,
                       error=failure.error_type,
                       message=failure.message)
-        for key in scenarios:
+        for key in missing:
             node_key = f"scenario:{key}"
             if node_key in graph.results:
                 by_key[key] = graph.results[node_key]
@@ -909,7 +924,7 @@ def run_experiment(config: ExperimentConfig | None = None,
         artifacts: dict[str, ScenarioArtifacts] = {}
         improvements_rf: list[ScenarioImprovement] = []
         improvements_gb: list[ScenarioImprovement] = []
-        for key in scenarios:  # canonical order, independent of n_jobs
+        for key in scenario_keys:  # canonical order, independent of n_jobs
             if key not in by_key:
                 continue
             _, artifact, improvement_rf, improvement_gb = by_key[key]

@@ -152,6 +152,9 @@ def update_experiment(config: ExperimentConfig | None = None,
             if parent_raw is not None:
                 extended_raw = extend_raw_dataset(parent_raw, days=days)
                 metrics.counter("incremental.days_appended").inc(days)
+                # Spliced: the run below needs only the extension, so
+                # the parent is not held through it.
+                del parent_raw
             else:
                 log.info("update.cold_dataset", reason="no-parent-dataset")
 

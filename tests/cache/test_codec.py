@@ -17,6 +17,7 @@ from repro.cache.codec import (
     load_artifact,
     quarantine_entry,
     unframe,
+    write_artifact,
 )
 
 
@@ -40,6 +41,57 @@ class TestRoundTrip:
     def test_frame_unframe_raw_bytes(self):
         payload = b"arbitrary bytes, not a pickle"
         assert unframe(frame(payload)) == payload
+
+    def test_unframe_returns_a_view_into_the_blob(self):
+        blob = frame(b"payload bytes")
+        view = unframe(blob)
+        assert isinstance(view, memoryview)
+        assert view.obj is blob  # verified in place, never copied
+
+
+class TestVerifyInPlace:
+    """``load_artifact`` verifies a view of the blob; every check that
+    guarded the old copied payload still fires through it."""
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_loads_any_buffer(self, wrap):
+        blob = dump_artifact({"rows": list(range(20))})
+        assert load_artifact(wrap(blob)) == {"rows": list(range(20))}
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda blob: blob[:20], "truncated-header"),
+        (lambda blob: blob[:-1], "length-mismatch"),
+        (lambda blob: blob + b"\x00", "length-mismatch"),
+        (lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x01]),
+         "digest-mismatch"),
+    ])
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    def test_rejects_damaged_blobs(self, damage, reason, wrap):
+        blob = damage(dump_artifact(list(range(50))))
+        with pytest.raises(CorruptArtifact) as excinfo:
+            load_artifact(wrap(blob))
+        assert excinfo.value.reason == reason
+
+
+class TestWriteArtifact:
+    @pytest.mark.parametrize("payload", [
+        {"rows": [1, 2, 3]},
+        list(range(1000)),
+        b"\x00" * 70_000,
+        None,
+    ])
+    def test_file_holds_the_framed_pickle_exactly(self, tmp_path, payload):
+        # The header and the pickler's buffer are written one after the
+        # other; the bytes on disk are still exactly the frame of the
+        # pickle, so entries written before and after read the same.
+        target = tmp_path / "entry.pkl"
+        written = write_artifact(target, payload)
+        expected = frame(pickle.dumps(payload,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+        assert target.read_bytes() == expected
+        assert target.read_bytes() == dump_artifact(payload)
+        assert written == len(expected)
+        assert load_artifact(target.read_bytes()) == payload
 
 
 class TestEverySingleByteFlipIsDetected:
@@ -159,3 +211,10 @@ class TestAtomicWrite:
         atomic_write_bytes(target, b"two")
         assert target.read_bytes() == b"two"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_writes_chunks_back_to_back(self, tmp_path):
+        target = tmp_path / "artifact.bin"
+        data = bytearray(b"payload")
+        written = atomic_write_bytes(target, b"head:", memoryview(data))
+        assert target.read_bytes() == b"head:payload"
+        assert written == len(b"head:payload")

@@ -49,8 +49,15 @@ def cold(mini_config, cache_dir):
 
 
 @pytest.fixture(scope="module")
-def warm(mini_config, cache_dir, cold):
-    return run_experiment(mini_config, cache_dir=str(cache_dir))
+def warm_run(mini_config, cache_dir, cold, record_cache_reads):
+    with record_cache_reads() as reads:
+        results = run_experiment(mini_config, cache_dir=str(cache_dir))
+    return results, reads
+
+
+@pytest.fixture(scope="module")
+def warm(warm_run):
+    return warm_run[0]
 
 
 def _signature(results):
@@ -96,8 +103,19 @@ class TestCachedRunEquivalence:
     def test_warm_run_serves_scenarios_from_cache(self, warm):
         counters = warm.run_summary.metrics["counters"]
         assert counters["experiment.scenarios_cached"] == 1
-        assert counters["cache.hits"] >= 3  # dataset + scenarios + task
+        assert counters["cache.hits"] == 2  # dataset + task
+        assert "cache.misses" not in counters
         assert "cache.writes" not in counters
+
+    def test_warm_run_never_reads_the_scenario_frames(
+            self, warm_run, cache_entry_keys):
+        # Each cached task result carries its own Scenario, so a warm
+        # run reads the dataset and every task entry once, and nothing
+        # else: the frames entry is neither read nor rebuilt.
+        results, reads = warm_run
+        keys = cache_entry_keys(results.config, results.raw)
+        assert reads == [keys.dataset, *keys.tasks.values()]
+        assert keys.frames not in reads
 
     def test_config_change_invalidates_tasks_not_inputs(
             self, mini_config, cache_dir, warm, tmp_path):

@@ -10,11 +10,14 @@ the range-granular cache keys re-serve every scenario.
 """
 
 import dataclasses
+import shutil
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 import repro.core.scenarios as scenarios
+from repro.cache import CacheStore
 from repro.core.pipeline import (
     ExperimentConfig,
     run_experiment,
@@ -52,7 +55,7 @@ def _improvement_rows(results):
 
 
 @pytest.fixture(scope="module")
-def study(tmp_path_factory):
+def study(tmp_path_factory, record_cache_reads):
     mp = pytest.MonkeyPatch()
     mp.setitem(scenarios.PERIODS, "2017", ("2017-01-01", "2017-12-31"))
     try:
@@ -61,12 +64,14 @@ def study(tmp_path_factory):
         ledger = str(tmp / "runs.jsonl")
         config = _config()
         cold = run_experiment(config, cache_dir=cache, ledger_path=ledger)
-        update = update_experiment(config, days=DAYS, cache_dir=cache,
-                                   ledger_path=ledger)
+        with record_cache_reads() as update_reads:
+            update = update_experiment(config, days=DAYS, cache_dir=cache,
+                                       ledger_path=ledger)
         reference = run_experiment(update.config)
         yield SimpleNamespace(
             config=config, cache=cache, ledger=ledger,
-            cold=cold, update=update, reference=reference,
+            cold=cold, update=update, update_reads=update_reads,
+            reference=reference,
         )
     finally:
         mp.undo()
@@ -94,12 +99,71 @@ class TestUpdateEndToEnd:
     def test_extended_config_end_moved(self, study):
         assert study.update.config.simulation.end == "2018-01-02"
 
-    def test_update_with_caller_dataset(self, study):
+    def test_update_reads_the_parent_dataset_and_each_task(
+            self, study, cache_entry_keys):
+        # The parent dataset entry (no ``raw`` was passed), then one
+        # read per task entry; the scenario frames, which every task
+        # result already carries, are never read.
+        parent = cache_entry_keys(study.config, study.cold.raw)
+        extended = cache_entry_keys(study.update.results.config,
+                                    study.update.results.raw)
+        assert extended.tasks == parent.tasks
+        assert study.update_reads == [parent.dataset,
+                                      *extended.tasks.values()]
+        assert extended.frames not in study.update_reads
+        counters = study.update.results.run_summary.metrics["counters"]
+        assert counters["cache.hits"] == 3
+        assert "cache.misses" not in counters
+
+    def test_update_with_caller_dataset(self, study, record_cache_reads,
+                                        cache_entry_keys):
         parent = generate_raw_dataset(study.config.simulation)
-        update = update_experiment(study.config, days=DAYS, raw=parent,
-                                   cache_dir=study.cache)
+        with record_cache_reads() as reads:
+            update = update_experiment(study.config, days=DAYS, raw=parent,
+                                       cache_dir=study.cache)
         assert update.dataset_reused
         assert update.scenarios_cached == 2
+        keys = cache_entry_keys(update.results.config, update.results.raw)
+        assert reads == list(keys.tasks.values())
+
+
+class TestPartialCache:
+    """A run whose task entries do not all hit: only the damaged
+    scenario is recomputed, from the frames entry, read once."""
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
+    def test_one_bad_task_entry_is_recomputed_alone(
+            self, study, tmp_path, damage, record_cache_reads,
+            cache_entry_keys):
+        cache = tmp_path / "cache"
+        shutil.copytree(study.cache, cache)
+        config = study.update.results.config
+        raw = study.update.results.raw
+        keys = cache_entry_keys(config, raw)
+        kept, victim = keys.tasks.values()
+        path = CacheStore(cache)._path_for(victim)
+        if damage == "deleted":
+            path.unlink()
+        else:
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        with record_cache_reads() as reads:
+            results = run_experiment(config, raw=raw, cache_dir=str(cache))
+        counters = results.run_summary.metrics["counters"]
+        assert reads == [kept, victim, keys.frames]
+        assert counters["experiment.scenarios_cached"] == 1
+        assert counters["cache.hits"] == 2  # kept task + frames
+        assert counters["cache.writes"] == 1  # the recomputed task
+        if damage == "corrupt":
+            assert counters["cache.corrupt"] == 1
+            assert "cache.misses" not in counters
+            assert (cache / "quarantine" / path.name).exists()
+        else:
+            assert counters["cache.misses"] == 1
+        assert CacheStore(cache).get(victim) is not None
+        assert (_improvement_rows(results)
+                == _improvement_rows(study.reference))
 
 
 class TestLedgerChain:
@@ -176,6 +240,35 @@ class TestUpdateFallbacks:
     def test_mismatched_caller_dataset_rejected(self, stub, small_raw):
         with pytest.raises(ValueError, match="does not match"):
             update_experiment(_config(), days=1, raw=small_raw)
+
+    def test_parent_released_before_the_run(self, monkeypatch):
+        class Parent:
+            pass
+
+        refs = {}
+
+        def fake_parent(config, raw, store, log):
+            parent = Parent()
+            refs["parent"] = weakref.ref(parent)
+            return parent
+
+        def fake_run(config, raw=None, **kwargs):
+            refs["alive_during_run"] = refs["parent"]() is not None
+            return SimpleNamespace(
+                run_summary=SimpleNamespace(metrics={"counters": {}}),
+                artifacts={}, failures=[], runtime_seconds=0.0,
+            )
+
+        monkeypatch.setattr(
+            "repro.incremental.update._parent_dataset", fake_parent)
+        monkeypatch.setattr(
+            "repro.incremental.update.extend_raw_dataset",
+            lambda parent, days: "extended")
+        monkeypatch.setattr(
+            "repro.incremental.update.run_experiment", fake_run)
+        update = update_experiment(_config(), days=1)
+        assert update.dataset_reused
+        assert refs["alive_during_run"] is False
 
     def test_rejects_nonpositive_days(self, stub):
         with pytest.raises(ValueError, match="days"):
