@@ -95,10 +95,18 @@ def range_digest(frame, start=None, end=None) -> str:
     every key built from it — unchanged, while any change *inside* the
     range shifts it. A monolithic :func:`frame_digest` of the full
     frame would invalidate everything on a one-day extension.
+
+    The rows' digest is memoised on the frame by positional slice, and
+    :meth:`~repro.frame.Frame.append_rows` carries the memo forward,
+    so a chained update does not re-hash the rows its parent already
+    hashed. A miss hashes ``frame.loc_range(start, end)`` as before.
     """
-    return fingerprint_parts(
-        "range", (start, end), frame_digest(frame.loc_range(start, end))
-    )
+    rows = frame.index.slice_positions(start, end)
+    span = (rows.start, rows.stop)
+    digest = frame._row_digests.get(span)
+    if digest is None:
+        digest = frame._row_digests[span] = frame_digest(frame.iloc(rows))
+    return fingerprint_parts("range", (start, end), digest)
 
 
 def dataset_key(simulation_config, fault_plan=None, degradation=None) -> str:

@@ -37,6 +37,7 @@ def _rebuild_frame(index, names, data) -> "Frame":
         arr.flags.writeable = False
     frame._data = data
     frame._matrix = None
+    frame._row_digests = {}
     return frame
 
 
@@ -53,7 +54,7 @@ class Frame:
         NaN.
     """
 
-    __slots__ = ("_index", "_names", "_data", "_matrix")
+    __slots__ = ("_index", "_names", "_data", "_matrix", "_row_digests")
 
     def __init__(self, index: DateIndex, columns: Mapping[str, Iterable]):
         if not isinstance(index, DateIndex):
@@ -62,6 +63,9 @@ class Frame:
         self._names: list[str] = []
         self._data: dict[str, np.ndarray] = {}
         self._matrix: np.ndarray | None = None
+        # Positional row slice ``(lo, hi)`` -> digest of those rows,
+        # written and read only by :func:`repro.cache.keys.range_digest`.
+        self._row_digests: dict[tuple[int, int], str] = {}
         for name, values in columns.items():
             arr = np.asarray(values, dtype=np.float64).copy()
             if arr.ndim != 1:
@@ -109,6 +113,7 @@ class Frame:
         frame._names = []
         frame._data = {}
         frame._matrix = matrix
+        frame._row_digests = {}
         for j, name in enumerate(names):
             if name in frame._data:
                 raise ValueError(f"duplicate column name {name!r}")
@@ -171,9 +176,10 @@ class Frame:
     __hash__ = None  # frames hold arrays; equality is deep
 
     def __getstate__(self):
-        # The memoised dense matrix is derived state: drop it from
-        # pickles so cached frames don't double in size
-        # (it rebuilds lazily on the first to_matrix after load).
+        # The memoised dense matrix and row-range digests are derived
+        # state: drop them from pickles so cached frames don't double in
+        # size and cache entries don't depend on what was hashed before
+        # (both rebuild lazily after load).
         return {"_index": self._index, "_names": self._names,
                 "_data": self._data}
 
@@ -182,6 +188,7 @@ class Frame:
         self._names = state["_names"]
         self._data = state["_data"]
         self._matrix = None
+        self._row_digests = {}
 
     # ------------------------------------------------------------------
     # Column access
@@ -277,6 +284,11 @@ class Frame:
         constructor's convert-then-copy pass is bypassed — which is
         what the incremental update path (:mod:`repro.incremental`)
         relies on for cheap row growth.
+
+        The result's rows ``0..n-1`` are this frame's bytes, index and
+        column order, so it inherits this frame's memoised row-range
+        digests: a range that ends before the new rows is not hashed
+        again, and one they enter resolves to a new slice.
         """
         if not isinstance(other, Frame):
             raise TypeError("append_rows expects a Frame")
@@ -299,6 +311,7 @@ class Frame:
         frame._names = list(self._names)
         frame._data = {}
         frame._matrix = None
+        frame._row_digests = dict(self._row_digests)
         for name in self._names:
             arr = np.concatenate((self._data[name], other._data[name]))
             arr.flags.writeable = False

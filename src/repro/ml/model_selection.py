@@ -3,8 +3,10 @@
 The paper fine-tunes RF and XGB "using 5-fold cross-validation grid search
 with minimum mean squared error as the objective for each of the 10
 different scenarios" (§3.2); :class:`GridSearchCV` reproduces that recipe
-over this package's estimators. :class:`TimeSeriesSplit` is provided as
-the leakage-free alternative used by the ablation benches.
+over this package's estimators. :class:`TimeSeriesSplit` is the
+chronological alternative used by the ablation benches. It has no purge
+gap, so with a ``w``-day-ahead target its folds still leak labels (see
+its docstring).
 """
 
 from __future__ import annotations
@@ -77,8 +79,12 @@ class TimeSeriesSplit:
     """Expanding-window splits: each test fold strictly follows its train set.
 
     With ``n_splits=k`` the data is cut into ``k + 1`` blocks; fold *i*
-    trains on blocks ``0..i`` and tests on block ``i + 1`` — no future
-    information ever leaks into training.
+    trains on blocks ``0..i`` and tests on block ``i + 1``. The *rows*
+    are chronological, but there is no gap between train and test: with
+    the study's target ``y[i] = target[i + w]``, the labels of the last
+    ``w`` training rows are index values inside the test block, so
+    future information leaks into training for ``w > 1``. ROADMAP item
+    4 adds the ``w``-row purge gap that closes this.
     """
 
     def __init__(self, n_splits: int = 5):

@@ -63,10 +63,6 @@ class TaskNode:
     inline: bool = False
     """Run in the parent process (cheap control-flow nodes) instead of
     being shipped to the pool."""
-    store_result: bool = True
-    """Write the fresh result back through ``cache_put``.  Disable for
-    nodes that persist their own artifacts (e.g. scenario tasks that
-    already cache worker-side)."""
     index: int = 0
     state: str = field(default=_PENDING)
 
@@ -93,14 +89,13 @@ class TaskGraph:
 
     # ------------------------------------------------------------------
     def add(self, key: str, fn, deps=(), cache_key: str | None = None,
-            inline: bool = False, store_result: bool = True) -> TaskNode:
+            inline: bool = False) -> TaskNode:
         """Declare a node.  ``fn`` must be a zero-argument callable
         (picklable unless ``inline=True``)."""
         if key in self._nodes:
             raise ValueError(f"duplicate task key {key!r}")
         node = TaskNode(key=key, fn=fn, deps=tuple(deps),
                         cache_key=cache_key, inline=inline,
-                        store_result=store_result,
                         index=len(self._nodes))
         self._nodes[key] = node
         return node
@@ -219,8 +214,7 @@ class TaskGraph:
     def _record_result(self, node, result, cache_put) -> None:
         node.state = _DONE
         self.results[node.key] = result
-        if (cache_put is not None and node.cache_key is not None
-                and node.store_result):
+        if cache_put is not None and node.cache_key is not None:
             cache_put(node.key, node.cache_key, result)
 
     def _record_failure(self, node, exc: Exception) -> None:

@@ -4,16 +4,20 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cache import (
     array_digest,
     dataset_key,
     fingerprint_parts,
     frame_digest,
+    range_digest,
     scenarios_key,
     task_key,
 )
-from repro.frame import DateIndex, Frame
+from repro.frame import DateIndex, Frame, date_range
 from repro.resilience import FaultPlan, random_fault_plan
 from repro.synth import SimulationConfig
 
@@ -91,6 +95,57 @@ class TestArrayAndFrameDigests:
         shifted = _frame({"a": [1.0, 2.0]}, "2020-02-01")
         assert frame_digest(f1) != frame_digest(renamed)
         assert frame_digest(f1) != frame_digest(shifted)
+
+
+def _old_range_digest(frame, start, end):
+    """The formula ``range_digest`` computed before it memoised."""
+    return fingerprint_parts(
+        "range", (start, end), frame_digest(frame.loc_range(start, end))
+    )
+
+
+@st.composite
+def _frame_and_ranges(draw):
+    """A frame of 0-30 rows and 0-3 columns (NaNs included) plus up to
+    six ``(start, end)`` ranges whose bounds are ``None`` or dates from
+    ten days before the first row to ten days after the last: so the
+    ranges come empty, inverted, open-ended and out of calendar."""
+    first = draw(st.integers(min_value=736000, max_value=736100))
+    n_rows = draw(st.integers(min_value=0, max_value=30))
+    n_cols = draw(st.integers(min_value=0, max_value=3))
+    values = draw(arrays(
+        np.float64, (n_rows, n_cols),
+        elements=st.one_of(st.floats(-1e6, 1e6), st.just(float("nan"))),
+    ))
+    frame = Frame(date_range(first, periods=n_rows),
+                  {f"c{j}": values[:, j] for j in range(n_cols)})
+    bound = st.one_of(
+        st.none(),
+        st.integers(first - 10, first + n_rows + 10).map(date.fromordinal),
+    )
+    ranges = draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=6))
+    split = draw(st.integers(min_value=0, max_value=n_rows))
+    return frame, ranges, split
+
+
+class TestRangeDigestMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_frame_and_ranges())
+    def test_equals_the_unmemoised_formula(self, case):
+        frame, ranges, split = case
+        # A memoised parent grown by append_rows carries its memo into
+        # the child; the child must still digest exactly as a cold frame.
+        parent = frame.iloc(slice(0, split))
+        for start, end in ranges:
+            range_digest(parent, start, end)
+        child = parent.append_rows(frame.iloc(slice(split, None)))
+        for start, end in ranges:
+            expected = _old_range_digest(frame, start, end)
+            cold = Frame(frame.index, frame.to_dict())
+            assert range_digest(cold, start, end) == expected
+            assert range_digest(frame, start, end) == expected  # fills
+            assert range_digest(frame, start, end) == expected  # memo
+            assert range_digest(child, start, end) == expected
 
 
 class TestPipelineKeys:

@@ -1,9 +1,11 @@
-"""Allocation-regression tests for Frame's dense-matrix fast paths.
+"""Allocation-regression tests for Frame's derived caches.
 
 ``to_matrix`` must materialise the full-frame matrix exactly once, and
 ``from_matrix`` must copy its input exactly once — the training /
 cache-keying hot paths convert the same frame repeatedly, and these
-guarantees are what the compiled-predict benchmark relies on.
+guarantees are what the compiled-predict benchmark relies on. The
+row-range digest memo must ride along ``append_rows`` for the rows it
+already covered, and only for those.
 """
 
 import pickle
@@ -11,6 +13,8 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.cache.keys as keys
+from repro.cache import dump_artifact, load_artifact, range_digest
 from repro.frame import Frame, date_range
 
 
@@ -104,3 +108,63 @@ class TestPickleDropsCache:
         warm = pickle.dumps(frame)
         assert len(warm) == len(cold)
 
+
+
+class TestRowDigestMemo:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        real = keys.frame_digest
+
+        def recording(frame):
+            calls.append(frame.index.isoformat())
+            return real(frame)
+
+        monkeypatch.setattr(keys, "frame_digest", recording)
+        return calls
+
+    @pytest.fixture
+    def grown(self, frame):
+        more = Frame(date_range("2018-01-07", periods=2),
+                     {n: [7.0, 8.0] for n in frame.columns})
+        range_digest(frame, "2018-01-02", "2018-01-05")
+        range_digest(frame, "2018-01-03", None)
+        return frame.append_rows(more)
+
+    def test_range_before_new_rows_served_from_memo(self, frame, grown,
+                                                    spy):
+        assert (range_digest(grown, "2018-01-02", "2018-01-05")
+                == range_digest(frame, "2018-01-02", "2018-01-05"))
+        assert spy == []
+
+    def test_range_the_new_rows_enter_is_recomputed(self, grown, spy):
+        digest = range_digest(grown, "2018-01-03", None)
+        assert spy == [["2018-01-03", "2018-01-04", "2018-01-05",
+                        "2018-01-06", "2018-01-07", "2018-01-08"]]
+        fresh = Frame(grown.index, grown.to_dict())
+        assert range_digest(fresh, "2018-01-03", None) == digest
+
+    def test_other_constructors_start_empty(self, frame):
+        range_digest(frame, "2018-01-02", "2018-01-05")
+        assert frame._row_digests
+        for derived in (frame.select(frame.columns), frame.iloc(slice(None)),
+                        frame.with_prefix("p_"),
+                        Frame.from_matrix(frame.index, frame.to_matrix(),
+                                          frame.columns)):
+            assert derived._row_digests == {}
+
+    def test_pickle_round_trip_drops_memo(self, frame):
+        cold = pickle.dumps(frame)
+        range_digest(frame, "2018-01-02", "2018-01-05")
+        assert pickle.dumps(frame) == cold
+        clone = pickle.loads(cold)
+        assert clone == frame
+        assert clone._row_digests == {}
+
+    def test_artifact_round_trip_drops_memo(self, frame):
+        cold = dump_artifact(frame)
+        range_digest(frame, "2018-01-02", "2018-01-05")
+        assert dump_artifact(frame) == cold
+        clone = load_artifact(cold)
+        assert clone == frame
+        assert clone._row_digests == {}

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.cache.keys as keys
 import repro.core.scenarios as scenarios
 from repro.cache import CacheStore
 from repro.core.pipeline import (
@@ -125,6 +126,50 @@ class TestUpdateEndToEnd:
         assert update.scenarios_cached == 2
         keys = cache_entry_keys(update.results.config, update.results.raw)
         assert reads == list(keys.tasks.values())
+
+
+class TestChainedUpdate:
+    """A second update fed the first update's in-memory dataset: the
+    row-range digests of the unchanged prefix ride along ``append_rows``,
+    so only the crypto100 target is hashed again."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, study):
+        hashed = []
+        real = keys.frame_digest
+
+        def spy(frame):
+            hashed.append(frame.columns)
+            return real(frame)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(keys, "frame_digest", spy)
+            update = update_experiment(
+                study.update.config, days=1, raw=study.update.results.raw,
+                cache_dir=study.cache,
+            )
+        reference = run_experiment(update.config)
+        return SimpleNamespace(update=update, hashed=hashed,
+                               reference=reference)
+
+    def test_features_never_hashed(self, study, chain):
+        features = study.update.results.raw.features.columns
+        assert chain.hashed  # the target frame is rebuilt and hashed
+        assert all(columns == ["crypto100"] for columns in chain.hashed)
+        assert features not in chain.hashed
+
+    def test_every_scenario_served_from_cache(self, chain):
+        assert chain.update.dataset_reused
+        assert chain.update.scenarios_cached == 2
+
+    def test_bit_identical_to_cold_rerun(self, chain):
+        assert chain.update.config.simulation.end == "2018-01-03"
+        assert (chain.update.results.raw.features
+                == chain.reference.raw.features)
+        assert (_improvement_rows(chain.update.results)
+                == _improvement_rows(chain.reference))
+        assert (scenarios.period_digests(chain.update.results.raw)
+                == scenarios.period_digests(chain.reference.raw))
 
 
 class TestPartialCache:

@@ -102,15 +102,6 @@ class TestCaching:
         assert graph.cache_hits == {"hit"}
         assert stored == [("miss", "k2", 7)]  # only fresh, keyed nodes
 
-    def test_store_result_false_skips_cache_put(self):
-        stored = []
-        graph = TaskGraph()
-        graph.add("a", _const(1), cache_key="k",
-                  store_result=False)
-        graph.run(cache_get=lambda *a: (False, None),
-                  cache_put=lambda *a: stored.append(a))
-        assert stored == []
-
 
 class TestFailures:
     def test_failure_raises_by_default(self):

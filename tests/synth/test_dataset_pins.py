@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from repro.cache import frame_digest
 from repro.synth import SimulationConfig, generate_raw_dataset
 
 _PINS = [
@@ -38,3 +39,12 @@ def _features_digest(features) -> str:
 )
 def test_generated_features_match_pin(config, expected):
     assert _features_digest(generate_raw_dataset(config).features) == expected
+
+
+def test_frame_digest_pin():
+    # The digest every dataset-derived cache key is built from: moving
+    # how the feature frame is assembled must not move it.
+    raw = generate_raw_dataset(SimulationConfig(seed=20240701))
+    assert frame_digest(raw.features) == (
+        "898aaeb5a9e400fb62d39e7709d807ca3d2aa963b213b08fdb2f54482614a3f7"
+    )
