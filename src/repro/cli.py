@@ -6,9 +6,9 @@ Commands
     Generate the synthetic dataset and write it (plus the Crypto100
     target) to CSV files.
 ``run``
-    Execute the full experiment at a chosen preset and print every
-    reproduced table; optionally write them to a report file and append
-    a run record to the ledger.
+    Execute the full experiment at a chosen preset and print its
+    report (every reproduced table, as markdown); optionally write the
+    same text to a report file and append a run record to the ledger.
 ``update``
     Append-only incremental update (:mod:`repro.incremental`): extend
     the dataset by ``--days`` simulated days and re-run the experiment
@@ -67,14 +67,7 @@ from pathlib import Path
 from .categories import DataCategory
 from .core.crypto100 import crypto100_index, tune_scaling_power
 from .core.pipeline import ExperimentConfig, run_experiment
-from .core.reporting import (
-    render_contributions,
-    render_improvement_by_category,
-    render_improvement_by_window,
-    render_table1,
-    render_top_features,
-    render_unique_features,
-)
+from .core.reporting import render_report
 from .frame.io import write_csv
 from .obs import (
     RunLedger,
@@ -85,7 +78,6 @@ from .obs import (
     render_compare,
     render_history,
     render_record,
-    stage_breakdown,
 )
 from .parallel import (
     resolve_n_jobs,
@@ -150,16 +142,6 @@ def _write_report(path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     print(f"\nreport written to {path}")
-
-
-def _stage_line(spans) -> str:
-    """The console report's one-line stage breakdown: self time per
-    stage, without the run root's own ``experiment`` stage."""
-    return " | ".join(
-        f"{stage} {format_runtime(seconds)}"
-        for stage, seconds in stage_breakdown(spans).items()
-        if stage != "experiment"
-    )
 
 
 _jobs = _checked_by(int, resolve_n_jobs)
@@ -228,9 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="fast")
     run.add_argument("--seed", type=int, default=20240701)
     run.add_argument("--report", type=Path, default=None,
-                     help="also write the rendered tables to this file")
-    run.add_argument("--markdown", type=Path, default=None,
-                     help="also write a full markdown report here")
+                     help="also write the printed report (markdown) "
+                          "to this file")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress logging")
     run.add_argument("--log-level", default=None,
@@ -322,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "the parent run's fingerprint "
                              "(default: $REPRO_LEDGER if set)")
     update.add_argument("--report", type=Path, default=None,
-                        help="also write the rendered tables to this "
-                             "file")
+                        help="also write the printed report (markdown) "
+                             "to this file")
     update.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
 
@@ -455,74 +436,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _append_section(sections: list, label: str, make) -> None:
-    """Render one report section, degrading to a note when the results
-    are too incomplete for it (dropped categories, failed scenarios)."""
-    try:
-        sections.append(make())
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
-        sections.append(f"[{label} unavailable on this run: {exc}]")
-
-
-def _render_full_report(results) -> str:
-    sections = []
-    if results.degradation is not None:
-        sections.append(
-            f"degraded inputs: {results.degradation.summary()}"
-        )
-    if results.failures:
-        lines = [f"{len(results.failures)} scenario(s) failed "
-                 f"(results below cover the rest):"]
-        lines += [f"  {failure}"
-                  for _, failure in sorted(results.failures.items())]
-        sections.append("\n".join(lines))
-    _append_section(sections, "Table 1",
-                    lambda: render_table1(results.table1_vector_sizes()))
-    _append_section(sections, "SHAP overlap", lambda: (
-        f"mean FRA/SHAP top-100 overlap: "
-        f"{results.mean_shap_overlap():.1f} features"
-    ))
-    for period in ("2017", "2019"):
-        _append_section(
-            sections, f"contributions {period}", lambda period=period:
-            render_contributions(results.contributions(period), period)
-        )
-        _append_section(
-            sections, f"Table 3 ({period})", lambda period=period:
-            render_top_features(results.table3_top_features(period), period)
-        )
-        _append_section(
-            sections, f"Table 4 ({period})", lambda period=period:
-            render_unique_features(
-                results.table4_unique_features(period), period
-            )
-        )
-    _append_section(sections, "Table 5", lambda: render_improvement_by_window({
-        p: results.table5_improvement_by_window(p) for p in ("2017", "2019")
-    }))
-    _append_section(
-        sections, "Table 6", lambda: render_improvement_by_category({
-            p: results.table6_improvement_by_category(p)
-            for p in ("2017", "2019")
-        })
-    )
-    lines = ["Overall average improvement (§4.3):"]
-    for model in ("rf", "gb"):
-        for period in ("2017", "2019"):
-            try:
-                value = results.overall_improvement(period, model)
-            except ValueError:
-                continue
-            lines.append(f"  {model.upper()} set {period}: {value:.2f}%")
-    sections.append("\n".join(lines))
-    runtime_lines = [f"runtime: {format_runtime(results.runtime_seconds)}"]
-    breakdown = _stage_line(results.run_summary.spans)
-    if breakdown:
-        runtime_lines.append(f"stages: {breakdown}")
-    sections.append("\n".join(runtime_lines))
-    return "\n\n".join(sections)
-
-
 def _cmd_run(args) -> int:
     import dataclasses
 
@@ -561,14 +474,9 @@ def _cmd_run(args) -> int:
         cache_kwargs["ledger_path"] = str(ledger_path)
 
     results = run_experiment(config, **cache_kwargs)
-    report = _render_full_report(results)
+    report = render_report(results)
     print(report)
     _write_report(args.report, report)
-    if args.markdown is not None:
-        from .core.report import write_markdown_report
-
-        path = write_markdown_report(results, args.markdown)
-        print(f"markdown report written to {path}")
     return 0
 
 
@@ -613,7 +521,7 @@ def _cmd_update(args) -> int:
         lines.append(f"  parent run: {update.parent_run_id}")
     print("\n".join(lines))
     print()
-    report = _render_full_report(update.results)
+    report = render_report(update.results)
     print(report)
     _write_report(args.report, report)
     return 0 if update.results.complete else 1

@@ -42,12 +42,12 @@ from .pipeline import (
     ScenarioFailure,
     run_experiment,
 )
-from .report import export_markdown, write_markdown_report
 from .reporting import (
     format_table,
     render_contributions,
     render_improvement_by_category,
     render_improvement_by_window,
+    render_report,
     render_series,
     render_table1,
     render_top_features,
@@ -104,7 +104,6 @@ __all__ = [
     "crypto100_from_caps",
     "crypto100_index",
     "evaluate_feature_set",
-    "export_markdown",
     "format_table",
     "fra_reduce",
     "fra_stability",
@@ -114,6 +113,7 @@ __all__ = [
     "render_contributions",
     "render_improvement_by_category",
     "render_improvement_by_window",
+    "render_report",
     "render_series",
     "render_table1",
     "render_top_features",
@@ -129,5 +129,4 @@ __all__ = [
     "tracking_distance",
     "tune_scaling_power",
     "unique_features",
-    "write_markdown_report",
 ]

@@ -26,7 +26,6 @@ from ..cache import (
     CacheStore,
     config_fingerprint,
     dataset_key,
-    frame_digest,
     scenarios_key,
     task_key,
 )
@@ -475,6 +474,8 @@ class ExperimentResults:
         overlaps = [
             art.selection.overlap_top100 for art in self.artifacts.values()
         ]
+        if not overlaps:
+            raise ValueError("no scenario succeeded")
         return sum(overlaps) / len(overlaps)
 
     # ----- Figures 3-4 -----------------------------------------------------
@@ -941,7 +942,6 @@ def run_experiment(config: ExperimentConfig | None = None,
         if dkey is not None:
             lineage["dataset_key"] = dkey
         if store is not None and digests is not None:
-            lineage["dataset_digest"] = frame_digest(raw.features)
             for period, digest in digests.items():
                 lineage[f"period_digest_{period}"] = digest
         RunLedger(ledger_path).try_append(build_record(

@@ -1,17 +1,26 @@
-"""Plain-text renderers for the paper's tables and figure series.
+"""Renderers for the paper's tables, figure series and run report.
 
-The benches print these so a reproduction run reads like the paper's
-evaluation section. Everything returns strings; nothing writes files.
+Every table is a GitHub-flavoured markdown pipe table whose columns are
+padded, so the same text reads as an aligned table on a console and
+renders as markdown. :func:`render_report` assembles one run's whole
+report from the ``render_*`` functions; the benches print those
+directly. Everything returns strings; nothing prints or writes files.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from ..categories import CATEGORY_LABELS, DataCategory
+from ..obs import format_runtime, stage_rows, stage_table
+
+if TYPE_CHECKING:
+    from .pipeline import ExperimentResults
 
 __all__ = [
     "format_table",
+    "render_report",
     "render_table1",
     "render_contributions",
     "render_top_features",
@@ -25,7 +34,8 @@ __all__ = [
 def format_table(headers: Sequence[str],
                  rows: Sequence[Sequence[object]],
                  title: str | None = None) -> str:
-    """Render an aligned ASCII table."""
+    """Render a padded markdown pipe table, after ``title`` and one
+    blank line when a title is given."""
     cells = [[str(h) for h in headers]] + [
         [str(c) for c in row] for row in rows
     ]
@@ -34,10 +44,9 @@ def format_table(headers: Sequence[str],
     ]
     lines = []
     if title:
-        lines.append(title)
-    sep = "-+-".join("-" * w for w in widths)
+        lines += [title, ""]
     lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append(sep)
+    lines.append("-|-".join("-" * w for w in widths))
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
@@ -170,3 +179,98 @@ def render_series(name: str, values: Sequence[float],
         f"last={values[-1]:.4g} min={min(values):.4g} "
         f"max={max(values):.4g}\n  samples: [{body}]"
     )
+
+
+def _render_overall(results: ExperimentResults) -> str:
+    """§4.3: the all-scenario average improvement per model and set."""
+    rows = []
+    for model in ("rf", "gb"):
+        for period in results.config.periods:
+            try:
+                value = results.overall_improvement(period, model)
+            except ValueError:  # GB pass skipped, or no such scenarios
+                continue
+            rows.append((model.upper(), period, f"{value:.2f}%"))
+    return format_table(
+        ["Model", "Set", "Mean improvement"], rows,
+        title="Overall average MSE percentage decrease (§4.3)",
+    )
+
+
+def render_report(results: ExperimentResults) -> str:
+    """One run's whole report as a markdown document.
+
+    A header line (seed, periods, windows, runtime); the degradation
+    summary and the failed scenarios when there are any; Table 1, the
+    FRA/SHAP overlap, Figures 3-4, Tables 3-6 and the §4.3 averages for
+    every period of the run; then the per-stage telemetry table of
+    ``repro report --run`` and the run's counters. A section that the
+    results cannot support (failed scenarios, dropped categories)
+    becomes a one-line note instead of raising.
+    """
+    config = results.config
+    periods = list(config.periods)
+    sections = [
+        f"Reproduction report: seed {config.simulation.seed}, "
+        f"periods {', '.join(periods)}, "
+        f"windows {', '.join(str(w) for w in config.windows)}, "
+        f"runtime {format_runtime(results.runtime_seconds)}"
+    ]
+    if results.degradation is not None:
+        sections.append(f"degraded inputs: {results.degradation.summary()}")
+    if results.failures:
+        sections.append("\n".join(
+            [f"{len(results.failures)} scenario(s) failed "
+             f"(results below cover the rest):", ""]
+            + [f"- {failure}"
+               for _, failure in sorted(results.failures.items())]
+        ))
+
+    def section(label: str, make) -> None:
+        try:
+            sections.append(make())
+        except (ValueError, KeyError) as exc:
+            sections.append(f"[{label} unavailable on this run: {exc}]")
+
+    def contributions(period: str) -> str:
+        per_window = results.contributions(period)
+        if not per_window:
+            raise ValueError(f"no scenario of set {period} succeeded")
+        return render_contributions(per_window, period)
+
+    section("Table 1",
+            lambda: render_table1(results.table1_vector_sizes()))
+    section("SHAP overlap", lambda: (
+        f"Mean FRA/SHAP top-100 overlap: "
+        f"{results.mean_shap_overlap():.1f} features"
+    ))
+    for period in periods:
+        section(f"Contributions ({period})",
+                lambda period=period: contributions(period))
+    for period in periods:
+        section(f"Table 3 ({period})", lambda period=period:
+                render_top_features(results.table3_top_features(period),
+                                    period))
+        section(f"Table 4 ({period})", lambda period=period:
+                render_unique_features(
+                    results.table4_unique_features(period), period))
+    section("Table 5", lambda: render_improvement_by_window({
+        p: results.table5_improvement_by_window(p) for p in periods
+    }))
+    section("Table 6", lambda: render_improvement_by_category({
+        p: results.table6_improvement_by_category(p) for p in periods
+    }))
+    sections.append(_render_overall(results))
+
+    summary = results.run_summary
+    if summary.spans:
+        sections.append(format_table(*stage_table(stage_rows(summary.spans)),
+                                     title="Run telemetry"))
+    counters = summary.metrics.get("counters", {})
+    if counters:
+        sections.append(format_table(
+            ["counter", "value"],
+            [(name, int(counters[name])) for name in sorted(counters)],
+            title="Counters",
+        ))
+    return "\n\n".join(sections)

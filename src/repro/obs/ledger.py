@@ -149,9 +149,10 @@ class RunRecord:
     """Free-form discriminators (preset, policy, bench name, ...)."""
 
     cache: dict = field(default_factory=dict)
-    """Cache lineage: ``dataset_key`` / ``dataset_digest`` plus the
-    run's hit/miss/write counters.  Cold and warm runs of one config
-    share the same keys — that is the cross-run link."""
+    """Cache lineage: ``dataset_key`` and one ``period_digest_<period>``
+    per period, plus the run's hit/miss/write counters.  Cold and warm
+    runs of one config share the same keys — that is the cross-run
+    link."""
 
     stages: dict = field(default_factory=dict)
     """Per-span-name aggregates (see :func:`stage_rows`)."""
@@ -429,7 +430,8 @@ def stage_table(stages: dict) -> tuple[tuple, list[tuple]]:
 
     Columns: count, total/self/mean/max seconds, plus cpu/max-rss when
     the rows carry them (:func:`stage_rows`).  :func:`render_record`
-    lays it out as text and the markdown report as a markdown table.
+    lays it out for ``repro report --run``, and the run report
+    (``repro.core.render_report``) as its telemetry table.
     """
     measured = any("cpu_s" in row for row in stages.values())
     headers = ("stage", "count", "total", "self", "mean", "max")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..categories import DataCategory
+from ..core.reporting import format_table
 from ..obs import RunLedger, Tracer, build_record, get_logger
 from .degradation import DegradationReport
 from .faults import FaultPlan
@@ -189,36 +190,26 @@ def _improvements(results, model: str):
 
 
 def _fmt_mse(value: float | None) -> str:
-    return f"{value:12.4g}" if value is not None else f"{'dropped':>12}"
-
-
-def _fmt_pct(value: float | None) -> str:
-    return f"{value:+10.1f}%" if value is not None else f"{'—':>11}"
+    return f"{value:.4g}" if value is not None else "dropped"
 
 
 def render_chaos_table(report: ChaosReport) -> str:
     """The per-category degradation table plus the resilience ledger."""
-    labels = {
-        row.label: ("diverse (final vector)" if row.label == "diverse"
-                    else str(DataCategory(row.label)))
+    rows = [
+        ("diverse (final vector)" if row.label == "diverse"
+         else str(DataCategory(row.label)),
+         _fmt_mse(row.clean_mse),
+         _fmt_mse(row.faulted_mse),
+         f"{row.pct_change:+.1f}%" if row.pct_change is not None else "—")
         for row in report.rows
-    }
-    label_width = max([len(v) for v in labels.values()] + [11])
-    lines = [
-        f"Forecast degradation under faults "
-        f"(policy={report.policy}, "
-        f"{report.n_scenarios_compared} scenarios, "
-        f"{len(report.plan.events)} fault events)",
-        "",
-        f"{'feature set':<{label_width}} {'clean MSE':>12} "
-        f"{'faulted MSE':>12} {'change':>11}",
     ]
-    for row in report.rows:
-        label = labels[row.label]
-        lines.append(
-            f"{label:<{label_width}} {_fmt_mse(row.clean_mse)} "
-            f"{_fmt_mse(row.faulted_mse)} {_fmt_pct(row.pct_change)}"
-        )
+    lines = [format_table(
+        ["feature set", "clean MSE", "faulted MSE", "change"], rows,
+        title=f"Forecast degradation under faults "
+              f"(policy={report.policy}, "
+              f"{report.n_scenarios_compared} scenarios, "
+              f"{len(report.plan.events)} fault events)",
+    )]
     lines += ["", f"degradation: {report.degradation.summary()}"]
     if report.failures:
         lines.append("failed scenarios:")

@@ -5,6 +5,8 @@ line up) and the *reproduction shapes* the paper reports, at the level of
 robustness the fast preset can support.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,10 @@ class TestRunArtifacts:
             for art in results.artifacts.values()
         )
 
+
+    def test_shap_overlap_needs_a_scenario(self, results):
+        with pytest.raises(ValueError, match="no scenario succeeded"):
+            dataclasses.replace(results, artifacts={}).mean_shap_overlap()
 
 class TestContributionShapes:
     def test_usdc_only_in_2019(self, results):

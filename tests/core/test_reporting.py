@@ -1,16 +1,50 @@
-"""Unit tests for the table renderers."""
+"""Unit tests for the table renderers and the run report."""
+
+import re
+from dataclasses import replace
 
 from repro.categories import DataCategory
+from repro.core.pipeline import ScenarioFailure
 from repro.core.reporting import (
     format_table,
     render_contributions,
     render_improvement_by_category,
     render_improvement_by_window,
+    render_report,
     render_series,
     render_table1,
     render_top_features,
     render_unique_features,
 )
+from repro.obs import RunSummary
+from repro.resilience import DegradationReport
+
+DELIMITER = re.compile(r"^-+(\|-+)*$")
+
+
+def _tables(doc: str) -> list[list[str]]:
+    """Every pipe table of ``doc``: header, delimiter and body lines."""
+    lines = doc.splitlines()
+    tables = []
+    for i, line in enumerate(lines):
+        if "|" in line and set(line) <= {"-", "|"}:
+            assert i >= 2 and lines[i - 2] == "", "table must start a block"
+            body = []
+            for row in lines[i + 1:]:
+                if not row:
+                    break
+                body.append(row)
+            tables.append([lines[i - 1], line] + body)
+    return tables
+
+
+def _assert_valid_tables(doc: str) -> int:
+    tables = _tables(doc)
+    for header, delimiter, *rows in tables:
+        assert DELIMITER.match(delimiter), delimiter
+        for line in [delimiter] + rows:
+            assert line.count("|") == header.count("|"), line
+    return len(tables)
 
 
 class TestFormatTable:
@@ -27,6 +61,11 @@ class TestFormatTable:
     def test_non_string_cells(self):
         out = format_table(["n"], [[42], [3.5]])
         assert "42" in out and "3.5" in out
+
+    def test_markdown_pipe_table(self):
+        out = format_table(["a", "bbb"], [["1", "2"]], title="T")
+        assert out.splitlines() == ["T", "", "a | bbb", "--|----",
+                                    "1 | 2  "]
 
 
 class TestRenderers:
@@ -88,3 +127,96 @@ class TestRenderers:
 
     def test_series_empty(self):
         assert "(empty)" in render_series("x", [])
+
+
+class TestRenderReport:
+    def test_contains_all_sections(self, results):
+        doc = render_report(results)
+        for heading in (
+            "Reproduction report",
+            "Table 1",
+            "FRA/SHAP top-100 overlap",
+            "Figure 3",
+            "Figure 4",
+            "Table 3",
+            "Table 4",
+            "Table 5",
+            "Table 6",
+            "Overall average",
+            "Run telemetry",
+            "Counters",
+        ):
+            assert heading in doc, heading
+        assert "unavailable" not in doc
+        assert "degraded inputs" not in doc and "failed" not in doc
+
+    def test_tables_are_valid_markdown(self, results):
+        # Table 1, Figures 3-4, Tables 3-4 per set, Tables 5-6, §4.3,
+        # telemetry and counters: every row as wide as its header.
+        assert _assert_valid_tables(render_report(results)) >= 11
+
+    def test_scenario_keys_present(self, results):
+        doc = render_report(results)
+        for key in results.table1_vector_sizes():
+            assert key in doc
+
+    def test_improvement_values_formatted(self, results):
+        doc = render_report(results)
+        assert re.search(r"\d\.\d\d%", doc)
+
+    def test_metadata_line(self, results):
+        header = render_report(results).splitlines()[0]
+        assert str(results.config.simulation.seed) in header
+        assert "2017, 2019" in header
+
+    def test_telemetry_stage_table_matches_run_report(self, results):
+        # The same stage columns as ``repro report --run``.
+        doc = render_report(results)
+        telemetry = doc[doc.index("Run telemetry"):].splitlines()
+        cells = [cell.strip() for cell in telemetry[2].split("|")]
+        assert cells == ["stage", "count", "total", "self", "mean",
+                         "max", "cpu", "max-rss"]
+        assert any(line.split("|")[0].strip() == "experiment.run"
+                   for line in telemetry)
+
+    def test_all_failed_run_lists_failures(self, results):
+        keys = sorted(results.artifacts)
+        failed = replace(
+            results, artifacts={}, improvements_rf=[], improvements_gb=[],
+            failures={key: ScenarioFailure(key, "RuntimeError", "boom")
+                      for key in keys},
+        )
+        doc = render_report(failed)
+        assert f"{len(keys)} scenario(s) failed" in doc
+        for key in keys:
+            assert f"- {key}: RuntimeError: boom" in doc
+        assert ("[SHAP overlap unavailable on this run: "
+                "no scenario succeeded]") in doc
+        assert "no scenario of set 2017 succeeded" in doc
+        _assert_valid_tables(doc)
+
+    def test_degraded_run_shows_summary(self, results):
+        degradation = DegradationReport(policy="fill")
+        doc = render_report(replace(results, degradation=degradation))
+        assert f"degraded inputs: {degradation.summary()}" in doc
+
+    def test_single_period_run_has_no_other_period(self, results):
+        only_2019 = replace(
+            results,
+            config=replace(results.config, periods=("2019",)),
+            artifacts={key: art for key, art in results.artifacts.items()
+                       if art.scenario.period == "2019"},
+            improvements_rf=[i for i in results.improvements_rf
+                             if i.period == "2019"],
+            improvements_gb=[i for i in results.improvements_gb
+                             if i.period == "2019"],
+        )
+        doc = render_report(only_2019)
+        assert "Figure 4" in doc and "Figure 3" not in doc
+        assert "set 2017" not in doc and "(2017)" not in doc
+        assert "unavailable" not in doc
+        _assert_valid_tables(doc)
+
+    def test_telemetry_absent_without_spans(self, results):
+        doc = render_report(replace(results, run_summary=RunSummary()))
+        assert "Run telemetry" not in doc and "Counters" not in doc

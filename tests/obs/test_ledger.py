@@ -68,6 +68,14 @@ class TestRunRecord:
         assert "resumed" not in record.to_dict()
         assert "checkpoint" not in record.to_dict()
 
+    def test_from_dict_parses_retired_dataset_digest(self):
+        # Older run records carry a whole-dataset ``dataset_digest`` in
+        # their cache lineage; they still load, key and all.
+        payload = _record().to_dict()
+        payload["cache"] = {"dataset_key": "k1", "dataset_digest": "d1"}
+        record = RunRecord.from_dict(payload)
+        assert record.cache["dataset_digest"] == "d1"
+
     def test_from_dict_tolerates_missing_fields(self):
         minimal = RunRecord.from_dict({"kind": "run"})
         assert minimal.status == "ok"

@@ -60,6 +60,12 @@ class TestRunLedgerIntegration:
         assert cold.cache["dataset_key"] == warm.cache["dataset_key"]
         assert cold.run_id != warm.run_id
 
+    def test_cache_lineage_is_the_period_digests(self, cold_and_warm,
+                                                 ledger_path):
+        for record in RunLedger(ledger_path).records():
+            assert "period_digest_2017" in record.cache
+            assert "dataset_digest" not in record.cache
+
     def test_warm_record_shows_cache_hits(self, cold_and_warm,
                                           ledger_path):
         cold, warm = RunLedger(ledger_path).records()

@@ -117,15 +117,6 @@ class TestStageBreakdown:
         assert breakdown["stage_a"] == pytest.approx(3.0)
         assert breakdown["stage_b"] == pytest.approx(5.0)
 
-    def test_breakdown_line_skips_experiment(self, trace):
-        # The console report's "stages:" line, built on stage_breakdown.
-        from repro.cli import _stage_line
-
-        line = _stage_line(trace)
-        assert "experiment" not in line
-        assert "stage_a 3.00s" in line
-        assert "stage_b 5.00s" in line
-
 
 class TestSlowest:
     def test_orders_by_duration(self, trace):

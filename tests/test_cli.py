@@ -22,13 +22,8 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.preset == "fast"
         assert args.report is None
-        assert args.markdown is None
-
-    def test_run_markdown_arg(self, tmp_path):
-        args = build_parser().parse_args(
-            ["run", "--markdown", str(tmp_path / "r.md")]
-        )
-        assert args.markdown.name == "r.md"
+        # one report, printed and written by --report (it is markdown)
+        assert not hasattr(args, "markdown")
 
     def test_bad_preset_rejected(self):
         with pytest.raises(SystemExit):
@@ -334,6 +329,37 @@ class TestRunResilienceWiring:
             build_parser().parse_args(["run", flag, str(tmp_path)])
 
 
+class TestRunReport:
+    def test_report_file_is_what_was_printed(self, tmp_path, monkeypatch,
+                                             capsys):
+        import repro.cli as cli
+        from repro.core.pipeline import (
+            ExperimentConfig,
+            ExperimentResults,
+            ScenarioFailure,
+        )
+
+        def stub(config, **kwargs):
+            # A --keep-going run in which every scenario failed.
+            return ExperimentResults(
+                config=config, raw=None, artifacts={},
+                improvements_rf=[], improvements_gb=[],
+                failures={"2017_7": ScenarioFailure("2017_7", "OSError",
+                                                    "disk full")},
+            )
+
+        monkeypatch.setattr(cli, "run_experiment", stub)
+        path = tmp_path / "r.md"
+        code = main(["run", "--keep-going", "--no-cache", "--quiet",
+                     "--report", str(path)])
+        assert code == 0
+        report = path.read_text()
+        assert "- 2017_7: OSError: disk full" in report
+        assert capsys.readouterr().out == (
+            f"{report}\nreport written to {path}\n"
+        )
+
+
 class TestChaosCommand:
     @staticmethod
     def _stub_chaos(monkeypatch, store):
@@ -494,7 +520,7 @@ class TestUpdateCommand:
             )
 
         monkeypatch.setattr(repro.incremental, "update_experiment", stub)
-        monkeypatch.setattr(cli, "_render_full_report",
+        monkeypatch.setattr(cli, "render_report",
                             lambda results: "stub report")
         code = main(["update", "--no-cache", "--quiet"])
         assert code == 1

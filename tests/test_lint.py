@@ -43,6 +43,15 @@ class TestCheckNoPrint:
         assert "fra.py:1" in result.stderr
         assert "cli.py" not in result.stderr
 
+    def test_report_renderer_may_not_print(self, tmp_path):
+        # The renderers return strings; only the CLI prints them.
+        package = tmp_path / "src" / "repro"
+        (package / "core").mkdir(parents=True)
+        (package / "core" / "reporting.py").write_text('print("table")\n')
+        result = _run(tmp_path / "src")
+        assert result.returncode == 1
+        assert "reporting.py:1" in result.stderr
+
     def test_cache_package_is_inside_the_scanned_tree(self):
         scanned = {
             path.relative_to(REPO / "src" / "repro").as_posix()

@@ -2,9 +2,10 @@
 """Lint: no bare ``print(`` calls in library code.
 
 Library modules must log through :mod:`repro.obs` so output stays
-structured and configurable; only the CLI and the report renderers are
-user-facing text emitters.  The check parses each file with ``ast`` so
-``print`` mentioned inside docstrings or comments does not trip it.
+structured and configurable; only the CLI is a user-facing text
+emitter, and the renderers return strings for it to print.  The check
+parses each file with ``ast`` so ``print`` mentioned inside docstrings
+or comments does not trip it.
 
 The scan is recursive, so new packages (``repro.parallel``,
 ``repro.obs``, ...) are covered the moment they land under a scanned
@@ -24,13 +25,9 @@ import ast
 import sys
 from pathlib import Path
 
-#: Modules allowed to print: the CLI and the plain-text/markdown
-#: report renderers (paths relative to the ``repro`` package).
-ALLOWED = {
-    "cli.py",
-    "core/report.py",
-    "core/reporting.py",
-}
+#: Modules allowed to print: only the CLI (paths relative to the
+#: ``repro`` package).  The report renderers return strings.
+ALLOWED = {"cli.py"}
 
 PACKAGE = "repro"
 
