@@ -15,8 +15,9 @@ day costs ≪ 1% of the cold run. One entry lands in
     cold ``n+1``-day rerun's, float for float) and
     ``daily_cost_below_1pct``. Two info-only keys split the update's
     wall-clock, read from the spans its :class:`~repro.obs.Tracer`
-    records: ``extend_s`` (``synth.extend``: regenerating the extended
-    dataset plus the byte-for-byte prefix check) and ``rerun_s``
+    records: ``extend_s`` (``synth.extend``: simulating only the new
+    day from the parent dataset's carried state and appending it to the
+    features, target, latent arrays and universe) and ``rerun_s``
     (``experiment.run``: the cached rerun of the study). Neither is a
     ``speedup_*`` ratio or a boolean, so neither gates.
 

@@ -114,10 +114,15 @@ def dataset_key(simulation_config, fault_plan=None, degradation=None) -> str:
 
     The fault plan and degradation policy are explicit parts: the same
     simulation seed under chaos produces different data, and the two
-    must never share an address.
+    must never share an address. So is the simulator's output format:
+    a dataset written by code that simulates other bytes, or keeps
+    another carry, is never read back.
     """
+    from ..synth.dataset import SIMULATOR_FORMAT
+
     return fingerprint_parts(
-        "dataset", simulation_config, fault_plan, degradation
+        "dataset", SIMULATOR_FORMAT, simulation_config, fault_plan,
+        degradation,
     )
 
 

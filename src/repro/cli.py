@@ -477,7 +477,9 @@ def _cmd_run(args) -> int:
     report = render_report(results)
     print(report)
     _write_report(args.report, report)
-    return 0
+    # A --keep-going run whose scenarios did not all succeed still
+    # prints its report, but does not pass as a success.
+    return 0 if results.complete else 1
 
 
 def _cmd_update(args) -> int:

@@ -16,7 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..frame.frame import Frame
-from ..synth.market import MarketUniverse
+from ..synth.market import (
+    DEFAULT_POWER,
+    MarketUniverse,
+    crypto100_from_caps,
+)
 
 __all__ = [
     "DEFAULT_POWER",
@@ -26,19 +30,6 @@ __all__ = [
     "tracking_distance",
     "tune_scaling_power",
 ]
-
-#: The paper's scaling-factor exponent.
-DEFAULT_POWER = 7
-
-
-def crypto100_from_caps(top100_cap: np.ndarray,
-                        power: float = DEFAULT_POWER) -> np.ndarray:
-    """Apply the Crypto100 formula to a summed top-100 cap series."""
-    top100_cap = np.asarray(top100_cap, dtype=np.float64)
-    if (top100_cap <= 0).any():
-        raise ValueError("market capitalisation must be positive")
-    scaling = np.log10(top100_cap) ** power
-    return top100_cap / scaling
 
 
 def crypto100_index(universe: MarketUniverse,

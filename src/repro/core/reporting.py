@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from ..categories import CATEGORY_LABELS, DataCategory
 from ..obs import format_runtime, stage_rows, stage_table
+from ..tables import format_table
 
 if TYPE_CHECKING:
     from .pipeline import ExperimentResults
@@ -29,27 +30,6 @@ __all__ = [
     "render_improvement_by_category",
     "render_series",
 ]
-
-
-def format_table(headers: Sequence[str],
-                 rows: Sequence[Sequence[object]],
-                 title: str | None = None) -> str:
-    """Render a padded markdown pipe table, after ``title`` and one
-    blank line when a title is given."""
-    cells = [[str(h) for h in headers]] + [
-        [str(c) for c in row] for row in rows
-    ]
-    widths = [
-        max(len(row[j]) for row in cells) for j in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines += [title, ""]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append("-|-".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def render_table1(sizes: Mapping[str, int]) -> str:

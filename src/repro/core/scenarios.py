@@ -20,11 +20,9 @@ import numpy as np
 
 from ..cache import fingerprint_parts, range_digest
 from ..categories import DataCategory
-from ..frame.frame import Frame
 from ..obs import span
 from ..synth.dataset import RawDataset
 from .cleaning import CleaningReport, clean_features
-from .crypto100 import crypto100_index
 
 __all__ = [
     "PERIODS",
@@ -128,11 +126,8 @@ def build_scenario(
     start, end = PERIODS[period]
 
     with span("scenarios.build", period=period, window=window):
-        target = crypto100_index(raw.universe)["crypto100"]
         features = raw.features.loc_range(start, end)
-        target_sliced = Frame(
-            raw.features.index, {"crypto100": target}
-        ).loc_range(start, end)["crypto100"]
+        target_sliced = raw.target.loc_range(start, end)["crypto100"]
 
         cleaned, report = clean_features(
             features,
@@ -179,10 +174,6 @@ def period_digests(raw: RawDataset, periods=None) -> dict[str, str]:
         raise ValueError(
             f"unknown periods {unknown}; choose from {list(PERIODS)}"
         )
-    target = Frame(
-        raw.features.index,
-        {"crypto100": crypto100_index(raw.universe)["crypto100"]},
-    )
     out = {}
     for period in periods:
         start, end = PERIODS[period]
@@ -190,7 +181,7 @@ def period_digests(raw: RawDataset, periods=None) -> dict[str, str]:
             "period-data",
             (start, end),
             range_digest(raw.features, start, end),
-            range_digest(target, start, end),
+            range_digest(raw.target, start, end),
         )
     return out
 

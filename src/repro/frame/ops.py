@@ -29,6 +29,8 @@ __all__ = [
     "rolling_min",
     "rolling_max",
     "rolling_sum",
+    "rolling_std_resume",
+    "window_sums",
 ]
 
 
@@ -136,22 +138,50 @@ def rolling_apply(values: np.ndarray, window: int, func) -> np.ndarray:
     return out
 
 
-def _window_sums(values: np.ndarray, window: int):
-    """Trailing-window sums via cumulative-sum differences.
+def window_sums(values: np.ndarray, window: int, carry=None):
+    """Trailing-window sums via cumulative-sum differences, resumable.
 
-    Returns ``(sums, bad)`` for the ``size - window + 1`` complete
-    windows, where ``bad`` flags windows containing any NaN (their sum
-    is meaningless — NaNs were zero-substituted before accumulating).
-    Callers must have excluded ±inf inputs: ``inf - inf`` in the
-    difference would poison every window after the first infinity.
+    Returns ``((totals, bad), carry)`` with one entry per value in
+    ``totals`` and ``bad``, where ``bad`` flags positions whose window
+    is incomplete or holds a NaN (their total is meaningless: NaNs were
+    zero-substituted before accumulating).
+    An infinity raises ``ValueError``: ``inf - inf`` in the difference
+    would poison every window after it.
+
+    ``carry`` is what a previous call over the series' earlier values
+    returned: the number of values seen and the last ``window``
+    running sums (value and NaN count). Resuming from it continues the
+    same left-to-right accumulation, so a series summed in pieces gives
+    the bytes of one call over the whole of it.
     """
+    values = np.asarray(values, dtype=np.float64)
+    if np.isinf(values).any():
+        raise ValueError("window sums need values without infinities")
+    if carry is None:
+        count, csum, ncsum = 0, np.zeros(1), np.zeros(1, dtype=np.int64)
+    else:
+        count, csum, ncsum = carry
     isnan = np.isnan(values)
     safe = np.where(isnan, 0.0, values)
-    csum = np.concatenate(([0.0], np.cumsum(safe)))
-    sums = csum[window:] - csum[:-window]
-    ncsum = np.concatenate(([0], np.cumsum(isnan)))
-    bad = (ncsum[window:] - ncsum[:-window]) > 0
-    return sums, bad
+    if count == 0:
+        new, new_nan = np.cumsum(safe), np.cumsum(isnan)
+    else:
+        new = np.cumsum(np.concatenate((csum[-1:], safe)))[1:]
+        new_nan = np.cumsum(np.concatenate((ncsum[-1:], isnan)))[1:]
+    # ext[j] is the running sum after value ``count - base + j`` (the
+    # leading 0.0 is the sum of no values).
+    ext = np.concatenate((csum, new))
+    ext_nan = np.concatenate((ncsum, new_nan))
+    base, k = csum.size, values.size
+    totals = np.zeros(k)
+    bad = np.ones(k, dtype=bool)
+    first = max(0, window - 1 - count)
+    if first < k:
+        hi, lo = slice(base + first, base + k), \
+            slice(base + first - window, base + k - window)
+        totals[first:] = ext[hi] - ext[lo]
+        bad[first:] = (ext_nan[hi] - ext_nan[lo]) > 0
+    return (totals, bad), (count + k, ext[-window:], ext_nan[-window:])
 
 
 def _closed_form_ok(values: np.ndarray, window: int) -> bool:
@@ -179,53 +209,65 @@ def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     if not _closed_form_ok(values, window):
         return rolling_apply(values, window, np.mean)
-    sums, bad = _window_sums(values, window)
-    result = sums / window
-    result[bad] = np.nan
-    out = np.full(values.size, np.nan)
-    out[window - 1:] = result
+    (sums, bad), _ = window_sums(values, window)
+    out = sums / window
+    out[bad] = np.nan
     return out
-
-
-def _std_center(values: np.ndarray) -> float:
-    """The centring offset :func:`rolling_std` subtracts before summing.
-
-    The *first finite* value: it kills the large common offset that
-    makes the raw ``E[x²] − E[x]²`` identity cancel catastrophically,
-    and — unlike the global mean — it depends only on the series head,
-    so appending rows never changes the outputs of the existing rows
-    (the prefix check of :func:`repro.synth.extend_raw_dataset` needs
-    every indicator to be prefix-stable).
-    """
-    finite = np.flatnonzero(~np.isnan(values))
-    return float(values[finite[0]]) if finite.size else 0.0
 
 
 def rolling_std(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing-window standard deviation (population, ddof=0).
 
     Closed form over cumulative sums of the *centred* series (offset =
-    first finite value, see :func:`_std_center`): variance is
-    shift-invariant, and centring first suppresses the catastrophic
-    cancellation the raw ``E[x²] − E[x]²`` identity suffers on
-    large-offset series (a constant series still yields an exact 0).
-    Falls back to :func:`rolling_apply` like :func:`rolling_mean`.
+    first value that is not NaN): variance is shift-invariant, and
+    centring first suppresses the catastrophic cancellation the raw
+    ``E[x²] − E[x]²`` identity suffers on large-offset series (a
+    constant series still yields an exact 0). Unlike the global mean,
+    the offset depends only on the series head, so appending values
+    never changes the outputs of the earlier ones. Falls back to
+    :func:`rolling_apply` like :func:`rolling_mean`.
     """
     values = np.asarray(values, dtype=np.float64)
     if window < 1:
         raise ValueError("window must be >= 1")
     if not _closed_form_ok(values, window):
         return rolling_apply(values, window, np.std)
-    centred = values - _std_center(values)
-    sums, bad = _window_sums(centred, window)
-    squares, _ = _window_sums(centred * centred, window)
-    mean = sums / window
-    variance = np.maximum(squares / window - mean * mean, 0.0)
-    result = np.sqrt(variance)
-    result[bad] = np.nan
-    out = np.full(values.size, np.nan)
-    out[window - 1:] = result
-    return out
+    return rolling_std_resume(values, window)[0]
+
+
+def rolling_std_resume(values: np.ndarray, window: int, carry=None):
+    """The closed form of :func:`rolling_std`, resumable.
+
+    Returns ``(std, carry)``; ``carry`` holds the centring offset and
+    the two running sums (see :func:`window_sums`), so a series fed in
+    pieces gives the bytes of one call over the whole of it. For
+    ``window > 1`` an infinity raises ``ValueError`` (see
+    :func:`window_sums`).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if window == 1:
+        # A finite value deviates from itself by exactly 0; the running
+        # sums would only approximate that.
+        return np.where(np.isfinite(values), 0.0, np.nan), carry
+    center, sums_carry, squares_carry = carry or (None, None, None)
+    if center is None:
+        finite = np.flatnonzero(~np.isnan(values))
+        if finite.size:
+            center = float(values[finite[0]])
+    # Until the first value that is not NaN every window is bad, so the
+    # offset those positions are centred on never shows.
+    centred = values - (0.0 if center is None else center)
+    (total, bad), sums_carry = window_sums(centred, window, sums_carry)
+    (square_total, _), squares_carry = window_sums(
+        centred * centred, window, squares_carry
+    )
+    mean = total / window
+    variance = np.maximum(square_total / window - mean * mean, 0.0)
+    out = np.sqrt(variance)
+    out[bad] = np.nan
+    return out, (center, sums_carry, squares_carry)
 
 
 def _rolling_extremum(values: np.ndarray, window: int, ufunc) -> np.ndarray:
@@ -291,9 +333,6 @@ def rolling_sum(values: np.ndarray, window: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     if not _closed_form_ok(values, window):
         return rolling_apply(values, window, np.sum)
-    sums, bad = _window_sums(values, window)
-    result = sums
-    result[bad] = np.nan
-    out = np.full(values.size, np.nan)
-    out[window - 1:] = result
+    (out, bad), _ = window_sums(values, window)
+    out[bad] = np.nan
     return out

@@ -4,9 +4,10 @@
 simulated days, reusing everything the parent (cold) run left behind:
 
 1. the parent raw dataset — the caller's in-memory copy or the artifact
-   cache's — is spliced forward with
-   :func:`repro.synth.extend_raw_dataset` (bit-identical to a cold
-   ``n+k``-day generation, verified against the parent's prefix bytes);
+   cache's — is extended with :func:`repro.synth.extend_raw_dataset`,
+   which simulates only the ``k`` new days from the state the parent's
+   simulation stopped at (bit-identical to a cold ``n+k``-day
+   generation);
 2. the extended run flows through :func:`repro.core.pipeline.run_experiment`
    with the same cache store, where the range-granular task keys
    re-serve every scenario whose period the new rows do not touch;
@@ -15,10 +16,13 @@ simulated days, reusing everything the parent (cold) run left behind:
    holds one), so ``repro report --compare <cold> <update>`` renders
    the cold-vs-incremental chain.
 
-Faulted / degraded configurations cannot splice (the parent bytes are
-corrupted relative to a clean regeneration), so they fall back to a
-cold extended generation — correctness is unchanged, only the dataset
-reuse is lost.
+Faulted / degraded configurations never splice (the parent bytes are
+corrupted relative to a clean simulation, and carry no simulation
+state), and neither does a parent this simulator cannot resume (no
+carry, or one of another simulator format): both fall back to a cold
+extended generation — correctness is unchanged, only the dataset reuse
+is lost. A dataset cached by other simulator code is never read: the
+dataset key holds the simulator format.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ..core.pipeline import ExperimentConfig, ExperimentResults, \
 from ..obs import MetricsRegistry, RunLedger, Tracer, build_record, \
     get_logger, span, use_metrics, use_tracer
 from ..synth.dataset import RawDataset
-from ..synth.extend import extend_raw_dataset, extended_config
+from ..synth.extend import can_extend, extend_raw_dataset, extended_config
 
 __all__ = ["UpdateResult", "update_experiment"]
 
@@ -49,9 +53,10 @@ class UpdateResult:
 
     days: int
     dataset_reused: bool
-    """True when the parent dataset was spliced forward; False when the
-    extended dataset had to be generated cold (no parent available, or
-    a faulted/degraded configuration)."""
+    """True when the parent dataset was extended; False when the
+    extended dataset had to be generated cold (no parent available, a
+    parent this simulator cannot resume, or a faulted/degraded
+    configuration)."""
 
     fingerprint: str | None = None
     parent: str | None = None
@@ -81,7 +86,11 @@ def _parent_dataset(config: ExperimentConfig,
 
     Preference order: the caller's in-memory dataset (validated against
     the configured simulation), then the artifact cache's entry under
-    the parent's dataset key.
+    the parent's dataset key (which holds the simulator format, so an
+    entry written by other simulator code misses). A parent this
+    simulator cannot resume (:func:`~repro.synth.extend.can_extend`: no
+    carry, or a carry of another simulator format) counts as
+    unavailable.
     """
     if raw is not None:
         if raw.config != config.simulation:
@@ -90,15 +99,20 @@ def _parent_dataset(config: ExperimentConfig,
                 "pass the parent run's dataset (or None to use the "
                 "cache)"
             )
-        return raw
-    if store is None:
+        parent = raw
+    elif store is None:
         return None
-    entry = store.get(dataset_key(config.simulation, config.fault_plan,
-                                  config.degradation))
-    if entry is None:
+    else:
+        entry = store.get(dataset_key(config.simulation, config.fault_plan,
+                                      config.degradation))
+        if entry is None:
+            return None
+        log.info("update.dataset_from_cache", seed=config.simulation.seed)
+        parent, _report = entry
+    if not can_extend(parent):
+        log.info("update.parent_not_extendable",
+                 seed=config.simulation.seed)
         return None
-    log.info("update.dataset_from_cache", seed=config.simulation.seed)
-    parent, _report = entry
     return parent
 
 
@@ -115,7 +129,7 @@ def update_experiment(config: ExperimentConfig | None = None,
     used; the update derives the extended configuration itself. With a
     ``cache_dir`` shared with the parent run, scenario tasks whose
     periods end before the new rows are served from cache and the
-    update costs a dataset splice plus cache reads (the ≪ 1%-of-cold
+    update costs the new days' simulation plus cache reads (the ≪ 1%-of-cold
     target gated by ``benchmarks/bench_incremental.py``); without one
     the update is simply a correct cold run at ``n+days`` days.
 
@@ -143,16 +157,16 @@ def update_experiment(config: ExperimentConfig | None = None,
             span("incremental.update", days=days):
         if resilient:
             # The parent bytes are corrupted relative to a clean
-            # regeneration, so a prefix-verified splice cannot apply;
-            # the pipeline regenerates the extended dataset through
-            # its resilient path instead.
+            # simulation, so they cannot be continued; the pipeline
+            # regenerates the extended dataset through its resilient
+            # path instead.
             log.info("update.cold_dataset", reason="resilient-config")
         else:
             parent_raw = _parent_dataset(config, raw, store, log)
             if parent_raw is not None:
                 extended_raw = extend_raw_dataset(parent_raw, days=days)
                 metrics.counter("incremental.days_appended").inc(days)
-                # Spliced: the run below needs only the extension, so
+                # Extended: the run below needs only the extension, so
                 # the parent is not held through it.
                 del parent_raw
             else:

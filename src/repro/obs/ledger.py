@@ -38,6 +38,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..tables import format_table
 from .log import get_logger
 from .profile import PROFILE_ATTRS
 from .summary import (
@@ -408,23 +409,6 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
 # ----------------------------------------------------------------------
 # Renderers for the ``repro report`` CLI command.
 # ----------------------------------------------------------------------
-def _table(headers: tuple, rows: list[tuple]) -> str:
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        )
-    return "\n".join(lines)
-
-
 def stage_table(stages: dict) -> tuple[tuple, list[tuple]]:
     """(headers, rows) of the per-stage table, longest total first.
 
@@ -489,7 +473,7 @@ def render_history(records: list[RunRecord]) -> str:
             cache,
             format_memory(rss),
         ))
-    return _table(headers, rows)
+    return format_table(headers, rows)
 
 
 def render_record(record: RunRecord) -> str:
@@ -517,7 +501,7 @@ def render_record(record: RunRecord) -> str:
         lines.append("cache " + " ".join(parts))
     if record.stages:
         lines.append("")
-        lines.append(_table(*stage_table(record.stages)))
+        lines.append(format_table(*stage_table(record.stages)))
     if record.slowest:
         lines.append("")
         lines.append(f"slowest {len(record.slowest)} spans:")
@@ -561,5 +545,5 @@ def render_compare(a: RunRecord, b: RunRecord) -> str:
             format_runtime(row["b_s"]) if row["b_s"] is not None else "-",
             f"{row['ratio']:.2f}x" if row["ratio"] is not None else "-",
         ))
-    lines.append(_table(headers, rows))
+    lines.append(format_table(headers, rows))
     return "\n".join(lines)

@@ -7,11 +7,12 @@ One call generates the whole collection::
 
 Determinism: every component draws from its own named stream derived from
 ``config.seed``, so datasets are bit-reproducible and components are
-independently perturbable.
+independently perturbable. Every generator runs over a range of days from
+a carried state, so ``extend_raw_dataset`` simulates only new days.
 """
 
 from .config import SimulationConfig
-from .dataset import RawDataset, generate_raw_dataset
+from .dataset import RawDataset, SimulationCarry, generate_raw_dataset
 from .extend import PrefixMismatch, extend_raw_dataset, extended_config
 from .latent import LatentMarket, generate_latent_market
 from .market import MarketUniverse, btc_supply_schedule, generate_universe
@@ -44,6 +45,7 @@ __all__ = [
     "Regime",
     "RegimeProcess",
     "SeedBank",
+    "SimulationCarry",
     "SimulationConfig",
     "TRADFI_SPECS",
     "baseline",

@@ -3,35 +3,72 @@
 ``generate_raw_dataset`` runs every generator, joins all categories onto
 one daily calendar, and records the category of every column — the input
 the cleaning/scenario pipeline (:mod:`repro.core`) consumes.
+
+Every generator runs over a range of days from a carried state, so the
+dataset also keeps where its simulation stopped (its
+:class:`SimulationCarry`); :func:`repro.synth.extend_raw_dataset`
+resumes from it to simulate only new days.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..categories import DataCategory
 from ..frame.frame import Frame
+from ..frame.index import DateIndex, date_range
 from ..frame.ops import concat_columns
-from ..indicators.suite import technical_indicator_frame
+from ..indicators.suite import technical_indicators
 from ..obs import current_metrics, span
 from .config import SimulationConfig
-from .latent import LatentMarket, generate_latent_market
-from .macro import generate_macro
-from .market import MarketUniverse, generate_universe
+from .latent import LatentMarket, simulate_latent_market
+from .macro import simulate_macro
+from .market import MarketUniverse, crypto100_from_caps, simulate_universe
 from .onchain import (
-    generate_btc_onchain,
-    generate_eth_onchain,
-    generate_usdc_onchain,
+    simulate_btc_onchain,
+    simulate_eth_onchain,
+    simulate_usdc_onchain,
 )
-from .sentiment import generate_sentiment
-from .tradfi import generate_tradfi
+from .sentiment import simulate_sentiment
+from .tradfi import simulate_tradfi
 
 __all__ = [
     "RawDataset",
+    "SIMULATOR_FORMAT",
+    "SimulationCarry",
     "assemble_raw_dataset",
     "category_generators",
     "generate_raw_dataset",
 ]
+
+
+#: The simulator's output format. A change that moves the bytes a
+#: configuration generates (the pins in ``tests/synth/test_dataset_pins.py``)
+#: or the layout of a carried state must bump it: a dataset cached or a
+#: carry kept under another format is then never extended (its cache
+#: key, :func:`repro.cache.dataset_key`, moves with it too).
+SIMULATOR_FORMAT = 1
+
+
+@dataclass(frozen=True, eq=False)
+class SimulationCarry:
+    """Where a simulation stopped: what each generator needs to simulate
+    the next day.
+
+    ``state`` maps each generator (``latent``, ``universe`` and one key
+    per source) to its state at the last simulated day: scalars, the
+    last inputs of its trailing windows and the bit-generator state of
+    each named RNG stream — kilobytes, whatever the calendar's length.
+    ``config`` and ``features`` are the configuration and the feature
+    frame the state was produced with, and ``format`` the
+    :data:`SIMULATOR_FORMAT` of the code that produced it; it continues
+    only those.
+    """
+
+    config: SimulationConfig
+    state: dict
+    features: Frame = field(repr=False)
+    format: int = SIMULATOR_FORMAT
 
 
 @dataclass(frozen=True)
@@ -50,6 +87,12 @@ class RawDataset:
         All candidate metrics joined on the simulation calendar.
     categories:
         Column name → :class:`DataCategory` for every feature column.
+    target:
+        The Crypto100 index (column ``crypto100``) on the calendar.
+    carry:
+        Where the simulation stopped, for
+        :func:`~repro.synth.extend_raw_dataset`; None when the dataset
+        cannot be extended (a resilient assembly).
     """
 
     config: SimulationConfig
@@ -57,6 +100,8 @@ class RawDataset:
     universe: MarketUniverse
     features: Frame
     categories: dict[str, DataCategory] = field(repr=False)
+    target: Frame = field(repr=False)
+    carry: SimulationCarry | None = field(default=None, repr=False)
 
     @property
     def n_metrics(self) -> int:
@@ -78,6 +123,41 @@ class RawDataset:
         return counts
 
 
+def _sources(config: SimulationConfig) -> list[tuple[DataCategory, object]]:
+    """``(category, step)`` per source, in assembly order.
+
+    ``step(latent, universe, carry)`` simulates the source over
+    ``latent``'s days from its carry and returns ``(frame, carry)``.
+    """
+    sources: list[tuple[DataCategory, object]] = [
+        (DataCategory.TECHNICAL,
+         lambda latent, universe, carry:
+         technical_indicators(universe.btc, carry)),
+        (DataCategory.ONCHAIN_BTC,
+         lambda latent, universe, carry:
+         simulate_btc_onchain(config, latent, universe, carry)),
+        (DataCategory.ONCHAIN_USDC,
+         lambda latent, universe, carry:
+         simulate_usdc_onchain(config, latent, universe, carry)),
+        (DataCategory.SENTIMENT,
+         lambda latent, universe, carry:
+         simulate_sentiment(config, latent, carry)),
+        (DataCategory.TRADFI,
+         lambda latent, universe, carry:
+         simulate_tradfi(config, latent, carry)),
+        (DataCategory.MACRO,
+         lambda latent, universe, carry:
+         simulate_macro(config, latent, carry)),
+    ]
+    if config.include_eth:
+        sources.insert(3, (
+            DataCategory.ONCHAIN_ETH,
+            lambda latent, universe, carry:
+            simulate_eth_onchain(config, latent, universe, carry),
+        ))
+    return sources
+
+
 def category_generators(
     config: SimulationConfig,
     latent: LatentMarket,
@@ -86,31 +166,25 @@ def category_generators(
     """The per-source generators, in assembly order.
 
     Each entry is ``(category, make)`` where ``make()`` produces that
-    source's :class:`~repro.frame.frame.Frame`. Exposed so the
-    resilience layer (:mod:`repro.resilience.degradation`) can wrap
-    each source in a retrying :class:`~repro.resilience.DataSource`
-    and apply per-source fault plans.
+    source's :class:`~repro.frame.frame.Frame` over the whole of
+    ``latent``'s calendar. Exposed so the resilience layer
+    (:mod:`repro.resilience.degradation`) can wrap each source in a
+    retrying :class:`~repro.resilience.DataSource` and apply per-source
+    fault plans.
     """
-    generators: list[tuple[DataCategory, object]] = [
-        (DataCategory.TECHNICAL,
-         lambda: technical_indicator_frame(universe.btc)),
-        (DataCategory.ONCHAIN_BTC,
-         lambda: generate_btc_onchain(config, latent, universe)),
-        (DataCategory.ONCHAIN_USDC,
-         lambda: generate_usdc_onchain(config, latent, universe)),
-        (DataCategory.SENTIMENT,
-         lambda: generate_sentiment(config, latent)),
-        (DataCategory.TRADFI,
-         lambda: generate_tradfi(config, latent)),
-        (DataCategory.MACRO,
-         lambda: generate_macro(config, latent)),
+    return [
+        (category, lambda step=step: step(latent, universe, None)[0])
+        for category, step in _sources(config)
     ]
-    if config.include_eth:
-        generators.insert(3, (
-            DataCategory.ONCHAIN_ETH,
-            lambda: generate_eth_onchain(config, latent, universe),
-        ))
-    return generators
+
+
+def _target_frame(universe: MarketUniverse) -> Frame:
+    """The forecasting target: the Crypto100 index on the universe's
+    calendar (see :mod:`repro.core.crypto100`)."""
+    return Frame(
+        universe.index,
+        {"crypto100": crypto100_from_caps(universe.top_n_cap(100))},
+    )
 
 
 def assemble_raw_dataset(
@@ -138,7 +212,38 @@ def assemble_raw_dataset(
         universe=universe,
         features=features,
         categories=categories,
+        target=_target_frame(universe),
     )
+
+
+def simulate_days(config: SimulationConfig, index: DateIndex,
+                  carry: dict | None = None):
+    """Run every generator over ``index`` from ``carry``.
+
+    ``index`` holds the days after those ``carry`` was produced from
+    (the whole calendar when ``carry`` is None). Returns
+    ``(latent, universe, parts, carry)``: the latent state, the universe
+    and the per-category frames over ``index``, and the state at its
+    last day.
+    """
+    state = carry or {}
+    new: dict = {}
+    with span("synth.latent"):
+        latent, new["latent"] = simulate_latent_market(
+            config, index, state.get("latent")
+        )
+    with span("synth.universe", n_assets=config.n_assets):
+        universe, new["universe"] = simulate_universe(
+            config, latent, state.get("universe")
+        )
+    parts: list[tuple[Frame, DataCategory]] = []
+    for category, step in _sources(config):
+        with span("synth.category", category=category.value):
+            frame, new[category.value] = step(
+                latent, universe, state.get(category.value)
+            )
+        parts.append((frame, category))
+    return latent, universe, parts, new
 
 
 def generate_raw_dataset(
@@ -147,13 +252,8 @@ def generate_raw_dataset(
     """Run the full simulator and assemble the joined feature frame."""
     config = config if config is not None else SimulationConfig()
     with span("synth.dataset", seed=config.seed):
-        with span("synth.latent"):
-            latent = generate_latent_market(config)
-        with span("synth.universe", n_assets=config.n_assets):
-            universe = generate_universe(config, latent)
-
-        parts: list[tuple[Frame, DataCategory]] = []
-        for category, make in category_generators(config, latent, universe):
-            with span("synth.category", category=category.value):
-                parts.append((make(), category))
-        return assemble_raw_dataset(config, latent, universe, parts)
+        latent, universe, parts, state = simulate_days(
+            config, date_range(config.start, end=config.end)
+        )
+        raw = assemble_raw_dataset(config, latent, universe, parts)
+        return replace(raw, carry=SimulationCarry(config, state, raw.features))

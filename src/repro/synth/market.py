@@ -20,9 +20,19 @@ from ..frame.frame import Frame
 from ..frame.index import DateIndex
 from .config import SimulationConfig
 from .latent import LatentMarket
-from .rng import SeedBank
+from .rng import Streams
 
-__all__ = ["MarketUniverse", "generate_universe", "btc_supply_schedule"]
+__all__ = [
+    "DEFAULT_POWER",
+    "MarketUniverse",
+    "crypto100_from_caps",
+    "btc_supply_schedule",
+    "generate_universe",
+    "simulate_universe",
+]
+
+#: The Crypto100 scaling-factor exponent (§3.1.1).
+DEFAULT_POWER = 7
 
 _GENESIS_SUPPLY = 16.0e6  # BTC circulating at simulation start (≈2016)
 _DAILY_ISSUANCE = 900.0   # ≈144 blocks/day * 6.25, halving ignored intraday
@@ -37,13 +47,38 @@ def btc_supply_schedule(n_days: int) -> np.ndarray:
     """
     if n_days < 0:
         raise ValueError("n_days must be >= 0")
+    return _btc_supply(0, n_days, None)[0]
+
+
+def _btc_supply(day: int, n_days: int, issued: float | None):
+    """:func:`btc_supply_schedule` over days ``day .. day + n_days - 1``.
+
+    ``issued`` is the issuance accumulated through day ``day - 1`` (None
+    when ``day`` is 0); returns ``(supply, issued)`` for the next call.
+    """
     if n_days == 0:
-        return np.empty(0, dtype=np.float64)
-    t = np.arange(n_days, dtype=np.float64)
+        return np.empty(0, dtype=np.float64), issued
+    t = np.arange(day, day + n_days, dtype=np.float64)
     issuance = _DAILY_ISSUANCE * 0.5 ** (t / 1460.0)
-    return _GENESIS_SUPPLY + np.concatenate(
-        ([0.0], np.cumsum(issuance)[:-1])
+    running = np.cumsum(issuance) if issued is None else \
+        np.cumsum(np.concatenate(([issued], issuance)))[1:]
+    before = np.concatenate(
+        ([0.0 if issued is None else issued], running[:-1])
     )
+    return _GENESIS_SUPPLY + before, float(running[-1])
+
+
+def crypto100_from_caps(top100_cap: np.ndarray,
+                        power: float = DEFAULT_POWER) -> np.ndarray:
+    """Apply the Crypto100 formula to a summed top-100 cap series::
+
+        Crypto100 = sum(top-100 caps) / (log10(sum(top-100 caps))) ** power
+    """
+    top100_cap = np.asarray(top100_cap, dtype=np.float64)
+    if (top100_cap <= 0).any():
+        raise ValueError("market capitalisation must be positive")
+    scaling = np.log10(top100_cap) ** power
+    return top100_cap / scaling
 
 
 @dataclass(frozen=True)
@@ -82,73 +117,114 @@ class MarketUniverse:
 def generate_universe(config: SimulationConfig,
                       latent: LatentMarket) -> MarketUniverse:
     """Sample the asset universe consistent with the latent market."""
-    bank = SeedBank(config.seed)
-    rng = bank.generator("universe")
+    return simulate_universe(config, latent)[0]
+
+
+def simulate_universe(config: SimulationConfig, latent: LatentMarket,
+                      carry: dict | None = None):
+    """Sample the universe over ``latent``'s days from ``carry``.
+
+    ``latent`` covers the days after those ``carry`` was produced from
+    (all of them when ``carry`` is None). Returns ``(universe, carry)``;
+    the carry holds the assets' static parameters, the last row of the
+    idiosyncratic random walks, the last close and log close, the
+    issuance so far and the streams' bit-generator states.
+    """
+    state = carry or {}
+    streams = Streams(config.seed, state.get("streams"))
+    rng = streams.generator("universe")
     n_days = latent.n_days
     n_assets = config.n_assets
+    day = state.get("day", 0)
 
     # --- per-asset static parameters -----------------------------------
     names = ["BTC"] + [f"ALT{i:03d}" for i in range(1, n_assets)]
-    betas = np.concatenate(
-        ([1.0], rng.uniform(0.80, 1.20, size=n_assets - 1))
-    )
-    idio_vol = np.concatenate(
-        ([0.004], rng.uniform(0.008, 0.03, size=n_assets - 1))
-    )
-    # Zipf-like initial caps: BTC dominant, long tail of small alts.
-    ranks = np.arange(1, n_assets)
-    alt_caps0 = 4.0e9 / ranks**1.1 * np.exp(rng.normal(0, 0.35,
-                                                       size=n_assets - 1))
-    caps0 = np.concatenate(([1.5e10], alt_caps0))
+    if carry is None:
+        betas = np.concatenate(
+            ([1.0], rng.uniform(0.80, 1.20, size=n_assets - 1))
+        )
+        idio_vol = np.concatenate(
+            ([0.004], rng.uniform(0.008, 0.03, size=n_assets - 1))
+        )
+        # Zipf-like initial caps: BTC dominant, long tail of small alts.
+        ranks = np.arange(1, n_assets)
+        alt_caps0 = 4.0e9 / ranks**1.1 * np.exp(
+            rng.normal(0, 0.35, size=n_assets - 1)
+        )
+        log_caps0 = np.log(np.concatenate(([1.5e10], alt_caps0)))
+    else:
+        betas, idio_vol, log_caps0 = state["assets"]
 
     # --- cap paths ------------------------------------------------------
     idio = rng.normal(size=(n_days, n_assets)) * idio_vol
-    idio[0] = 0.0
+    if carry is None:
+        idio[0] = 0.0
+        walk = np.cumsum(idio, axis=0)
+    else:
+        walk = np.cumsum(
+            np.concatenate((state["walk"][None, :], idio)), axis=0
+        )[1:]
     log_caps = (
-        np.log(caps0)[None, :]
+        log_caps0[None, :]
         + latent.market_log_level[:, None] * betas[None, :]
-        + np.cumsum(idio, axis=0)
+        + walk
     )
     caps = np.exp(log_caps)
 
-    btc = _btc_frame(config, latent, caps[:, 0], bank)
-    return MarketUniverse(
+    supply, issued = _btc_supply(day, n_days, state.get("issued"))
+    btc, last_close = _btc_frame(latent, caps[:, 0], supply, streams,
+                                 state.get("close"))
+    universe = MarketUniverse(
         index=latent.index,
         names=names,
         caps=caps,
         btc=btc,
-        btc_supply=btc_supply_schedule(n_days),
+        btc_supply=supply,
     )
+    return universe, {
+        "day": day + n_days,
+        "streams": streams.states(),
+        "assets": (betas, idio_vol, log_caps0),
+        "walk": walk[-1].copy() if n_days else state.get("walk"),
+        "issued": issued,
+        "close": last_close,
+    }
 
 
-def _btc_frame(config: SimulationConfig, latent: LatentMarket,
-               btc_cap: np.ndarray, bank: SeedBank) -> Frame:
+def _btc_frame(latent: LatentMarket, btc_cap: np.ndarray,
+               supply: np.ndarray, streams: Streams,
+               prev: tuple[float, float] | None):
     """Derive BTC OHLCV + market cap from its cap path.
 
-    One substream per noise draw keeps each array prefix-stable under
-    extension (see :mod:`repro.synth.rng`).
+    ``prev`` is the previous day's close and log close (None on the
+    first day); returns the frame and this path's last pair. One
+    substream per noise draw, so each stream draws once per day (see
+    :mod:`repro.synth.rng`).
     """
     n = btc_cap.size
-    supply = btc_supply_schedule(n)
     close = btc_cap / supply
+    log_close = np.log(close)
 
     open_ = np.empty(n)
-    open_[0] = close[0]
+    if n:
+        open_[0] = close[0] if prev is None else prev[0]
     open_[1:] = close[:-1]
     intraday = np.abs(
-        bank.substream("btc_ohlcv", "intraday").normal(scale=0.012, size=n)
+        streams.substream("btc_ohlcv", "intraday").normal(scale=0.012, size=n)
     )
     high = np.maximum(open_, close) * (1.0 + intraday)
     low = np.minimum(open_, close) * (1.0 - intraday)
 
     # Volume scales with cap, spikes with |returns| and crash regimes.
-    abs_ret = np.abs(np.diff(np.log(close), prepend=np.log(close[0])))
+    abs_ret = np.abs(np.diff(
+        log_close, prepend=log_close[:1] if prev is None else prev[1]
+    ))
     turnover = 0.02 + 1.5 * abs_ret + 0.015 * (latent.regimes == 3)
     volume = btc_cap * turnover * np.exp(
-        bank.substream("btc_ohlcv", "volume").normal(0, 0.15, size=n)
+        streams.substream("btc_ohlcv", "volume").normal(0, 0.15, size=n)
     )
 
-    return Frame(
+    frame = Frame(
         latent.index,
         {
             "open": open_,
@@ -159,3 +235,4 @@ def _btc_frame(config: SimulationConfig, latent: LatentMarket,
             "market_cap": btc_cap,
         },
     )
+    return frame, (float(close[-1]), float(log_close[-1])) if n else prev

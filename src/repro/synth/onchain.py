@@ -29,15 +29,19 @@ import numpy as np
 
 from ..frame.frame import Frame
 from ..frame.index import as_ordinal
+from .carry import cumsum_from, last_value
 from .config import SimulationConfig
 from .latent import LatentMarket
 from .market import MarketUniverse
-from .rng import SeedBank
+from .rng import Streams
 
 __all__ = [
     "generate_btc_onchain",
     "generate_eth_onchain",
     "generate_usdc_onchain",
+    "simulate_btc_onchain",
+    "simulate_eth_onchain",
+    "simulate_usdc_onchain",
     "BTC_USD_THRESHOLDS",
     "BTC_NTV_THRESHOLDS",
     "ONE_IN_THRESHOLDS",
@@ -57,36 +61,49 @@ _SUFFIX_VALUE = {
 }
 
 
+_EMPTY = np.empty(0)
+
+
 def _suffix_value(suffix: str) -> float:
     return _SUFFIX_VALUE[suffix]
 
 
-def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Rolling mean with an expanding-window warm-up (no NaN head)."""
+def _trailing_mean(values: np.ndarray, window: int, carry=None):
+    """Rolling mean with an expanding-window warm-up (no NaN head).
+
+    ``carry`` is what the call over the series' earlier values returned:
+    their count and the last ``window`` running sums. Returns
+    ``(mean, carry)``.
+    """
     values = np.asarray(values, dtype=np.float64)
-    csum = np.cumsum(values)
-    out = np.empty_like(values)
+    count, tail = carry or (0, _EMPTY)
+    csum = cumsum_from(values, float(tail[-1]) if count else None)
+    running = np.concatenate((tail, csum))  # running[j]: sum to day j + base
+    base = count - tail.size
     n = values.size
-    for_full = min(window, n)
+    out = np.empty_like(values)
     # expanding head
-    head = csum[:for_full] / np.arange(1, for_full + 1)
-    out[:for_full] = head
-    if n > window:
-        out[window:] = (csum[window:] - csum[:-window]) / window
-    return out
+    head = min(max(window - count, 0), n)
+    out[:head] = csum[:head] / np.arange(count + 1, count + head + 1)
+    if head < n:
+        out[head:] = (
+            csum[head:]
+            - running[count + head - window - base:count + n - window - base]
+        ) / window
+    return out, (count + n, running[-window:])
 
 
-def _concentration_path(n: int, rng: np.random.Generator) -> np.ndarray:
+def _concentration_path(n: int, rng: np.random.Generator,
+                        state: float = 1.55) -> np.ndarray:
     """Pareto tail index of the wealth distribution (slowly drifting).
 
     Lower alpha = more concentrated wealth. Starts ~1.55 (retail heavy)
     and drifts down as larger holders accumulate — the effect the paper
     reads from the growing importance of ``fish_pct`` / ``SplyAdrBalUSD10K``
-    in the 2019 set.
+    in the 2019 set. ``state`` is the previous day's value.
     """
     noise = rng.normal(scale=0.0018, size=n)
     out = []
-    state = 1.55
     for e in noise.tolist():
         # gentle mean reversion toward 1.20 plus a slow secular decline
         state += -0.0002 * (state - 1.20) - 0.00008 + e
@@ -110,7 +127,7 @@ def _nest(raw: np.ndarray, prev: np.ndarray | None,
     threshold can never contain *more* addresses or supply), but
     independent observation noise could violate the ordering where the
     Pareto fractions are close. Elementwise clipping keeps the nesting
-    structural — and, being elementwise, prefix-stable under extension.
+    structural — and, being elementwise, the same for any range of days.
     """
     return raw if prev is None else ufunc(raw, prev)
 
@@ -129,7 +146,23 @@ def _supply_fraction_above(threshold: float, scale: float,
 def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
                          universe: MarketUniverse) -> Frame:
     """All BTC on-chain metrics as one frame on the simulation index."""
-    bank = SeedBank(config.seed)
+    return simulate_btc_onchain(config, latent, universe)[0]
+
+
+def simulate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
+                         universe: MarketUniverse, carry: dict | None = None):
+    """:func:`generate_btc_onchain` over ``latent``'s days from ``carry``.
+
+    ``latent`` and ``universe`` cover the days after those ``carry`` was
+    produced from (all of them when ``carry`` is None). Returns
+    ``(frame, carry)``: the carry holds the concentration AR state, the
+    trailing-mean windows, the EMA and cumulative-sum states, the ROI
+    windows, the first price, the last supply and the streams'
+    bit-generator states.
+    """
+    state = carry or {}
+    new: dict = {}
+    streams = Streams(config.seed, state.get("streams"))
     n = latent.n_days
     noise = config.onchain_noise
     draw = itertools.count()
@@ -138,10 +171,10 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
         """Multiplicative lognormal observation noise.
 
         Each call draws from its own numbered substream (the call order
-        is deterministic), so every noise array stays prefix-stable
-        under dataset extension (see :mod:`repro.synth.rng`).
+        is deterministic), one value per day (see
+        :mod:`repro.synth.rng`).
         """
-        rng = bank.substream("onchain_btc", f"obs{next(draw)}")
+        rng = streams.substream("onchain_btc", f"obs{next(draw)}")
         return np.exp(rng.normal(scale=noise * scale, size=n))
 
     btc = universe.btc
@@ -149,15 +182,19 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     cap = btc["market_cap"]
     supply = universe.btc_supply
     adoption = latent.adoption
-    alpha = _concentration_path(n, bank.generator("btc_concentration"))
+    alpha = _concentration_path(n, streams.generator("btc_concentration"),
+                                state.get("alpha", 1.55))
+    new["alpha"] = last_value(alpha, state.get("alpha"))
 
     columns: dict[str, np.ndarray] = {}
 
     # --- population & activity scale -----------------------------------
     total_addresses = 1.2e7 * np.exp(1.9 * adoption) * obs()
     abs_ret = np.abs(latent.market_log_return)
+    turnover, new["turnover"] = _trailing_mean(abs_ret, 30,
+                                               state.get("turnover"))
     activity = (
-        0.5 * _trailing_mean(abs_ret, 30) / 0.02
+        0.5 * turnover / 0.02
         + 0.25 * np.abs(latent.sentiment) / 1.5
         + 0.5
     )
@@ -240,7 +277,8 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     )
 
     # --- capitalisation metrics -------------------------------------------
-    realized = _ema_like(cap, 200)
+    realized = _ema_like(cap, 200, state.get("realized"))
+    new["realized"] = last_value(realized, state.get("realized"))
     columns["CapRealUSD"] = realized * obs(0.3)
     columns["CapMrktFFUSD"] = cap * 0.82 * obs(0.2)
     columns["CapAct1yrUSD"] = (
@@ -249,17 +287,26 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     columns["market_cap"] = cap * obs(0.05)
 
     # --- miner economics ----------------------------------------------------
-    issuance = np.diff(supply, prepend=supply[0])
-    issuance[0] = issuance[1] if n > 1 else 900.0
+    if "supply" in state:
+        issuance = np.diff(supply, prepend=state["supply"])
+    else:
+        issuance = np.diff(supply, prepend=supply[0])
+        issuance[0] = issuance[1] if n > 1 else 900.0
+    new["supply"] = last_value(supply, state.get("supply"))
     fee_rate = 0.0006 * activity
     fees = btc["volume"] * fee_rate * obs()
     rev = issuance * price + fees
     columns["FeeTotUSD"] = fees
     columns["RevUSD"] = rev * obs(0.3)
     pre_sim_revenue = 2.0e9
-    columns["RevAllTimeUSD"] = pre_sim_revenue + np.cumsum(rev)
+    revenue = cumsum_from(rev, state.get("revenue"))
+    new["revenue"] = last_value(revenue, state.get("revenue"))
+    columns["RevAllTimeUSD"] = pre_sim_revenue + revenue
+    price_trend = _ema_like(price, 90, state.get("price_trend"))
+    new["price_trend"] = last_value(price_trend, state.get("price_trend"))
+    new["price0"] = state.get("price0", float(price[0]))
     hash_rate = 3.0e7 * np.exp(0.9 * adoption) * (
-        _ema_like(price, 90) / price[0]
+        price_trend / new["price0"]
     ) ** 0.6 * obs()
     columns["HashRate"] = hash_rate
     columns["RevHashRateUSD"] = rev / hash_rate * obs(0.5)
@@ -271,14 +318,18 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     columns["AdrActCnt"] = (
         total_addresses * 0.02 * activity * obs()
     )
+    transfer_mean, new["transfer"] = _trailing_mean(
+        transfer_value, 365, state.get("transfer"))
     columns["VelCur1yr"] = (
-        _trailing_mean(transfer_value, 365) * 365.0 / np.maximum(cap, 1.0)
+        transfer_mean * 365.0 / np.maximum(cap, 1.0)
     ) * obs(0.5)
     with np.errstate(divide="ignore"):
         columns["NVTAdj"] = cap / np.maximum(transfer_value, 1.0)
     columns["s2f_ratio"] = supply / np.maximum(issuance * 365.0, 1e-9)
-    columns["ROI1yr"] = _trailing_roi(price, 365)
-    columns["ROI30d"] = _trailing_roi(price, 30)
+    columns["ROI1yr"], new["roi365"] = _trailing_roi(
+        price, 365, state.get("roi365"))
+    columns["ROI30d"], new["roi30"] = _trailing_roi(
+        price, 30, state.get("roi30"))
 
     # --- exchange flows ----------------------------------------------------
     # Deposits/withdrawals to exchange-tagged addresses observe the
@@ -296,9 +347,9 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     columns["FlowInExNtv"] = inflow
     columns["FlowOutExNtv"] = outflow
     # Exchange balance integrates net flows (scaled down, mean-reverting).
-    ex_balance = 0.12 * supply * np.exp(
-        0.02 * np.cumsum(np.tanh(flow_sig) * 0.05)
-    ) * obs(0.3)
+    net_flow = cumsum_from(np.tanh(flow_sig) * 0.05, state.get("net_flow"))
+    new["net_flow"] = last_value(net_flow, state.get("net_flow"))
+    ex_balance = 0.12 * supply * np.exp(0.02 * net_flow) * obs(0.3)
     columns["SplyExNtv"] = ex_balance
     columns["SplyExPct"] = ex_balance / supply * 100.0
 
@@ -327,7 +378,8 @@ def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
         0.60 + 0.05 * (1.9 - alpha), 0, 1
     ) * obs(0.2)
 
-    return Frame(latent.index, columns)
+    new["streams"] = streams.states()
+    return Frame(latent.index, columns), new
 
 
 def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
@@ -337,26 +389,41 @@ def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
     The stablecoin's supply integrates the latent flow process, so these
     columns are the cleanest observable of the medium/long-horizon driver.
     """
-    bank = SeedBank(config.seed)
+    return simulate_usdc_onchain(config, latent, universe)[0]
+
+
+def simulate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
+                          universe: MarketUniverse,
+                          carry: dict | None = None):
+    """:func:`generate_usdc_onchain` over ``latent``'s days from
+    ``carry``; returns ``(frame, carry)`` (see
+    :func:`simulate_btc_onchain`)."""
+    state = carry or {}
+    new: dict = {}
+    streams = Streams(config.seed, state.get("streams"))
     n = latent.n_days
     noise = config.onchain_noise
     draw = itertools.count()
 
     def obs(scale: float = 1.0) -> np.ndarray:
-        # One numbered substream per call: prefix-stable under extension.
-        rng = bank.substream("onchain_usdc", f"obs{next(draw)}")
+        # One numbered substream per call, one value per day.
+        rng = streams.substream("onchain_usdc", f"obs{next(draw)}")
         return np.exp(rng.normal(scale=noise * scale, size=n))
 
     flows = latent.flows
     # Supply integrates flows: growth when capital enters the market.
-    growth = 0.0022 * flows + 0.0016
-    log_supply = np.log(2.5e8) + np.cumsum(growth)
+    growth = cumsum_from(0.0022 * flows + 0.0016, state.get("growth"))
+    new["growth"] = last_value(growth, state.get("growth"))
+    log_supply = np.log(2.5e8) + growth
     supply = np.exp(np.clip(log_supply, None, np.log(6e10)))
+    new["supply0"] = supply0 = state.get("supply0", float(supply[0]))
 
-    alpha = _concentration_path(n, bank.generator("usdc_concentration"))
+    alpha = _concentration_path(n, streams.generator("usdc_concentration"),
+                                state.get("alpha", 1.55))
+    new["alpha"] = last_value(alpha, state.get("alpha"))
     alpha = alpha - 0.12  # stablecoin wealth is more institutional
 
-    total_addresses = 3.0e5 * (supply / supply[0]) ** 0.8 * obs()
+    total_addresses = 3.0e5 * (supply / supply0) ** 0.8 * obs()
     mean_balance = supply / total_addresses * 2.0
 
     columns: dict[str, np.ndarray] = {}
@@ -404,7 +471,9 @@ def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
 
     # Activity: stablecoins churn when capital moves either direction.
     intensity = np.abs(flows)
-    act = np.clip(0.05 + 0.08 * _trailing_mean(intensity, 14), 0.0, 0.6)
+    intensity_mean, new["intensity"] = _trailing_mean(
+        intensity, 14, state.get("intensity"))
+    act = np.clip(0.05 + 0.08 * intensity_mean, 0.0, 0.6)
     for label, window in (
         ("7d", 7), ("30d", 30), ("90d", 90), ("1yr", 365),
         ("2yr", 730), ("3yr", 1095),
@@ -423,12 +492,14 @@ def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
 
     transfer = supply * act * 1.5 * obs()
     columns["usdc_TxTfrValAdjUSD"] = transfer
-    columns["usdc_TxCnt"] = 3.0e4 * (supply / supply[0]) ** 0.9 * (
+    columns["usdc_TxCnt"] = 3.0e4 * (supply / supply0) ** 0.9 * (
         0.5 + act
     ) * obs()
     columns["usdc_AdrActCnt"] = total_addresses * 0.05 * (0.5 + act) * obs()
+    transfer_mean, new["transfer"] = _trailing_mean(
+        transfer, 365, state.get("transfer"))
     columns["usdc_VelCur1yr"] = (
-        _trailing_mean(transfer, 365) * 365.0 / np.maximum(supply, 1.0)
+        transfer_mean * 365.0 / np.maximum(supply, 1.0)
     ) * obs(0.5)
     top1_share = np.clip(0.9 - 0.25 * (alpha - 1.0), 0.2, 0.97)
     tiny_threshold = supply / 1.0e7
@@ -448,7 +519,8 @@ def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
             masked = columns[name].copy()
             masked[:start_pos] = np.nan
             columns[name] = masked
-    return Frame(latent.index, columns)
+    new["streams"] = streams.states()
+    return Frame(latent.index, columns), new
 
 
 def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
@@ -461,14 +533,24 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
     the same latent drivers with a stronger sentiment component (DeFi
     usage is more speculative than BTC settlement).
     """
-    bank = SeedBank(config.seed)
+    return simulate_eth_onchain(config, latent, universe)[0]
+
+
+def simulate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
+                         universe: MarketUniverse, carry: dict | None = None):
+    """:func:`generate_eth_onchain` over ``latent``'s days from
+    ``carry``; returns ``(frame, carry)`` (see
+    :func:`simulate_btc_onchain`)."""
+    state = carry or {}
+    new: dict = {}
+    streams = Streams(config.seed, state.get("streams"))
     n = latent.n_days
     noise = config.onchain_noise
     draw = itertools.count()
 
     def obs(scale: float = 1.0) -> np.ndarray:
-        # One numbered substream per call: prefix-stable under extension.
-        rng = bank.substream("onchain_eth", f"obs{next(draw)}")
+        # One numbered substream per call, one value per day.
+        rng = streams.substream("onchain_eth", f"obs{next(draw)}")
         return np.exp(rng.normal(scale=noise * scale, size=n))
 
     # ETH rides the market with its own adoption kicker.
@@ -477,8 +559,12 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
         1.05 * latent.market_log_level
         + 0.3 * (eth_adoption - latent.adoption)
     ) * obs(0.3)
-    supply = 9.0e7 + np.cumsum(np.full(n, 13000.0))  # ~constant issuance
-    alpha = _concentration_path(n, bank.generator("eth_concentration"))
+    issued = cumsum_from(np.full(n, 13000.0), state.get("issued"))
+    new["issued"] = last_value(issued, state.get("issued"))
+    supply = 9.0e7 + issued  # ~constant issuance
+    alpha = _concentration_path(n, streams.generator("eth_concentration"),
+                                state.get("alpha", 1.55))
+    new["alpha"] = last_value(alpha, state.get("alpha"))
     alpha = alpha - 0.05
 
     total_addresses = 5.0e6 * np.exp(1.7 * eth_adoption) * obs()
@@ -486,8 +572,10 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
     mean_balance_usd = mean_balance_ntv * eth_price
 
     abs_ret = np.abs(latent.market_log_return)
+    turnover, new["turnover"] = _trailing_mean(abs_ret, 30,
+                                               state.get("turnover"))
     activity = (
-        0.45 * _trailing_mean(abs_ret, 30) / 0.02
+        0.45 * turnover / 0.02
         + 0.40 * np.abs(latent.sentiment) / 1.5
         + 0.5
     )
@@ -523,7 +611,9 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
         (1.0 - np.exp(-base_act * 365 * 0.55)) * 100.0 * obs(0.5)
     )
     columns["eth_market_cap"] = eth_price * supply * obs(0.05)
-    columns["eth_CapRealUSD"] = _ema_like(eth_price * supply, 200) * obs(0.3)
+    realized = _ema_like(eth_price * supply, 200, state.get("realized"))
+    new["realized"] = last_value(realized, state.get("realized"))
+    columns["eth_CapRealUSD"] = realized * obs(0.3)
 
     # DeFi-specific families.
     gas = 5.0e10 * (0.4 + activity) * np.exp(0.3 * eth_adoption) * obs()
@@ -539,44 +629,60 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
     tvl_growth = 0.0030 * latent.flows + 0.0015 + 0.0008 * np.tanh(
         latent.sentiment
     )
+    tvl = cumsum_from(tvl_growth, state.get("tvl"))
+    new["tvl"] = last_value(tvl, state.get("tvl"))
     columns["eth_DeFiTVL"] = 1.0e8 * np.exp(
-        np.clip(np.cumsum(tvl_growth), None, 9.0)
+        np.clip(tvl, None, 9.0)
     ) * obs(0.5)
     # Normalise by the long-run adoption scale (a constant, not the
-    # sample max: the max depends on the simulation length and would
-    # break prefix-stability under extension).
+    # sample max: the max depends on the simulation length, so an
+    # extension would change the earlier days).
     staked = np.clip(0.02 + 0.10 * (eth_adoption / 6.0), 0, 0.4)
     columns["eth_StakedPct"] = staked * 100.0 * obs(0.3)
     columns["eth_FeeTotUSD"] = gas * 2.0e-8 * eth_price * obs()
     transfer = eth_price * supply * 0.012 * activity * obs()
     columns["eth_TxTfrValAdjUSD"] = transfer
+    transfer_mean, new["transfer"] = _trailing_mean(
+        transfer, 365, state.get("transfer"))
     columns["eth_VelCur1yr"] = (
-        _trailing_mean(transfer, 365) * 365.0
+        transfer_mean * 365.0
         / np.maximum(eth_price * supply, 1.0)
     ) * obs(0.5)
     columns["eth_AdrActCnt"] = total_addresses * 0.03 * activity * obs()
 
-    return Frame(latent.index, columns)
+    new["streams"] = streams.states()
+    return Frame(latent.index, columns), new
 
 
-def _ema_like(values: np.ndarray, span: int) -> np.ndarray:
-    """NaN-free EMA (seeded at the first value) for internal derivations."""
+def _ema_like(values: np.ndarray, span: int,
+              state: float | None = None) -> np.ndarray:
+    """NaN-free EMA (seeded at the first value) for internal derivations,
+    continued from ``state`` (the previous day's value)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return np.empty_like(values)
     alpha = 2.0 / (span + 1.0)
     out = []
-    state = float(values[0])
+    state = float(values[0]) if state is None else state
     for x in values.tolist():
         state = alpha * x + (1 - alpha) * state
         out.append(state)
     return np.array(out, dtype=np.float64)
 
 
-def _trailing_roi(price: np.ndarray, window: int) -> np.ndarray:
-    """Return over ``window`` days; the warm-up uses the first price."""
+def _trailing_roi(price: np.ndarray, window: int, carry=None):
+    """Return over ``window`` days; the warm-up uses the first price.
+
+    ``carry`` is what the call over the earlier prices returned: the
+    first price and the last ``window`` prices. Returns
+    ``(roi, carry)``.
+    """
     price = np.asarray(price, dtype=np.float64)
+    first_price, tail = carry or (float(price[0]), _EMPTY)
+    history = np.concatenate((tail, price))
+    n = price.size
     past = np.empty_like(price)
-    past[:window] = price[0]
-    past[window:] = price[:-window]
-    return price / past - 1.0
+    warm = min(window - tail.size, n)  # the tail holds every earlier price
+    past[:warm] = first_price
+    past[warm:] = history[tail.size + warm - window:tail.size + n - window]
+    return price / past - 1.0, (first_price, history[-window:])

@@ -77,6 +77,15 @@ class RegimeProcess:
     def sample(self, n_days: int, rng: np.random.Generator,
                initial: Regime = Regime.SIDEWAYS) -> np.ndarray:
         """Sample ``n_days`` of regimes as an int array."""
+        return self.walk(n_days, rng, initial)[0]
+
+    def walk(self, n_days: int, rng: np.random.Generator,
+             initial: Regime = Regime.SIDEWAYS) -> tuple[np.ndarray, int]:
+        """Sample ``n_days`` of regimes starting in ``initial``.
+
+        Returns ``(path, next_state)``: the regime the day after the
+        path starts in, so a later walk resumes the same chain.
+        """
         if n_days < 0:
             raise ValueError("n_days must be >= 0")
         rows = np.cumsum(self.transitions, axis=1).tolist()
@@ -85,7 +94,7 @@ class RegimeProcess:
         for draw in rng.random(n_days).tolist():
             path.append(state)
             state = min(bisect.bisect_right(rows[state], draw), 3)
-        return np.array(path, dtype=np.int64)
+        return np.array(path, dtype=np.int64), state
 
     @staticmethod
     def drift(path: np.ndarray) -> np.ndarray:

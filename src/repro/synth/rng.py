@@ -4,17 +4,18 @@ Every stochastic component receives its own child generator spawned from a
 single master seed, so (a) the full dataset is bit-reproducible and (b)
 changing one component's draws does not perturb any other component.
 
-Prefix-stability contract
--------------------------
-The incremental pipeline (:func:`repro.synth.extend_raw_dataset`) relies
-on every named stream being consumed by **exactly one array draw** whose
-length is the simulation's day count: numpy generators fill arrays
-sequentially, so ``bank.generator(n).normal(size=n + k)[:n]`` is
-bit-identical to ``bank.generator(n).normal(size=n)``.  A component that
-needs several draws must request one *substream per draw*
-(:meth:`SeedBank.substream`) instead of drawing repeatedly from one
-stream — repeated draws shift the stream offset when the day count
-changes, which breaks the ``extend(n, k) == cold(n + k)`` guarantee.
+Resuming a stream
+-----------------
+The simulator runs over a range of days from a carried state
+(:func:`repro.synth.extend_raw_dataset` simulates only the new days), so
+each stream resumes from its carried bit-generator state
+(:class:`Streams`). numpy generators fill arrays sequentially, so a draw
+of ``n`` values followed by a draw of ``k`` equals one draw of
+``n + k``: a generator that makes one draw per day (or one per month,
+for the monthly series) gives the same bytes whether its days are
+simulated in one run or in several. A component that needs several
+draws per day requests one substream per draw
+(:meth:`SeedBank.substream`).
 
 Stream names are hashed with sha256 over the **full** name, so
 arbitrarily long substream labels ("onchain_btc/obs17") can never
@@ -27,7 +28,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["SeedBank"]
+__all__ = ["SeedBank", "Streams"]
 
 
 class SeedBank:
@@ -65,7 +66,58 @@ class SeedBank:
 
         ``substream("macro", "cpi")`` and ``substream("macro", "m2")``
         are independent streams; a component that makes several array
-        draws uses one substream per draw so each draw keeps the
-        prefix-stability contract on its own.
+        draws per day uses one substream per draw, so each stream can
+        resume from its carried state on its own (see :class:`Streams`).
         """
         return self.generator(f"{name}/{label}")
+
+
+#: Seeds the throwaway state of a resumed generator, which is overwritten
+#: at once (a ready sequence is cheaper than fresh OS entropy).
+_RESUME_SEED = np.random.SeedSequence(0)
+
+
+class Streams:
+    """The named streams of one generator, resumable from carried states.
+
+    ``states`` maps stream names to the bit-generator states a previous
+    run over earlier days left (:meth:`states`), and every stream resumes
+    where it stopped; without ``states`` every stream starts fresh from
+    the :class:`SeedBank`. Every run requests the same streams, so a
+    stream missing from ``states`` means they come from other code, and
+    requesting it raises ``ValueError`` rather than restarting it.
+    Within one run each name is one live stream.
+    """
+
+    def __init__(self, master_seed: int, states: dict | None = None):
+        self._bank = SeedBank(master_seed)
+        self._carried = states
+        self._live: dict[str, np.random.Generator] = {}
+
+    def generator(self, name: str) -> np.random.Generator:
+        """The stream ``name``, resumed or fresh."""
+        rng = self._live.get(name)
+        if rng is None:
+            if self._carried is None:
+                rng = self._bank.generator(name)
+            elif name in self._carried:
+                rng = np.random.Generator(np.random.PCG64(_RESUME_SEED))
+                rng.bit_generator.state = self._carried[name]
+            else:
+                raise ValueError(
+                    f"the carried states hold no stream {name!r}: they "
+                    "were produced by another simulator format"
+                )
+            self._live[name] = rng
+        return rng
+
+    def substream(self, name: str, label) -> np.random.Generator:
+        """The stream ``name/label`` (see :meth:`SeedBank.substream`)."""
+        return self.generator(f"{name}/{label}")
+
+    def states(self) -> dict:
+        """Every stream's bit-generator state, to resume from later."""
+        states = dict(self._carried or {})
+        for name, rng in self._live.items():
+            states[name] = rng.bit_generator.state
+        return states

@@ -17,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..frame.frame import Frame
+from .carry import cumsum_from
 from .config import SimulationConfig
 from .latent import LatentMarket
-from .rng import SeedBank
+from .rng import Streams
 
-__all__ = ["generate_tradfi", "TRADFI_SPECS"]
+__all__ = ["generate_tradfi", "simulate_tradfi", "TRADFI_SPECS"]
 
 #: (ticker, initial level, macro beta, idiosyncratic vol multiplier,
 #:  crypto beta). Positive macro beta = rises when macro conditions ease
@@ -45,32 +46,55 @@ TRADFI_SPECS = (
 def generate_tradfi(config: SimulationConfig,
                     latent: LatentMarket) -> Frame:
     """Daily close (and derived) series for the traditional indices."""
-    bank = SeedBank(config.seed)
+    return simulate_tradfi(config, latent)[0]
+
+
+def simulate_tradfi(config: SimulationConfig, latent: LatentMarket,
+                    carry: dict | None = None):
+    """:func:`generate_tradfi` over ``latent``'s days from ``carry``.
+
+    ``latent`` covers the days after those ``carry`` was produced from
+    (all of them when ``carry`` is None). Returns ``(frame, carry)``;
+    the carry holds the last macro value, each index's cumulative log
+    return and the streams' bit-generator states.
+    """
+    state = carry or {}
+    streams = Streams(config.seed, state.get("streams"))
     n = latent.n_days
     macro = latent.macro
-    macro_change = np.diff(macro, prepend=macro[0])
+    last_macro = state.get("macro")
+    macro_change = np.diff(
+        macro, prepend=macro[:1] if last_macro is None else last_macro
+    )
 
     columns: dict[str, np.ndarray] = {}
+    totals = dict(state.get("log_levels", {}))
     for ticker, level0, beta, vol_mult, crypto_beta in TRADFI_SPECS:
-        rng = bank.generator(f"tradfi_{ticker}")
+        rng = streams.generator(f"tradfi_{ticker}")
         eps = rng.normal(scale=config.tradfi_noise * vol_mult, size=n)
         drift = 0.00012 * vol_mult  # small secular up-drift for equities
         log_ret = (
             drift + beta * macro_change * 2.0
             + crypto_beta * latent.market_log_return + eps
         )
-        series = level0 * np.exp(np.cumsum(log_ret))
-        columns[f"{ticker}_Close"] = series
+        log_level = cumsum_from(log_ret, totals.get(ticker))
+        if n:
+            totals[ticker] = float(log_level[-1])
+        columns[f"{ticker}_Close"] = level0 * np.exp(log_level)
 
     # A couple of derived cross-market series commonly used in practice.
     columns["QQQ_SPY_ratio"] = columns["QQQ_Close"] / columns["SPY_Close"]
     columns["stocks_bonds_ratio"] = (
         columns["SPY_Close"] / columns["IEF_Close"]
     )
-    rng = bank.generator("tradfi_vix")
+    rng = streams.generator("tradfi_vix")
     # Volatility index: loads on negative macro conditions plus crypto vol.
     vix = 16.0 + 6.0 * np.tanh(-0.8 * macro) + 2.0 * np.abs(
         latent.market_log_return
     ) / 0.03 + rng.normal(scale=1.2, size=n)
     columns["VIX_Close"] = np.clip(vix, 9.0, 90.0)
-    return Frame(latent.index, columns)
+    return Frame(latent.index, columns), {
+        "streams": streams.states(),
+        "macro": float(macro[-1]) if n else last_macro,
+        "log_levels": totals,
+    }

@@ -149,7 +149,9 @@ class TestRangeDigestMemo:
 
 
 class TestPipelineKeys:
-    def test_dataset_key_moves_with_every_input(self):
+    def test_dataset_key_moves_with_every_input(self, monkeypatch):
+        import repro.synth.dataset as dataset_mod
+
         sim = SimulationConfig(seed=1)
         plan = random_fault_plan(7, ["onchain_btc"])
         base = dataset_key(sim)
@@ -157,6 +159,10 @@ class TestPipelineKeys:
         assert dataset_key(SimulationConfig(seed=2)) != base
         assert dataset_key(sim, fault_plan=plan) != base
         assert dataset_key(sim, degradation="fill") != base
+        # A dataset cached by other simulator code is never read back.
+        monkeypatch.setattr(dataset_mod, "SIMULATOR_FORMAT",
+                            dataset_mod.SIMULATOR_FORMAT + 1)
+        assert dataset_key(sim) != base
 
     def test_chaos_never_aliases_clean(self):
         # The structural-invalidation guarantee: a faulted run and a

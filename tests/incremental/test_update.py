@@ -18,7 +18,7 @@ import pytest
 
 import repro.cache.keys as keys
 import repro.core.scenarios as scenarios
-from repro.cache import CacheStore
+from repro.cache import CacheStore, dataset_key
 from repro.core.pipeline import (
     ExperimentConfig,
     run_experiment,
@@ -130,8 +130,9 @@ class TestUpdateEndToEnd:
 
 class TestChainedUpdate:
     """A second update fed the first update's in-memory dataset: the
-    row-range digests of the unchanged prefix ride along ``append_rows``,
-    so only the crypto100 target is hashed again."""
+    row-range digests of the unchanged prefix of the features and of the
+    crypto100 target ride along ``append_rows``, so nothing is hashed
+    again."""
 
     @pytest.fixture(scope="class")
     def chain(self, study):
@@ -152,11 +153,10 @@ class TestChainedUpdate:
         return SimpleNamespace(update=update, hashed=hashed,
                                reference=reference)
 
-    def test_features_never_hashed(self, study, chain):
-        features = study.update.results.raw.features.columns
-        assert chain.hashed  # the target frame is rebuilt and hashed
-        assert all(columns == ["crypto100"] for columns in chain.hashed)
-        assert features not in chain.hashed
+    def test_features_never_hashed(self, chain):
+        # The crypto100 target is extended with the dataset too, so
+        # neither frame is hashed again.
+        assert chain.hashed == []
 
     def test_every_scenario_served_from_cache(self, chain):
         assert chain.update.dataset_reused
@@ -170,6 +170,36 @@ class TestChainedUpdate:
                 == _improvement_rows(chain.reference))
         assert (scenarios.period_digests(chain.update.results.raw)
                 == scenarios.period_digests(chain.reference.raw))
+
+
+class TestParentThisSimulatorCannotResume:
+    """A parent dataset without a carry, or with a carry of another
+    simulator format, is treated like a missing parent: the extended
+    dataset is generated cold, with the same results."""
+
+    @pytest.mark.parametrize("make_parent", [
+        lambda parent: dataclasses.replace(parent, carry=None),
+        lambda parent: dataclasses.replace(parent, carry=dataclasses.replace(
+            parent.carry, format=parent.carry.format - 1)),
+    ], ids=["no-carry", "other-format"])
+    def test_updates_cold_with_the_same_results(self, study, tmp_path,
+                                                make_parent):
+        cache = tmp_path / "cache"
+        shutil.copytree(study.cache, cache)
+        store = CacheStore(cache)
+        key = dataset_key(study.config.simulation, study.config.fault_plan,
+                          study.config.degradation)
+        parent, report = store.get(key)
+        store.put(key, (make_parent(parent), report))
+
+        update = update_experiment(study.config, days=DAYS,
+                                   cache_dir=str(cache))
+        assert not update.dataset_reused
+        assert update.scenarios_cached == 2
+        assert (_improvement_rows(update.results)
+                == _improvement_rows(study.update.results))
+        assert (update.results.raw.features
+                == study.update.results.raw.features)
 
 
 class TestPartialCache:

@@ -10,8 +10,16 @@ from repro.indicators import (
     roc,
     rolling_volatility,
     rsi,
+    sma,
     stochastic_d,
     stochastic_k,
+)
+from repro.indicators.momentum import macd_resume, stochastic_d_resume
+from repro.indicators.moving import sma_resume
+from repro.indicators.volatility import (
+    atr_resume,
+    bollinger_bands_resume,
+    rolling_volatility_resume,
 )
 
 
@@ -202,3 +210,62 @@ class TestRollingVolatility:
         v_calm = rolling_volatility(calm, 30)
         v_wild = rolling_volatility(wild, 30)
         assert np.nanmean(v_wild) > np.nanmean(v_calm)
+
+
+
+def _ohlc(n=160):
+    rng = np.random.default_rng(8)
+    close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+    close[40] = np.nan
+    high = close * (1 + np.abs(rng.normal(0, 0.01, n)))
+    low = close * (1 - np.abs(rng.normal(0, 0.01, n)))
+    return close, high, low
+
+
+# (resumable form over rows lo:hi, the public function over all rows)
+_FORMS = {
+    "sma": (lambda c, h, l, carry: sma_resume(c, 20, carry),
+            lambda c, h, l: sma(c, 20)),
+    "macd": (lambda c, h, l, carry: macd_resume(c, carry=carry),
+             lambda c, h, l: macd(c)),
+    "bollinger": (
+        lambda c, h, l, carry: bollinger_bands_resume(c, 20, 2.0, carry),
+        lambda c, h, l: bollinger_bands(c, 20)),
+    "atr": (lambda c, h, l, carry: atr_resume(h, l, c, 14, carry),
+            lambda c, h, l: atr(h, l, c, 14)),
+    "volatility": (
+        lambda c, h, l, carry: rolling_volatility_resume(c, 30, True, carry),
+        lambda c, h, l: rolling_volatility(c, 30)),
+    "stochastic_d": (
+        lambda c, h, l, carry: stochastic_d_resume(c, h, l, 14, 3, carry),
+        lambda c, h, l: stochastic_d(c, h, l, 14)),
+}
+
+
+class TestResumableForms:
+    """Each indicator is its ``*_resume`` form over the whole series, and
+    a series fed in pieces gives the bytes of one call."""
+
+    @pytest.mark.parametrize("cut", [1, 13, 25, 90, 159])
+    @pytest.mark.parametrize("name", sorted(_FORMS))
+    def test_pieces_equal_one_call(self, name, cut):
+        resume, whole = _FORMS[name]
+        series = _ohlc()
+        head, carry = resume(*(s[:cut] for s in series), None)
+        tail, _ = resume(*(s[cut:] for s in series), carry)
+        expected = whole(*series)
+        if isinstance(expected, np.ndarray):
+            head, tail, expected = (head,), (tail,), (expected,)
+        for first, rest, want in zip(head, tail, expected):
+            assert (np.concatenate((first, rest)).tobytes()
+                    == want.tobytes())
+
+    def test_infinite_input_rejected(self):
+        with pytest.raises(ValueError, match="infinities"):
+            sma(np.array([1.0, np.inf, 2.0, 3.0]), 2)
+
+    def test_window_one_is_exact(self):
+        prices = np.array([0.1, 0.7, np.nan, 0.3])
+        assert sma(prices, 1).tobytes() == prices.tobytes()
+        _, upper, lower = bollinger_bands(prices, 1)
+        assert upper.tobytes() == lower.tobytes() == prices.tobytes()

@@ -78,6 +78,54 @@ class TestSuite:
             frame["SMA_20_market-cap"], direct, equal_nan=True
         )
 
+    def test_columns_are_the_public_indicators(self, btc_frame):
+        # One definition per indicator: the block's columns are the
+        # public functions' outputs, byte for byte.
+        from repro.indicators import (
+            atr,
+            bollinger_bands,
+            macd,
+            rolling_volatility,
+            sma,
+            stochastic_d,
+        )
+
+        frame = technical_indicator_frame(btc_frame)
+        close, high, low = (btc_frame[name]
+                            for name in ("close", "high", "low"))
+        expected = {
+            "SMA_50_volume": sma(btc_frame["volume"], 50),
+            "StochD14_close-price": stochastic_d(close, high, low, 14),
+            "ATR14_close-price": atr(high, low, close, 14),
+            "Volatility90_close-price": rolling_volatility(close, 90),
+        }
+        for name, series in zip(("MACD", "MACDsignal", "MACDhist"),
+                                macd(close)):
+            expected[f"{name}_close-price"] = series
+        for name, series in zip(("BBmid20", "BBup20", "BBlow20"),
+                                bollinger_bands(close, 20)):
+            expected[f"{name}_close-price"] = series
+        for name, series in expected.items():
+            assert frame[name].tobytes() == series.tobytes(), name
+
+    @pytest.mark.parametrize("column", ["close", "high", "volume"])
+    def test_infinite_input_rejected(self, btc_frame, column):
+        # An infinity would poison every later running-sum window.
+        values = btc_frame.to_dict()
+        values[column] = values[column].copy()
+        values[column][200] = np.inf
+        broken = Frame(btc_frame.index, values)
+        with pytest.raises(ValueError, match="infinite"):
+            technical_indicator_frame(broken)
+
+    def test_nan_input_accepted(self, btc_frame):
+        values = btc_frame.to_dict()
+        values["close"] = values["close"].copy()
+        values["close"][200] = np.nan
+        frame = technical_indicator_frame(Frame(btc_frame.index, values))
+        assert np.isnan(frame["SMA_5_close-price"][200:205]).all()
+        assert np.isfinite(frame["SMA_5_close-price"][205:]).all()
+
     def test_missing_column_rejected(self, btc_frame):
         broken = btc_frame.drop(["volume"])
         with pytest.raises(ValueError):

@@ -92,7 +92,8 @@ class TestTraceSummaryShowsCacheAndKernel:
             self, summary_output):
         header = next(line for line in summary_output.splitlines()
                       if line.startswith("stage "))
-        assert header.split() == ["stage", "count", "total", "self",
+        # the markdown pipe table shared with the run report
+        assert [cell.strip() for cell in header.split("|")] == ["stage", "count", "total", "self",
                                   "mean", "max", "cpu", "max-rss"]
 
     def test_slowest_spans_listed_with_attrs(self, summary_output):

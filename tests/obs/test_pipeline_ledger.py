@@ -140,7 +140,8 @@ class TestChaosLedger:
         text = render_record(RunLedger(chaos_ledger).latest())
         header = next(line for line in text.splitlines()
                       if line.startswith("stage "))
-        assert header.split() == ["stage", "count", "total", "self",
+        # the markdown pipe table shared with the run report
+        assert [cell.strip() for cell in header.split("|")] == ["stage", "count", "total", "self",
                                   "mean", "max", "cpu", "max-rss"]
         assert "counters:" in text
 

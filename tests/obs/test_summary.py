@@ -145,7 +145,8 @@ class TestRenderings:
             assert name in text
         header = next(line for line in text.splitlines()
                       if line.startswith("stage "))
-        assert header.split() == ["stage", "count", "total", "self",
+        # the markdown pipe table shared with the run report
+        assert [cell.strip() for cell in header.split("|")] == ["stage", "count", "total", "self",
                                   "mean", "max"]
 
     def test_stage_table_empty_trace(self):

@@ -4,7 +4,10 @@ Each digest covers the feature frame's index ordinals plus every
 column's name and bytes, in column order. The values were recorded
 before the simulator's per-element loops were rewritten over Python
 floats, so they prove the rewrite kept every byte. A change to the
-simulator that moves any value must update these pins on purpose.
+simulator that moves any value must update these pins on purpose, and
+bump ``SIMULATOR_FORMAT`` (and its pin below) with them: a dataset
+cached, or a carry kept, by the older code is then regenerated rather
+than extended with the new one.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import pytest
 
 from repro.cache import frame_digest
 from repro.synth import SimulationConfig, generate_raw_dataset
+from repro.synth.dataset import SIMULATOR_FORMAT
 
 _PINS = [
     (SimulationConfig(seed=1),
@@ -48,3 +52,9 @@ def test_frame_digest_pin():
     assert frame_digest(raw.features) == (
         "898aaeb5a9e400fb62d39e7709d807ca3d2aa963b213b08fdb2f54482614a3f7"
     )
+
+
+def test_simulator_format_pin():
+    # Moves with the pins above: bytes that change without a new format
+    # would let a cached dataset be extended by other simulator code.
+    assert SIMULATOR_FORMAT == 1

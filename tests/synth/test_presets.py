@@ -79,7 +79,7 @@ class TestPresetBehaviour:
         original = latent_mod._macro_factor
         monkeypatch.setattr(
             latent_mod, "_macro_factor",
-            lambda n, bank: original(n, bank) + 1.0,
+            lambda *args: original(*args) + 1.0,
         )
         swapped = generate_latent_market(cfg)
         swapped_coupled = generate_latent_market(coupled_cfg)

@@ -352,7 +352,7 @@ class TestRunReport:
         path = tmp_path / "r.md"
         code = main(["run", "--keep-going", "--no-cache", "--quiet",
                      "--report", str(path)])
-        assert code == 0
+        assert code == 1  # incomplete, like `repro update`
         report = path.read_text()
         assert "- 2017_7: OSError: disk full" in report
         assert capsys.readouterr().out == (
