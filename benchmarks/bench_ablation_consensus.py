@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core.improvement import ImprovementConfig, evaluate_feature_set
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 from repro.ml import RandomForestRegressor
 
 _EVAL = ImprovementConfig(
@@ -23,7 +24,8 @@ _EVAL = ImprovementConfig(
 def test_ablation_consensus(benchmark, bench_results, artifact_writer):
     key = sorted(bench_results.artifacts)[0]
     art = bench_results.artifacts[key]
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     fra_selected = art.selection.fra.selected
     size = len(fra_selected)
 

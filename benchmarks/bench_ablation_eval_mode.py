@@ -10,12 +10,14 @@ caveat.
 
 from repro.core.improvement import ImprovementConfig, evaluate_feature_set
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 
 
 def test_ablation_eval_mode(benchmark, bench_results, artifact_writer):
     key = sorted(bench_results.artifacts)[0]
     art = bench_results.artifacts[key]
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     features = art.selection.final_features
 
     grid = {"n_estimators": [15], "max_depth": [12],

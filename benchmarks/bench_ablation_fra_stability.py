@@ -9,6 +9,7 @@ scenario and reports the stable core and the pairwise Jaccard agreement.
 from repro.core.fra import FRAConfig
 from repro.core.reporting import format_table
 from repro.core.robustness import fra_stability
+from repro.core.scenarios import build_scenario
 
 _CFG = FRAConfig(
     target_size=40,
@@ -24,7 +25,8 @@ def test_fra_stability(benchmark, bench_results, artifact_writer):
         a for a in bench_results.artifacts.values()
         if a.scenario.period == "2019"
     )
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     sub = scenario.select_features(scenario.feature_names[:100])
 
     report = benchmark.pedantic(

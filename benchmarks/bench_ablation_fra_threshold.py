@@ -9,6 +9,7 @@ bench quantifies both behaviours on one real scenario.
 
 from repro.core.fra import FRAConfig, fra_reduce
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 
 _MODEL_PARAMS = dict(
     rf_params={"n_estimators": 6, "max_depth": 7, "max_features": "sqrt"},
@@ -24,7 +25,8 @@ def test_ablation_threshold_schedule(benchmark, bench_results,
         a for a in bench_results.artifacts.values()
         if a.scenario.period == "2019"
     )
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     sub = scenario.select_features(scenario.feature_names[:120])
 
     escalating = FRAConfig(target_size=60, corr_step=0.025,

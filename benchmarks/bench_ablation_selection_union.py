@@ -8,6 +8,7 @@ alone.
 
 from repro.core.improvement import ImprovementConfig, evaluate_feature_set
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 
 _EVAL = ImprovementConfig(
     model="rf",
@@ -23,7 +24,8 @@ def test_ablation_selection_union(benchmark, bench_results,
         bench_results.artifacts
     )[0]
     art = bench_results.artifacts[key]
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     selection = art.selection
     top_k = bench_results.config.top_k
 

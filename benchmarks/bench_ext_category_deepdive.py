@@ -8,6 +8,7 @@ well the category does without that top feature).
 from repro.categories import CATEGORY_LABELS
 from repro.core.category_analysis import analyze_all_categories
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 
 _RF = {"n_estimators": 10, "max_depth": 10, "max_features": "sqrt",
        "min_samples_leaf": 2}
@@ -17,7 +18,8 @@ def test_ext_category_deepdive(benchmark, bench_results, artifact_writer):
     key = "2019_30" if "2019_30" in bench_results.artifacts else sorted(
         bench_results.artifacts
     )[0]
-    scenario = bench_results.artifacts[key].scenario
+    info = bench_results.artifacts[key].scenario
+    scenario = build_scenario(bench_results.raw, info.period, info.window)
 
     profiles = benchmark.pedantic(
         analyze_all_categories, args=(scenario,),

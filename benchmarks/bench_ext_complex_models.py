@@ -9,6 +9,7 @@ on one scenario: diverse final vector vs the largest single category.
 from repro.categories import DataCategory
 from repro.core.improvement import ImprovementConfig, evaluate_feature_set
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 
 _CONFIGS = {
     "Random Forest": ImprovementConfig(
@@ -36,7 +37,8 @@ def test_ext_complex_models(benchmark, bench_results, artifact_writer):
         bench_results.artifacts
     )[0]
     art = bench_results.artifacts[key]
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     diverse = art.selection.final_features
     technical = scenario.columns_in(DataCategory.TECHNICAL)
 

@@ -11,8 +11,8 @@ test-suite runs every day:
 * cold vs warm runs of the cached experiment pipeline
   (``run_experiment(cache_dir=...)``), which on a warm store
   short-circuits the dataset and every scenario task to
-  content-addressed reads (the scenario frames are not read: each task
-  result carries its own scenario).
+  content-addressed reads (a task entry holds the task's results, not
+  its scenario matrices, and no scenario is built).
 
 Writes ``benchmarks/results/BENCH_kernels.json`` with the timings, the
 speedup ratios, and the host shape (``cpu_count``, ``n_jobs``) — the

@@ -8,12 +8,14 @@ pass itself.
 """
 
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 from repro.core.selection import SHAPConfig, shap_ranking
 
 
 def test_shap_overlap(benchmark, bench_results, artifact_writer):
     art = next(iter(bench_results.artifacts.values()))
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     benchmark.pedantic(
         shap_ranking,
         args=(scenario.X, scenario.y, scenario.feature_names),

@@ -8,6 +8,7 @@ interval for the MSE-decrease percentage.
 
 from repro.categories import DataCategory
 from repro.core.reporting import format_table
+from repro.core.scenarios import build_scenario
 from repro.ml import KFold, RandomForestRegressor, cross_val_predict
 from repro.stats import diebold_mariano, improvement_ci
 
@@ -28,7 +29,8 @@ def test_stats_significance(benchmark, bench_results, artifact_writer):
         bench_results.artifacts
     )[0]
     art = bench_results.artifacts[key]
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
 
     diverse = scenario.select_features(art.selection.final_features)
     sentiment = scenario.select_features(

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.fra import FRAConfig, fra_reduce
 from repro.core.reporting import render_table1
+from repro.core.scenarios import build_scenario
 
 
 def test_table1_vector_sizes(benchmark, bench_results, artifact_writer):
@@ -15,7 +16,8 @@ def test_table1_vector_sizes(benchmark, bench_results, artifact_writer):
 
     # Measure a small-but-real FRA reduction as the benchmark payload.
     art = next(iter(bench_results.artifacts.values()))
-    scenario = art.scenario
+    scenario = build_scenario(bench_results.raw, art.scenario.period,
+                              art.scenario.window)
     cols = scenario.feature_names[:60]
     sub = scenario.select_features(cols)
     tiny = FRAConfig(

@@ -34,6 +34,7 @@ from .core import (
     FRAResult,
     ImprovementConfig,
     Scenario,
+    ScenarioInfo,
     SelectionResult,
     SHAPConfig,
     build_all_scenarios,
@@ -58,6 +59,7 @@ __all__ = [
     "RawDataset",
     "SHAPConfig",
     "Scenario",
+    "ScenarioInfo",
     "SelectionResult",
     "SimulationConfig",
     "__version__",

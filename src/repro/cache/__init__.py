@@ -4,8 +4,10 @@ The paper's unit of work is one (period, window) scenario, and so is
 this cache's unit of reuse. Re-running a configuration would otherwise
 regenerate the raw synthetic dataset, rebuild every engineered scenario
 frame and repeat every scenario's deterministic selection and model
-fits. This package memoises three kinds of artifact on disk: the raw
-dataset, the scenario frames, and each scenario's whole task result.
+fits. This package memoises two kinds of artifact on disk: the raw
+dataset and each scenario's whole task result (what the task computed,
+not the scenario matrices it fitted on, which are rebuilt from the
+dataset in milliseconds).
 Each is addressed by a sha256 digest of *everything that determines
 it*: config fingerprints (:func:`config_fingerprint`, which folds fault
 plans and degradation policies into the address so chaos runs never
@@ -28,7 +30,7 @@ Layout:
   registry plus ``stats``/``verify``/``gc``/``clear`` maintenance
   (surfaced as the ``repro cache`` CLI).
 * :mod:`~repro.cache.keys` — config fingerprints and key builders
-  (dataset, scenario frames, per-scenario task results).
+  (dataset, per-scenario task results).
 
 Wired into ``run_experiment(cache_dir=...)`` and the CLI via
 ``repro run --cache-dir / --no-cache`` (see :mod:`repro.core.pipeline`).
@@ -49,7 +51,6 @@ from .keys import (
     fingerprint_parts,
     frame_digest,
     range_digest,
-    scenarios_key,
     task_key,
 )
 from .store import CacheStore
@@ -67,6 +68,5 @@ __all__ = [
     "load_artifact",
     "quarantine_entry",
     "range_digest",
-    "scenarios_key",
     "task_key",
 ]

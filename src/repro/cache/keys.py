@@ -32,7 +32,6 @@ __all__ = [
     "fingerprint_parts",
     "frame_digest",
     "range_digest",
-    "scenarios_key",
     "task_key",
 ]
 
@@ -126,19 +125,6 @@ def dataset_key(simulation_config, fault_plan=None, degradation=None) -> str:
     )
 
 
-def scenarios_key(dataset_digest, periods, windows) -> str:
-    """Key for the engineered per-scenario feature frames.
-
-    ``dataset_digest`` is the data-content part of the address — the
-    pipeline passes the tuple of per-period :func:`range_digest`-based
-    digests (see :func:`repro.core.scenarios.period_digests`), so the
-    key survives append-only extensions past the period ends.
-    """
-    return fingerprint_parts(
-        "scenarios", dataset_digest, tuple(periods), tuple(windows)
-    )
-
-
 def task_key(config_fingerprint: str, dataset_digest: str,
              scenario_key: str) -> str:
     """Key for one scenario's full pipeline result (selection + models).
@@ -150,9 +136,14 @@ def task_key(config_fingerprint: str, dataset_digest: str,
     whole-dataset digest, so extending the dataset past the period's
     end re-serves the cached task. Callers that pass a custom ``raw``
     dataset into ``run_experiment`` are still covered: the digest is
-    computed from the bytes actually supplied.
+    computed from the bytes actually supplied.  So is the shape of a
+    task entry (:data:`repro.core.pipeline.TASK_FORMAT`): an entry
+    written in another shape is never read back.
     """
+    from ..core.pipeline import TASK_FORMAT
+
     return fingerprint_parts(
-        "task", config_fingerprint, dataset_digest, scenario_key
+        "task", TASK_FORMAT, config_fingerprint, dataset_digest,
+        scenario_key,
     )
 

@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "equivalent output)")
     run.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                      help="content-addressed artifact cache: memoise the "
-                          "dataset, scenario frames and per-scenario "
-                          "results here; rerunning a killed run "
+                          "dataset and per-scenario results here; "
+                          "rerunning a killed run "
                           "with the same cache resumes it "
                           "(default: $REPRO_CACHE_DIR if set)")
     run.add_argument("--no-cache", action="store_true",

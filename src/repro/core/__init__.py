@@ -58,6 +58,7 @@ from .scenarios import (
     PERIODS,
     PREDICTION_WINDOWS,
     Scenario,
+    ScenarioInfo,
     build_all_scenarios,
     build_scenario,
     scenario_key,
@@ -90,6 +91,7 @@ __all__ = [
     "ScenarioArtifacts",
     "ScenarioFailure",
     "ScenarioImprovement",
+    "ScenarioInfo",
     "SelectionResult",
     "StabilityReport",
     "analyze_all_categories",

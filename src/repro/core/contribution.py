@@ -9,13 +9,13 @@ before the feature selection phase took place." (§4.1)
 from __future__ import annotations
 
 from ..categories import DataCategory
-from .scenarios import Scenario
+from .scenarios import ScenarioInfo
 
 __all__ = ["contribution_factors", "contribution_table"]
 
 
 def contribution_factors(
-    scenario: Scenario, final_features: list[str]
+    scenario: ScenarioInfo, final_features: list[str]
 ) -> dict[DataCategory, float]:
     """Contribution factor per category for one scenario.
 

@@ -26,7 +26,6 @@ from ..cache import (
     CacheStore,
     config_fingerprint,
     dataset_key,
-    scenarios_key,
     task_key,
 )
 from ..categories import DataCategory
@@ -86,6 +85,7 @@ from .improvement import (
 from .scenarios import (
     PREDICTION_WINDOWS,
     Scenario,
+    ScenarioInfo,
     build_all_scenarios,
     period_digests,
     scenario_key,
@@ -93,7 +93,14 @@ from .scenarios import (
 from .selection import SelectionResult, SHAPConfig, select_final_features
 
 __all__ = ["ExperimentConfig", "ScenarioArtifacts", "ScenarioFailure",
-           "ExperimentResults", "run_experiment", "run_fingerprint"]
+           "ExperimentResults", "TASK_FORMAT", "run_experiment",
+           "run_fingerprint"]
+
+#: The shape of a scenario task's cache entry (what
+#: :func:`_scenario_task` returns).  A change to what an entry holds
+#: must bump it: entries written in another shape then miss once, since
+#: :func:`repro.cache.task_key` holds it, instead of being read back.
+TASK_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -410,7 +417,10 @@ def _apply_splitter(config: ExperimentConfig) -> ExperimentConfig:
 class ScenarioArtifacts:
     """Everything computed for one scenario."""
 
-    scenario: Scenario
+    scenario: ScenarioInfo
+    """The scenario the task fitted on, without its matrices; rebuild
+    them with ``build_scenario(results.raw, period, window)``."""
+
     selection: SelectionResult
     rf_importance: dict[str, float]
     """Fine-tuned-RF importance of every final-vector feature (§4.2)."""
@@ -615,7 +625,9 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
     task result — the pipeline's one unit of reuse.  The parent already
     served cache hits, so this side only stores — as soon as the
     scenario finishes, which is what lets a killed run resume from the
-    cache.
+    cache.  The result keeps the scenario's :class:`ScenarioInfo`, not
+    its matrices, so an entry holds what the task computed, not its
+    inputs.
     """
     key, scenario = item
     slog = get_logger("pipeline").bind(scenario=key)
@@ -635,7 +647,7 @@ def _scenario_task(item: tuple, config: ExperimentConfig,
             rf_params=config.rf_importance_params,
         )
         artifact = ScenarioArtifacts(
-            scenario=scenario,
+            scenario=scenario.info,
             selection=selection,
             rf_importance=importance,
         )
@@ -689,21 +701,23 @@ def run_experiment(config: ExperimentConfig | None = None,
 
     ``cache_dir`` (CLI: ``repro run --cache-dir``) enables the
     content-addressed artifact cache (:mod:`repro.cache`).  The scenario
-    task is its one unit of reuse: the raw dataset, the engineered
-    scenario frames and each scenario's full task result are memoised
-    on disk, keyed by sha256 digests of everything that determines them
-    — config fingerprints (fault plans and degradation policies
-    included, so chaos runs never alias clean runs) and raw data bytes.
+    task is its one unit of reuse: the raw dataset and each scenario's
+    full task result are memoised on disk, keyed by sha256 digests of
+    everything that determines them — config fingerprints (fault plans
+    and degradation policies included, so chaos runs never alias clean
+    runs) and raw data bytes.
     Model fits and compiled ensembles are never cached on their own; a
-    task hit skips them all.  A cold run writes ``2 + n`` entries for
-    ``n`` scenarios.  The task entries are probed first, and each
-    carries its own :class:`Scenario`: a warm re-run of the same config
-    reads the dataset entry plus the ``n`` task entries, and a cached
-    :func:`~repro.incremental.update_experiment` (which passes ``raw``)
-    reads only the ``n`` task entries.  Neither reads the scenario
-    frames; only a run with a missing or corrupt task entry reads them,
-    once, and recomputes just those scenarios.  ``cache.hits`` /
-    ``cache.misses`` counters land in the run summary, and
+    task hit skips them all.  A cold run writes ``1 + n`` entries for
+    ``n`` scenarios: the dataset and one task result per scenario.  A
+    task entry holds what the task computed — selection, importances,
+    improvements and a matrix-free :class:`ScenarioInfo` — kilobytes,
+    not the scenario's matrices.  A warm re-run of the same config
+    reads the dataset entry plus the ``n`` small task entries, and a
+    cached :func:`~repro.incremental.update_experiment` (which passes
+    ``raw``) reads only the ``n`` task entries.  A run with a missing
+    or corrupt task entry builds the scenarios from the dataset, as a
+    cold run does, and recomputes just those scenarios.  ``cache.hits``
+    / ``cache.misses`` counters land in the run summary, and
     ``experiment.scenarios_cached`` counts the scenarios served from
     the cache.
 
@@ -748,26 +762,25 @@ def run_experiment(config: ExperimentConfig | None = None,
     with use_tracer(tracer), use_metrics(metrics), \
             profiled_span("experiment.run"):
         # The run is one dependency-aware task graph: dataset →
-        # preflight → scenarios → per-scenario tasks.  The dataset and
-        # scenario-frames nodes carry a cache key and are satisfied
-        # straight from the artifact store; the scenario wave is
-        # scheduled onto a persistent worker pool whose shared dataset
-        # carries the matrices zero-copy.
+        # preflight → scenarios → per-scenario tasks.  The dataset node
+        # carries a cache key and is satisfied straight from the
+        # artifact store; the scenario wave is scheduled onto a
+        # persistent worker pool whose shared dataset carries the
+        # matrices zero-copy.
         graph = TaskGraph()
 
+        # Only the dataset node carries a cache key (and only when a
+        # store is active), so these bridge the graph to the store for
+        # that one entry.
         def _cache_get(node_key, cache_key):
-            if store is None:
-                return False, None
             value = store.get(cache_key)
             if value is None:
                 return False, None
-            if node_key == "dataset":
-                log.info("dataset.cached", seed=config.simulation.seed)
+            log.info("dataset.cached", seed=config.simulation.seed)
             return True, value
 
         def _cache_put(node_key, cache_key, value):
-            if store is not None:
-                store.put(cache_key, value)
+            store.put(cache_key, value)
 
         degradation_report: DegradationReport | None = None
         provided_raw = raw
@@ -817,10 +830,10 @@ def run_experiment(config: ExperimentConfig | None = None,
                          for window in config.windows]
         metrics.gauge("experiment.scenarios").set(len(scenario_keys))
 
-        # Probe every task entry before anything else: each cached task
-        # result carries its own Scenario, so a run whose tasks all hit
-        # never reads (or builds) the scenario frames, and each entry
-        # is read and counted exactly once.
+        # Probe every task entry before anything else: a cached task
+        # result carries everything the report reads, so a run whose
+        # tasks all hit never builds a scenario, and each entry is read
+        # and counted exactly once.
         by_key: dict[str, tuple] = {}
         task_keys: dict[str, str] = {}
         if store is not None:
@@ -837,25 +850,22 @@ def run_experiment(config: ExperimentConfig | None = None,
 
         scenarios: dict[str, Scenario] = {}
         if missing:
-            skey = None
-            if store is not None:
-                skey = scenarios_key(
-                    tuple(digests[p] for p in config.periods),
-                    config.periods, config.windows,
-                )
-
+            # Building every scenario from the dataset costs tens of
+            # milliseconds, against seconds per recomputed task, so a
+            # run with any task to compute builds them all as a cold
+            # run does; none is ever cached.
             def _scenarios_stage():
                 return build_all_scenarios(
                     raw, periods=config.periods, windows=config.windows
                 )
 
             graph.add("scenarios", _scenarios_stage, deps=("preflight",),
-                      cache_key=skey, inline=True)
+                      inline=True)
             log.info("scenarios.build", periods=",".join(config.periods),
                      windows=",".join(str(w) for w in config.windows),
                      jobs=jobs)
             with tracer.span("pipeline.scenarios"):
-                graph.run(cache_get=_cache_get, cache_put=_cache_put)
+                graph.run()
             scenarios = graph.results["scenarios"]
 
         # The cache kwargs ride along only when a store is active, so

@@ -28,6 +28,7 @@ __all__ = [
     "PERIODS",
     "PREDICTION_WINDOWS",
     "Scenario",
+    "ScenarioInfo",
     "build_scenario",
     "build_all_scenarios",
     "period_digests",
@@ -50,18 +51,20 @@ def scenario_key(period: str, window: int) -> str:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One supervised forecasting problem.
+class ScenarioInfo:
+    """One scenario without its matrices: what a scenario task keeps.
 
-    ``X`` rows are observation days; ``y[i]`` is the Crypto100 price
-    ``window`` days after the day of row ``i``.
+    The period, the window, the candidate features with their
+    categories and what cleaning removed — everything the report,
+    Table 1 and the contribution factors read.  A task's cache entry
+    holds this, not the ``X``/``y`` it fitted on; whoever needs the
+    matrices rebuilds them from the run's dataset with
+    ``build_scenario(results.raw, info.period, info.window)``.
     """
 
     period: str
     window: int
     feature_names: list[str]
-    X: np.ndarray
-    y: np.ndarray
     categories: dict[str, DataCategory] = field(repr=False)
     cleaning_report: CleaningReport = field(repr=False)
 
@@ -71,14 +74,9 @@ class Scenario:
         return scenario_key(self.period, self.window)
 
     @property
-    def n_samples(self) -> int:
-        """Number of supervised rows."""
-        return int(self.X.shape[0])
-
-    @property
     def n_features(self) -> int:
-        """Number of features."""
-        return int(self.X.shape[1])
+        """Number of candidate features."""
+        return len(self.feature_names)
 
     def columns_in(self, category: DataCategory) -> list[str]:
         """Feature names belonging to one category."""
@@ -86,6 +84,35 @@ class Scenario:
             name for name in self.feature_names
             if self.categories[name] is category
         ]
+
+
+@dataclass(frozen=True)
+class Scenario(ScenarioInfo):
+    """One supervised forecasting problem: a :class:`ScenarioInfo` with
+    its matrices.
+
+    ``X`` rows are observation days; ``y[i]`` is the Crypto100 price
+    ``window`` days after the day of row ``i``.
+    """
+
+    X: np.ndarray = field(kw_only=True)
+    y: np.ndarray = field(kw_only=True)
+
+    @property
+    def info(self) -> ScenarioInfo:
+        """This scenario without its matrices."""
+        return ScenarioInfo(
+            period=self.period,
+            window=self.window,
+            feature_names=self.feature_names,
+            categories=self.categories,
+            cleaning_report=self.cleaning_report,
+        )
+
+    @property
+    def n_samples(self) -> int:
+        """Number of supervised rows."""
+        return int(self.X.shape[0])
 
     def select_features(self, names: list[str]) -> "Scenario":
         """A scenario restricted to a subset of features (same rows)."""

@@ -158,27 +158,43 @@ class WorkerPool:
         ``map`` call — that is the whole point of the pool.  A dirty
         round terminates the workers (the only way to reclaim a hung
         one) and invalidates the executor; the supervisor's next
-        :meth:`lease` forks a fresh, re-warmed pool.  Exit codes are
-        read before any worker is terminated, so a death is reported
-        with its own code, not the teardown's SIGTERM.
+        :meth:`lease` forks a fresh, re-warmed pool.
+
+        A worker whose sentinel is ready ended on its own, and only
+        those are deaths; the rest are alive and the teardown
+        terminates them.  A dead worker's exit code is read after the
+        executor's shutdown has joined it: a worker that has closed its
+        sentinel but is not yet reapable reads no code at all, while
+        the executor's own teardown SIGTERMs its siblings.
         ``_processes`` is stdlib-internal but stable since 3.7.
         """
         processes = dict(getattr(executor, "_processes", None) or {})
-        deaths = [(pid, process.exitcode)
-                  for pid, process in processes.items()
-                  if process.exitcode not in (0, None)]
-        if kill:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-            executor.shutdown(wait=True, cancel_futures=True)
-            if executor is self._executor:
+        if not kill:
+            deaths = [(pid, process.exitcode)
+                      for pid, process in processes.items()
+                      if process.exitcode not in (0, None)]
+            if deaths and executor is self._executor:
+                # A worker died without breaking the round's futures;
+                # do not trust the executor for the next stage.
+                executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
-        if deaths and not kill and executor is self._executor:
-            # A worker died without breaking the round's futures; do
-            # not trust the executor for the next stage.
-            executor.shutdown(wait=False, cancel_futures=True)
+            return deaths
+        from multiprocessing.connection import wait
+
+        ended = set(wait([process.sentinel
+                          for process in processes.values()], timeout=0))
+        for process in processes.values():
+            if process.sentinel not in ended:
+                process.terminate()
+        executor.shutdown(wait=True, cancel_futures=True)
+        if executor is self._executor:
             self._executor = None
+        deaths = []
+        for pid, process in processes.items():
+            if process.sentinel in ended:
+                process.join()
+                if process.exitcode not in (0, None):
+                    deaths.append((pid, process.exitcode))
         return deaths
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["SeedBank", "Streams"]
 
@@ -72,9 +73,16 @@ class SeedBank:
         return self.generator(f"{name}/{label}")
 
 
-#: Seeds the throwaway state of a resumed generator, which is overwritten
-#: at once (a ready sequence is cheaper than fresh OS entropy).
-_RESUME_SEED = np.random.SeedSequence(0)
+class _Unseeded(ISeedSequence):
+    """Zero seed words for a bit generator whose state is overwritten
+    at once: a resumed stream skips the :class:`numpy.random.SeedSequence`
+    hash (and fresh OS entropy) it would never use."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
 
 
 class Streams:
@@ -101,8 +109,9 @@ class Streams:
             if self._carried is None:
                 rng = self._bank.generator(name)
             elif name in self._carried:
-                rng = np.random.Generator(np.random.PCG64(_RESUME_SEED))
-                rng.bit_generator.state = self._carried[name]
+                bits = np.random.PCG64(_UNSEEDED)
+                bits.state = self._carried[name]
+                rng = np.random.Generator(bits)
             else:
                 raise ValueError(
                     f"the carried states hold no stream {name!r}: they "

@@ -14,7 +14,6 @@ from repro.cache import (
     fingerprint_parts,
     frame_digest,
     range_digest,
-    scenarios_key,
     task_key,
 )
 from repro.frame import DateIndex, Frame, date_range
@@ -172,11 +171,15 @@ class TestPipelineKeys:
         assert dataset_key(sim, fault_plan=plan, degradation="fill") \
             != dataset_key(sim)
 
-    def test_scenarios_and_task_keys(self):
-        skey = scenarios_key("d" * 64, ("2017",), (7, 90))
-        assert _is_key(skey)
-        assert scenarios_key("d" * 64, ("2017",), (7,)) != skey
+    def test_task_key_moves_with_every_input(self, monkeypatch):
+        import repro.core.pipeline as pipeline_mod
+
         tkey = task_key("f" * 64, "d" * 64, "2017_7")
         assert _is_key(tkey)
         assert task_key("f" * 64, "d" * 64, "2017_90") != tkey
         assert task_key("e" * 64, "d" * 64, "2017_7") != tkey
+        assert task_key("f" * 64, "c" * 64, "2017_7") != tkey
+        # An entry written in another shape is never read back.
+        monkeypatch.setattr(pipeline_mod, "TASK_FORMAT",
+                            pipeline_mod.TASK_FORMAT + 1)
+        assert task_key("f" * 64, "d" * 64, "2017_7") != tkey

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cache import CacheStore, dataset_key, scenarios_key
+from repro.cache import CacheStore, dataset_key
 from repro.core.pipeline import _scenario_task_keys
 from repro.core.scenarios import period_digests, scenario_key
 from repro.synth import SimulationConfig, generate_raw_dataset
@@ -55,18 +55,14 @@ def record_cache_reads():
 @pytest.fixture(scope="session")
 def cache_entry_keys():
     """``keys(config, raw)``: the store addresses a run of ``config``
-    over ``raw`` uses — ``dataset``, scenario ``frames`` and ``tasks``
-    (scenario key → address, in canonical order)."""
+    over ``raw`` uses — ``dataset`` and ``tasks`` (scenario key →
+    address, in canonical order)."""
 
     def keys(config, raw):
         digests = period_digests(raw, config.periods)
         return SimpleNamespace(
             dataset=dataset_key(config.simulation, config.fault_plan,
                                 config.degradation),
-            frames=scenarios_key(
-                tuple(digests[p] for p in config.periods),
-                config.periods, config.windows,
-            ),
             tasks=_scenario_task_keys(config, digests, [
                 scenario_key(period, window)
                 for period in config.periods for window in config.windows

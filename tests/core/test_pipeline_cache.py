@@ -93,9 +93,9 @@ class TestCachedRunEquivalence:
 
     def test_cold_run_stores_one_entry_per_task(self, cold, cache_dir):
         # The scenario task is the one unit of reuse: a cold run writes
-        # the dataset, the scenario frames and one result per scenario,
-        # and nothing finer (no per-model fits, no compiled ensembles).
-        expected = 2 + len(cold.artifacts)
+        # the dataset and one result per scenario, and nothing finer
+        # (no scenario frames, no per-model fits, no compiled ensembles).
+        expected = 1 + len(cold.artifacts)
         counters = cold.run_summary.metrics["counters"]
         assert counters["cache.writes"] == expected
         assert CacheStore(cache_dir).entry_count() == expected
@@ -107,29 +107,28 @@ class TestCachedRunEquivalence:
         assert "cache.misses" not in counters
         assert "cache.writes" not in counters
 
-    def test_warm_run_never_reads_the_scenario_frames(
+    def test_warm_run_reads_dataset_and_tasks(
             self, warm_run, cache_entry_keys):
-        # Each cached task result carries its own Scenario, so a warm
-        # run reads the dataset and every task entry once, and nothing
-        # else: the frames entry is neither read nor rebuilt.
+        # A cached task result carries everything the report reads, so
+        # a warm run reads the dataset and every task entry once, and
+        # nothing else.
         results, reads = warm_run
         keys = cache_entry_keys(results.config, results.raw)
         assert reads == [keys.dataset, *keys.tasks.values()]
-        assert keys.frames not in reads
 
     def test_config_change_invalidates_tasks_not_inputs(
             self, mini_config, cache_dir, warm, tmp_path):
         # A different top_k must re-run the scenario task, but the
-        # dataset and the scenario frames keep hitting — layered keys
-        # invalidate only what actually changed.  The run gets a copy
-        # of the store so the shared one keeps only the cold entries.
+        # dataset keeps hitting — layered keys invalidate only what
+        # actually changed.  The run gets a copy of the store so the
+        # shared one keeps only the cold entries.
         copy = tmp_path / "cache"
         shutil.copytree(cache_dir, copy)
         changed = dataclasses.replace(mini_config, top_k=25)
         results = run_experiment(changed, cache_dir=str(copy))
         counters = results.run_summary.metrics["counters"]
         assert "experiment.scenarios_cached" not in counters
-        assert counters["cache.hits"] == 2  # dataset + scenarios
+        assert counters["cache.hits"] == 1  # the dataset
         assert counters["cache.writes"] == 1  # the new task result
 
 

@@ -103,15 +103,13 @@ class TestUpdateEndToEnd:
     def test_update_reads_the_parent_dataset_and_each_task(
             self, study, cache_entry_keys):
         # The parent dataset entry (no ``raw`` was passed), then one
-        # read per task entry; the scenario frames, which every task
-        # result already carries, are never read.
+        # read per task entry, and nothing else.
         parent = cache_entry_keys(study.config, study.cold.raw)
         extended = cache_entry_keys(study.update.results.config,
                                     study.update.results.raw)
         assert extended.tasks == parent.tasks
         assert study.update_reads == [parent.dataset,
                                       *extended.tasks.values()]
-        assert extended.frames not in study.update_reads
         counters = study.update.results.run_summary.metrics["counters"]
         assert counters["cache.hits"] == 3
         assert "cache.misses" not in counters
@@ -204,7 +202,8 @@ class TestParentThisSimulatorCannotResume:
 
 class TestPartialCache:
     """A run whose task entries do not all hit: only the damaged
-    scenario is recomputed, from the frames entry, read once."""
+    scenario is recomputed, on scenarios built from the dataset as a
+    cold run builds them."""
 
     @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
     def test_one_bad_task_entry_is_recomputed_alone(
@@ -226,9 +225,9 @@ class TestPartialCache:
         with record_cache_reads() as reads:
             results = run_experiment(config, raw=raw, cache_dir=str(cache))
         counters = results.run_summary.metrics["counters"]
-        assert reads == [kept, victim, keys.frames]
+        assert reads == [kept, victim]
         assert counters["experiment.scenarios_cached"] == 1
-        assert counters["cache.hits"] == 2  # kept task + frames
+        assert counters["cache.hits"] == 1  # the kept task
         assert counters["cache.writes"] == 1  # the recomputed task
         if damage == "corrupt":
             assert counters["cache.corrupt"] == 1

@@ -60,6 +60,33 @@ class _Executor:
                 process.join(timeout=30)
 
 
+class _EndedProcess:
+    """A worker whose sentinel is ready (it ended on its own) and whose
+    exit code is readable only once it has been joined."""
+
+    def __init__(self, code):
+        self.sentinel, self._writer = multiprocessing.Pipe(duplex=False)
+        self._writer.close()
+        self._code = code
+        self.joined = self.terminated = False
+
+    @property
+    def exitcode(self):
+        return self._code if self.joined else None
+
+    def is_alive(self):
+        return self.exitcode is None
+
+    def join(self, timeout=None):
+        self.joined = True
+
+    def terminate(self):
+        self.terminated = True
+
+    def close(self):
+        self.sentinel.close()
+
+
 class TestReuse:
     def test_one_build_serves_many_maps(self):
         registry = MetricsRegistry()
@@ -164,6 +191,23 @@ class TestCrashRebuild:
             pool.close()
         assert not alive.is_alive()
         assert deaths == [(dead.pid, 39)]
+
+    def test_reap_reads_a_dying_workers_code_after_joining_it(self):
+        # A worker that has closed its sentinel may not be reapable yet:
+        # its code reads None until it is joined, while the executor's
+        # teardown has already SIGTERMed a sibling.  The death is the
+        # dying worker's, with its own code.
+        dying, sibling = _EndedProcess(39), _EndedProcess(-15)
+        sibling.joined = True
+        pool = WorkerPool(n_jobs=2)
+        try:
+            deaths = pool.reap(_Executor({1: dying, 2: sibling}), kill=True)
+        finally:
+            dying.close()
+            sibling.close()
+            pool.close()
+        assert dying.joined and not dying.terminated
+        assert sorted(deaths) == [(1, 39), (2, -15)]
 
     def test_caller_owned_dataset_left_open(self):
         from repro.parallel import SharedDataset
