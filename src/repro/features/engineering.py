@@ -12,28 +12,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..frame.frame import Frame
-from ..frame.ops import (
-    rolling_max,
-    rolling_mean,
-    rolling_min,
-    rolling_std,
-    rolling_sum,
-    shift,
-)
+from ..frame.ops import shift
 
 __all__ = [
     "interaction_features",
     "lag_features",
-    "rolling_features",
 ]
-
-_ROLLING_STATS = {
-    "mean": rolling_mean,
-    "std": rolling_std,
-    "min": rolling_min,
-    "max": rolling_max,
-    "sum": rolling_sum,
-}
 
 _INTERACTION_OPS = ("ratio", "product", "spread")
 
@@ -66,31 +50,6 @@ def lag_features(frame: Frame, columns: Sequence[str] | None = None,
         col = frame[name]
         for k in lags:
             out[f"{name}_lag{k}"] = shift(col, k)
-    return Frame(frame.index, out)
-
-
-def rolling_features(frame: Frame, columns: Sequence[str] | None = None,
-                     windows: Sequence[int] = (7, 30),
-                     stats: Sequence[str] = ("mean", "std")) -> Frame:
-    """Trailing-window statistics: ``{col}_roll{w}_{stat}``."""
-    names = _resolve_columns(frame, columns)
-    windows = [int(w) for w in windows]
-    if not windows or any(w < 1 for w in windows):
-        raise ValueError("windows must be positive")
-    unknown = [s for s in stats if s not in _ROLLING_STATS]
-    if unknown:
-        raise ValueError(
-            f"unknown stats {unknown}; choose from "
-            f"{sorted(_ROLLING_STATS)}"
-        )
-    if not stats:
-        raise ValueError("need at least one stat")
-    out = {}
-    for name in names:
-        col = frame[name]
-        for w in windows:
-            for stat in stats:
-                out[f"{name}_roll{w}_{stat}"] = _ROLLING_STATS[stat](col, w)
     return Frame(frame.index, out)
 
 

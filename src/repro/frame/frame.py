@@ -38,6 +38,7 @@ def _rebuild_frame(index, names, data) -> "Frame":
     frame._data = data
     frame._matrix = None
     frame._row_digests = {}
+    frame._column_summary = None
     return frame
 
 
@@ -54,7 +55,8 @@ class Frame:
         NaN.
     """
 
-    __slots__ = ("_index", "_names", "_data", "_matrix", "_row_digests")
+    __slots__ = ("_index", "_names", "_data", "_matrix", "_row_digests",
+                 "_column_summary")
 
     def __init__(self, index: DateIndex, columns: Mapping[str, Iterable]):
         if not isinstance(index, DateIndex):
@@ -66,6 +68,9 @@ class Frame:
         # Positional row slice ``(lo, hi)`` -> digest of those rows,
         # written and read only by :func:`repro.cache.keys.range_digest`.
         self._row_digests: dict[tuple[int, int], str] = {}
+        # Per-column statistics of the first rows, written and read only
+        # by :func:`repro.frame.validation.validate_frame`.
+        self._column_summary = None
         for name, values in columns.items():
             arr = np.asarray(values, dtype=np.float64).copy()
             if arr.ndim != 1:
@@ -114,6 +119,7 @@ class Frame:
         frame._data = {}
         frame._matrix = matrix
         frame._row_digests = {}
+        frame._column_summary = None
         for j, name in enumerate(names):
             if name in frame._data:
                 raise ValueError(f"duplicate column name {name!r}")
@@ -176,10 +182,11 @@ class Frame:
     __hash__ = None  # frames hold arrays; equality is deep
 
     def __getstate__(self):
-        # The memoised dense matrix and row-range digests are derived
-        # state: drop them from pickles so cached frames don't double in
-        # size and cache entries don't depend on what was hashed before
-        # (both rebuild lazily after load).
+        # The memoised dense matrix, row-range digests and column
+        # summary are derived state: drop them from pickles so cached
+        # frames don't double in size and cache entries don't depend on
+        # what was hashed or validated before (all rebuild lazily after
+        # load).
         return {"_index": self._index, "_names": self._names,
                 "_data": self._data}
 
@@ -189,6 +196,7 @@ class Frame:
         self._data = state["_data"]
         self._matrix = None
         self._row_digests = {}
+        self._column_summary = None
 
     # ------------------------------------------------------------------
     # Column access
@@ -287,8 +295,9 @@ class Frame:
 
         The result's rows ``0..n-1`` are this frame's bytes, index and
         column order, so it inherits this frame's memoised row-range
-        digests: a range that ends before the new rows is not hashed
-        again, and one they enter resolves to a new slice.
+        digests (a range that ends before the new rows is not hashed
+        again, and one they enter resolves to a new slice) and its
+        column summary (validation scans only the new rows).
         """
         if not isinstance(other, Frame):
             raise TypeError("append_rows expects a Frame")
@@ -312,6 +321,7 @@ class Frame:
         frame._data = {}
         frame._matrix = None
         frame._row_digests = dict(self._row_digests)
+        frame._column_summary = self._column_summary
         for name in self._names:
             arr = np.concatenate((self._data[name], other._data[name]))
             arr.flags.writeable = False

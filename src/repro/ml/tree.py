@@ -136,6 +136,11 @@ def default_max_bins(n_samples: int) -> int:
     return int(min(MAX_BINS, max(32, n_samples // 8)))
 
 
+#: Most cells (features x samples) :func:`rank_features` sorts at once,
+#: so its transients stay near 2 MB whatever the matrix size.
+_RANK_CHUNK_CELLS = 1 << 16
+
+
 def rank_features(X) -> np.ndarray:
     """Feature-major dense ranks of ``X``: ``(n_features, n_samples)``.
 
@@ -146,25 +151,32 @@ def rank_features(X) -> np.ndarray:
     which numpy sorts with an O(n) radix sort, unless a column has more
     than 65,536 distinct values; then they widen to ``uint32``.
     Ensembles rank once per fit and each member tree gathers its rows'
-    columns.
+    columns. Features are ranked a bounded chunk at a time, so beside
+    the result only about :data:`_RANK_CHUNK_CELLS` cells of sort
+    transients are live.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    XT = np.ascontiguousarray(X.T)
-    n_features, n_samples = XT.shape
-    # Tied values get one rank whatever their order, so any sort will do.
-    order = XT.argsort(axis=1)
-    rows = np.arange(n_features)[:, None]
-    sorted_x = XT[rows, order]
-    dense = np.zeros(XT.shape, dtype=np.int64)
-    np.greater(sorted_x[:, 1:], sorted_x[:, :-1], out=dense[:, 1:],
-               casting="unsafe")
-    np.cumsum(dense, axis=1, out=dense)
-    top = int(dense[:, -1].max()) if dense.size else 0
-    dtype = np.uint16 if top <= np.iinfo(np.uint16).max else np.uint32
-    ranks = np.empty(XT.shape, dtype=dtype)
-    ranks[rows, order] = dense
+    n_samples, n_features = X.shape
+    ranks = np.empty((n_features, n_samples), dtype=np.uint16)
+    step = max(1, _RANK_CHUNK_CELLS // max(1, n_samples))
+    for lo in range(0, n_features, step):
+        XT = np.ascontiguousarray(X[:, lo:lo + step].T)
+        # Tied values get one rank whatever their order, so any sort
+        # will do.
+        order = XT.argsort(axis=1)
+        rows = np.arange(XT.shape[0])[:, None]
+        sorted_x = XT[rows, order]
+        del XT
+        dense = np.zeros(sorted_x.shape, dtype=np.int64)
+        np.greater(sorted_x[:, 1:], sorted_x[:, :-1], out=dense[:, 1:],
+                   casting="unsafe")
+        del sorted_x
+        np.cumsum(dense, axis=1, out=dense)
+        if dense.size and dense[:, -1].max() > np.iinfo(ranks.dtype).max:
+            ranks = ranks.astype(np.uint32)
+        ranks[lo + rows, order] = dense
     return ranks
 
 

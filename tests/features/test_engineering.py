@@ -6,7 +6,6 @@ import pytest
 from repro.features import (
     interaction_features,
     lag_features,
-    rolling_features,
 )
 from repro.frame import Frame, date_range
 
@@ -51,37 +50,6 @@ class TestLagFeatures:
             lag_features(frame, lags=[-1])
         with pytest.raises(KeyError):
             lag_features(frame, ["missing"], lags=[1])
-
-
-class TestRollingFeatures:
-    def test_names_and_values(self, frame):
-        out = rolling_features(frame, ["price"], windows=[3],
-                               stats=["mean"])
-        assert out.columns == ["price_roll3_mean"]
-        assert out["price_roll3_mean"][2] == pytest.approx(2.0)
-
-    def test_multiple_stats(self, frame):
-        out = rolling_features(frame, ["price"], windows=[2],
-                               stats=["min", "max", "sum", "std"])
-        assert out.n_cols == 4
-        assert out["price_roll2_min"][1] == 1.0
-        assert out["price_roll2_max"][1] == 2.0
-        assert out["price_roll2_sum"][1] == 3.0
-
-    def test_warmup_nans(self, frame):
-        out = rolling_features(frame, ["price"], windows=[4],
-                               stats=["mean"])
-        assert np.isnan(out["price_roll4_mean"][:3]).all()
-
-    def test_validation(self, frame):
-        with pytest.raises(ValueError):
-            rolling_features(frame, windows=[])
-        with pytest.raises(ValueError):
-            rolling_features(frame, windows=[0])
-        with pytest.raises(ValueError):
-            rolling_features(frame, stats=["median"])
-        with pytest.raises(ValueError):
-            rolling_features(frame, stats=[])
 
 
 class TestInteractionFeatures:

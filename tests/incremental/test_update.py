@@ -18,12 +18,15 @@ import pytest
 
 import repro.cache.keys as keys
 import repro.core.scenarios as scenarios
+import repro.frame.validation as validation
 from repro.cache import CacheStore, dataset_key
 from repro.core.pipeline import (
+    _PREFLIGHT_RULES,
     ExperimentConfig,
     run_experiment,
     run_fingerprint,
 )
+from repro.frame import validate_frame
 from repro.incremental import update_experiment
 from repro.obs import RunLedger, render_record
 from repro.synth import generate_raw_dataset
@@ -128,33 +131,46 @@ class TestUpdateEndToEnd:
 
 class TestChainedUpdate:
     """A second update fed the first update's in-memory dataset: the
-    row-range digests of the unchanged prefix of the features and of the
-    crypto100 target ride along ``append_rows``, so nothing is hashed
-    again."""
+    row-range digests and the column summary of the unchanged prefix of
+    the features (and the digests of the crypto100 target) ride along
+    ``append_rows``, so nothing is hashed again and the pre-flight
+    validation scans only the appended row."""
 
     @pytest.fixture(scope="class")
     def chain(self, study):
-        hashed = []
-        real = keys.frame_digest
+        hashed, scanned = [], []
+        real_digest, real_scan = keys.frame_digest, validation._scan
 
-        def spy(frame):
+        def spy_digest(frame):
             hashed.append(frame.columns)
-            return real(frame)
+            return real_digest(frame)
+
+        def spy_scan(columns, start, stop):
+            scanned.append((len(columns), stop - start))
+            return real_scan(columns, start, stop)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(keys, "frame_digest", spy)
+            mp.setattr(keys, "frame_digest", spy_digest)
+            mp.setattr(validation, "_scan", spy_scan)
             update = update_experiment(
                 study.update.config, days=1, raw=study.update.results.raw,
                 cache_dir=study.cache,
             )
         reference = run_experiment(update.config)
         return SimpleNamespace(update=update, hashed=hashed,
-                               reference=reference)
+                               scanned=scanned, reference=reference)
 
     def test_features_never_hashed(self, chain):
         # The crypto100 target is extended with the dataset too, so
         # neither frame is hashed again.
         assert chain.hashed == []
+
+    def test_preflight_scans_only_the_appended_row(self, chain):
+        features = chain.update.results.raw.features
+        assert chain.scanned == [(features.n_cols, 1)]
+        assert (validate_frame(features, list(_PREFLIGHT_RULES))
+                == validate_frame(chain.reference.raw.features,
+                                  list(_PREFLIGHT_RULES)))
 
     def test_every_scenario_served_from_cache(self, chain):
         assert chain.update.dataset_reused
