@@ -12,7 +12,9 @@ and supports exactly the operations the paper's pipeline needs:
 * elementwise arithmetic between columns and scalars.
 
 All mutating operations return **new** frames; column arrays are copied on
-construction and exposed read-only, so frames behave as immutable values.
+construction and exposed read-only, so frames behave as immutable values
+(and frames built from other frames, such as ``concat_columns``'s result,
+may share those read-only arrays).
 """
 
 from __future__ import annotations
@@ -30,16 +32,9 @@ def _rebuild_frame(index, names, data) -> "Frame":
     """Reconstruct a frame from sanitised parts (no derived caches, no
     shared-memory references) — the unpickle hook used by the artifact
     codec so on-disk entries never name a ``/dev/shm`` segment."""
-    frame = Frame.__new__(Frame)
-    frame._index = index
-    frame._names = list(names)
     for arr in data.values():
         arr.flags.writeable = False
-    frame._data = data
-    frame._matrix = None
-    frame._row_digests = {}
-    frame._column_summary = None
-    return frame
+    return Frame.__new__(Frame)._adopt(index, list(names), data)
 
 
 class Frame:
@@ -61,16 +56,8 @@ class Frame:
     def __init__(self, index: DateIndex, columns: Mapping[str, Iterable]):
         if not isinstance(index, DateIndex):
             raise TypeError("index must be a DateIndex")
-        self._index = index
-        self._names: list[str] = []
-        self._data: dict[str, np.ndarray] = {}
-        self._matrix: np.ndarray | None = None
-        # Positional row slice ``(lo, hi)`` -> digest of those rows,
-        # written and read only by :func:`repro.cache.keys.range_digest`.
-        self._row_digests: dict[tuple[int, int], str] = {}
-        # Per-column statistics of the first rows, written and read only
-        # by :func:`repro.frame.validation.validate_frame`.
-        self._column_summary = None
+        names: list[str] = []
+        data: dict[str, np.ndarray] = {}
         for name, values in columns.items():
             arr = np.asarray(values, dtype=np.float64).copy()
             if arr.ndim != 1:
@@ -81,10 +68,33 @@ class Frame:
                     f"index has length {len(index)}"
                 )
             arr.flags.writeable = False
-            if name in self._data:
+            if name in data:
                 raise ValueError(f"duplicate column name {name!r}")
-            self._names.append(str(name))
-            self._data[str(name)] = arr
+            names.append(str(name))
+            data[str(name)] = arr
+        self._adopt(index, names, data)
+
+    def _adopt(self, index, names, data, matrix=None, row_digests=None,
+               column_summary=None) -> "Frame":
+        """Set every slot from parts taken as they are; returns self.
+
+        ``data`` maps each of ``names``, in order, to a read-only 1-D
+        float64 array as long as ``index``: nothing is copied or checked,
+        so frames can share columns. The derived caches start empty
+        unless given.
+        """
+        self._index = index
+        self._names = names
+        self._data = data
+        # The dense matrix, memoised by :meth:`to_matrix`.
+        self._matrix = matrix
+        # Positional row slice ``(lo, hi)`` -> digest of those rows,
+        # written and read only by :func:`repro.cache.keys.range_digest`.
+        self._row_digests = {} if row_digests is None else row_digests
+        # Per-column statistics of the first rows, written and read only
+        # by :func:`repro.frame.validation.validate_frame`.
+        self._column_summary = column_summary
+        return self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -113,19 +123,12 @@ class Frame:
                 f"index has length {len(index)}"
             )
         matrix.flags.writeable = False
-        frame = cls.__new__(cls)
-        frame._index = index
-        frame._names = []
-        frame._data = {}
-        frame._matrix = matrix
-        frame._row_digests = {}
-        frame._column_summary = None
+        data: dict[str, np.ndarray] = {}
         for j, name in enumerate(names):
-            if name in frame._data:
+            if name in data:
                 raise ValueError(f"duplicate column name {name!r}")
-            frame._names.append(str(name))
-            frame._data[str(name)] = matrix[:, j]
-        return frame
+            data[str(name)] = matrix[:, j]
+        return cls.__new__(cls)._adopt(index, list(data), data, matrix)
 
     @classmethod
     def empty(cls, index: DateIndex) -> "Frame":
@@ -191,12 +194,7 @@ class Frame:
                 "_data": self._data}
 
     def __setstate__(self, state):
-        self._index = state["_index"]
-        self._names = state["_names"]
-        self._data = state["_data"]
-        self._matrix = None
-        self._row_digests = {}
-        self._column_summary = None
+        self._adopt(state["_index"], state["_names"], state["_data"])
 
     # ------------------------------------------------------------------
     # Column access
@@ -315,18 +313,16 @@ class Frame:
             np.concatenate((self._index.ordinals, other._index.ordinals)),
             _validated=True,
         )
-        frame = Frame.__new__(Frame)
-        frame._index = index
-        frame._names = list(self._names)
-        frame._data = {}
-        frame._matrix = None
-        frame._row_digests = dict(self._row_digests)
-        frame._column_summary = self._column_summary
+        data: dict[str, np.ndarray] = {}
         for name in self._names:
             arr = np.concatenate((self._data[name], other._data[name]))
             arr.flags.writeable = False
-            frame._data[name] = arr
-        return frame
+            data[name] = arr
+        return Frame.__new__(Frame)._adopt(
+            index, list(self._names), data,
+            row_digests=dict(self._row_digests),
+            column_summary=self._column_summary,
+        )
 
     # ------------------------------------------------------------------
     # Alignment

@@ -73,15 +73,15 @@ def concat_columns(*frames: Frame) -> Frame:
     for frame in frames[1:]:
         if frame.index != index:
             raise ValueError("concat_columns requires identical indices")
-    # The indices already match, so the columns go in as they are: the
-    # constructor's copy is the only one (no reindex pass).
+    # The indices already match and frame columns are read-only, so the
+    # result shares its inputs' arrays: nothing is copied.
     columns: dict[str, np.ndarray] = {}
     for frame in frames:
         for name in frame.columns:
             if name in columns:
                 raise ValueError(f"duplicate column {name!r} across frames")
             columns[name] = frame[name]
-    return Frame(index, columns)
+    return Frame.__new__(Frame)._adopt(index, list(columns), columns)
 
 
 def shift(values: np.ndarray, periods: int) -> np.ndarray:

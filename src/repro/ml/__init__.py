@@ -15,28 +15,14 @@ from .compiled import (
 )
 from .forest import RandomForestRegressor
 from .importance import (
-    mdi_importance,
     pearson_correlation,
     permutation_importance,
     target_correlations,
 )
-from .linear import LinearRegression, Ridge
-from .metrics import (
-    mean_absolute_error,
-    mean_absolute_percentage_error,
-    mean_squared_error,
-    mse_improvement_pct,
-    r2_score,
-    root_mean_squared_error,
-)
-from .ensemble import StackingRegressor, VotingRegressor
+from .linear import Ridge
+from .metrics import mean_squared_error, mse_improvement_pct, r2_score
+from .ensemble import StackingRegressor
 from .neural import MLPRegressor
-from .persistence import (
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-)
 from .model_selection import (
     GridSearchCV,
     KFold,
@@ -44,10 +30,7 @@ from .model_selection import (
     TimeSeriesSplit,
     clone,
     cross_val_predict,
-    cross_val_score,
-    train_test_split,
 )
-from .preprocessing import MinMaxScaler, StandardScaler
 from .shap import TreeExplainer, shap_importance
 from .tree import DecisionTreeRegressor, TreeStructure
 
@@ -57,37 +40,23 @@ __all__ = [
     "GradientBoostingRegressor",
     "GridSearchCV",
     "KFold",
-    "LinearRegression",
     "MLPRegressor",
-    "MinMaxScaler",
     "ParameterGrid",
     "RandomForestRegressor",
     "Ridge",
     "StackingRegressor",
-    "StandardScaler",
     "TimeSeriesSplit",
     "TreeExplainer",
     "TreeStructure",
-    "VotingRegressor",
     "clone",
     "compile_ensemble",
     "cross_val_predict",
-    "cross_val_score",
-    "load_model",
     "maybe_compile",
-    "mdi_importance",
-    "mean_absolute_error",
-    "mean_absolute_percentage_error",
     "mean_squared_error",
-    "model_from_dict",
-    "model_to_dict",
     "mse_improvement_pct",
     "pearson_correlation",
     "permutation_importance",
     "r2_score",
-    "root_mean_squared_error",
-    "save_model",
     "shap_importance",
     "target_correlations",
-    "train_test_split",
 ]

@@ -21,13 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import span
+from .base import Estimator
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features, rank_features
 
 __all__ = ["GradientBoostingRegressor"]
 
 
-class GradientBoostingRegressor:
+class GradientBoostingRegressor(Estimator):
     """Stagewise boosted CART ensemble with L2 leaf regularisation.
 
     Parameters
@@ -107,14 +108,6 @@ class GradientBoostingRegressor:
             "random_state": self.random_state,
         }
 
-    def set_params(self, **params) -> "GradientBoostingRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "GradientBoostingRegressor":
         """Fit the estimator on (X, y); returns self."""
@@ -177,15 +170,6 @@ class GradientBoostingRegressor:
                 f"X must be 2-D with {self.n_features_in_} features"
             )
         return ensemble_compiled(self).predict(X)
-
-    def staged_predict(self, X):
-        """Yield predictions after each successive boosting stage."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(X.shape[0], self.base_prediction_, dtype=np.float64)
-        for tree in self.estimators_:
-            out = out + self.learning_rate * tree.tree_.predict(X)
-            yield out.copy()
 
     @property
     def feature_importances_(self) -> np.ndarray:

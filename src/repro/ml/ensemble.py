@@ -1,4 +1,4 @@
-"""Heterogeneous model ensembles: voting and stacking.
+"""Heterogeneous model ensembles: stacking.
 
 A natural continuation of the paper's §5 "impact on complex models":
 instead of asking one family to absorb all data sources, combine
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import Estimator
 from .linear import Ridge
 from .model_selection import KFold, clone, cross_val_predict
 
-__all__ = ["VotingRegressor", "StackingRegressor"]
+__all__ = ["StackingRegressor"]
 
 
 def _validate_xy(X, y):
@@ -31,69 +32,7 @@ def _validate_xy(X, y):
     return X, y
 
 
-class VotingRegressor:
-    """Weighted average of independently fitted estimators.
-
-    Parameters
-    ----------
-    estimators:
-        List of ``(name, estimator)`` pairs (unfitted prototypes).
-    weights:
-        Optional positive blend weights, one per estimator (normalised
-        internally); equal weighting by default.
-    """
-
-    def __init__(self, estimators, weights=None):
-        if not estimators:
-            raise ValueError("need at least one estimator")
-        names = [name for name, _ in estimators]
-        if len(set(names)) != len(names):
-            raise ValueError("estimator names must be unique")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.size != len(estimators):
-                raise ValueError("one weight per estimator required")
-            if (weights <= 0).any():
-                raise ValueError("weights must be positive")
-        self.estimators = list(estimators)
-        self.weights = weights
-        self.fitted_: list = []
-        self.n_features_in_: int | None = None
-
-    def get_params(self) -> dict:
-        """Constructor parameters (the clone/grid-search protocol)."""
-        return {"estimators": self.estimators, "weights": self.weights}
-
-    def set_params(self, **params) -> "VotingRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, X, y) -> "VotingRegressor":
-        """Fit the estimator on (X, y); returns self."""
-        X, y = _validate_xy(X, y)
-        self.n_features_in_ = X.shape[1]
-        self.fitted_ = [
-            clone(proto).fit(X, y) for _, proto in self.estimators
-        ]
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Predict targets for every row of X."""
-        if not self.fitted_:
-            raise RuntimeError("estimator is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
-        preds = np.column_stack([m.predict(X) for m in self.fitted_])
-        if self.weights is None:
-            return preds.mean(axis=1)
-        w = self.weights / self.weights.sum()
-        return preds @ w
-
-
-class StackingRegressor:
+class StackingRegressor(Estimator):
     """Two-level stack: a meta-learner over out-of-fold base predictions.
 
     Parameters
@@ -134,14 +73,6 @@ class StackingRegressor:
             "cv_folds": self.cv_folds,
             "random_state": self.random_state,
         }
-
-    def set_params(self, **params) -> "StackingRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y) -> "StackingRegressor":
         """Fit the estimator on (X, y); returns self."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..obs import span
 from ..parallel import spawn_seeds
+from .base import Estimator
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features, rank_features
 
@@ -46,7 +47,7 @@ def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None, ranks=None):
     return tree.fit(X, y, bins=bins, ranks=ranks)
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(Estimator):
     """Bagged ensemble of CART trees with per-node feature subsampling.
 
     Parameters
@@ -111,14 +112,6 @@ class RandomForestRegressor:
             "splitter": self.splitter,
             "random_state": self.random_state,
         }
-
-    def set_params(self, **params) -> "RandomForestRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "RandomForestRegressor":

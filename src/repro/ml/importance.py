@@ -3,7 +3,8 @@
 The Feature Reduction Algorithm combines four importance signals (§3.2):
 Pearson correlation with the target, Mean Decrease in Impurity from RF and
 XGB, and Permutation Feature Importance from RF and XGB. This module
-implements the generic machinery; :mod:`repro.core.fra` wires it into
+implements the correlation and permutation signals (MDI is each tree
+model's ``feature_importances_``); :mod:`repro.core.fra` wires them into
 Algorithm 1.
 """
 
@@ -17,7 +18,6 @@ from .metrics import mean_squared_error
 __all__ = [
     "pearson_correlation",
     "target_correlations",
-    "mdi_importance",
     "permutation_importance",
 ]
 
@@ -59,15 +59,6 @@ def target_correlations(X, y) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0, cov / denom, 0.0)
     return np.abs(np.clip(corr, -1.0, 1.0))
-
-
-def mdi_importance(estimator) -> np.ndarray:
-    """Normalised Mean-Decrease-in-Impurity of a fitted tree ensemble."""
-    if not hasattr(estimator, "feature_importances_"):
-        raise TypeError(
-            f"{type(estimator).__name__} does not expose MDI importances"
-        )
-    return np.asarray(estimator.feature_importances_, dtype=np.float64)
 
 
 def _mean_delta(predictions, y, baseline, scoring, n_repeats, n_samples):

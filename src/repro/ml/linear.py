@@ -1,19 +1,26 @@
-"""Linear regression baselines (OLS and ridge).
+"""Ridge regression: the stacking meta-learner.
 
-Not part of the paper's model families, but the examples and ablation
-benches use them as sanity baselines against which the tree ensembles'
-non-linear gains are visible.
+Not one of the paper's model families. By default
+:class:`~repro.ml.ensemble.StackingRegressor` blends its base models'
+out-of-fold predictions with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LinearRegression", "Ridge"]
+from .base import Estimator
+
+__all__ = ["Ridge"]
 
 
-class _LinearBase:
-    def __init__(self, fit_intercept: bool = True):
+class Ridge(Estimator):
+    """L2-regularised least squares (closed form)."""
+
+    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True):
+        if alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        self.alpha = alpha
         self.fit_intercept = fit_intercept
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
@@ -21,17 +28,10 @@ class _LinearBase:
 
     def get_params(self) -> dict:
         """Constructor parameters (the clone/grid-search protocol)."""
-        return {"fit_intercept": self.fit_intercept}
+        return {"alpha": self.alpha, "fit_intercept": self.fit_intercept}
 
-    def set_params(self, **params):
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def _prepare(self, X, y):
+    def fit(self, X, y) -> "Ridge":
+        """Fit the estimator on (X, y); returns self."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2:
@@ -41,53 +41,6 @@ class _LinearBase:
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
         self.n_features_in_ = X.shape[1]
-        return X, y
-
-    def predict(self, X) -> np.ndarray:
-        """Predict targets for every row of X."""
-        if self.coef_ is None:
-            raise RuntimeError("estimator is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
-        return X @ self.coef_ + self.intercept_
-
-
-class LinearRegression(_LinearBase):
-    """Ordinary least squares via the pseudo-inverse (rank-deficient safe)."""
-
-    def fit(self, X, y) -> "LinearRegression":
-        """Fit the estimator on (X, y); returns self."""
-        X, y = self._prepare(X, y)
-        if self.fit_intercept:
-            x_mean, y_mean = X.mean(axis=0), y.mean()
-            Xc, yc = X - x_mean, y - y_mean
-        else:
-            x_mean, y_mean = np.zeros(X.shape[1]), 0.0
-            Xc, yc = X, y
-        self.coef_, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-        self.intercept_ = float(y_mean - x_mean @ self.coef_)
-        return self
-
-
-class Ridge(_LinearBase):
-    """L2-regularised least squares (closed form)."""
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True):
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        super().__init__(fit_intercept=fit_intercept)
-        self.alpha = alpha
-
-    def get_params(self) -> dict:
-        """Constructor parameters (the clone/grid-search protocol)."""
-        return {"alpha": self.alpha, "fit_intercept": self.fit_intercept}
-
-    def fit(self, X, y) -> "Ridge":
-        """Fit the estimator on (X, y); returns self."""
-        X, y = self._prepare(X, y)
         if self.fit_intercept:
             x_mean, y_mean = X.mean(axis=0), y.mean()
             Xc, yc = X - x_mean, y - y_mean
@@ -99,3 +52,14 @@ class Ridge(_LinearBase):
         self.coef_ = np.linalg.solve(gram, Xc.T @ yc)
         self.intercept_ = float(y_mean - x_mean @ self.coef_)
         return self
+
+    def predict(self, X) -> np.ndarray:
+        """Predict targets for every row of X."""
+        if self.coef_ is None:
+            raise RuntimeError("estimator is not fitted; call fit() first")
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"X must be 2-D with {self.n_features_in_} features"
+            )
+        return X @ self.coef_ + self.intercept_

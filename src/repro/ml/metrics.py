@@ -2,8 +2,9 @@
 
 Mean squared error is the paper's sole optimisation and evaluation measure
 (grid-search objective, PFI scoring, and the "performance improvement"
-definition in §4.3 — the percentage decrease of MSE). The companions
-(RMSE, MAE, MAPE, R²) are provided for the examples and extended analyses.
+definition in §4.3 — the percentage decrease of MSE). R² is reported by
+the per-category analysis (:mod:`repro.core.category_analysis`) and the
+quickstart example.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ import numpy as np
 
 __all__ = [
     "mean_squared_error",
-    "root_mean_squared_error",
-    "mean_absolute_error",
-    "mean_absolute_percentage_error",
     "r2_score",
     "mse_improvement_pct",
 ]
@@ -41,28 +39,12 @@ def mean_squared_error(y_true, y_pred) -> float:
     return float(np.mean((y_true - y_pred) ** 2))
 
 
-def root_mean_squared_error(y_true, y_pred) -> float:
-    """Square root of :func:`mean_squared_error`."""
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
-
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    """Mean of absolute residuals."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def mean_absolute_percentage_error(y_true, y_pred) -> float:
-    """Mean of |residual / truth|; raises when any true value is zero."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    if np.any(y_true == 0):
-        raise ValueError("MAPE is undefined when y_true contains zeros")
-    return float(np.mean(np.abs((y_true - y_pred) / y_true)))
-
-
 def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination; 1 - SSE/SST (0 when SST is zero and
-    predictions are exact, else -inf semantics avoided by returning 0)."""
+    """Coefficient of determination, 1 - SSE/SST.
+
+    A constant ``y_true`` (SST of zero) scores 1.0 when the predictions
+    are exact and 0.0 otherwise, instead of dividing by zero.
+    """
     y_true, y_pred = _validate(y_true, y_pred)
     sse = float(np.sum((y_true - y_pred) ** 2))
     sst = float(np.sum((y_true - y_true.mean()) ** 2))

@@ -25,8 +25,6 @@ __all__ = [
     "TimeSeriesSplit",
     "clone",
     "cross_val_predict",
-    "cross_val_score",
-    "train_test_split",
 ]
 
 
@@ -84,7 +82,7 @@ class TimeSeriesSplit:
     the study's target ``y[i] = target[i + w]``, the labels of the last
     ``w`` training rows are index values inside the test block, so
     future information leaks into training for ``w > 1``. ROADMAP item
-    4 adds the ``w``-row purge gap that closes this.
+    5 adds the ``w``-row purge gap that closes this.
     """
 
     def __init__(self, n_splits: int = 5):
@@ -146,18 +144,6 @@ def _fit_and_score(template, params, X, y, train_idx, test_idx, scoring):
     model = clone(template).set_params(**params)
     model.fit(X[train_idx], y[train_idx])
     return float(scoring(y[test_idx], model.predict(X[test_idx])))
-
-
-def cross_val_score(estimator, X, y, cv=None, scoring=mean_squared_error):
-    """Per-fold test scores for ``estimator`` (default scoring: MSE),
-    in fold order."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    cv = cv if cv is not None else KFold(5)
-    return np.asarray([
-        _fit_and_score(estimator, {}, X, y, train_idx, test_idx, scoring)
-        for train_idx, test_idx in cv.split(X)
-    ])
 
 
 def cross_val_predict(estimator, X, y, cv=None):
@@ -262,28 +248,3 @@ class GridSearchCV:
                 "call fit() with refit=True first"
             )
         return self.best_estimator_.predict(X)
-
-
-def train_test_split(X, y, test_size: float = 0.25, shuffle: bool = True,
-                     random_state=None):
-    """Split arrays into train/test partitions.
-
-    With ``shuffle=False`` the split is chronological (train = first rows),
-    which is the appropriate mode for the forecasting experiments.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y have inconsistent lengths")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    n_samples = X.shape[0]
-    n_test = max(1, int(round(test_size * n_samples)))
-    if n_test >= n_samples:
-        raise ValueError("test_size leaves no training data")
-    indices = np.arange(n_samples)
-    if shuffle:
-        rng = np.random.default_rng(random_state)
-        rng.shuffle(indices)
-    train_idx, test_idx = indices[:-n_test], indices[-n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]

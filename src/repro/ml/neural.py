@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import Estimator
+
 __all__ = ["MLPRegressor"]
 
 
-class MLPRegressor:
+class MLPRegressor(Estimator):
     """Feed-forward ReLU regressor trained with Adam.
 
     Parameters
@@ -84,14 +86,6 @@ class MLPRegressor:
             "l2": self.l2,
             "random_state": self.random_state,
         }
-
-    def set_params(self, **params) -> "MLPRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "MLPRegressor":

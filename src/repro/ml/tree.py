@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import current_metrics
+from .base import Estimator
 
 __all__ = [
     "MAX_BINS",
@@ -413,7 +414,7 @@ def _best_split(X, y, ranks, idx, feats, feat_rows, left_den, right_den,
     return best_gain, feat, thr, left_mask
 
 
-class DecisionTreeRegressor:
+class DecisionTreeRegressor(Estimator):
     """Binary regression tree grown by greedy regularised-gain splitting.
 
     Parameters
@@ -492,14 +493,6 @@ class DecisionTreeRegressor:
             "splitter": self.splitter,
             "random_state": self.random_state,
         }
-
-    def set_params(self, **params) -> "DecisionTreeRegressor":
-        """Update constructor parameters in place; returns self."""
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     # ------------------------------------------------------------------
     def fit(self, X, y, bins: FeatureBins | None = None,

@@ -68,6 +68,19 @@ class TestJoins:
         j = concat_columns(f1, other)
         assert j.columns == ["a", "c"]
 
+    def test_concat_columns_shares_read_only_columns(self, f1):
+        other = Frame.from_matrix(f1.index, np.ones((4, 2)), ["c", "d"])
+        j = concat_columns(f1, other)
+        for source in (f1, other):
+            for name in source.columns:
+                assert np.shares_memory(j[name], source[name])
+                assert not j[name].flags.writeable
+        assert j == Frame(f1.index, {**f1.to_dict(), **other.to_dict()})
+
+    def test_concat_columns_duplicate_rejected(self, f1):
+        with pytest.raises(ValueError, match="duplicate"):
+            concat_columns(f1, Frame(f1.index, {"a": np.zeros(4)}))
+
     def test_concat_columns_index_mismatch(self, f1, f2):
         with pytest.raises(ValueError):
             concat_columns(f1, f2)

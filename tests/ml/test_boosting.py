@@ -40,14 +40,6 @@ class TestFitPredict:
         expected = y.mean() + tree.predict(X)
         assert np.allclose(gb.predict(X), expected)
 
-    def test_staged_predict_matches_final(self, data):
-        X, y = data
-        gb = GradientBoostingRegressor(n_estimators=10, random_state=0)
-        gb.fit(X, y)
-        stages = list(gb.staged_predict(X[:20]))
-        assert len(stages) == 10
-        assert np.allclose(stages[-1], gb.predict(X[:20]))
-
     def test_deterministic_given_seed(self, data):
         X, y = data
         a = GradientBoostingRegressor(n_estimators=8, subsample=0.7,

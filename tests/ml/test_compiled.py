@@ -20,7 +20,6 @@ from repro.ml import (
     RandomForestRegressor,
     KFold,
     compile_ensemble,
-    cross_val_score,
     maybe_compile,
     mean_squared_error,
 )
@@ -305,11 +304,15 @@ class TestDownstreamEquivalence:
         assert np.array_equal(ref, fast)
 
     def test_cross_val_score(self, data):
+        # Every per-fold score of a one-candidate search equals the
+        # oracle's, not just the mean.
         X, y = data
         est = RandomForestRegressor(
             n_estimators=4, max_depth=3, random_state=0)
+        search = GridSearchCV(est, {"random_state": [0]},
+                              refit=False).fit(X, y)
         assert np.array_equal(_oracle_fold_scores(est, X, y),
-                              cross_val_score(est, X, y))
+                              search.cv_results_[0]["fold_scores"])
 
     def test_grid_search(self, data):
         X, y = data

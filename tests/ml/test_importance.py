@@ -5,10 +5,8 @@ import pytest
 
 from repro.ml import (
     DecisionTreeRegressor,
-    GradientBoostingRegressor,
-    LinearRegression,
     RandomForestRegressor,
-    mdi_importance,
+    Ridge,
     pearson_correlation,
     permutation_importance,
     target_correlations,
@@ -87,26 +85,6 @@ class TestTargetCorrelations:
             target_correlations(np.zeros((1, 2)), np.zeros(1))
 
 
-class TestMDI:
-    def test_wraps_tree_models(self, data):
-        X, y = data
-        for model in (
-            DecisionTreeRegressor(max_depth=4),
-            RandomForestRegressor(n_estimators=5, max_depth=4,
-                                  random_state=0),
-            GradientBoostingRegressor(n_estimators=5, random_state=0),
-        ):
-            model.fit(X, y)
-            fi = mdi_importance(model)
-            assert fi.shape == (5,)
-            assert fi.argmax() == 0
-
-    def test_rejects_non_tree(self, data):
-        X, y = data
-        with pytest.raises(TypeError):
-            mdi_importance(LinearRegression().fit(X, y))
-
-
 class TestPermutationImportance:
     def test_informative_feature_ranks_first(self, data):
         X, y = data
@@ -141,7 +119,7 @@ class TestPermutationImportance:
 
     def test_works_with_linear_model(self, data):
         X, y = data
-        model = LinearRegression().fit(X, y)
+        model = Ridge().fit(X, y)
         pfi = permutation_importance(model, X, y, random_state=0)
         assert pfi.argmax() == 0
 

@@ -1,9 +1,9 @@
-"""Unit tests for repro.ml.linear and repro.ml.preprocessing."""
+"""Unit tests for repro.ml.linear."""
 
 import numpy as np
 import pytest
 
-from repro.ml import LinearRegression, MinMaxScaler, Ridge, StandardScaler
+from repro.ml import Ridge
 
 
 @pytest.fixture(scope="module")
@@ -14,45 +14,21 @@ def data():
     return X, y
 
 
-class TestLinearRegression:
-    def test_recovers_coefficients(self, data):
-        X, y = data
-        model = LinearRegression().fit(X, y)
-        assert model.coef_[0] == pytest.approx(2.0, abs=0.01)
-        assert model.coef_[1] == pytest.approx(-1.0, abs=0.01)
-        assert model.intercept_ == pytest.approx(3.0, abs=0.01)
-
-    def test_no_intercept(self):
-        X = np.arange(1, 6, dtype=float).reshape(-1, 1)
-        y = 2.0 * X.ravel()
-        model = LinearRegression(fit_intercept=False).fit(X, y)
-        assert model.intercept_ == 0.0
-        assert model.coef_[0] == pytest.approx(2.0)
-
-    def test_rank_deficient_ok(self):
-        # duplicated column: lstsq must not blow up
-        X = np.column_stack([np.arange(5.0), np.arange(5.0)])
-        y = np.arange(5.0)
-        model = LinearRegression().fit(X, y)
-        assert np.allclose(model.predict(X), y, atol=1e-8)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            LinearRegression().predict([[1.0]])
-
-    def test_wrong_width(self, data):
-        X, y = data
-        model = LinearRegression().fit(X, y)
-        with pytest.raises(ValueError):
-            model.predict(np.zeros((2, 5)))
-
-
 class TestRidge:
     def test_alpha_zero_matches_ols(self, data):
+        # On a full-rank X, alpha=0 is ordinary least squares: the
+        # intercept is the coefficient of an appended column of ones.
         X, y = data
-        ols = LinearRegression().fit(X, y)
+        design = np.column_stack([X, np.ones(len(X))])
+        solution, *_ = np.linalg.lstsq(design, y, rcond=None)
         ridge = Ridge(alpha=0.0).fit(X, y)
-        assert np.allclose(ols.coef_, ridge.coef_, atol=1e-8)
+        assert np.allclose(ridge.coef_, solution[:-1], atol=1e-10)
+        assert ridge.intercept_ == pytest.approx(solution[-1], abs=1e-10)
+
+        no_intercept = Ridge(alpha=0.0, fit_intercept=False).fit(X, y)
+        through_origin, *_ = np.linalg.lstsq(X, y, rcond=None)
+        assert np.allclose(no_intercept.coef_, through_origin, atol=1e-10)
+        assert no_intercept.intercept_ == 0.0
 
     def test_shrinkage_monotone(self, data):
         X, y = data
@@ -70,57 +46,12 @@ class TestRidge:
         r = Ridge(alpha=2.5, fit_intercept=False)
         assert r.get_params() == {"alpha": 2.5, "fit_intercept": False}
 
-
-class TestStandardScaler:
-    def test_zero_mean_unit_var(self, data):
-        X, _ = data
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_not_divided_by_zero(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z[:, 0], 0.0)
-        assert np.isfinite(Z).all()
-
-    def test_inverse_roundtrip(self, data):
-        X, _ = data
-        scaler = StandardScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
-    def test_unfitted(self):
+    def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.zeros((2, 2)))
+            Ridge().predict([[1.0]])
 
-    def test_1d_rejected(self):
+    def test_wrong_width(self, data):
+        X, y = data
+        model = Ridge().fit(X, y)
         with pytest.raises(ValueError):
-            StandardScaler().fit(np.zeros(5))
-
-
-class TestMinMaxScaler:
-    def test_default_range(self, data):
-        X, _ = data
-        Z = MinMaxScaler().fit_transform(X)
-        assert Z.min() == pytest.approx(0.0)
-        assert Z.max() == pytest.approx(1.0)
-
-    def test_custom_range(self, data):
-        X, _ = data
-        Z = MinMaxScaler(feature_range=(-1, 1)).fit_transform(X)
-        assert Z.min() == pytest.approx(-1.0)
-        assert Z.max() == pytest.approx(1.0)
-
-    def test_constant_column_maps_to_lower(self):
-        X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        Z = MinMaxScaler().fit_transform(X)
-        assert np.allclose(Z[:, 0], 0.0)
-
-    def test_inverse_roundtrip(self, data):
-        X, _ = data
-        scaler = MinMaxScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(feature_range=(1.0, 1.0))
+            model.predict(np.zeros((2, 5)))

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    mean_absolute_error,
-    mean_absolute_percentage_error,
     mean_squared_error,
     mse_improvement_pct,
     r2_score,
-    root_mean_squared_error,
 )
 
 
@@ -41,23 +38,6 @@ class TestMSE:
 
 
 class TestOtherMetrics:
-    def test_rmse(self):
-        assert root_mean_squared_error([0, 0], [3, 4]) == pytest.approx(
-            np.sqrt(12.5)
-        )
-
-    def test_mae(self):
-        assert mean_absolute_error([0, 0], [1, -3]) == pytest.approx(2.0)
-
-    def test_mape(self):
-        assert mean_absolute_percentage_error(
-            [100, 200], [110, 180]
-        ) == pytest.approx(0.1)
-
-    def test_mape_zero_truth(self):
-        with pytest.raises(ValueError):
-            mean_absolute_percentage_error([0.0], [1.0])
-
     def test_r2_perfect(self):
         assert r2_score([1, 2, 3], [1, 2, 3]) == 1.0
 

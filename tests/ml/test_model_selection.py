@@ -11,8 +11,6 @@ from repro.ml import (
     RandomForestRegressor,
     TimeSeriesSplit,
     clone,
-    cross_val_score,
-    train_test_split,
 )
 
 
@@ -114,21 +112,6 @@ class TestClone:
         assert fresh.tree_ is None
 
 
-class TestCrossValScore:
-    def test_returns_fold_scores(self, data):
-        X, y = data
-        scores = cross_val_score(
-            DecisionTreeRegressor(max_depth=3), X, y, cv=KFold(4)
-        )
-        assert scores.shape == (4,)
-        assert (scores >= 0).all()
-
-    def test_default_cv_is_5fold(self, data):
-        X, y = data
-        scores = cross_val_score(DecisionTreeRegressor(max_depth=2), X, y)
-        assert scores.shape == (5,)
-
-
 class TestGridSearchCV:
     def test_finds_best_params(self, data):
         X, y = data
@@ -179,37 +162,3 @@ class TestGridSearchCV:
             cv=KFold(3),
         ).fit(X, y)
         assert gs.best_params_["max_depth"] == 6
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, data):
-        X, y = data
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.25,
-                                                  random_state=0)
-        assert len(X_te) == 30
-        assert len(X_tr) == 90
-        assert len(y_tr) == 90 and len(y_te) == 30
-
-    def test_chronological_when_not_shuffled(self, data):
-        X, y = data
-        X_tr, X_te, _, _ = train_test_split(X, y, test_size=0.2,
-                                            shuffle=False)
-        assert np.array_equal(X_tr, X[:96])
-        assert np.array_equal(X_te, X[96:])
-
-    def test_reproducible(self, data):
-        X, y = data
-        a = train_test_split(X, y, random_state=3)
-        b = train_test_split(X, y, random_state=3)
-        assert np.array_equal(a[0], b[0])
-
-    def test_bad_test_size(self, data):
-        X, y = data
-        with pytest.raises(ValueError):
-            train_test_split(X, y, test_size=0.0)
-        with pytest.raises(ValueError):
-            train_test_split(X, y, test_size=1.0)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1)), np.zeros(4))

@@ -6,8 +6,8 @@ import pytest
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
-    LinearRegression,
     RandomForestRegressor,
+    Ridge,
     TreeExplainer,
     shap_importance,
 )
@@ -123,7 +123,7 @@ class TestExplainerAPI:
     def test_unsupported_model(self, data):
         X, y = data
         with pytest.raises(TypeError):
-            TreeExplainer(LinearRegression().fit(X, y))
+            TreeExplainer(Ridge().fit(X, y))
 
     def test_unfitted_model(self):
         with pytest.raises(RuntimeError):
