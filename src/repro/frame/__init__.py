@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`DateIndex`, :func:`date_range` — daily calendar indices.
 * :class:`Frame` — immutable named float64 columns over a ``DateIndex``.
-* join/lag/rolling ops in :mod:`repro.frame.ops`.
+* column, lag and rolling-window ops in :mod:`repro.frame.ops`.
 * missing-data primitives in :mod:`repro.frame.missing`.
 * CSV round-trip in :mod:`repro.frame.io`.
 """
@@ -21,7 +21,7 @@ from .missing import (
     longest_flat_run,
     longest_nan_run,
 )
-from .transform import diff, resample_frame, winsorize, zscore
+from .transform import diff, zscore
 from .validation import (
     ColumnRule,
     ValidationIssue,
@@ -30,16 +30,10 @@ from .validation import (
 )
 from .ops import (
     concat_columns,
-    inner_join,
-    log_returns,
-    outer_join,
     pct_change,
     rolling_apply,
     rolling_max,
-    rolling_mean,
     rolling_min,
-    rolling_std,
-    rolling_sum,
     shift,
 )
 
@@ -56,25 +50,17 @@ __all__ = [
     "diff",
     "fill_frame",
     "forward_fill",
-    "inner_join",
     "interpolate_linear",
     "leading_nan_count",
-    "log_returns",
     "longest_flat_run",
     "longest_nan_run",
-    "outer_join",
     "pct_change",
     "read_csv",
-    "resample_frame",
     "rolling_apply",
     "rolling_max",
-    "rolling_mean",
     "rolling_min",
-    "rolling_std",
-    "rolling_sum",
     "shift",
     "validate_frame",
-    "winsorize",
     "write_csv",
     "zscore",
 ]

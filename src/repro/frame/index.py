@@ -6,8 +6,8 @@ on-chain metrics, macro indicators are all collected at daily frequency).
 proleptic-Gregorian day ordinals (``datetime.date.toordinal``), giving us
 
 * O(log n) date lookup via binary search,
-* cheap set operations (union / intersection) for joining sources that
-  start recording at different dates (e.g. USDC metrics begin in 2018),
+* position lookups (:meth:`DateIndex.indexer`) for aligning one index
+  onto another,
 * zero-copy slicing by position and by date range.
 
 Dates are accepted as ISO strings (``"2017-01-01"``), ``datetime.date`` /
@@ -188,16 +188,6 @@ class DateIndex:
     # ------------------------------------------------------------------
     # Set operations
     # ------------------------------------------------------------------
-    def union(self, other: "DateIndex") -> "DateIndex":
-        """Dates present in either index."""
-        merged = np.union1d(self._ordinals, other._ordinals)
-        return DateIndex(merged, _validated=True)
-
-    def intersection(self, other: "DateIndex") -> "DateIndex":
-        """Dates present in both indices."""
-        merged = np.intersect1d(self._ordinals, other._ordinals)
-        return DateIndex(merged, _validated=True)
-
     def difference(self, other: "DateIndex") -> "DateIndex":
         """Dates present in self but not in ``other``."""
         merged = np.setdiff1d(self._ordinals, other._ordinals)

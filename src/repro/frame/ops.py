@@ -1,68 +1,30 @@
-"""Frame-level operations: joins, lags, returns, rolling windows.
+"""Frame-level operations: column concatenation, lags, returns, rolling
+windows.
 
-These are the relational/time-series primitives the dataset-assembly and
-feature-engineering stages are built on. Joins align heterogeneous data
-sources onto one calendar; ``shift``/``lag_features`` build the supervised
-learning matrix (features at day *t*, target at day *t + w*); the rolling
-helpers back the technical-indicator suite.
+These are the time-series primitives the dataset-assembly and
+feature-engineering stages are built on. ``concat_columns`` puts the
+data sources, all on one calendar, side by side; ``shift``/
+``lag_features`` build the supervised learning matrix (features at day
+*t*, target at day *t + w*); the resumable running sums back the
+technical-indicator suite.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .frame import Frame
-from .index import DateIndex
 
 __all__ = [
-    "outer_join",
-    "inner_join",
     "concat_columns",
     "shift",
     "pct_change",
-    "log_returns",
     "rolling_apply",
-    "rolling_mean",
-    "rolling_std",
     "rolling_min",
     "rolling_max",
-    "rolling_sum",
     "rolling_std_resume",
     "window_sums",
 ]
-
-
-def _join(frames: Sequence[Frame], index: DateIndex) -> Frame:
-    columns: dict[str, np.ndarray] = {}
-    for frame in frames:
-        aligned = frame.reindex(index)
-        for name in aligned.columns:
-            if name in columns:
-                raise ValueError(f"duplicate column {name!r} across frames")
-            columns[name] = aligned[name]
-    return Frame(index, columns)
-
-
-def outer_join(*frames: Frame) -> Frame:
-    """Join frames on the union of their date indices (NaN where absent)."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    index = frames[0].index
-    for frame in frames[1:]:
-        index = index.union(frame.index)
-    return _join(frames, index)
-
-
-def inner_join(*frames: Frame) -> Frame:
-    """Join frames on the intersection of their date indices."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    index = frames[0].index
-    for frame in frames[1:]:
-        index = index.intersection(frame.index)
-    return _join(frames, index)
 
 
 def concat_columns(*frames: Frame) -> Frame:
@@ -109,19 +71,6 @@ def pct_change(values: np.ndarray, periods: int = 1) -> np.ndarray:
     return out
 
 
-def log_returns(values: np.ndarray, periods: int = 1) -> np.ndarray:
-    """Log returns over ``periods`` steps; NaN for non-positive prices."""
-    values = np.asarray(values, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(values)
-    logs[~np.isfinite(logs)] = np.nan
-    return logs - shift(logs, periods)
-
-
-def _sliding(values: np.ndarray, window: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(values, window)
-
-
 def rolling_apply(values: np.ndarray, window: int, func) -> np.ndarray:
     """Apply ``func(axis=-1)``-style reducer over trailing windows.
 
@@ -134,7 +83,8 @@ def rolling_apply(values: np.ndarray, window: int, func) -> np.ndarray:
     out = np.full(values.size, np.nan)
     if values.size < window:
         return out
-    out[window - 1:] = func(_sliding(values, window), -1)
+    windows = np.lib.stride_tricks.sliding_window_view(values, window)
+    out[window - 1:] = func(windows, -1)
     return out
 
 
@@ -184,65 +134,23 @@ def window_sums(values: np.ndarray, window: int, carry=None):
     return (totals, bad), (count + k, ext[-window:], ext_nan[-window:])
 
 
-def _closed_form_ok(values: np.ndarray, window: int) -> bool:
-    """Whether the cumsum closed forms apply to this input.
-
-    ``window == 1`` must return an exact copy (cumsum round-trips are
-    not exact identities for arbitrary floats), and infinities break
-    cumulative differencing — both route back to :func:`rolling_apply`.
-    """
-    return (window > 1 and values.size >= window
-            and not np.isinf(values).any())
-
-
-def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing-window mean (NaN warm-up; NaNs propagate).
-
-    Computed in closed form from cumulative sums — one vectorised pass
-    rather than a per-window reduction over a strided view (the
-    indicator suite calls this for every feature × window pair).
-    :func:`rolling_apply` remains the behavioural reference and the
-    fallback for inputs the closed form cannot serve exactly.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not _closed_form_ok(values, window):
-        return rolling_apply(values, window, np.mean)
-    (sums, bad), _ = window_sums(values, window)
-    out = sums / window
-    out[bad] = np.nan
-    return out
-
-
-def rolling_std(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing-window standard deviation (population, ddof=0).
-
-    Closed form over cumulative sums of the *centred* series (offset =
-    first value that is not NaN): variance is shift-invariant, and
-    centring first suppresses the catastrophic cancellation the raw
-    ``E[x²] − E[x]²`` identity suffers on large-offset series (a
-    constant series still yields an exact 0). Unlike the global mean,
-    the offset depends only on the series head, so appending values
-    never changes the outputs of the earlier ones. Falls back to
-    :func:`rolling_apply` like :func:`rolling_mean`.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not _closed_form_ok(values, window):
-        return rolling_apply(values, window, np.std)
-    return rolling_std_resume(values, window)[0]
-
-
 def rolling_std_resume(values: np.ndarray, window: int, carry=None):
-    """The closed form of :func:`rolling_std`, resumable.
+    """Trailing-window standard deviation (population, ddof=0),
+    continued from ``carry``; returns ``(std, carry)``.
 
-    Returns ``(std, carry)``; ``carry`` holds the centring offset and
-    the two running sums (see :func:`window_sums`), so a series fed in
-    pieces gives the bytes of one call over the whole of it. For
-    ``window > 1`` an infinity raises ``ValueError`` (see
-    :func:`window_sums`).
+    The first ``window - 1`` outputs of a series are NaN, and a window
+    holding a NaN reads NaN. Closed form over running sums of the
+    *centred* series (offset = first value that is not NaN): variance is
+    shift-invariant, and centring first suppresses the catastrophic
+    cancellation the raw ``E[x²] − E[x]²`` identity suffers on
+    large-offset series (a constant series still yields an exact 0).
+    Unlike the global mean, the offset depends only on the series head,
+    so appending values never changes the outputs of the earlier ones.
+
+    ``carry`` holds the centring offset and the two running sums (see
+    :func:`window_sums`), so a series fed in pieces gives the bytes of
+    one call over the whole of it. For ``window > 1`` an infinity raises
+    ``ValueError`` (see :func:`window_sums`).
     """
     values = np.asarray(values, dtype=np.float64)
     if window < 1:
@@ -324,15 +232,3 @@ def rolling_max(values: np.ndarray, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     return _rolling_extremum(values, window, np.maximum)
-
-
-def rolling_sum(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing-window sum (closed form; see :func:`rolling_mean`)."""
-    values = np.asarray(values, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not _closed_form_ok(values, window):
-        return rolling_apply(values, window, np.sum)
-    (out, bad), _ = window_sums(values, window)
-    out[bad] = np.nan
-    return out

@@ -1,22 +1,16 @@
-"""Column transforms: resampling, differencing, normalisation, winsorising.
+"""Column transforms: differencing and normalisation.
 
-Utilities used by the examples and extension analyses — downsampling
-daily series to weekly/monthly bars, z-scoring for scale-sensitive
-models, and outlier clipping for the noisy sentiment feeds.
+Utilities used by the examples and extension analyses — differencing,
+and z-scoring for scale-sensitive models.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .frame import Frame
-from .index import DateIndex
-
 __all__ = [
     "diff",
     "zscore",
-    "winsorize",
-    "resample_frame",
 ]
 
 
@@ -52,61 +46,3 @@ def zscore(values: np.ndarray) -> np.ndarray:
     else:
         out[valid] = 0.0
     return out
-
-
-def winsorize(values: np.ndarray, lower_pct: float = 1.0,
-              upper_pct: float = 99.0) -> np.ndarray:
-    """Clip a series at the given lower/upper percentiles (NaN-aware)."""
-    if not 0.0 <= lower_pct < upper_pct <= 100.0:
-        raise ValueError("need 0 <= lower_pct < upper_pct <= 100")
-    values = np.asarray(values, dtype=np.float64)
-    valid = values[~np.isnan(values)]
-    if valid.size == 0:
-        return values.copy()
-    lo = np.percentile(valid, lower_pct)
-    hi = np.percentile(valid, upper_pct)
-    return np.clip(values, lo, hi)
-
-
-_RESAMPLE_AGGS = {
-    "last": lambda block: block[-1],
-    "first": lambda block: block[0],
-    "mean": np.mean,
-    "sum": np.sum,
-    "min": np.min,
-    "max": np.max,
-}
-
-
-def resample_frame(frame: Frame, every: int, agg: str = "last") -> Frame:
-    """Downsample a daily frame into consecutive ``every``-day blocks.
-
-    Each block is reduced with ``agg`` (one of ``last``, ``first``,
-    ``mean``, ``sum``, ``min``, ``max``) and stamped with the block's last
-    date. A trailing partial block is aggregated over the days it has.
-    NaNs inside a block propagate (clean first if that is not wanted).
-    """
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    try:
-        reducer = _RESAMPLE_AGGS[agg]
-    except KeyError:
-        raise ValueError(
-            f"unknown agg {agg!r}; choose from {sorted(_RESAMPLE_AGGS)}"
-        ) from None
-    n = frame.n_rows
-    if n == 0:
-        return frame
-    starts = np.arange(0, n, every)
-    ends = np.minimum(starts + every, n)
-    stamp_positions = ends - 1
-    new_index = DateIndex(
-        frame.index.ordinals[stamp_positions], _validated=True
-    )
-    columns = {}
-    for name in frame.columns:
-        col = frame[name]
-        columns[name] = np.array(
-            [reducer(col[s:e]) for s, e in zip(starts, ends)]
-        )
-    return Frame(new_index, columns)

@@ -1,27 +1,37 @@
-"""Technical-analysis indicators derived from BTC market data."""
+"""Technical-analysis indicators derived from BTC market data.
 
-from .momentum import macd, roc, rsi, stochastic_d, stochastic_k
-from .moving import ema, sma, wma
-from .suite import (
-    MA_SPANS,
-    TECHNICAL_VARIABLES,
-    technical_indicator_frame,
+Each indicator is one resumable form, ``*_resume(values, ..., carry)``,
+that returns ``(output, carry)``; :func:`technical_indicators` builds
+the paper's whole technical category from them the same way.
+"""
+
+from .momentum import (
+    macd_resume,
+    roc_resume,
+    rsi_resume,
+    stochastic_d_resume,
+    stochastic_k_resume,
 )
-from .volatility import atr, bollinger_bands, rolling_volatility
+from .moving import ema_resume, sma_resume
+from .suite import MA_SPANS, TECHNICAL_VARIABLES, technical_indicators
+from .volatility import (
+    atr_resume,
+    bollinger_bands_resume,
+    rolling_volatility_resume,
+)
 
 __all__ = [
     "MA_SPANS",
     "TECHNICAL_VARIABLES",
-    "atr",
-    "bollinger_bands",
-    "ema",
-    "macd",
-    "roc",
-    "rolling_volatility",
-    "rsi",
-    "sma",
-    "stochastic_d",
-    "stochastic_k",
-    "technical_indicator_frame",
-    "wma",
+    "atr_resume",
+    "bollinger_bands_resume",
+    "ema_resume",
+    "macd_resume",
+    "roc_resume",
+    "rolling_volatility_resume",
+    "rsi_resume",
+    "sma_resume",
+    "stochastic_d_resume",
+    "stochastic_k_resume",
+    "technical_indicators",
 ]

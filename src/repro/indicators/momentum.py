@@ -8,41 +8,31 @@ from ..frame.ops import rolling_max, rolling_min
 from .moving import ema_resume, sma_resume
 
 __all__ = [
-    "macd",
     "macd_resume",
-    "roc",
     "roc_resume",
-    "rsi",
     "rsi_resume",
-    "stochastic_d",
     "stochastic_d_resume",
-    "stochastic_k",
     "stochastic_k_resume",
 ]
 
 
-def rsi(values: np.ndarray, window: int = 14) -> np.ndarray:
-    """Relative Strength Index (Wilder's smoothing), in [0, 100].
+def rsi_resume(values: np.ndarray, window: int = 14, carry=None):
+    """Relative Strength Index (Wilder's smoothing), in [0, 100],
+    continued from ``carry``; returns ``(levels, carry)``.
 
     RSI = 100 - 100 / (1 + avg_gain / avg_loss); a flat window reads 50,
     an all-gain window reads 100, an all-loss window reads 0, and a
     series of at most ``window`` values is all NaN.
 
-    The seed averages are numpy means; Wilder's recursion then runs over
-    Python floats from ``tolist()`` in the same IEEE operation order, so
-    the bytes equal those of a loop over numpy scalars (DESIGN.md §7,
-    "Scalar recurrences").
-    """
-    return rsi_resume(values, window)[0]
-
-
-def rsi_resume(values: np.ndarray, window: int = 14, carry=None):
-    """:func:`rsi` continued from ``carry``; returns ``(rsi, carry)``.
-
     ``carry`` holds the last value, the gains and losses of the seed
     window while it is still filling, and Wilder's two averages once it
     is full, so a series fed in pieces gives the bytes of one call over
     the whole of it.
+
+    The seed averages are numpy means; Wilder's recursion then runs over
+    Python floats from ``tolist()`` in the same IEEE operation order, so
+    the bytes equal those of a loop over numpy scalars (DESIGN.md §7,
+    "Scalar recurrences").
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -93,24 +83,15 @@ def _rsi_from_averages(avg_gain: float, avg_loss: float) -> float:
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
-def macd(
-    values: np.ndarray,
-    fast: int = 12,
-    slow: int = 26,
-    signal: int = 9,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MACD line, signal line, histogram.
-
-    ``macd = EMA(fast) - EMA(slow)``; ``signal = EMA(macd, signal)``;
-    ``histogram = macd - signal``.
-    """
-    return macd_resume(values, fast, slow, signal)[0]
-
-
 def macd_resume(values: np.ndarray, fast: int = 12, slow: int = 26,
                 signal: int = 9, carry=None):
-    """:func:`macd` continued from ``carry``, the states of its three
-    EMAs; returns ``((macd, signal, histogram), carry)``."""
+    """MACD line, signal line and histogram, continued from ``carry``,
+    the states of its three EMAs; returns
+    ``((line, signal, histogram), carry)``.
+
+    ``line = EMA(fast) - EMA(slow)``; ``signal = EMA(line, signal)``;
+    ``histogram = line - signal``.
+    """
     if not fast < slow:
         raise ValueError("fast span must be shorter than slow span")
     fast_state, slow_state, signal_state = carry or (None, None, None)
@@ -122,15 +103,11 @@ def macd_resume(values: np.ndarray, fast: int = 12, slow: int = 26,
             (fast_state, slow_state, signal_state))
 
 
-def roc(values: np.ndarray, window: int = 10) -> np.ndarray:
-    """Rate of change: percent move over ``window`` steps."""
-    return roc_resume(values, window)[0]
-
-
 def roc_resume(values: np.ndarray, window: int = 10,
                tail: np.ndarray | None = None):
-    """:func:`roc` continued from ``tail``, the series' last ``window``
-    earlier values; returns ``(roc, tail)``."""
+    """Rate of change, the percent move over ``window`` steps, continued
+    from ``tail``, the series' last ``window`` earlier values; returns
+    ``(changes, tail)``."""
     if window < 1:
         raise ValueError("window must be >= 1")
     values = np.asarray(values, dtype=np.float64)
@@ -148,20 +125,12 @@ def roc_resume(values: np.ndarray, window: int = 10,
     return out, history[-window:]
 
 
-def stochastic_k(
-    close: np.ndarray,
-    high: np.ndarray,
-    low: np.ndarray,
-    window: int = 14,
-) -> np.ndarray:
-    """%K: position of the close within the trailing high-low range, 0-100."""
-    return stochastic_k_resume(close, high, low, window)[0]
-
-
 def stochastic_k_resume(close: np.ndarray, high: np.ndarray,
                         low: np.ndarray, window: int = 14, tails=None):
-    """:func:`stochastic_k` continued from ``tails``, the last
-    ``window - 1`` earlier highs and lows; returns ``(k, tails)``.
+    """%K, the position of the close within the trailing high-low range
+    (0-100), continued from ``tails``, the last ``window - 1`` earlier
+    highs and lows (all of them while fewer were seen); returns
+    ``(k, tails)``.
 
     A window's extremum is one of its values whatever the scan order, so
     the block scans over the tail and the new rows give the same bytes.
@@ -177,26 +146,16 @@ def stochastic_k_resume(close: np.ndarray, high: np.ndarray,
         k = (close - lo) / span * 100.0
     k = np.where(span == 0, 50.0, k)
     k[np.isnan(span)] = np.nan
-    keep = max(window - 1, 0)
-    return k, (highs[highs.size - keep:], lows[lows.size - keep:])
-
-
-def stochastic_d(
-    close: np.ndarray,
-    high: np.ndarray,
-    low: np.ndarray,
-    window: int = 14,
-    smooth: int = 3,
-) -> np.ndarray:
-    """%D: SMA of %K over ``smooth`` periods."""
-    return stochastic_d_resume(close, high, low, window, smooth)[0]
+    start = max(highs.size - (window - 1), 0)
+    return k, (highs[start:], lows[start:])
 
 
 def stochastic_d_resume(close: np.ndarray, high: np.ndarray,
                         low: np.ndarray, window: int = 14, smooth: int = 3,
                         carry=None):
-    """:func:`stochastic_d` continued from ``carry`` (the tails of %K
-    and the running sums of its SMA); returns ``(d, carry)``."""
+    """%D, the SMA of %K over ``smooth`` periods, continued from
+    ``carry`` (the tails of %K and the running sums of its SMA);
+    returns ``(d, carry)``."""
     k_carry, sums = carry or (None, None)
     k, k_carry = stochastic_k_resume(close, high, low, window, k_carry)
     d, sums = sma_resume(k, smooth, sums)

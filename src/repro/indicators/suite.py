@@ -34,7 +34,6 @@ from .volatility import (
 __all__ = [
     "MA_SPANS",
     "TECHNICAL_VARIABLES",
-    "technical_indicator_frame",
     "technical_indicators",
 ]
 
@@ -47,34 +46,19 @@ SMA_WINDOWS = (5, 10, 20, 50, 100, 200)
 TECHNICAL_VARIABLES = ("close-price", "market-cap", "volume")
 
 
-def technical_indicator_frame(btc: Frame) -> Frame:
-    """Derive the technical-indicator category from a BTC market frame.
-
-    Parameters
-    ----------
-    btc:
-        Frame with columns ``open``, ``high``, ``low``, ``close``,
-        ``volume`` and ``market_cap`` on a daily index; NaN is allowed,
-        an infinity raises ``ValueError``.
-
-    Returns
-    -------
-    Frame
-        One column per indicator, aligned to ``btc.index``. Long-span
-        indicators carry NaN warm-up periods, which the dataset cleaning
-        phase handles downstream.
-    """
-    return technical_indicators(btc)[0]
-
-
 def technical_indicators(btc: Frame, carry: dict | None = None):
-    """:func:`technical_indicator_frame` continued from ``carry``.
+    """Derive the technical-indicator category from a BTC market frame,
+    continued from ``carry``.
 
-    ``btc`` holds the rows after the ones ``carry`` was produced from
-    (all of them when ``carry`` is None). Returns ``(frame, carry)``:
-    the indicators on ``btc.index`` and the state at its last row — each
+    ``btc`` has columns ``open``, ``high``, ``low``, ``close``,
+    ``volume`` and ``market_cap`` on a daily index, and holds the rows
+    after the ones ``carry`` was produced from (all of them when
+    ``carry`` is None). Returns ``(frame, carry)``: one column per
+    indicator on ``btc.index``, and the state at its last row — each
     indicator's ``*_resume`` carry. A BTC frame fed in pieces gives the
-    bytes of one call over the whole of it.
+    bytes of one call over the whole of it. Long-span indicators carry
+    NaN warm-up periods, which the dataset cleaning phase handles
+    downstream.
 
     Raises ``ValueError`` when a required column is missing or holds an
     infinity: the rolling means and deviations are running-sum

@@ -1,13 +1,40 @@
-"""The parameter half of the estimator protocol, shared by every model.
+"""What every model shares: its parameter protocol and its input checks.
 
 Each estimator names its constructor parameters in ``get_params()``;
 :meth:`Estimator.set_params` is the one way to change them after
-construction, for cloning and grid search alike.
+construction, for cloning and grid search alike. :func:`check_xy` and
+:func:`check_features` are the one coercion and check of training and
+prediction inputs.
 """
 
 from __future__ import annotations
 
-__all__ = ["Estimator"]
+import numpy as np
+
+__all__ = ["Estimator", "check_features", "check_xy"]
+
+
+def check_xy(X, y, fitting: bool = True):
+    """``X`` as a 2-D float64 matrix and ``y`` as a float64 vector of
+    the same length; ``fitting`` also rejects an empty dataset."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    if X.shape[0] != y.size:
+        raise ValueError("X and y have inconsistent lengths")
+    if fitting and X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    return X, y
+
+
+def check_features(X, n_features: int) -> np.ndarray:
+    """``X`` as a float64 matrix of ``n_features`` columns, the shape a
+    fitted model predicts from."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"X must be 2-D with {n_features} features")
+    return X
 
 
 class Estimator:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import span
-from .base import Estimator
+from .base import Estimator, check_features, check_xy
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features, rank_features
 
@@ -111,14 +111,7 @@ class GradientBoostingRegressor(Estimator):
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "GradientBoostingRegressor":
         """Fit the estimator on (X, y); returns self."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValueError("X and y have inconsistent lengths")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = check_xy(X, y)
         n_samples = X.shape[0]
         self.n_features_in_ = X.shape[1]
         rng = np.random.default_rng(self.random_state)
@@ -164,11 +157,7 @@ class GradientBoostingRegressor(Estimator):
         """Predict targets for every row of X, through the compiled
         level-wise kernel (:mod:`repro.ml.compiled`)."""
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
+        X = check_features(X, self.n_features_in_)
         return ensemble_compiled(self).predict(X)
 
     @property

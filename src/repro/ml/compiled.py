@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import current_metrics
+from .base import check_features
 from .tree import _LEAF
 
 __all__ = [
@@ -151,11 +152,7 @@ class CompiledEnsemble:
         codes are reused across calls — bin once with :meth:`bin`, then
         :meth:`predict_binned` (PFI's permutation sweep does this).
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features} features"
-            )
+        X = check_features(X, self.n_features)
         return self._predict_resolved(X, False)
 
     def predict_binned(self, codes) -> np.ndarray:

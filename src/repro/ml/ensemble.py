@@ -13,23 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator
+from .base import Estimator, check_xy
 from .linear import Ridge
 from .model_selection import KFold, clone, cross_val_predict
 
 __all__ = ["StackingRegressor"]
-
-
-def _validate_xy(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if X.shape[0] != y.size:
-        raise ValueError("X and y have inconsistent lengths")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    return X, y
 
 
 class StackingRegressor(Estimator):
@@ -76,7 +64,7 @@ class StackingRegressor(Estimator):
 
     def fit(self, X, y) -> "StackingRegressor":
         """Fit the estimator on (X, y); returns self."""
-        X, y = _validate_xy(X, y)
+        X, y = check_xy(X, y)
         self.n_features_in_ = X.shape[1]
         cv = KFold(self.cv_folds, shuffle=True,
                    random_state=self.random_state)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..obs import span
 from ..parallel import spawn_seeds
-from .base import Estimator
+from .base import Estimator, check_features, check_xy
 from .compiled import ensemble_compiled
 from .tree import DecisionTreeRegressor, bin_features, rank_features
 
@@ -116,12 +116,7 @@ class RandomForestRegressor(Estimator):
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "RandomForestRegressor":
         """Fit the estimator on (X, y); returns self."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValueError("X and y have inconsistent lengths")
+        X, y = check_xy(X, y)
         self.n_features_in_ = X.shape[1]
         tree_params = {
             "max_depth": self.max_depth,
@@ -149,11 +144,7 @@ class RandomForestRegressor(Estimator):
         """Mean prediction across all trees, through the compiled
         level-wise kernel (:mod:`repro.ml.compiled`)."""
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
+        X = check_features(X, self.n_features_in_)
         return ensemble_compiled(self).predict(X)
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import check_xy
 from .compiled import maybe_compile
 from .metrics import mean_squared_error
 
@@ -44,12 +45,7 @@ def pearson_correlation(x, y) -> float:
 
 def target_correlations(X, y) -> np.ndarray:
     """|Pearson r| of every column of ``X`` against ``y`` (vectorised)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if X.shape[0] != y.size:
-        raise ValueError("X and y have inconsistent lengths")
+    X, y = check_xy(X, y, fitting=False)
     if X.shape[0] < 2:
         raise ValueError("correlation needs at least two observations")
     Xc = X - X.mean(axis=0)
@@ -138,12 +134,7 @@ def permutation_importance(
     re-walks (:func:`_pfi_batched`); any other estimator predicts one
     stacked matrix per feature (:func:`_feature_pfi`).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if X.shape[0] != y.size:
-        raise ValueError("X and y have inconsistent lengths")
+    X, y = check_xy(X, y, fitting=False)
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     rng = np.random.default_rng(random_state)

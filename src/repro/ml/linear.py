@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator
+from .base import Estimator, check_features, check_xy
 
 __all__ = ["Ridge"]
 
@@ -32,14 +32,7 @@ class Ridge(Estimator):
 
     def fit(self, X, y) -> "Ridge":
         """Fit the estimator on (X, y); returns self."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValueError("X and y have inconsistent lengths")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = check_xy(X, y)
         self.n_features_in_ = X.shape[1]
         if self.fit_intercept:
             x_mean, y_mean = X.mean(axis=0), y.mean()
@@ -57,9 +50,5 @@ class Ridge(Estimator):
         """Predict targets for every row of X."""
         if self.coef_ is None:
             raise RuntimeError("estimator is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
+        X = check_features(X, self.n_features_in_)
         return X @ self.coef_ + self.intercept_

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator
+from .base import Estimator, check_features, check_xy
 
 __all__ = ["MLPRegressor"]
 
@@ -90,14 +90,7 @@ class MLPRegressor(Estimator):
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "MLPRegressor":
         """Fit the estimator on (X, y); returns self."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValueError("X and y have inconsistent lengths")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = check_xy(X, y)
         n_samples, n_features = X.shape
         self.n_features_in_ = n_features
         rng = np.random.default_rng(self.random_state)
@@ -189,11 +182,7 @@ class MLPRegressor(Estimator):
         """Predict targets for every row of X."""
         if not self._weights:
             raise RuntimeError("estimator is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
+        X = check_features(X, self.n_features_in_)
         h = (X - self._x_mean) / self._x_scale
         for w, b in zip(self._weights[:-1], self._biases[:-1]):
             h = np.maximum(h @ w + b, 0.0)

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .base import check_features
 from .boosting import GradientBoostingRegressor
 from .forest import RandomForestRegressor
 from .tree import DecisionTreeRegressor, TreeStructure
@@ -230,10 +231,7 @@ class TreeExplainer:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self._n_features:
-            raise ValueError(
-                f"X must be 2-D with {self._n_features} features"
-            )
+        X = check_features(X, self._n_features)
         rows = [_shap_row(x, self._trees, self._n_features) for x in X]
         if not rows:
             return np.zeros((0, self._n_features), dtype=np.float64)

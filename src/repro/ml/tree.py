@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import current_metrics
-from .base import Estimator
+from .base import Estimator, check_features, check_xy
 
 __all__ = [
     "MAX_BINS",
@@ -506,14 +506,7 @@ class DecisionTreeRegressor(Estimator):
         n_samples)`` ranks of ``X``. Ensembles compute either once and
         share it across member trees.
         """
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValueError("X and y have inconsistent lengths")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = check_xy(X, y)
         if np.isnan(X).any() or np.isnan(y).any():
             raise ValueError("training data must be NaN-free")
         if bins is not None:
@@ -911,11 +904,7 @@ class DecisionTreeRegressor(Estimator):
     def predict(self, X) -> np.ndarray:
         """Predict targets for every row of X."""
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} features"
-            )
+        X = check_features(X, self.n_features_in_)
         return self.tree_.predict(X)
 
     def apply(self, X) -> np.ndarray:

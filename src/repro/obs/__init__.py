@@ -90,7 +90,6 @@ from .summary import (
     format_memory,
     format_runtime,
     slowest_spans,
-    stage_breakdown,
 )
 from .trace import (
     Span,
@@ -146,7 +145,6 @@ __all__ = [
     "slowest_rows",
     "slowest_spans",
     "span",
-    "stage_breakdown",
     "stage_rows",
     "stage_table",
     "use_metrics",

@@ -5,8 +5,7 @@ attaches to ``ExperimentResults.run_summary``: the full span list and a
 metrics snapshot, as plain data.  The module also hosts the pure span
 aggregations behind the run ledger's records (:mod:`repro.obs.ledger`)
 and the report footers —
-:func:`aggregate_spans` (per-name stats with self-time),
-:func:`stage_breakdown` (top-level stage → seconds), and
+:func:`aggregate_spans` (per-name stats with self-time) and
 :func:`slowest_spans`.
 """
 
@@ -20,7 +19,6 @@ from .trace import Span
 __all__ = [
     "RunSummary",
     "aggregate_spans",
-    "stage_breakdown",
     "slowest_spans",
     "format_memory",
     "format_runtime",
@@ -115,22 +113,6 @@ def _covered(start: float, end: float, intervals) -> float:
     return covered
 
 
-def stage_breakdown(spans: list[Span]) -> dict[str, float]:
-    """Self-time grouped by stage (the prefix before the first dot).
-
-    ``fra.iteration`` and ``fra.reduce`` both land in stage ``fra``;
-    ordering follows each stage's first appearance in the trace, which
-    for the pipeline matches execution order.
-    """
-    stats = aggregate_spans(spans)
-    out: dict[str, float] = {}
-    first_seen = sorted(spans, key=lambda record: record.start)
-    for name in dict.fromkeys(record.name for record in first_seen):
-        stage = name.split(".", 1)[0]
-        out[stage] = out.get(stage, 0.0) + stats[name]["self_s"]
-    return out
-
-
 def slowest_spans(spans: list[Span], n: int = 10) -> list[Span]:
     """The ``n`` longest individual spans, longest first."""
     if n < 1:
@@ -141,7 +123,7 @@ def slowest_spans(spans: list[Span], n: int = 10) -> list[Span]:
 @dataclass
 class RunSummary:
     """Telemetry bundle for one experiment run: every span and the
-    metrics snapshot.  Aggregate with :func:`stage_breakdown` or
+    metrics snapshot.  Aggregate with :func:`aggregate_spans` or
     :func:`repro.obs.stage_rows`."""
 
     spans: list[Span] = field(default_factory=list)

@@ -5,21 +5,19 @@ the machinery to put error bars and significance levels on them:
 
 * :func:`diebold_mariano` — the standard test for equal predictive
   accuracy of two forecast series.
-* :func:`block_bootstrap_ci` — confidence intervals for statistics of
-  autocorrelated series (daily forecast errors are far from i.i.d.).
-* :func:`improvement_ci` — a bootstrap CI for the paper's MSE-decrease
-  percentage.
+* :func:`improvement_ci` — a moving-block-bootstrap CI for the paper's
+  MSE-decrease percentage (daily forecast errors are autocorrelated, so
+  it resamples contiguous blocks rather than single days).
 * autocorrelation / Ljung-Box helpers used by the simulator validation
   tests.
 """
 
-from .bootstrap import block_bootstrap_ci, improvement_ci
+from .bootstrap import improvement_ci
 from .diagnostics import acf, ljung_box
 from .tests import diebold_mariano
 
 __all__ = [
     "acf",
-    "block_bootstrap_ci",
     "diebold_mariano",
     "improvement_ci",
     "ljung_box",

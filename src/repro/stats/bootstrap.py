@@ -6,7 +6,7 @@ import numpy as np
 
 from ..ml.metrics import mean_squared_error, mse_improvement_pct
 
-__all__ = ["block_bootstrap_ci", "improvement_ci"]
+__all__ = ["improvement_ci"]
 
 
 def _moving_block_indices(n: int, block: int,
@@ -16,46 +16,6 @@ def _moving_block_indices(n: int, block: int,
     starts = rng.integers(0, n - block + 1, size=n_blocks)
     idx = (starts[:, None] + np.arange(block)[None, :]).ravel()
     return idx[:n]
-
-
-def _check_resampling(n_resamples: int, confidence: float) -> None:
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-
-
-def block_bootstrap_ci(
-    values,
-    statistic=np.mean,
-    block: int = 20,
-    n_resamples: int = 1000,
-    confidence: float = 0.95,
-    random_state=None,
-) -> tuple[float, float, float]:
-    """Moving-block-bootstrap CI for ``statistic(values)``.
-
-    Returns ``(point_estimate, lower, upper)``. Daily forecast errors
-    are autocorrelated, so i.i.d. resampling understates uncertainty;
-    the moving-block scheme resamples contiguous chunks of length
-    ``block`` instead.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    n = values.size
-    if n == 0:
-        raise ValueError("values must be non-empty")
-    if not 1 <= block <= n:
-        raise ValueError("block must be in [1, len(values)]")
-    _check_resampling(n_resamples, confidence)
-    rng = np.random.default_rng(random_state)
-    point = float(statistic(values))
-    draws = np.empty(n_resamples)
-    for i in range(n_resamples):
-        idx = _moving_block_indices(n, block, rng)
-        draws[i] = float(statistic(values[idx]))
-    alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.percentile(draws, [100 * alpha, 100 * (1 - alpha)])
-    return point, float(lower), float(upper)
 
 
 def improvement_ci(
@@ -71,7 +31,10 @@ def improvement_ci(
 
     Resamples time blocks jointly from the two forecasts' errors and
     recomputes ``(MSE_base - MSE_improved) / MSE_improved * 100`` on each
-    resample. Returns ``(point, lower, upper)``.
+    resample. Returns ``(point, lower, upper)``. Daily forecast errors
+    are autocorrelated, so i.i.d. resampling would understate the
+    uncertainty; the moving-block scheme resamples contiguous chunks of
+    length ``block`` instead.
     """
     y_true = np.asarray(y_true, dtype=np.float64).ravel()
     pred_baseline = np.asarray(pred_baseline, dtype=np.float64).ravel()
@@ -83,7 +46,10 @@ def improvement_ci(
         raise ValueError("inputs must be non-empty")
     if not 1 <= block <= n:
         raise ValueError("block must be in [1, len(y_true)]")
-    _check_resampling(n_resamples, confidence)
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
     rng = np.random.default_rng(random_state)
 
     point = mse_improvement_pct(

@@ -15,13 +15,7 @@ from .config import SimulationConfig
 from .dataset import RawDataset, SimulationCarry, generate_raw_dataset
 from .extend import PrefixMismatch, extend_raw_dataset, extended_config
 from .latent import LatentMarket, generate_latent_market
-from .market import MarketUniverse, btc_supply_schedule, generate_universe
-from .macro import generate_macro
-from .onchain import (
-    generate_btc_onchain,
-    generate_eth_onchain,
-    generate_usdc_onchain,
-)
+from .market import MarketUniverse, generate_universe
 from .presets import (
     PRESETS,
     baseline,
@@ -33,8 +27,7 @@ from .presets import (
 )
 from .regimes import Regime, RegimeProcess
 from .rng import SeedBank
-from .sentiment import generate_sentiment
-from .tradfi import TRADFI_SPECS, generate_tradfi
+from .tradfi import TRADFI_SPECS
 
 __all__ = [
     "LatentMarket",
@@ -49,20 +42,13 @@ __all__ = [
     "SimulationConfig",
     "TRADFI_SPECS",
     "baseline",
-    "btc_supply_schedule",
     "decoupled_market",
     "extend_raw_dataset",
     "extended_config",
     "flow_driven_market",
-    "generate_btc_onchain",
-    "generate_eth_onchain",
     "generate_latent_market",
-    "generate_macro",
     "generate_raw_dataset",
-    "generate_sentiment",
-    "generate_tradfi",
     "generate_universe",
-    "generate_usdc_onchain",
     "noisy_observation_market",
     "sentiment_driven_market",
     "short_history",

@@ -22,7 +22,7 @@ from .config import SimulationConfig
 from .latent import LatentMarket
 from .rng import Streams
 
-__all__ = ["generate_macro", "simulate_macro"]
+__all__ = ["simulate_macro"]
 
 _EMPTY = np.empty(0)
 
@@ -30,15 +30,10 @@ _PUBLICATION_LAG = 45  # days between a macro move and its official print
 _MEETING_EVERY = 42  # days between policy meetings
 
 
-def generate_macro(config: SimulationConfig,
-                   latent: LatentMarket) -> Frame:
-    """Daily-aligned official macro series (step functions, mostly)."""
-    return simulate_macro(config, latent)[0]
-
-
 def simulate_macro(config: SimulationConfig, latent: LatentMarket,
                    carry: dict | None = None):
-    """:func:`generate_macro` over ``latent``'s days from ``carry``.
+    """Daily-aligned official macro series (step functions, mostly)
+    over ``latent``'s days from ``carry``.
 
     ``latent`` covers the days after those ``carry`` was produced from
     (all of them when ``carry`` is None). Returns ``(frame, carry)``;

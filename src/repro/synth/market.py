@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_POWER",
     "MarketUniverse",
     "crypto100_from_caps",
-    "btc_supply_schedule",
     "generate_universe",
     "simulate_universe",
 ]
@@ -38,21 +37,13 @@ _GENESIS_SUPPLY = 16.0e6  # BTC circulating at simulation start (≈2016)
 _DAILY_ISSUANCE = 900.0   # ≈144 blocks/day * 6.25, halving ignored intraday
 
 
-def btc_supply_schedule(n_days: int) -> np.ndarray:
-    """Deterministic circulating-supply path with decaying issuance.
+def _btc_supply(day: int, n_days: int, issued: float | None):
+    """Deterministic circulating-supply path with decaying issuance,
+    over days ``day .. day + n_days - 1``.
 
     Approximates the halving schedule with a smooth exponential decay of
     daily issuance (halving every ~4 years), which preserves the property
     the stock-to-flow metrics need: supply grows, issuance shrinks.
-    """
-    if n_days < 0:
-        raise ValueError("n_days must be >= 0")
-    return _btc_supply(0, n_days, None)[0]
-
-
-def _btc_supply(day: int, n_days: int, issued: float | None):
-    """:func:`btc_supply_schedule` over days ``day .. day + n_days - 1``.
-
     ``issued`` is the issuance accumulated through day ``day - 1`` (None
     when ``day`` is 0); returns ``(supply, issued)`` for the next call.
     """

@@ -36,9 +36,6 @@ from .market import MarketUniverse
 from .rng import Streams
 
 __all__ = [
-    "generate_btc_onchain",
-    "generate_eth_onchain",
-    "generate_usdc_onchain",
     "simulate_btc_onchain",
     "simulate_eth_onchain",
     "simulate_usdc_onchain",
@@ -143,15 +140,10 @@ def _supply_fraction_above(threshold: float, scale: float,
     return np.clip(x ** (1.0 - alpha), 0.0, 1.0)
 
 
-def generate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
-                         universe: MarketUniverse) -> Frame:
-    """All BTC on-chain metrics as one frame on the simulation index."""
-    return simulate_btc_onchain(config, latent, universe)[0]
-
-
 def simulate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
                          universe: MarketUniverse, carry: dict | None = None):
-    """:func:`generate_btc_onchain` over ``latent``'s days from ``carry``.
+    """All BTC on-chain metrics as one frame over ``latent``'s days from
+    ``carry``.
 
     ``latent`` and ``universe`` cover the days after those ``carry`` was
     produced from (all of them when ``carry`` is None). Returns
@@ -382,22 +374,16 @@ def simulate_btc_onchain(config: SimulationConfig, latent: LatentMarket,
     return Frame(latent.index, columns), new
 
 
-def generate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
-                          universe: MarketUniverse) -> Frame:
-    """All USDC on-chain metrics (NaN before ``config.usdc_start``).
+def simulate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
+                          universe: MarketUniverse,
+                          carry: dict | None = None):
+    """All USDC on-chain metrics (NaN before ``config.usdc_start``) over
+    ``latent``'s days from ``carry``; returns ``(frame, carry)`` (see
+    :func:`simulate_btc_onchain`).
 
     The stablecoin's supply integrates the latent flow process, so these
     columns are the cleanest observable of the medium/long-horizon driver.
     """
-    return simulate_usdc_onchain(config, latent, universe)[0]
-
-
-def simulate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
-                          universe: MarketUniverse,
-                          carry: dict | None = None):
-    """:func:`generate_usdc_onchain` over ``latent``'s days from
-    ``carry``; returns ``(frame, carry)`` (see
-    :func:`simulate_btc_onchain`)."""
     state = carry or {}
     new: dict = {}
     streams = Streams(config.seed, state.get("streams"))
@@ -523,9 +509,11 @@ def simulate_usdc_onchain(config: SimulationConfig, latent: LatentMarket,
     return Frame(latent.index, columns), new
 
 
-def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
-                         universe: MarketUniverse) -> Frame:
-    """ETH on-chain metrics — the §5 on-chain-diversification extension.
+def simulate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
+                         universe: MarketUniverse, carry: dict | None = None):
+    """ETH on-chain metrics — the §5 on-chain-diversification extension —
+    over ``latent``'s days from ``carry``; returns ``(frame, carry)``
+    (see :func:`simulate_btc_onchain`).
 
     Ethereum stands in for the DeFi market segment: in addition to the
     address/supply families, it publishes gas usage, contract activity,
@@ -533,14 +521,6 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
     the same latent drivers with a stronger sentiment component (DeFi
     usage is more speculative than BTC settlement).
     """
-    return simulate_eth_onchain(config, latent, universe)[0]
-
-
-def simulate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
-                         universe: MarketUniverse, carry: dict | None = None):
-    """:func:`generate_eth_onchain` over ``latent``'s days from
-    ``carry``; returns ``(frame, carry)`` (see
-    :func:`simulate_btc_onchain`)."""
     state = carry or {}
     new: dict = {}
     streams = Streams(config.seed, state.get("streams"))

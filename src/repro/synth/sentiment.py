@@ -23,7 +23,7 @@ from .config import SimulationConfig
 from .latent import LatentMarket
 from .rng import Streams
 
-__all__ = ["generate_sentiment", "simulate_sentiment"]
+__all__ = ["simulate_sentiment"]
 
 _EPOCH_ORDINAL = 719163  # dt.date(1970, 1, 1).toordinal()
 _EMPTY = np.empty(0)
@@ -38,15 +38,10 @@ _TRENDS_TERMS = (
 _MAX_TREND_LAG = max(lag for _, _, lag in _TRENDS_TERMS)
 
 
-def generate_sentiment(config: SimulationConfig,
-                       latent: LatentMarket) -> Frame:
-    """All sentiment/interest metrics on the simulation index."""
-    return simulate_sentiment(config, latent)[0]
-
-
 def simulate_sentiment(config: SimulationConfig, latent: LatentMarket,
                        carry: dict | None = None):
-    """:func:`generate_sentiment` over ``latent``'s days from ``carry``.
+    """All sentiment/interest metrics over ``latent``'s days from
+    ``carry``.
 
     ``latent`` covers the days after those ``carry`` was produced from
     (all of them when ``carry`` is None). Returns ``(frame, carry)``;

@@ -22,7 +22,7 @@ from .config import SimulationConfig
 from .latent import LatentMarket
 from .rng import Streams
 
-__all__ = ["generate_tradfi", "simulate_tradfi", "TRADFI_SPECS"]
+__all__ = ["simulate_tradfi", "TRADFI_SPECS"]
 
 #: (ticker, initial level, macro beta, idiosyncratic vol multiplier,
 #:  crypto beta). Positive macro beta = rises when macro conditions ease
@@ -43,15 +43,10 @@ TRADFI_SPECS = (
 )
 
 
-def generate_tradfi(config: SimulationConfig,
-                    latent: LatentMarket) -> Frame:
-    """Daily close (and derived) series for the traditional indices."""
-    return simulate_tradfi(config, latent)[0]
-
-
 def simulate_tradfi(config: SimulationConfig, latent: LatentMarket,
                     carry: dict | None = None):
-    """:func:`generate_tradfi` over ``latent``'s days from ``carry``.
+    """Daily close (and derived) series for the traditional indices
+    over ``latent``'s days from ``carry``.
 
     ``latent`` covers the days after those ``carry`` was produced from
     (all of them when ``carry`` is None). Returns ``(frame, carry)``;

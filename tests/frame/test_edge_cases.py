@@ -5,15 +5,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro.frame import (
-    DateIndex,
-    Frame,
-    date_range,
-    inner_join,
-    outer_join,
-    rolling_mean,
-    shift,
-)
+from repro.frame import DateIndex, Frame, date_range, shift
+from repro.indicators import sma_resume
 
 
 class TestDateIndexEdges:
@@ -30,9 +23,8 @@ class TestDateIndexEdges:
     def test_empty_index_set_ops(self):
         empty = date_range("2020-01-01", periods=0)
         full = date_range("2020-01-01", periods=3)
-        assert empty.union(full) == full
-        assert empty.intersection(full) == empty
         assert full.difference(empty) == full
+        assert empty.difference(full) == empty
 
     def test_getitem_fancy_list(self):
         idx = date_range("2020-01-01", periods=5)
@@ -58,16 +50,8 @@ class TestFrameEdges:
         assert f.to_matrix().shape == (0, 1)
         assert np.isnan(f.summary()["a"]["mean"])
 
-    def test_join_empty_with_full(self):
-        empty = Frame(date_range("2020-01-01", periods=0), {"a": []})
-        full = Frame(date_range("2020-01-01", periods=2), {"b": [1.0, 2.0]})
-        joined = outer_join(empty, full)
-        assert joined.n_rows == 2
-        assert np.isnan(joined["a"]).all()
-        assert inner_join(empty, full).n_rows == 0
-
     def test_single_row_frame_rolling(self):
-        out = rolling_mean(np.array([5.0]), 1)
+        out = sma_resume(np.array([5.0]), 1)[0]
         assert out.tolist() == [5.0]
 
     def test_shift_empty(self):

@@ -166,29 +166,11 @@ class TestSliceAndAlign:
 
 
 class TestSetOps:
-    def test_union(self):
-        a = date_range("2017-01-01", periods=3)
-        b = date_range("2017-01-03", periods=3)
-        u = a.union(b)
-        assert len(u) == 5
-        assert u.is_contiguous
-
-    def test_intersection(self):
-        a = date_range("2017-01-01", periods=5)
-        b = date_range("2017-01-04", periods=5)
-        i = a.intersection(b)
-        assert i.isoformat() == ["2017-01-04", "2017-01-05"]
-
     def test_difference(self):
         a = date_range("2017-01-01", periods=5)
         b = date_range("2017-01-04", periods=5)
         d = a.difference(b)
         assert d.isoformat() == ["2017-01-01", "2017-01-02", "2017-01-03"]
-
-    def test_union_disjoint(self):
-        a = date_range("2017-01-01", periods=2)
-        b = date_range("2019-01-01", periods=2)
-        assert len(a.union(b)) == 4
 
     def test_shift(self):
         idx = date_range("2017-01-01", periods=3)

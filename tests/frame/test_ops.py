@@ -1,4 +1,4 @@
-"""Unit tests for repro.frame.ops."""
+"""Unit tests for repro.frame.ops (and the SMA, its running-sum mean)."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,14 @@ from repro.frame import (
     Frame,
     concat_columns,
     date_range,
-    inner_join,
-    log_returns,
-    outer_join,
     pct_change,
     rolling_apply,
     rolling_max,
-    rolling_mean,
     rolling_min,
-    rolling_std,
-    rolling_sum,
     shift,
 )
+from repro.frame.ops import rolling_std_resume, window_sums
+from repro.indicators import sma_resume
 
 NAN = np.nan
 
@@ -28,41 +24,7 @@ def f1():
     return Frame(date_range("2017-01-01", periods=4), {"a": [1.0, 2, 3, 4]})
 
 
-@pytest.fixture
-def f2():
-    return Frame(date_range("2017-01-03", periods=4), {"b": [10.0, 20, 30, 40]})
-
-
 class TestJoins:
-    def test_outer_join_union_index(self, f1, f2):
-        j = outer_join(f1, f2)
-        assert j.n_rows == 6
-        assert j.columns == ["a", "b"]
-        assert np.isnan(j["b"][0])
-        assert np.isnan(j["a"][-1])
-        assert j["a"][2] == 3.0 and j["b"][2] == 10.0
-
-    def test_inner_join_intersection(self, f1, f2):
-        j = inner_join(f1, f2)
-        assert j.n_rows == 2
-        assert j["a"].tolist() == [3.0, 4.0]
-        assert j["b"].tolist() == [10.0, 20.0]
-
-    def test_join_duplicate_column_rejected(self, f1):
-        dup = Frame(date_range("2017-01-01", periods=4), {"a": np.zeros(4)})
-        with pytest.raises(ValueError):
-            outer_join(f1, dup)
-
-    def test_join_single_frame_identity(self, f1):
-        assert outer_join(f1) == f1
-        assert inner_join(f1) == f1
-
-    def test_join_no_frames(self):
-        with pytest.raises(ValueError):
-            outer_join()
-        with pytest.raises(ValueError):
-            inner_join()
-
     def test_concat_columns(self, f1):
         other = Frame(f1.index, {"c": np.ones(4)})
         j = concat_columns(f1, other)
@@ -81,19 +43,12 @@ class TestJoins:
         with pytest.raises(ValueError, match="duplicate"):
             concat_columns(f1, Frame(f1.index, {"a": np.zeros(4)}))
 
-    def test_concat_columns_index_mismatch(self, f1, f2):
+    def test_concat_columns_index_mismatch(self, f1):
+        later = Frame(date_range("2017-01-03", periods=4),
+                      {"b": [10.0, 20, 30, 40]})
         with pytest.raises(ValueError):
-            concat_columns(f1, f2)
+            concat_columns(f1, later)
 
-    def test_inner_join_disjoint_empty(self, f1):
-        far = Frame(date_range("2020-01-01", periods=2), {"z": [1.0, 2.0]})
-        assert inner_join(f1, far).n_rows == 0
-
-    def test_outer_join_three_frames(self, f1, f2):
-        f3 = Frame(date_range("2017-01-05", periods=1), {"c": [7.0]})
-        j = outer_join(f1, f2, f3)
-        assert j.columns == ["a", "b", "c"]
-        assert j.n_rows == 6
 
 
 class TestShift:
@@ -134,29 +89,29 @@ class TestReturns:
         out = pct_change(np.array([0.0, 5.0]))
         assert np.isnan(out[1])
 
-    def test_log_returns(self):
-        prices = np.array([100.0, 100.0 * np.e])
-        out = log_returns(prices)
-        assert out[1] == pytest.approx(1.0)
 
-    def test_log_returns_nonpositive_nan(self):
-        out = log_returns(np.array([100.0, -5.0, 100.0]))
-        assert np.isnan(out[1]) and np.isnan(out[2])
+
+def _sums(values, window):
+    """Trailing-window sums, NaN where a window is short or holds a NaN."""
+    (totals, bad), _ = window_sums(values, window)
+    totals[bad] = np.nan
+    return totals
 
 
 class TestRolling:
     def test_rolling_mean_basic(self):
-        out = rolling_mean(np.array([1.0, 2, 3, 4]), 2)
+        out = sma_resume(np.array([1.0, 2, 3, 4]), 2)[0]
         assert np.isnan(out[0])
         assert out[1:].tolist() == [1.5, 2.5, 3.5]
 
     def test_rolling_window_one_identity(self):
         src = np.array([3.0, 1.0, 4.0])
-        assert rolling_mean(src, 1).tolist() == src.tolist()
+        assert sma_resume(src, 1)[0].tolist() == src.tolist()
 
     def test_rolling_sum(self):
-        out = rolling_sum(np.array([1.0, 1, 1, 1]), 3)
-        assert out[2] == 3.0 and out[3] == 3.0
+        (totals, bad), _ = window_sums(np.array([1.0, 1, 1, 1]), 3)
+        assert totals[2] == 3.0 and totals[3] == 3.0
+        assert bad.tolist() == [True, True, False, False]
 
     def test_rolling_min_max(self):
         src = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
@@ -164,16 +119,16 @@ class TestRolling:
         assert rolling_max(src, 3)[4] == 5.0
 
     def test_rolling_std(self):
-        out = rolling_std(np.array([1.0, 1.0, 1.0]), 2)
+        out = rolling_std_resume(np.array([1.0, 1.0, 1.0]), 2)[0]
         assert out[1] == 0.0
 
     def test_rolling_nan_propagates(self):
-        out = rolling_mean(np.array([1.0, NAN, 3.0, 4.0]), 2)
+        out = sma_resume(np.array([1.0, NAN, 3.0, 4.0]), 2)[0]
         assert np.isnan(out[1]) and np.isnan(out[2])
         assert out[3] == 3.5
 
     def test_window_longer_than_series(self):
-        assert np.isnan(rolling_mean(np.array([1.0, 2.0]), 5)).all()
+        assert np.isnan(sma_resume(np.array([1.0, 2.0]), 5)[0]).all()
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -185,7 +140,8 @@ class TestRolling:
 
 
 class TestRollingClosedForms:
-    """The cumsum closed forms must match rolling_apply exactly enough.
+    """The running-sum closed forms must match rolling_apply exactly
+    enough.
 
     rolling_apply is the behavioural reference: identical NaN masks
     always, and numerically indistinguishable values (the indicator
@@ -206,7 +162,7 @@ class TestRollingClosedForms:
     def test_mean_matches_reference(self, window):
         for values in self._cases().values():
             ref = rolling_apply(values, window, np.mean)
-            fast = rolling_mean(values, window)
+            fast = sma_resume(values, window)[0]
             assert np.array_equal(np.isnan(ref), np.isnan(fast))
             np.testing.assert_allclose(fast, ref, rtol=1e-9, equal_nan=True)
 
@@ -214,7 +170,7 @@ class TestRollingClosedForms:
     def test_sum_matches_reference(self, window):
         for values in self._cases().values():
             ref = rolling_apply(values, window, np.sum)
-            fast = rolling_sum(values, window)
+            fast = _sums(values, window)
             assert np.array_equal(np.isnan(ref), np.isnan(fast))
             np.testing.assert_allclose(fast, ref, rtol=1e-9, equal_nan=True)
 
@@ -222,37 +178,36 @@ class TestRollingClosedForms:
     def test_std_matches_reference(self, window):
         for values in self._cases().values():
             ref = rolling_apply(values, window, np.std)
-            fast = rolling_std(values, window)
+            fast = rolling_std_resume(values, window)[0]
             assert np.array_equal(np.isnan(ref), np.isnan(fast))
             np.testing.assert_allclose(
                 fast, ref, rtol=1e-7, atol=1e-12, equal_nan=True)
 
     def test_exact_small_pins(self):
         np.testing.assert_array_equal(
-            rolling_mean(np.array([1.0, 2, 3, 4]), 2),
+            sma_resume(np.array([1.0, 2, 3, 4]), 2)[0],
             np.array([NAN, 1.5, 2.5, 3.5]))
         np.testing.assert_array_equal(
-            rolling_sum(np.array([1.0, 2, 3, 4]), 3),
+            _sums(np.array([1.0, 2, 3, 4]), 3),
             np.array([NAN, NAN, 6.0, 9.0]))
 
     def test_constant_series_std_is_exactly_zero(self):
-        out = rolling_std(np.full(50, 7.25), 10)
+        out = rolling_std_resume(np.full(50, 7.25), 10)[0]
         assert (out[9:] == 0.0).all()
 
     def test_window_one_is_exact_identity(self):
         values = np.random.default_rng(3).normal(size=40) * 1e17
-        for func in (rolling_mean, rolling_sum):
-            assert np.array_equal(func(values, 1), values)
-        assert (rolling_std(values, 1)[~np.isnan(values)] == 0.0).all()
+        assert np.array_equal(sma_resume(values, 1)[0], values)
+        std = rolling_std_resume(values, 1)[0]
+        assert (std[~np.isnan(values)] == 0.0).all()
 
-    def test_inf_inputs_fall_back_to_reference(self):
+    def test_infinite_inputs_rejected(self):
+        # ``inf - inf`` in a running-sum difference would poison every
+        # later window.
         values = np.array([1.0, np.inf, 3.0, 4.0, 5.0])
-        with np.errstate(invalid="ignore"):
-            for fast, reducer in ((rolling_mean, np.mean),
-                                  (rolling_sum, np.sum),
-                                  (rolling_std, np.std)):
-                np.testing.assert_array_equal(
-                    fast(values, 2), rolling_apply(values, 2, reducer))
+        for form in (window_sums, rolling_std_resume):
+            with pytest.raises(ValueError, match="infinities"):
+                form(values, 2)
 
     def test_short_input_all_nan(self):
-        assert np.isnan(rolling_mean(np.array([1.0, 2.0]), 5)).all()
+        assert np.isnan(sma_resume(np.array([1.0, 2.0]), 5)[0]).all()

@@ -11,10 +11,8 @@ from repro.frame import (
     backward_fill,
     date_range,
     forward_fill,
-    inner_join,
     interpolate_linear,
     longest_nan_run,
-    outer_join,
     shift,
 )
 
@@ -46,26 +44,6 @@ def index_pair(draw):
 
 
 class TestIndexProperties:
-    @given(index_pair())
-    def test_union_contains_both(self, pair):
-        a, b = pair
-        u = a.union(b)
-        assert len(u) >= max(len(a), len(b))
-        for d in list(a) + list(b):
-            assert d in u
-
-    @given(index_pair())
-    def test_intersection_subset_of_both(self, pair):
-        a, b = pair
-        i = a.intersection(b)
-        for d in i:
-            assert d in a and d in b
-
-    @given(index_pair())
-    def test_inclusion_exclusion(self, pair):
-        a, b = pair
-        assert len(a.union(b)) + len(a.intersection(b)) == len(a) + len(b)
-
     @given(index_pair())
     def test_indexer_positions_are_correct(self, pair):
         a, b = pair
@@ -133,30 +111,6 @@ class TestShiftProperties:
     @given(series(), st.integers(min_value=-5, max_value=5))
     def test_shift_length_invariant(self, values, k):
         assert shift(values, k).size == values.size
-
-
-class TestJoinProperties:
-    @settings(max_examples=50)
-    @given(index_pair(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_outer_join_preserves_values(self, pair, seed):
-        a_idx, b_idx = pair
-        rng = np.random.default_rng(seed)
-        fa = Frame(a_idx, {"a": rng.normal(size=len(a_idx))})
-        fb = Frame(b_idx, {"b": rng.normal(size=len(b_idx))})
-        j = outer_join(fa, fb)
-        assert len(j.index) == len(a_idx.union(b_idx))
-        for i, d in enumerate(a_idx):
-            assert j["a"][j.index.position(d)] == fa["a"][i]
-
-    @settings(max_examples=50)
-    @given(index_pair())
-    def test_inner_join_index_is_intersection(self, pair):
-        a_idx, b_idx = pair
-        fa = Frame(a_idx, {"a": np.zeros(len(a_idx))})
-        fb = Frame(b_idx, {"b": np.ones(len(b_idx))})
-        j = inner_join(fa, fb)
-        assert j.index == a_idx.intersection(b_idx)
-        assert not any(np.isnan(j.to_matrix()).ravel())
 
 
 class TestFrameRoundtrip:

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.frame import (
-    Frame,
-    date_range,
-    diff,
-    resample_frame,
-    winsorize,
-    zscore,
-)
+from repro.frame import diff, zscore
 
 NAN = np.nan
 
@@ -53,79 +46,3 @@ class TestZscore:
 
     def test_all_nan_passthrough(self):
         assert np.isnan(zscore(np.array([NAN, NAN]))).all()
-
-
-class TestWinsorize:
-    def test_clips_extremes(self):
-        values = np.concatenate((np.zeros(98), [1000.0, -1000.0]))
-        out = winsorize(values, 1.0, 99.0)
-        assert out.max() < 1000.0
-        assert out.min() > -1000.0
-
-    def test_interior_unchanged(self):
-        values = np.arange(100.0)
-        out = winsorize(values, 5.0, 95.0)
-        assert np.array_equal(out[10:90], values[10:90])
-
-    def test_nan_preserved(self):
-        out = winsorize(np.array([1.0, NAN, 100.0]), 0.0, 100.0)
-        assert np.isnan(out[1])
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            winsorize(np.array([1.0]), 50.0, 50.0)
-        with pytest.raises(ValueError):
-            winsorize(np.array([1.0]), -1.0, 99.0)
-
-
-class TestResample:
-    @pytest.fixture
-    def frame(self):
-        return Frame(
-            date_range("2020-01-01", periods=10),
-            {"a": np.arange(10.0), "b": np.ones(10)},
-        )
-
-    def test_weekly_last(self, frame):
-        out = resample_frame(frame, 7, "last")
-        assert out.n_rows == 2
-        assert out["a"].tolist() == [6.0, 9.0]
-        assert out.index.isoformat() == ["2020-01-07", "2020-01-10"]
-
-    def test_mean(self, frame):
-        out = resample_frame(frame, 5, "mean")
-        assert out["a"].tolist() == [2.0, 7.0]
-
-    def test_sum_min_max_first(self, frame):
-        assert resample_frame(frame, 5, "sum")["b"].tolist() == [5.0, 5.0]
-        assert resample_frame(frame, 5, "min")["a"].tolist() == [0.0, 5.0]
-        assert resample_frame(frame, 5, "max")["a"].tolist() == [4.0, 9.0]
-        assert resample_frame(frame, 5, "first")["a"].tolist() == [0.0, 5.0]
-
-    def test_partial_tail_block(self, frame):
-        out = resample_frame(frame, 4, "last")
-        assert out.n_rows == 3
-        assert out["a"].tolist() == [3.0, 7.0, 9.0]
-
-    def test_every_one_identity(self, frame):
-        out = resample_frame(frame, 1, "last")
-        assert out == frame
-
-    def test_empty_frame(self):
-        empty = Frame.empty(date_range("2020-01-01", periods=0))
-        assert resample_frame(empty, 7).n_rows == 0
-
-    def test_validation(self, frame):
-        with pytest.raises(ValueError):
-            resample_frame(frame, 0)
-        with pytest.raises(ValueError):
-            resample_frame(frame, 7, "median")
-
-    def test_nan_propagates(self):
-        f = Frame(
-            date_range("2020-01-01", periods=4),
-            {"a": [1.0, NAN, 3.0, 4.0]},
-        )
-        out = resample_frame(f, 2, "mean")
-        assert np.isnan(out["a"][0])
-        assert out["a"][1] == 3.5

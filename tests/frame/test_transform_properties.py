@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.frame import Frame, date_range, resample_frame, winsorize, zscore
+from repro.frame import zscore
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e9, max_value=1e9)
@@ -44,71 +44,3 @@ class TestZscoreProperties:
         once = zscore(values)
         twice = zscore(once)
         assert np.allclose(once, twice, atol=1e-6)
-
-
-class TestWinsorizeProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(series(), st.floats(min_value=0, max_value=20),
-           st.floats(min_value=80, max_value=100))
-    def test_output_within_clip_bounds(self, values, lo, hi):
-        if not lo < hi:
-            return
-        out = winsorize(values, lo, hi)
-        assert np.nanmin(out) >= np.percentile(values, lo) - 1e-9
-        assert np.nanmax(out) <= np.percentile(values, hi) + 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(series())
-    def test_full_range_is_identity(self, values):
-        out = winsorize(values, 0.0, 100.0)
-        assert np.array_equal(out, values)
-
-    @settings(max_examples=60, deadline=None)
-    @given(series())
-    def test_idempotent(self, values):
-        once = winsorize(values, 5.0, 95.0)
-        twice = winsorize(once, 0.0, 100.0)
-        assert np.array_equal(once, twice)
-
-
-class TestResampleProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(series(min_size=1, max_size=50),
-           st.integers(min_value=1, max_value=10))
-    def test_sum_preserved_by_sum_agg(self, values, every):
-        frame = Frame(date_range("2020-01-01", periods=values.size),
-                      {"x": values})
-        out = resample_frame(frame, every, "sum")
-        assert np.isclose(out["x"].sum(), values.sum(), rtol=1e-9)
-
-    @settings(max_examples=60, deadline=None)
-    @given(series(min_size=1, max_size=50),
-           st.integers(min_value=1, max_value=10))
-    def test_block_count(self, values, every):
-        frame = Frame(date_range("2020-01-01", periods=values.size),
-                      {"x": values})
-        out = resample_frame(frame, every, "last")
-        assert out.n_rows == int(np.ceil(values.size / every))
-
-    @settings(max_examples=60, deadline=None)
-    @given(series(min_size=1, max_size=50),
-           st.integers(min_value=1, max_value=10))
-    def test_min_max_bracket_mean(self, values, every):
-        frame = Frame(date_range("2020-01-01", periods=values.size),
-                      {"x": values})
-        lo = resample_frame(frame, every, "min")["x"]
-        hi = resample_frame(frame, every, "max")["x"]
-        mid = resample_frame(frame, every, "mean")["x"]
-        tol = 1e-9 * (1.0 + np.abs(values).max())
-        assert (lo <= mid + tol).all()
-        assert (mid <= hi + tol).all()
-
-    @settings(max_examples=60, deadline=None)
-    @given(series(min_size=1, max_size=50),
-           st.integers(min_value=1, max_value=10))
-    def test_last_dates_are_block_ends(self, values, every):
-        frame = Frame(date_range("2020-01-01", periods=values.size),
-                      {"x": values})
-        out = resample_frame(frame, every, "last")
-        # final stamped date is always the original frame's last date
-        assert out.index[-1] == frame.index[-1]

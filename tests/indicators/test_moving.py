@@ -3,86 +3,58 @@
 import numpy as np
 import pytest
 
-from repro.indicators import ema, sma, wma
+from repro.indicators import ema_resume, sma_resume
 
 NAN = np.nan
 
 
 class TestSMA:
     def test_basic(self):
-        out = sma(np.array([1.0, 2, 3, 4]), 2)
+        out = sma_resume(np.array([1.0, 2, 3, 4]), 2)[0]
         assert np.isnan(out[0])
         assert out[1:].tolist() == [1.5, 2.5, 3.5]
 
     def test_window_one_identity(self):
         src = np.array([3.0, 1.0, 4.0])
-        assert sma(src, 1).tolist() == src.tolist()
+        assert sma_resume(src, 1)[0].tolist() == src.tolist()
 
 
 class TestEMA:
     def test_seeds_at_first_value(self):
-        out = ema(np.array([10.0, 10.0, 10.0]), 5)
+        out = ema_resume(np.array([10.0, 10.0, 10.0]), 5)[0]
         assert out.tolist() == [10.0, 10.0, 10.0]
 
     def test_alpha_weighting(self):
         # span=1 -> alpha=1 -> EMA equals the series
         src = np.array([1.0, 5.0, 2.0])
-        assert ema(src, 1).tolist() == src.tolist()
+        assert ema_resume(src, 1)[0].tolist() == src.tolist()
 
     def test_known_recursion(self):
         src = np.array([2.0, 4.0])
-        out = ema(src, 3)  # alpha = 0.5
+        out = ema_resume(src, 3)[0]  # alpha = 0.5
         assert out[1] == pytest.approx(0.5 * 4.0 + 0.5 * 2.0)
 
     def test_leading_nan_preserved(self):
-        out = ema(np.array([NAN, NAN, 1.0, 2.0]), 3)
+        out = ema_resume(np.array([NAN, NAN, 1.0, 2.0]), 3)[0]
         assert np.isnan(out[:2]).all()
         assert out[2] == 1.0
 
     def test_interior_nan_coasts(self):
-        out = ema(np.array([1.0, NAN, 1.0]), 3)
+        out = ema_resume(np.array([1.0, NAN, 1.0]), 3)[0]
         assert out[1] == 1.0  # holds previous state through the gap
 
     def test_converges_to_constant(self):
         src = np.concatenate(([0.0], np.full(300, 5.0)))
-        out = ema(src, 10)
+        out = ema_resume(src, 10)[0]
         assert out[-1] == pytest.approx(5.0, abs=1e-8)
 
     def test_smoothing_lags_raw(self):
         """Longer spans react more slowly to a step change."""
         src = np.concatenate((np.zeros(10), np.ones(10)))
-        fast = ema(src, 2)
-        slow = ema(src, 20)
+        fast = ema_resume(src, 2)[0]
+        slow = ema_resume(src, 20)[0]
         assert fast[12] > slow[12]
 
     def test_bad_span(self):
         with pytest.raises(ValueError):
-            ema(np.array([1.0]), 0)
-
-
-class TestWMA:
-    def test_weights_recent_more(self):
-        out = wma(np.array([0.0, 0.0, 3.0]), 3)
-        # weights 1/6, 2/6, 3/6 -> 3*0.5 = 1.5
-        assert out[2] == pytest.approx(1.5)
-
-    def test_constant_series(self):
-        out = wma(np.full(5, 7.0), 3)
-        assert np.allclose(out[2:], 7.0)
-
-    def test_warmup_nan(self):
-        out = wma(np.arange(5.0), 3)
-        assert np.isnan(out[:2]).all()
-
-    def test_short_series_all_nan(self):
-        assert np.isnan(wma(np.array([1.0, 2.0]), 5)).all()
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            wma(np.array([1.0]), 0)
-
-    def test_wma_between_sma_and_last_value_for_trend(self):
-        src = np.arange(10.0)
-        s = sma(src, 4)[-1]
-        w = wma(src, 4)[-1]
-        assert s < w < src[-1]
+            ema_resume(np.array([1.0]), 0)

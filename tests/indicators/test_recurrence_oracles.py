@@ -1,21 +1,21 @@
 """Bit-identity of the scalar recurrences in ``repro.indicators``.
 
-``ema`` and ``rsi`` run their recursions over Python floats taken from
-``tolist()``. The oracles below are the loops they replaced, copied
-verbatim: they iterate numpy scalars and write the output array one
-element at a time. Every output must equal its oracle's byte for byte,
-signed zeros included. ``ema`` never propagates an input NaN, so its
-NaNs are payload-exact too; ``rsi`` on non-finite input is compared up
-to NaN payload bits (same NaN positions, same bytes everywhere else),
-because when both operands of a Python-float ``+`` are NaN the
-interpreter may keep either payload (DESIGN.md §7).
+``ema_resume`` and ``rsi_resume`` run their recursions over Python
+floats taken from ``tolist()``. The oracles below are the loops they
+replaced, copied verbatim: they iterate numpy scalars and write the
+output array one element at a time. Every output must equal its
+oracle's byte for byte, signed zeros included. The EMA never propagates
+an input NaN, so its NaNs are payload-exact too; the RSI on non-finite
+input is compared up to NaN payload bits (same NaN positions, same bytes
+everywhere else), because when both operands of a Python-float ``+`` are
+NaN the interpreter may keep either payload (DESIGN.md §7).
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.indicators import ema, rsi
+from repro.indicators import ema_resume, rsi_resume
 from repro.indicators.momentum import _rsi_from_averages
 
 NAN = np.nan
@@ -103,7 +103,8 @@ _gappy = st.lists(
 @example(values=[-0.0, 0.0, -0.0], span=1)
 def test_ema_matches_oracle(values, span):
     values = np.array(values, dtype=np.float64)
-    _same_bytes(ema(values, span), _oracle(_oracle_ema, values, span))
+    _same_bytes(ema_resume(values, span)[0],
+                _oracle(_oracle_ema, values, span))
 
 
 def test_ema_long_series_matches_oracle():
@@ -111,14 +112,14 @@ def test_ema_long_series_matches_oracle():
     values = np.cumsum(rng.normal(size=1500)) + 100.0
     values[[0, 1, 400, 401, 402, 1499]] = NAN
     for span in (1, 12, 26, 100, 200):
-        _same_bytes(ema(values, span), _oracle_ema(values, span))
+        _same_bytes(ema_resume(values, span)[0], _oracle_ema(values, span))
 
 
 def test_ema_nan_payload_is_canonical():
     # A NaN input with a non-default payload never leaks into the output.
     odd_nan = np.array([0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
     values = np.concatenate([odd_nan, [1.0], odd_nan, [2.0]])
-    _same_bytes(ema(values, 3), _oracle_ema(values, 3))
+    _same_bytes(ema_resume(values, 3)[0], _oracle_ema(values, 3))
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +139,8 @@ _prices = st.lists(st.floats(-1e6, 1e6), max_size=60)
 @example(values=[1.0, 1.0, 2.0, 2.0, 2.0, 1.0], window=2)
 def test_rsi_matches_oracle(values, window):
     values = np.array(values, dtype=np.float64)
-    _same_bytes(rsi(values, window), _oracle(_oracle_rsi, values, window))
+    _same_bytes(rsi_resume(values, window)[0],
+                _oracle(_oracle_rsi, values, window))
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,12 +153,12 @@ def test_rsi_matches_oracle(values, window):
 def test_rsi_non_finite_matches_oracle(values, window):
     values = np.array(values, dtype=np.float64)
     with np.errstate(all="ignore"):
-        got = rsi(values, window)
+        got = rsi_resume(values, window)[0]
     _same_up_to_nan_payload(got, _oracle(_oracle_rsi, values, window))
 
 
 def test_rsi_reference_levels():
-    assert np.all(rsi(np.full(30, 5.0), 14)[14:] == 50.0)
-    assert np.all(rsi(np.arange(30.0), 14)[14:] == 100.0)
-    assert np.all(rsi(np.arange(30.0, 0.0, -1.0), 14)[14:] == 0.0)
-    assert np.isnan(rsi(np.arange(14.0), 14)).all()
+    assert np.all(rsi_resume(np.full(30, 5.0), 14)[0][14:] == 50.0)
+    assert np.all(rsi_resume(np.arange(30.0), 14)[0][14:] == 100.0)
+    assert np.all(rsi_resume(np.arange(30.0, 0.0, -1.0), 14)[0][14:] == 0.0)
+    assert np.isnan(rsi_resume(np.arange(14.0), 14)[0]).all()

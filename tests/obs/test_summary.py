@@ -12,7 +12,6 @@ from repro.obs import (
     render_record,
     slowest_rows,
     slowest_spans,
-    stage_breakdown,
     stage_rows,
 )
 
@@ -110,14 +109,6 @@ class TestAggregateSpans:
         assert stats["x.root"]["self_s"] == pytest.approx(3.0)
 
 
-class TestStageBreakdown:
-    def test_groups_by_prefix_in_start_order(self, trace):
-        breakdown = stage_breakdown(trace)
-        assert list(breakdown) == ["experiment", "stage_a", "stage_b"]
-        assert breakdown["stage_a"] == pytest.approx(3.0)
-        assert breakdown["stage_b"] == pytest.approx(5.0)
-
-
 class TestSlowest:
     def test_orders_by_duration(self, trace):
         slowest = slowest_spans(trace, 2)
@@ -166,14 +157,13 @@ class TestRunSummary:
 
     def test_total_seconds_without_root(self):
         spans = [make_span("a.x", 1.0, 2.0, 1, parent_id=99)]
-        assert stage_breakdown(RunSummary(spans=spans).spans) == {
-            "a": pytest.approx(1.0)
-        }
+        rows = stage_rows(RunSummary(spans=spans).spans)
+        assert list(rows) == ["a.x"]
+        assert rows["a.x"]["self_s"] == pytest.approx(1.0)
 
     def test_empty_summary(self):
         summary = RunSummary()
         assert summary.spans == [] and summary.metrics == {}
-        assert stage_breakdown(summary.spans) == {}
         assert stage_rows(summary.spans) == {}
 
     def test_to_dict_json_ready(self, trace):
@@ -185,7 +175,6 @@ class TestRunSummary:
         # What a ledger record persists of a summary.
         payload = json.loads(json.dumps({
             "stages": stage_rows(summary.spans),
-            "breakdown": stage_breakdown(summary.spans),
             "metrics": summary.metrics,
         }))
         assert payload["stages"]["experiment.run"]["total_s"] == (

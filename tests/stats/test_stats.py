@@ -5,7 +5,6 @@ import pytest
 
 from repro.stats import (
     acf,
-    block_bootstrap_ci,
     diebold_mariano,
     improvement_ci,
     ljung_box,
@@ -95,54 +94,6 @@ class TestDieboldMariano:
             diebold_mariano(y, y, y, loss="huber")
         with pytest.raises(ValueError):
             diebold_mariano(y, y, y, alternative="sideways")
-
-
-class TestBlockBootstrap:
-    def test_ci_contains_point_for_mean(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(5.0, 1.0, size=400)
-        point, lo, hi = block_bootstrap_ci(values, block=20,
-                                           n_resamples=300,
-                                           random_state=0)
-        assert lo <= point <= hi
-        assert point == pytest.approx(5.0, abs=0.3)
-
-    def test_reproducible(self):
-        values = np.random.default_rng(8).normal(size=200)
-        a = block_bootstrap_ci(values, random_state=1, n_resamples=100)
-        b = block_bootstrap_ci(values, random_state=1, n_resamples=100)
-        assert a == b
-
-    def test_wider_ci_for_autocorrelated_series(self):
-        """Block bootstrap must report more uncertainty for a random walk
-        than i.i.d.-style tiny blocks do."""
-        rng = np.random.default_rng(9)
-        walk = np.cumsum(rng.normal(size=500))
-        _, lo_small, hi_small = block_bootstrap_ci(
-            walk, block=1, n_resamples=300, random_state=0
-        )
-        _, lo_big, hi_big = block_bootstrap_ci(
-            walk, block=50, n_resamples=300, random_state=0
-        )
-        assert (hi_big - lo_big) > (hi_small - lo_small)
-
-    def test_custom_statistic(self):
-        values = np.arange(100.0)
-        point, lo, hi = block_bootstrap_ci(
-            values, statistic=np.median, block=10, n_resamples=100,
-            random_state=0,
-        )
-        assert point == 49.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            block_bootstrap_ci(np.array([]))
-        with pytest.raises(ValueError):
-            block_bootstrap_ci(np.ones(10), block=11)
-        with pytest.raises(ValueError):
-            block_bootstrap_ci(np.ones(10), n_resamples=0)
-        with pytest.raises(ValueError):
-            block_bootstrap_ci(np.ones(10), confidence=1.0)
 
 
 class TestImprovementCI:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from repro.categories import DataCategory
-from repro.synth import (
-    SimulationConfig,
-    generate_eth_onchain,
-    generate_raw_dataset,
-)
+from repro.synth import SimulationConfig, generate_raw_dataset
+from repro.synth.onchain import simulate_eth_onchain
 
 
 @pytest.fixture(scope="module")
 def eth_frame(small_config, small_latent, small_universe):
-    return generate_eth_onchain(small_config, small_latent, small_universe)
+    return simulate_eth_onchain(small_config, small_latent,
+                                small_universe)[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +61,8 @@ class TestEthGenerator:
 
     def test_deterministic(self, small_config, small_latent,
                            small_universe, eth_frame):
-        again = generate_eth_onchain(small_config, small_latent,
-                                     small_universe)
+        again = simulate_eth_onchain(small_config, small_latent,
+                                     small_universe)[0]
         assert again == eth_frame
 
 

