@@ -17,6 +17,10 @@ test-suite runs every day:
 Writes ``benchmarks/results/BENCH_kernels.json`` with the timings, the
 speedup ratios, and the host shape (``cpu_count``, ``n_jobs``) — the
 kernel speedups are algorithmic, so they hold on a single-core host.
+Each fit shape and the cold pipeline run also report their working
+memory: ``minflt_*``, the minor page faults of one untimed call, and
+``peak_traced_mb_*``, the peak of ``tracemalloc``-traced allocations
+above the call's start. Both are informational.
 
 Run directly — intentionally **not** a pytest module, because wall-time
 ratios depend on the host and would make flaky assertions::
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import resource
 import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +76,41 @@ def _best_of(fn, repeats=REPEATS):
     return best, value
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_traced_mb(fn) -> float:
+    """Peak traced allocation of one call of ``fn`` above its start, MB.
+
+    ``tracemalloc`` slows the call, so it is never one that is timed.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round((peak - base) / 1e6, 2)
+
+
 def _splitter_pair(make_model, X, y):
-    """(exact_s, hist_s, hist_mse_ratio) for one estimator shape."""
+    """(exact_s, hist_s, hist_mse_ratio) for one estimator shape, plus
+    each splitter's page faults and traced peak for one more fit."""
     out = {}
+    memory = {}
     for splitter in ("exact", "hist"):
-        seconds, model = _best_of(
-            lambda s=splitter: make_model(s).fit(X, y)
-        )
+        def fit():
+            return make_model(splitter).fit(X, y)
+
+        seconds, model = _best_of(fit)
         residual = y - model.predict(X)
         out[splitter] = (seconds, float(residual @ residual / y.size))
+        before = _minflt()
+        fit()
+        memory[f"minflt_{splitter}"] = _minflt() - before
+        memory[f"peak_traced_mb_{splitter}"] = _peak_traced_mb(fit)
     exact_s, exact_mse = out["exact"]
     hist_s, hist_mse = out["hist"]
     return {
@@ -87,6 +119,7 @@ def _splitter_pair(make_model, X, y):
         "speedup_hist": round(exact_s / hist_s, 2) if hist_s else None,
         "hist_mse_over_exact": round(hist_mse / exact_mse, 4)
         if exact_mse else None,
+        **memory,
     }
 
 
@@ -135,7 +168,11 @@ def bench_bin_features():
 
 
 def bench_pipeline_cached():
-    """Cold vs warm cached run of a trimmed fast experiment."""
+    """Cold vs warm cached run of a trimmed fast experiment.
+
+    The timed cold run also counts its minor page faults; a second cold
+    run, into its own store, gives the traced peak.
+    """
     config = dataclasses.replace(
         ExperimentConfig.fast(),
         periods=("2017",),
@@ -144,10 +181,13 @@ def bench_pipeline_cached():
         n_jobs=1,
     )
     cache_dir = tempfile.mkdtemp(prefix="bench-kernels-cache-")
+    traced_dir = tempfile.mkdtemp(prefix="bench-kernels-traced-")
     try:
+        before = _minflt()
         start = time.perf_counter()
         cold = run_experiment(config, cache_dir=cache_dir)
         cold_s = time.perf_counter() - start
+        minflt_cold = _minflt() - before
         start = time.perf_counter()
         warm = run_experiment(config, cache_dir=cache_dir)
         warm_s = time.perf_counter() - start
@@ -169,9 +209,13 @@ def bench_pipeline_cached():
             "warm_cache_hits": int(counters.get("cache.hits", 0)),
             "cache_entries": store.entry_count(),
             "cache_bytes": store.size_bytes(),
+            "minflt_cold": minflt_cold,
+            "peak_traced_mb_cold": _peak_traced_mb(
+                lambda: run_experiment(config, cache_dir=traced_dir)),
         }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(traced_dir, ignore_errors=True)
 
 
 BENCHES = {

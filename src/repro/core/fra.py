@@ -161,7 +161,9 @@ def fra_reduce(X, y, feature_names, config: FRAConfig | None = None
             if active.size <= config.target_size:
                 break
             with span("fra.iteration", iteration=iteration) as record:
-                X_cur = X[:, active]
+                # Nothing is removed before the first iteration, so it
+                # reads ``X`` itself rather than a full copy.
+                X_cur = X if active.size == X.shape[1] else X[:, active]
                 scores = _consensus_scores(X_cur, y, names, config, rng)
                 correlations = target_correlations(X_cur, y)
 

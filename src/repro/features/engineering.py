@@ -96,7 +96,10 @@ def _zscore_nan(values: np.ndarray) -> np.ndarray:
         return values.copy()
     mean = values[valid].mean()
     std = values[valid].std()
-    # relative constancy check: see repro.frame.transform.zscore
+    # The constancy check is relative to the data's magnitude: a large
+    # constant column can get a tiny nonzero std purely from the float
+    # rounding of its mean, and dividing by it would manufacture
+    # spurious +-1 scores.
     if std > 1e-12 * max(1.0, float(np.abs(values[valid]).max())):
         return (values - mean) / std
     return np.where(valid, 0.0, np.nan)

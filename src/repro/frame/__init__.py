@@ -21,7 +21,6 @@ from .missing import (
     longest_flat_run,
     longest_nan_run,
 )
-from .transform import diff, zscore
 from .validation import (
     ColumnRule,
     ValidationIssue,
@@ -30,7 +29,6 @@ from .validation import (
 )
 from .ops import (
     concat_columns,
-    pct_change,
     rolling_apply,
     rolling_max,
     rolling_min,
@@ -47,14 +45,12 @@ __all__ = [
     "backward_fill",
     "concat_columns",
     "date_range",
-    "diff",
     "fill_frame",
     "forward_fill",
     "interpolate_linear",
     "leading_nan_count",
     "longest_flat_run",
     "longest_nan_run",
-    "pct_change",
     "read_csv",
     "rolling_apply",
     "rolling_max",
@@ -62,5 +58,4 @@ __all__ = [
     "shift",
     "validate_frame",
     "write_csv",
-    "zscore",
 ]

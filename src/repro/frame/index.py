@@ -186,14 +186,6 @@ class DateIndex:
         return out
 
     # ------------------------------------------------------------------
-    # Set operations
-    # ------------------------------------------------------------------
-    def difference(self, other: "DateIndex") -> "DateIndex":
-        """Dates present in self but not in ``other``."""
-        merged = np.setdiff1d(self._ordinals, other._ordinals)
-        return DateIndex(merged, _validated=True)
-
-    # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod

@@ -1,5 +1,4 @@
-"""Frame-level operations: column concatenation, lags, returns, rolling
-windows.
+"""Frame-level operations: column concatenation, lags, rolling windows.
 
 These are the time-series primitives the dataset-assembly and
 feature-engineering stages are built on. ``concat_columns`` puts the
@@ -18,7 +17,6 @@ from .frame import Frame
 __all__ = [
     "concat_columns",
     "shift",
-    "pct_change",
     "rolling_apply",
     "rolling_min",
     "rolling_max",
@@ -58,16 +56,6 @@ def shift(values: np.ndarray, periods: int) -> np.ndarray:
         out[periods:] = values[:-periods]
     else:
         out[:periods] = values[-periods:]
-    return out
-
-
-def pct_change(values: np.ndarray, periods: int = 1) -> np.ndarray:
-    """Fractional change over ``periods`` steps; NaN where undefined."""
-    values = np.asarray(values, dtype=np.float64)
-    prev = shift(values, periods)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (values - prev) / np.abs(prev)
-    out[~np.isfinite(out)] = np.nan
     return out
 
 

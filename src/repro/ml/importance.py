@@ -51,7 +51,8 @@ def target_correlations(X, y) -> np.ndarray:
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
     cov = Xc.T @ yc
-    denom = np.sqrt((Xc**2).sum(axis=0) * (yc @ yc))
+    # Square the centred copy in place: it is not read again.
+    denom = np.sqrt(np.square(Xc, out=Xc).sum(axis=0) * (yc @ yc))
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0, cov / denom, 0.0)
     return np.abs(np.clip(corr, -1.0, 1.0))

@@ -28,7 +28,11 @@ Two split-finding kernels are available via ``splitter``:
     that never change within the fit — and scores every position at
     once with prefix sums. A stable sort on (rank, position) is the
     stable sort on (value, position), so the trees are exactly those of
-    a float search.
+    a float search. A node scores its features in blocks of at most
+    :data:`_BLOCK_CELLS` (feature, row) cells, with the gain arithmetic
+    in per-fit scratch buffers: every float64 temporary stays under
+    glibc's 128 KiB mmap threshold, so large nodes reuse heap memory
+    instead of mapping, faulting in and unmapping fresh pages.
 ``"hist"``
     LightGBM-style histogram splitting. Each feature is quantile-binned
     once per ``fit`` (at most :data:`MAX_BINS` = 256 bins, ``uint8``
@@ -137,9 +141,12 @@ def default_max_bins(n_samples: int) -> int:
     return int(min(MAX_BINS, max(32, n_samples // 8)))
 
 
-#: Most cells (features x samples) :func:`rank_features` sorts at once,
-#: so its transients stay near 2 MB whatever the matrix size.
-_RANK_CHUNK_CELLS = 1 << 16
+#: Most (feature, row) cells that :func:`rank_features` sorts, or the
+#: exact splitter scores, at once. 16,000 float64 cells are 125 KiB,
+#: under glibc's default 128 KiB mmap threshold, so each such temporary
+#: reuses the heap's free memory. A larger one would be a fresh ``mmap``
+#: whose pages fault on first touch and go back to the kernel on free.
+_BLOCK_CELLS = 16_000
 
 
 def rank_features(X) -> np.ndarray:
@@ -153,15 +160,15 @@ def rank_features(X) -> np.ndarray:
     than 65,536 distinct values; then they widen to ``uint32``.
     Ensembles rank once per fit and each member tree gathers its rows'
     columns. Features are ranked a bounded chunk at a time, so beside
-    the result only about :data:`_RANK_CHUNK_CELLS` cells of sort
-    transients are live.
+    the result only about :data:`_BLOCK_CELLS` cells of sort transients
+    are live.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     n_samples, n_features = X.shape
     ranks = np.empty((n_features, n_samples), dtype=np.uint16)
-    step = max(1, _RANK_CHUNK_CELLS // max(1, n_samples))
+    step = max(1, _BLOCK_CELLS // max(1, n_samples))
     for lo in range(0, n_features, step):
         XT = np.ascontiguousarray(X[:, lo:lo + step].T)
         # Tied values get one rank whatever their order, so any sort
@@ -194,6 +201,8 @@ def bin_features(X, max_bins: int | None = None) -> FeatureBins:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
     if max_bins is None:
         max_bins = default_max_bins(X.shape[0])
     if not 2 <= max_bins <= MAX_BINS:
@@ -350,8 +359,8 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     raise ValueError(f"unsupported max_features spec: {max_features!r}")
 
 
-def _best_split(X, y, ranks, idx, feats, feat_rows, left_den, right_den,
-                node_den, msl):
+def _best_split(X, y, ranks, idx, feats, feat_rows, scratch, left_den,
+                right_den, node_den, msl):
     """Vectorised exact search over all (feature, position) candidates.
 
     ``ranks`` are the :func:`rank_features` ranks of the training matrix
@@ -361,46 +370,77 @@ def _best_split(X, y, ranks, idx, feats, feat_rows, left_den, right_den,
     are those of a float search. ``left_den``/``right_den`` hold
     ``count + lambda`` of each candidate's children, ``node_den`` the
     node's, and ``feat_rows`` is the ``(k, 1)`` column ``arange(k)``.
+
+    Features are scored in blocks of at most :data:`_BLOCK_CELLS`
+    (feature, row) cells, each block's gain arithmetic written into the
+    fit's two float64 ``scratch`` buffers. Ties break in (position,
+    feature) order across blocks as within one, and a NaN or ``+inf``
+    gain in any block means no split, as one ``argmax`` over the whole
+    node would give.
     Returns ``(gain, feature, threshold, left_mask)`` for the best valid
     split, or ``None`` when no candidate satisfies the
     ``min_samples_leaf`` and strict-ordering constraints.
     """
     n = idx.size
-    R = ranks[feats[:, None], idx]                     # (k, n)
-    # Radix sort for 16-bit keys is O(n) but has a fixed cost per row;
-    # on small nodes a comparison sort of wider ints is faster.
-    keys = R if n > _RADIX_MIN_ROWS else R.astype(np.intp)
-    order = keys.argsort(axis=1, kind="stable")        # (k, n)
-    sorted_r = R[feat_rows, order]
-    cum = y[idx][order].cumsum(axis=1)                 # prefix target sums
-    total = cum[:, -1:]                                # (k, 1)
+    y_node = y[idx]
+    step = max(1, _BLOCK_CELLS // n)
+    best = None    # (gain, position, block start, column, R, order, sorted_r)
+    for start in range(0, feats.size, step):
+        R = ranks[feats[start:start + step, None], idx]   # (b, n)
+        b = R.shape[0]
+        # Radix sort for 16-bit keys is O(n) but has a fixed cost per
+        # row; on small nodes a comparison sort of wider ints is faster.
+        keys = R if n > _RADIX_MIN_ROWS else R.astype(np.intp)
+        order = keys.argsort(axis=1, kind="stable")      # (b, n)
+        sorted_r = R[feat_rows[:b], order]
 
-    # Candidate split after position i: left = [0..i], right = [i+1..].
-    sum_left = cum[:, :-1]
-    sum_right = total - sum_left
-    gain = (sum_left**2 / left_den + sum_right**2 / right_den
-            - total**2 / node_den)
+        # Invalid where equal adjacent values (can't separate) or
+        # leaf-size constraints would be violated.
+        valid = sorted_r[:, :-1] < sorted_r[:, 1:]
+        if msl > 1:
+            valid[:, :msl - 1] = False
+            valid[:, n - msl:] = False
+        if not valid.any():
+            # Degenerate block (e.g. every feature constant): argmax
+            # over an all--inf gain matrix would return index 0.
+            continue
 
-    # Invalid where equal adjacent values (can't separate) or leaf-size
-    # constraints would be violated.
-    valid = sorted_r[:, :-1] < sorted_r[:, 1:]
-    if msl > 1:
-        valid[:, :msl - 1] = False
-        valid[:, n - msl:] = False
-    if not valid.any():
-        # Degenerate node (e.g. every candidate feature constant):
-        # argmax over an all--inf gain matrix would return index 0.
+        cum = y_node[order]                              # prefix target sums
+        np.add.accumulate(cum, axis=1, out=cum)
+        total = cum[:, -1:]                              # (b, 1)
+        # Candidate split after position i: left = [0..i], right =
+        # [i+1..]. gain = left^2/left_den + right^2/right_den
+        #               - total^2/node_den, one step at a time in place.
+        sum_left = cum[:, :-1]
+        gain = np.square(sum_left,
+                         out=scratch[0][:b * (n - 1)].reshape(b, n - 1))
+        gain /= left_den
+        right = np.subtract(total, sum_left,
+                            out=scratch[1][:b * (n - 1)].reshape(b, n - 1))
+        np.square(right, out=right)
+        right /= right_den
+        gain += right
+        gain -= total**2 / node_den
+        gain[~valid] = -np.inf
+
+        # Scan the transposed view so ties break in (position, feature)
+        # order — the same flat order the sample-major layout used,
+        # which keeps exact-mode trees bit-identical across kernel
+        # refactors.
+        row, col = divmod(int(gain.T.argmax()), b)
+        block_gain = float(gain[col, row])
+        if not block_gain < math.inf:                    # NaN or +inf
+            return None
+        if (best is None or block_gain > best[0]
+                or (block_gain == best[0] and row < best[1])):
+            best = (block_gain, row, start, col, R, order, sorted_r)
+
+    if best is None:
         return None
-    gain[~valid] = -np.inf
-
-    # Scan the transposed view so ties break in (position, feature)
-    # order — the same flat order the sample-major layout used, which
-    # keeps exact-mode trees bit-identical across kernel refactors.
-    row, col = divmod(int(gain.T.argmax()), feats.size)
-    best_gain = float(gain[col, row])
+    best_gain, row, start, col, R, order, sorted_r = best
     if not math.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    feat = int(feats[col])
+    feat = int(feats[start + col])
     lo = float(X[idx[order[col, row]], feat])
     hi = float(X[idx[order[col, row + 1]], feat])
     thr = 0.5 * (lo + hi)
@@ -595,6 +635,11 @@ class DecisionTreeRegressor(Estimator):
         # ``counts + lambda`` for every child size: an n-row node's
         # left and right denominators are a view and a reversed view.
         dens = np.arange(1, max(n_samples, 2), dtype=np.float64) + lam
+        # The split search's gain arithmetic, reused by every node: one
+        # block's cells at most, or a whole column when a single
+        # feature's rows exceed the block bound.
+        size = max(n_samples, min(k_features * n_samples, _BLOCK_CELLS))
+        scratch = (np.empty(size), np.empty(size))
 
         def new_node(idx: np.ndarray) -> int:
             node_id = len(value)
@@ -628,7 +673,7 @@ class DecisionTreeRegressor(Estimator):
                                    replace=False)
             else:
                 feats = all_feats
-            best = _best_split(X, y, ranks, idx, feats, feat_rows,
+            best = _best_split(X, y, ranks, idx, feats, feat_rows, scratch,
                                dens[:n - 1], dens[n - 2::-1], n + lam, msl)
             if best is None:
                 continue

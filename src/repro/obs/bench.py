@@ -21,6 +21,8 @@ Gate semantics, chosen so the gate is host-portable:
 * A benchmark or gating metric present in the baseline but missing
   from the fresh results fails (silent coverage loss); BENCH files
   present on only one side are skipped with a note.
+* A benchmark or metric present only in the fresh results is
+  informational, whatever its name: it has no baseline to gate on.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ def compare_benchmarks(baseline: dict, fresh: dict, suite: str = "",
     """Classify every baseline metric of one suite against fresh results.
 
     ``baseline`` and ``fresh`` are the ``"benchmarks"`` tables of two
-    BENCH payloads.  Fresh-only benchmarks/metrics are reported as
-    informational (new coverage never fails the gate).
+    BENCH payloads.  Fresh-only benchmarks and fresh-only metrics of a
+    shared benchmark are reported as informational (new coverage never
+    fails the gate).
     """
     if not 0.0 <= ratio_tolerance < 1.0:
         raise ValueError("ratio_tolerance must be in [0, 1)")
@@ -160,6 +163,13 @@ def compare_benchmarks(baseline: dict, fresh: dict, suite: str = "",
                 if _is_timing(metric):
                     delta.note = "wall-clock, host-dependent"
             deltas.append(delta)
+        for metric, fresh_value in fresh_metrics.items():
+            if metric not in base_metrics:
+                deltas.append(BenchDelta(
+                    suite=suite, benchmark=bench, metric=metric,
+                    fresh=fresh_value, status="info",
+                    note="new metric (no baseline)",
+                ))
     for bench, fresh_metrics in fresh.items():
         if bench not in baseline:
             deltas.append(BenchDelta(

@@ -20,12 +20,6 @@ class TestDateIndexEdges:
         assert idx.position("2020-02-29") == 0
         assert idx[0] == dt.date(2020, 2, 29)
 
-    def test_empty_index_set_ops(self):
-        empty = date_range("2020-01-01", periods=0)
-        full = date_range("2020-01-01", periods=3)
-        assert full.difference(empty) == full
-        assert empty.difference(full) == empty
-
     def test_getitem_fancy_list(self):
         idx = date_range("2020-01-01", periods=5)
         sub = idx[[0, 2, 4]]

@@ -166,12 +166,6 @@ class TestSliceAndAlign:
 
 
 class TestSetOps:
-    def test_difference(self):
-        a = date_range("2017-01-01", periods=5)
-        b = date_range("2017-01-04", periods=5)
-        d = a.difference(b)
-        assert d.isoformat() == ["2017-01-01", "2017-01-02", "2017-01-03"]
-
     def test_shift(self):
         idx = date_range("2017-01-01", periods=3)
         shifted = idx.shift(7)

@@ -7,7 +7,6 @@ from repro.frame import (
     Frame,
     concat_columns,
     date_range,
-    pct_change,
     rolling_apply,
     rolling_max,
     rolling_min,
@@ -72,22 +71,6 @@ class TestShift:
     def test_oversized_shift_all_nan(self):
         assert np.isnan(shift(np.array([1.0, 2.0]), 5)).all()
         assert np.isnan(shift(np.array([1.0, 2.0]), -5)).all()
-
-
-class TestReturns:
-    def test_pct_change(self):
-        out = pct_change(np.array([100.0, 110.0, 99.0]))
-        assert np.isnan(out[0])
-        assert out[1] == pytest.approx(0.10)
-        assert out[2] == pytest.approx(-0.10)
-
-    def test_pct_change_periods(self):
-        out = pct_change(np.array([100.0, 0.0, 150.0]), periods=2)
-        assert out[2] == pytest.approx(0.5)
-
-    def test_pct_change_zero_base_nan(self):
-        out = pct_change(np.array([0.0, 5.0]))
-        assert np.isnan(out[1])
 
 
 

@@ -18,6 +18,7 @@ from repro.ml import (
     permutation_importance,
     target_correlations,
 )
+from repro.ml.tree import bin_features
 
 ESTIMATORS = {
     "tree": lambda: DecisionTreeRegressor(max_depth=2),
@@ -85,6 +86,13 @@ def test_importance_checks(data):
         target_correlations(X[:1], y[:1])
     with pytest.raises(ValueError, match="at least two observations"):
         target_correlations(np.empty((0, 3)), np.empty(0))
+
+
+def test_bin_features_rejects_an_empty_matrix():
+    # Checked before any indexing, with the estimators' message.
+    with pytest.raises(ValueError,
+                       match="^cannot fit on an empty dataset$"):
+        bin_features(np.empty((0, 3)))
 
 
 def test_explainer_checks(data):

@@ -10,6 +10,7 @@ subsets from the RNG in the same order as the kernel. Every fitted
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.ml import (
     RandomForestRegressor,
     TreeStructure,
 )
-from repro.ml.tree import rank_features
+from repro.ml.tree import _BLOCK_CELLS, rank_features
 from repro.parallel import spawn_seeds
 
 _FIELDS = ("children_left", "children_right", "feature", "threshold",
@@ -206,6 +207,40 @@ def awkward_problem(draw, max_n=60, max_f=5):
     return X, y
 
 
+@st.composite
+def wide_problem(draw):
+    """Nodes wider than one split-search block, with cross-block ties.
+
+    At the root, block ``j`` holds the features from ``j * step`` up to
+    ``(j + 1) * step``, with ``step = _BLOCK_CELLS // n``. Column
+    ``step`` copies column ``step - 1``, so equal gains straddle the
+    first boundary at equal positions and the earlier feature must win.
+    Column ``step + 1`` negates column ``step - 2``: with an integer
+    target every prefix sum is exact and ``a + b == b + a``, so a split
+    after position ``p`` of one and after ``n - 2 - p`` of the other
+    have bit-equal gains, and the lower position must win. Optionally
+    one target value is infinite, which makes every gain NaN.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    n = draw(st.integers(min_value=500, max_value=700))
+    step = _BLOCK_CELLS // n
+    f = draw(st.integers(min_value=max(40, step + 2),
+                         max_value=2 * step + 8))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, f))
+    X[:, ::3] = rng.integers(-3, 4, size=(n, X[:, ::3].shape[1]))
+    X[:, step] = X[:, step - 1]
+    X[:, step + 1] = -X[:, step - 2]
+    if f > 2 * step:
+        X[:, 2 * step] = X[:, step - 1]
+    y = np.round(2.0 * X[:, step - 1] + X[:, step - 2]
+                 + rng.normal(size=n))
+    if draw(st.booleans()):
+        y[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([-np.inf, np.inf]))
+    return X, y
+
+
 tree_params = st.fixed_dictionaries({
     "min_samples_leaf": st.sampled_from([1, 2, 5]),
     "reg_lambda": st.sampled_from([0.0, 1.0]),
@@ -225,6 +260,42 @@ class TestTreeMatchesOracle:
         X, y = problem
         got = DecisionTreeRegressor(**params).fit(X, y).tree_
         assert_bit_identical(got, oracle_tree(X, y, **params))
+
+    @settings(max_examples=12, deadline=None)
+    @given(wide_problem(), st.fixed_dictionaries({
+        "min_samples_leaf": st.sampled_from([1, 3, 7]),
+        "reg_lambda": st.sampled_from([0.0, 1.0]),
+        "max_depth": st.sampled_from([None, 4]),
+    }))
+    def test_nodes_span_several_blocks(self, problem, params):
+        X, y = problem
+        with np.errstate(invalid="ignore"):
+            got = DecisionTreeRegressor(max_features=None,
+                                        **params).fit(X, y)
+            assert_bit_identical(got.tree_, oracle_tree(X, y, **params))
+        if not np.isfinite(y).all():
+            # inf - inf in the prefix sums: every gain is NaN.
+            assert got.tree_.node_count == 1
+
+    def test_overflowing_gain_in_a_later_block_means_no_split(self):
+        # Every feature of the first block orders the +-1e154 targets
+        # alternately, so their gains stay finite; the last feature
+        # puts two +1e154 side by side and its gains overflow to +inf.
+        # One argmax over the node would stop on that +inf, so the
+        # finite winner of the first block must not split either.
+        n = 400
+        step = _BLOCK_CELLS // n
+        y = np.where(np.arange(n) % 2 == 0, 1e154, -1e154)
+        X = np.tile(np.arange(n, dtype=np.float64)[:, None], (1, step + 1))
+        X[:, step] = np.argsort(np.argsort(-y, kind="stable"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
+            assert tree.tree_.node_count == 1
+            assert_bit_identical(tree.tree_,
+                                 oracle_tree(X, y, max_depth=1))
+            # Without the overflowing feature the first block splits.
+            assert DecisionTreeRegressor(max_depth=1).fit(
+                X[:, :step], y).tree_.node_count == 3
 
     @settings(max_examples=40, deadline=None)
     @given(awkward_problem(max_n=40, max_f=4), tree_params)
@@ -337,6 +408,25 @@ class TestRankFeatures:
         got = DecisionTreeRegressor(max_depth=2).fit(X, y).tree_
         assert got.node_count == 7
         assert_bit_identical(got, oracle_tree(X, y, max_depth=2))
+
+
+class TestWorkingMemory:
+    def test_root_search_stays_within_a_few_mb(self):
+        # A 3,000 x 200 root holds 600,000 (feature, row) cells: one
+        # float64 temporary over all of them is 4.8 MB. Scored in
+        # bounded blocks, the fit allocates its 1.2 MB of ranks, a
+        # 0.6 MB NaN mask and a few sub-128 KiB block buffers.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(3000, 200))
+        y = X[:, 0] + rng.normal(size=3000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            DecisionTreeRegressor(max_depth=1).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3e6
 
 
 class TestRankMisuse:

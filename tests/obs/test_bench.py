@@ -3,7 +3,8 @@
 Contracts under test: every committed BENCH artefact parses with the
 one shared loader; speedup ratios gate with tolerance while absolute
 seconds stay informational; boolean invariants fail on True→False;
-missing coverage fails; the directory-level check pairs only suites
+missing coverage fails, while new coverage (a fresh-only benchmark or
+metric) is informational; the directory-level check pairs only suites
 present on both sides.
 """
 
@@ -111,6 +112,21 @@ class TestCompareBenchmarks:
         deltas = compare_benchmarks({}, {"new": {"speedup_x": 3.0}})
         [delta] = deltas
         assert delta.status == "info"
+
+    def test_new_fresh_metric_is_informational(self):
+        # Even a speedup_* name: without a baseline it cannot gate.
+        deltas = compare_benchmarks(
+            {"b": {"speedup_hist": 2.0}},
+            {"b": {"speedup_hist": 2.0, "minflt_exact": 328,
+                   "speedup_new": 0.1}},
+        )
+        by_metric = {d.metric: d for d in deltas}
+        assert by_metric["speedup_hist"].status == "ok"
+        for metric, value in (("minflt_exact", 328), ("speedup_new", 0.1)):
+            delta = by_metric[metric]
+            assert delta.status == "info" and not delta.gating
+            assert delta.fresh == value and delta.baseline is None
+            assert delta.note == "new metric (no baseline)"
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
