@@ -60,6 +60,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -413,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    import dataclasses
-
     config = MARKET_PRESETS[args.market](seed=args.seed)
     if args.include_eth:
         config = dataclasses.replace(config, include_eth=True)
@@ -436,17 +435,37 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    import dataclasses
-
-    if args.log_level is not None or args.log_json:
-        configure_logging(level=args.log_level, json_mode=args.log_json)
-    make_config = _PRESETS[args.preset]
-    config = make_config(seed=args.seed)
-    if config.verbose == args.quiet:  # align verbosity with --quiet
-        config = dataclasses.replace(config, verbose=not args.quiet)
+def _preset_config(args) -> ExperimentConfig:
+    """The ``--preset`` configuration for ``--seed``, with ``--quiet``,
+    ``--jobs`` and (where the command has it) ``--splitter`` applied."""
+    config = _PRESETS[args.preset](seed=args.seed)
+    config = dataclasses.replace(config, verbose=not args.quiet)
     if args.jobs is not None:
         config = dataclasses.replace(config, n_jobs=args.jobs)
+    if getattr(args, "splitter", None) is not None:
+        config = dataclasses.replace(config, splitter=args.splitter)
+    return config
+
+
+def _cache_dir(args) -> str | None:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``; None under
+    ``--no-cache``."""
+    if args.no_cache:
+        return None
+    cache_dir = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
+    return str(cache_dir) if cache_dir is not None else None
+
+
+def _ledger_path(args) -> str | None:
+    """``--ledger``, else ``$REPRO_LEDGER``."""
+    path = _flag_or_env(args.ledger, "REPRO_LEDGER")
+    return str(path) if path is not None else None
+
+
+def _cmd_run(args) -> int:
+    if args.log_level is not None or args.log_json:
+        configure_logging(level=args.log_level, json_mode=args.log_json)
+    config = _preset_config(args)
     if args.task_timeout is not None:
         config = dataclasses.replace(config, task_timeout=args.task_timeout)
     if args.task_retries is not None:
@@ -459,21 +478,9 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, degradation=args.degradation)
     if args.keep_going:
         config = dataclasses.replace(config, on_error="capture")
-    if args.splitter is not None:
-        config = dataclasses.replace(config, splitter=args.splitter)
 
-    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
-    # Passed as a conditional kwarg so callers that wrap run_experiment
-    # with a narrower signature keep working when no cache is requested.
-    cache_kwargs = {"cache_dir": str(cache_dir)} \
-        if cache_dir is not None else {}
-    if ledger_path is not None:
-        cache_kwargs["ledger_path"] = str(ledger_path)
-
-    results = run_experiment(config, **cache_kwargs)
+    results = run_experiment(config, cache_dir=_cache_dir(args),
+                             ledger_path=_ledger_path(args))
     report = render_report(results)
     print(report)
     _write_report(args.report, report)
@@ -483,32 +490,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_update(args) -> int:
-    import dataclasses
-
     from .incremental import update_experiment
 
-    config = _PRESETS[args.preset](seed=args.seed)
-    if config.verbose == args.quiet:  # align verbosity with --quiet
-        config = dataclasses.replace(config, verbose=not args.quiet)
-    if args.jobs is not None:
-        config = dataclasses.replace(config, n_jobs=args.jobs)
-    if args.splitter is not None:
-        config = dataclasses.replace(config, splitter=args.splitter)
-
-    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = _flag_or_env(args.cache_dir, "REPRO_CACHE_DIR")
+    cache_dir = _cache_dir(args)
     if cache_dir is None:
         print("note: no artifact cache (--cache-dir or $REPRO_CACHE_DIR) "
               "— the update runs cold")
 
     update = update_experiment(
-        config,
+        _preset_config(args),
         days=args.days,
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
-        ledger_path=(str(ledger_path)
-                     if ledger_path is not None else None),
+        cache_dir=cache_dir,
+        ledger_path=_ledger_path(args),
     )
     lines = [
         f"update: +{update.days} day(s) -> "
@@ -530,12 +523,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import dataclasses
-
-    config = _PRESETS[args.preset](seed=args.seed)
-    config = dataclasses.replace(config, verbose=not args.quiet)
-    if args.jobs is not None:
-        config = dataclasses.replace(config, n_jobs=args.jobs)
+    config = _preset_config(args)
     if args.plan is not None:
         plan = FaultPlan.load(args.plan)
     else:
@@ -545,13 +533,8 @@ def _cmd_chaos(args) -> int:
     if args.save_plan is not None:
         path = plan.save(args.save_plan)
         print(f"fault plan written to {path}")
-    ledger_path = _flag_or_env(args.ledger, "REPRO_LEDGER")
-    # Conditional kwarg so callers that wrap run_chaos with a narrower
-    # signature keep working when no ledger is requested.
-    ledger_kwargs = {"ledger_path": str(ledger_path)} \
-        if ledger_path is not None else {}
     report = run_chaos(config, plan, policy=args.degradation,
-                       **ledger_kwargs)
+                       ledger_path=_ledger_path(args))
     table = render_chaos_table(report)
     print(table)
     _write_report(args.report, table)

@@ -58,7 +58,6 @@ from ..resilience import (
     DEGRADATION_POLICIES,
     DegradationReport,
     FaultPlan,
-    RetryPolicy,
     resilient_raw_dataset,
 )
 from ..synth.config import SimulationConfig
@@ -159,8 +158,8 @@ class ExperimentConfig:
 
     # ----- resilience ---------------------------------------------------
     fault_plan: FaultPlan | None = None
-    """Deterministic source-degradation schedule applied while the
-    dataset is assembled (see :mod:`repro.resilience.faults`).  The
+    """Deterministic source-degradation schedule applied to the
+    generated dataset (see :mod:`repro.resilience.faults`).  The
     same ``(simulation.seed, fault_plan)`` always produces bit-identical
     corrupted data, for any ``n_jobs``."""
 
@@ -168,7 +167,7 @@ class ExperimentConfig:
     """What to do about a source that stays bad: ``"abort"`` (raise),
     ``"drop-category"`` (proceed on surviving categories) or ``"fill"``
     (repair corrupted windows with a forward-fill).  Anything except
-    ``"abort"`` routes dataset assembly through
+    ``"abort"`` degrades the generated dataset through
     :func:`repro.resilience.resilient_raw_dataset`."""
 
     on_error: str = "raise"
@@ -274,7 +273,8 @@ class ExperimentConfig:
     @classmethod
     def default(cls, seed: int = 20240701,
                 verbose: bool = False) -> "ExperimentConfig":
-        """The benchmark preset: all scenarios, moderate model sizes."""
+        """All scenarios at moderate model sizes; the base that
+        :meth:`paper` scales up."""
         return cls(
             simulation=SimulationConfig(seed=seed),
             improvement_rf=ImprovementConfig(
@@ -314,10 +314,6 @@ class ExperimentConfig:
 
 
 _SPLITTERS = ("exact", "hist")
-
-#: Backoff schedule for transient source failures during resilient
-#: dataset assembly.
-_SOURCE_RETRY = RetryPolicy(base_delay=0.1, max_delay=2.0)
 
 #: Execution-shape fields and their normal values.  None of them can
 #: change a successful scenario's result (determinism and bit-identity
@@ -462,8 +458,8 @@ class ExperimentResults:
     """Scenario key → failure record (``on_error="capture"`` runs)."""
 
     degradation: DegradationReport | None = None
-    """What the resilience layer did to the inputs (None = the plain,
-    non-resilient assembly path was used)."""
+    """What the resilience layer did to the inputs (None = the dataset
+    was not degraded)."""
 
     @property
     def complete(self) -> bool:
@@ -689,8 +685,9 @@ def run_experiment(config: ExperimentConfig | None = None,
     Resilience hooks (all off by default, see
     :mod:`repro.resilience`):
 
-    * ``config.fault_plan`` / ``config.degradation`` route dataset
-      assembly through :func:`~repro.resilience.resilient_raw_dataset`;
+    * ``config.fault_plan`` / ``config.degradation`` degrade the
+      generated dataset through
+      :func:`~repro.resilience.resilient_raw_dataset`;
       the returned results carry the resulting
       :class:`~repro.resilience.DegradationReport`.
     * ``config.on_error="capture"`` isolates scenario failures into
@@ -800,7 +797,6 @@ def run_experiment(config: ExperimentConfig | None = None,
                     config.simulation,
                     plan=config.fault_plan,
                     policy=config.degradation,
-                    retry=_SOURCE_RETRY,
                 )
             return generate_raw_dataset(config.simulation), None
 

@@ -158,8 +158,8 @@ def update_experiment(config: ExperimentConfig | None = None,
         if resilient:
             # The parent bytes are corrupted relative to a clean
             # simulation, so they cannot be continued; the pipeline
-            # regenerates the extended dataset through its resilient
-            # path instead.
+            # generates the extended dataset and degrades it again
+            # instead.
             log.info("update.cold_dataset", reason="resilient-config")
         else:
             parent_raw = _parent_dataset(config, raw, store, log)

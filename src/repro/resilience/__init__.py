@@ -10,13 +10,12 @@ through :mod:`repro.obs`:
   JSON-serialisable schedule of source degradations (outages, stale
   runs, spikes, NaN gaps, delistings, fetch errors) whose application
   is bit-reproducible from ``(seed, plan)``.
-* :mod:`repro.resilience.source` — :class:`DataSource` with retry and
-  exponential backoff (injectable sleep); :class:`SourceUnavailable` is
-  the transient error currency.
 * :mod:`repro.resilience.degradation` — :func:`resilient_raw_dataset`
-  assembles the dataset under a degradation policy (``abort`` /
-  ``drop-category`` / ``fill``) and returns a :class:`DegradationReport`
-  saying exactly what was retried, injected, filled or dropped.
+  degrades the simulated dataset by a plan under a degradation policy
+  (``abort`` / ``drop-category`` / ``fill``) and returns a
+  :class:`DegradationReport` saying exactly what was retried, injected,
+  filled or dropped; it raises :class:`SourceUnavailable` when a source
+  stays unavailable under ``abort``, or when every source is dropped.
 * :mod:`repro.resilience.chaos` — :func:`run_chaos`, the clean-vs-
   faulted MSE comparison behind ``repro chaos``.
 
@@ -49,6 +48,7 @@ from .degradation import (
     DEGRADATION_POLICIES,
     DegradationReport,
     SourceOutcome,
+    SourceUnavailable,
     resilient_raw_dataset,
 )
 from .faults import (
@@ -59,25 +59,16 @@ from .faults import (
     apply_fault_plan,
     random_fault_plan,
 )
-from .source import (
-    DataSource,
-    FlakyFetch,
-    RetryPolicy,
-    SourceUnavailable,
-)
 
 __all__ = [
     "CategoryDegradation",
     "ChaosReport",
     "DEGRADATION_POLICIES",
-    "DataSource",
     "DegradationReport",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "FlakyFetch",
     "InjectedFault",
-    "RetryPolicy",
     "SourceOutcome",
     "SourceUnavailable",
     "apply_fault_plan",

@@ -1,17 +1,19 @@
-"""Degraded-source dataset assembly and the degradation report.
+"""Fault-plan degradation of a simulated dataset, and its report.
 
-:func:`resilient_raw_dataset` is the fault-tolerant twin of
-:func:`repro.synth.generate_raw_dataset`: each category generator is
-wrapped in a retrying :class:`~repro.resilience.source.DataSource`, the
-:class:`~repro.resilience.faults.FaultPlan`'s data faults are applied to
-whatever was fetched, and a *degradation policy* decides what happens
-when a source stays bad:
+:func:`resilient_raw_dataset` builds the dataset with
+:func:`repro.synth.generate_raw_dataset`, then degrades it one source
+(category) at a time as a :class:`~repro.resilience.faults.FaultPlan`
+says. A source's ``fetch_error`` events decide whether it is fetched at
+all: their failures add up, and a source still failing after three
+attempts is unavailable. The plan's data faults then corrupt every
+source that was fetched, and a *degradation policy* decides what
+happens when a source stays bad:
 
 ``"abort"``
-    A source that is still unavailable after every retry kills the run
-    (:class:`~repro.resilience.source.SourceUnavailable` propagates).
-    Corrupted-but-present data passes through untouched — the paper's
-    own cleaning phase (§3.1.2) is the second line of defence.
+    An unavailable source kills the run (:class:`SourceUnavailable`
+    propagates). Corrupted-but-present data passes through untouched —
+    the paper's own cleaning phase (§3.1.2) is the second line of
+    defence.
 ``"drop-category"``
     Unavailable sources are excluded; the experiment proceeds on the
     surviving categories — the paper's data-source-diversity question
@@ -19,44 +21,53 @@ when a source stays bad:
 ``"fill"``
     Unavailable sources are still dropped (nothing to fill from), but
     corrupted windows in surviving sources are repaired with a
-    length-capped forward-fill.
+    forward-fill.
 
 Whatever happens, the returned :class:`DegradationReport` records per
 source exactly what was retried, injected, filled or dropped — runs on
-degraded inputs are clearly labelled, never silently wrong.
+degraded inputs are clearly labelled, never silently wrong. Failed
+fetch attempts count in ``resilience.fetch.failure`` and those retried
+in ``resilience.retry``, so a run's retries show among its ledger
+counters (``repro report --run``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from ..categories import DataCategory
 from ..frame.frame import Frame
 from ..frame.missing import fill_frame
-from ..obs import current_metrics, get_logger, span
+from ..obs import current_metrics, get_logger
 from ..synth.config import SimulationConfig
 from ..synth.dataset import (
     RawDataset,
     assemble_raw_dataset,
-    category_generators,
+    generate_raw_dataset,
 )
-from ..synth.latent import generate_latent_market
-from ..synth.market import generate_universe
 from .faults import FaultPlan, apply_fault_plan
-from .source import DataSource, FlakyFetch, RetryPolicy, SourceUnavailable
 
 __all__ = [
     "DEGRADATION_POLICIES",
     "SourceOutcome",
     "DegradationReport",
+    "SourceUnavailable",
     "resilient_raw_dataset",
 ]
 
 DEGRADATION_POLICIES = ("abort", "drop-category", "fill")
 
+#: Fetch attempts a source gets before it counts as unavailable.
+_FETCH_ATTEMPTS = 3
+
 _log = get_logger("resilience")
+
+
+class SourceUnavailable(RuntimeError):
+    """A data source could not be fetched."""
 
 
 @dataclass
@@ -131,13 +142,34 @@ class DegradationReport:
         )
 
 
-def _fill_corrupted(frame: Frame, limit: int | None
-                    ) -> tuple[Frame, int]:
+def _fetch_errors(category: str, events) -> list[str]:
+    """The errors a source's first fetch attempts raise, in order.
+
+    ``events`` are the category's ``fetch_error`` events in plan order.
+    Their failures add up, the plan's later events failing first; a
+    ``permanent`` event fails every attempt that reaches it. At most
+    ``_FETCH_ATTEMPTS`` are listed: with that many, the source is
+    unavailable.
+    """
+    errors: list[str] = []
+    for event in reversed(events):
+        if event.permanent:
+            errors += [f"{category}: permanent injected outage"
+                       ] * _FETCH_ATTEMPTS
+            break
+        errors += [
+            f"{category}: injected transient failure {k}/{event.failures}"
+            for k in range(1, min(event.failures, _FETCH_ATTEMPTS) + 1)
+        ]
+    return errors[:_FETCH_ATTEMPTS]
+
+
+def _fill_corrupted(frame: Frame) -> tuple[Frame, int]:
     """Forward-fill a corrupted frame; returns it and the cells filled."""
     before = sum(
         int(np.isnan(frame[name]).sum()) for name in frame.columns
     )
-    repaired = fill_frame(frame, "ffill", limit=limit)
+    repaired = fill_frame(frame, "ffill")
     after = sum(
         int(np.isnan(repaired[name]).sum()) for name in repaired.columns
     )
@@ -148,19 +180,13 @@ def resilient_raw_dataset(
     config: SimulationConfig | None = None,
     plan: FaultPlan | None = None,
     policy: str = "abort",
-    retry: RetryPolicy | None = None,
-    fill_limit: int | None = None,
-    sleep=None,
 ) -> tuple[RawDataset, DegradationReport]:
-    """Assemble the dataset through the full resilience stack.
+    """The simulated dataset, degraded by ``plan`` under ``policy``.
 
-    With ``plan=None`` and all sources healthy this produces exactly
-    the same dataset as :func:`~repro.synth.generate_raw_dataset` (the
-    generators are deterministic and independently seeded), plus an
-    all-``ok`` report.
-
-    ``sleep`` is forwarded to every :class:`DataSource` so tests (and
-    the serial pipeline) never wait on real backoff.
+    With ``plan=None`` this is exactly the dataset of
+    :func:`~repro.synth.generate_raw_dataset`, plus an all-``ok``
+    report. Either way the result has no carry: a degraded dataset is
+    never extended.
     """
     if policy not in DEGRADATION_POLICIES:
         raise ValueError(
@@ -169,71 +195,60 @@ def resilient_raw_dataset(
         )
     config = config if config is not None else SimulationConfig()
     plan = plan if plan is not None else FaultPlan()
-    retry = retry if retry is not None else RetryPolicy()
-    source_kwargs = {}
-    if sleep is not None:
-        source_kwargs["sleep"] = sleep
 
     metrics = current_metrics()
     report = DegradationReport(policy=policy)
-    with span("synth.dataset", seed=config.seed, resilient=True):
-        with span("synth.latent"):
-            latent = generate_latent_market(config)
-        with span("synth.universe", n_assets=config.n_assets):
-            universe = generate_universe(config, latent)
+    raw = generate_raw_dataset(config)
+    parts: list[tuple[Frame, DataCategory]] = []
+    # Each category's columns are contiguous, in assembly order.
+    for category, names in groupby(raw.features.columns,
+                                   key=raw.categories.__getitem__):
+        name = category.value
+        errors = _fetch_errors(name, plan.fetch_faults(name))
+        outcome = SourceOutcome(
+            category=name, status="recovered" if errors else "ok",
+            attempts=min(len(errors) + 1, _FETCH_ATTEMPTS),
+        )
+        report.outcomes.append(outcome)
+        if errors:
+            metrics.counter("resilience.fetch.failure").inc(len(errors))
+            retried = errors[:_FETCH_ATTEMPTS - 1]
+            metrics.counter("resilience.retry").inc(len(retried))
+            for attempt, error in enumerate(retried, start=1):
+                _log.warning("fetch.retry", source=name, attempt=attempt,
+                             error=error)
+        if len(errors) == _FETCH_ATTEMPTS:
+            _log.error("fetch.failed", source=name,
+                       attempts=_FETCH_ATTEMPTS, error=errors[-1])
+            detail = (f"source {name!r} unavailable after "
+                      f"{_FETCH_ATTEMPTS} attempts: {errors[-1]}")
+            if policy == "abort":
+                raise SourceUnavailable(detail)
+            outcome.status = "dropped"
+            outcome.detail = detail
+            metrics.counter("resilience.category.dropped").inc()
+            _log.warning("source.dropped", source=name, policy=policy,
+                         error=detail)
+            continue
 
-        parts: list[tuple[Frame, DataCategory]] = []
-        for category, make in category_generators(config, latent, universe):
-            fetch = make
-            for fault in plan.fetch_faults(category.value):
-                fetch = FlakyFetch(
-                    fetch, failures=fault.failures,
-                    permanent=fault.permanent, name=category.value,
-                )
-            source = DataSource(
-                category.value, fetch, retry=retry, **source_kwargs
-            )
-            outcome = SourceOutcome(category=category.value, status="ok")
-            report.outcomes.append(outcome)
-            with span("synth.category", category=category.value):
-                try:
-                    frame = source.fetch()
-                except SourceUnavailable as exc:
-                    outcome.attempts = source.attempts
-                    if policy == "abort":
-                        raise
-                    outcome.status = "dropped"
-                    outcome.detail = str(exc)
-                    metrics.counter("resilience.category.dropped").inc()
-                    _log.warning("source.dropped", source=category.value,
-                                 policy=policy, error=str(exc))
-                    continue
-                outcome.attempts = source.attempts
-                if source.attempts > 1:
-                    outcome.status = "recovered"
+        frame, injected = apply_fault_plan(
+            raw.features.select(list(names)), name, plan
+        )
+        if injected:
+            outcome.faults = [f.to_dict() for f in injected]
+            outcome.status = "degraded"
+            if policy == "fill":
+                frame, n_filled = _fill_corrupted(frame)
+                outcome.filled_values = n_filled
+                outcome.status = "filled"
+                metrics.counter("resilience.filled_values").inc(n_filled)
+        parts.append((frame, category))
 
-                frame, injected = apply_fault_plan(
-                    frame, category.value, plan
-                )
-                if injected:
-                    outcome.faults = [f.to_dict() for f in injected]
-                    outcome.status = "degraded"
-                    if policy == "fill":
-                        frame, n_filled = _fill_corrupted(
-                            frame, fill_limit
-                        )
-                        outcome.filled_values = n_filled
-                        outcome.status = "filled"
-                        metrics.counter(
-                            "resilience.filled_values"
-                        ).inc(n_filled)
-                parts.append((frame, category))
-
-        if not parts:
-            raise SourceUnavailable(
-                "every data source was dropped; nothing to assemble"
-            )
-        raw = assemble_raw_dataset(config, latent, universe, parts)
+    if not parts:
+        raise SourceUnavailable(
+            "every data source was dropped; nothing to assemble"
+        )
+    raw = assemble_raw_dataset(config, raw.latent, raw.universe, parts)
     if not report.ok:
         _log.warning("dataset.degraded", **{
             "policy": policy,

@@ -27,10 +27,11 @@ Fault kinds
     Affected columns end at ``start`` and never come back — the
     "assets emerging and vanishing on a daily level" of CRIX.
 ``fetch_error``
-    The *source itself* fails at fetch time: the category's generator
-    raises :class:`~repro.resilience.source.SourceUnavailable` for the
-    first ``failures`` attempts (or forever when ``permanent``). This is
-    the hook the retry/backoff machinery is tested against.
+    The *source itself* fails at fetch time: the category's fetch fails
+    its first ``failures`` attempts (or every attempt when
+    ``permanent``). A category's events add up their failures, and one
+    that fails all three of its attempts is unavailable (see
+    :mod:`repro.resilience.degradation`).
 
 Determinism contract: every random draw derives from
 ``(plan.seed, event index, column name)`` through independent
@@ -317,7 +318,8 @@ def apply_fault_plan(frame: Frame, category: str, plan: FaultPlan
     """Corrupt one category's frame according to ``plan``.
 
     Only the plan's data-fault events for ``category`` are applied
-    (fetch faults live in :mod:`repro.resilience.source`). Returns the
+    (fetch faults are resolved in
+    :mod:`repro.resilience.degradation`). Returns the
     corrupted frame and a record of every (event, column) application;
     a frame untouched by the plan is returned as-is.
     """

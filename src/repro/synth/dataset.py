@@ -37,7 +37,6 @@ __all__ = [
     "SIMULATOR_FORMAT",
     "SimulationCarry",
     "assemble_raw_dataset",
-    "category_generators",
     "generate_raw_dataset",
 ]
 
@@ -92,7 +91,7 @@ class RawDataset:
     carry:
         Where the simulation stopped, for
         :func:`~repro.synth.extend_raw_dataset`; None when the dataset
-        cannot be extended (a resilient assembly).
+        cannot be extended (one degraded by a fault plan).
     """
 
     config: SimulationConfig
@@ -156,26 +155,6 @@ def _sources(config: SimulationConfig) -> list[tuple[DataCategory, object]]:
             simulate_eth_onchain(config, latent, universe, carry),
         ))
     return sources
-
-
-def category_generators(
-    config: SimulationConfig,
-    latent: LatentMarket,
-    universe: MarketUniverse,
-) -> list[tuple[DataCategory, object]]:
-    """The per-source generators, in assembly order.
-
-    Each entry is ``(category, make)`` where ``make()`` produces that
-    source's :class:`~repro.frame.frame.Frame` over the whole of
-    ``latent``'s calendar. Exposed so the resilience layer
-    (:mod:`repro.resilience.degradation`) can wrap each source in a
-    retrying :class:`~repro.resilience.DataSource` and apply per-source
-    fault plans.
-    """
-    return [
-        (category, lambda step=step: step(latent, universe, None)[0])
-        for category, step in _sources(config)
-    ]
 
 
 def _target_frame(universe: MarketUniverse) -> Frame:

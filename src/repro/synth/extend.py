@@ -12,7 +12,7 @@ universe. The result is **bit-identical** to a cold generation over the
 The carry continues exactly the frame it was produced with, under the
 simulator format it was produced by. A dataset whose feature frame was
 swapped (corrupted by a resilience fault plan, hand-edited), that has
-no carry (a resilient assembly) or whose carry has another
+no carry (one degraded by a fault plan) or whose carry has another
 :data:`~repro.synth.dataset.SIMULATOR_FORMAT` is refused with
 :class:`PrefixMismatch` rather than extended onto a diverged history.
 Frame columns are read-only, so an identity check of the frame is

@@ -295,7 +295,7 @@ class TestRunResilienceWiring:
     def _capture(monkeypatch, store):
         import repro.cli as cli
 
-        def stub(config, cache_dir=None):
+        def stub(config, cache_dir=None, ledger_path=None):
             store.update(config=config, cache_dir=cache_dir)
             raise _Captured
 
@@ -366,7 +366,7 @@ class TestChaosCommand:
         import repro.cli as cli
         from repro.resilience import CategoryDegradation, ChaosReport
 
-        def stub(config, plan, policy="fill"):
+        def stub(config, plan, policy="fill", ledger_path=None):
             store.update(config=config, plan=plan, policy=policy)
             return ChaosReport(
                 plan=plan, policy=policy,

@@ -98,22 +98,16 @@ class TestRunLedgerWiring:
             main(["run", "--quiet"])
         assert store["ledger_path"].endswith("env.jsonl")
 
-    def test_without_flags_no_ledger_kwarg_is_passed(
+    def test_without_flags_no_ledger_is_requested(
             self, tmp_path, monkeypatch):
-        # Stubs with narrower signatures (and the real default path)
-        # must keep working when no ledger is requested.
-        import repro.cli as cli
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         store = {}
-
-        def stub(config):
-            store.update(config=config)
-            raise _Captured
-
-        monkeypatch.setattr(cli, "run_experiment", stub)
+        self._capture(monkeypatch, store)
         with pytest.raises(_Captured):
             main(["run", "--quiet"])
-        assert set(store) == {"config"}
+        assert store["ledger_path"] is None
+        assert store["cache_dir"] is None
 
 
 class TestReportCommand:
