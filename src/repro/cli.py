@@ -527,9 +527,12 @@ def _cmd_chaos(args) -> int:
     if args.plan is not None:
         plan = FaultPlan.load(args.plan)
     else:
-        plan = random_fault_plan(
-            args.chaos_seed, [c.value for c in DataCategory]
-        )
+        # Only the categories the dataset has: ETH is opt-in.
+        plan = random_fault_plan(args.chaos_seed, [
+            c.value for c in DataCategory
+            if c is not DataCategory.ONCHAIN_ETH
+            or config.simulation.include_eth
+        ])
     if args.save_plan is not None:
         path = plan.save(args.save_plan)
         print(f"fault plan written to {path}")

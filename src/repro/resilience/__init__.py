@@ -8,14 +8,16 @@ through :mod:`repro.obs`:
 
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`, a seeded,
   JSON-serialisable schedule of source degradations (outages, stale
-  runs, spikes, NaN gaps, delistings, fetch errors) whose application
-  is bit-reproducible from ``(seed, plan)``.
+  runs, spikes, NaN gaps, delistings, unavailable sources) whose
+  application is bit-reproducible from ``(seed, plan)``.
 * :mod:`repro.resilience.degradation` — :func:`resilient_raw_dataset`
   degrades the simulated dataset by a plan under a degradation policy
   (``abort`` / ``drop-category`` / ``fill``) and returns a
-  :class:`DegradationReport` saying exactly what was retried, injected,
-  filled or dropped; it raises :class:`SourceUnavailable` when a source
-  stays unavailable under ``abort``, or when every source is dropped.
+  :class:`DegradationReport` saying exactly what was injected, filled
+  or dropped. A ``fetch_error`` event makes its source unavailable: it
+  raises :class:`SourceUnavailable` under ``abort`` (and whenever every
+  source is dropped). A plan event on a category the dataset does not
+  have raises ``ValueError``.
 * :mod:`repro.resilience.chaos` — :func:`run_chaos`, the clean-vs-
   faulted MSE comparison behind ``repro chaos``.
 

@@ -27,11 +27,9 @@ Fault kinds
     Affected columns end at ``start`` and never come back — the
     "assets emerging and vanishing on a daily level" of CRIX.
 ``fetch_error``
-    The *source itself* fails at fetch time: the category's fetch fails
-    its first ``failures`` attempts (or every attempt when
-    ``permanent``). A category's events add up their failures, and one
-    that fails all three of its attempts is unavailable (see
-    :mod:`repro.resilience.degradation`).
+    The *source itself* is unavailable: no data for the category at all
+    (see :mod:`repro.resilience.degradation`). A one-event plan of this
+    kind leaves that category out.
 
 Determinism contract: every random draw derives from
 ``(plan.seed, event index, column name)`` through independent
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +62,7 @@ FAULT_KINDS = (
     "outage", "stale", "spike", "nan_gaps", "delisting", "fetch_error",
 )
 
-#: Fault kinds that corrupt data (as opposed to failing the fetch).
+#: Fault kinds that corrupt data (as opposed to removing the source).
 DATA_FAULT_KINDS = tuple(k for k in FAULT_KINDS if k != "fetch_error")
 
 
@@ -73,7 +71,8 @@ class FaultEvent:
     """One scheduled degradation of one data source.
 
     Window positions are fractions of the series length so the same
-    plan is meaningful for any simulation period.
+    plan is meaningful for any simulation period. A ``fetch_error``
+    reads only ``kind`` and ``category``.
     """
 
     kind: str
@@ -96,12 +95,6 @@ class FaultEvent:
     """Per-day missing probability (``nan_gaps``) or spike density
     within the window (``spike``)."""
 
-    failures: int = 2
-    """Transient fetch failures before success (``fetch_error`` only)."""
-
-    permanent: bool = False
-    """``fetch_error`` never recovers (exhausts every retry)."""
-
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(
@@ -116,8 +109,6 @@ class FaultEvent:
             raise ValueError("column_frac must be in (0, 1]")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("rate must be in (0, 1]")
-        if self.failures < 0:
-            raise ValueError("failures must be >= 0")
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -129,8 +120,6 @@ class FaultEvent:
             "column_frac": self.column_frac,
             "magnitude": self.magnitude,
             "rate": self.rate,
-            "failures": self.failures,
-            "permanent": self.permanent,
         }
 
     @classmethod
@@ -173,18 +162,6 @@ class FaultPlan:
             if e.category == category and e.kind in kinds
         ]
 
-    def fetch_faults(self, category: str) -> list[FaultEvent]:
-        """The ``fetch_error`` events scheduled for one category."""
-        return [e for _, e in self.events_for(category, ("fetch_error",))]
-
-    def categories(self) -> list[str]:
-        """Every category named by at least one event (plan order)."""
-        seen: list[str] = []
-        for event in self.events:
-            if event.category not in seen:
-                seen.append(event.category)
-        return seen
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -216,10 +193,6 @@ class FaultPlan:
         """Read a plan previously written by :meth:`save`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same schedule under a different random seed."""
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True)
 class InjectedFault:
@@ -233,18 +206,6 @@ class InjectedFault:
     length: int
     n_affected: int
     """Days actually corrupted (spikes/gaps hit a subset of the window)."""
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "event_index": self.event_index,
-            "kind": self.kind,
-            "category": self.category,
-            "column": self.column,
-            "start": self.start,
-            "length": self.length,
-            "n_affected": self.n_affected,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +279,7 @@ def apply_fault_plan(frame: Frame, category: str, plan: FaultPlan
     """Corrupt one category's frame according to ``plan``.
 
     Only the plan's data-fault events for ``category`` are applied
-    (fetch faults are resolved in
+    (a ``fetch_error`` makes the whole source unavailable; see
     :mod:`repro.resilience.degradation`). Returns the
     corrupted frame and a record of every (event, column) application;
     a frame untouched by the plan is returned as-is.
@@ -351,15 +312,14 @@ def apply_fault_plan(frame: Frame, category: str, plan: FaultPlan
 # ----------------------------------------------------------------------
 # Plan generation
 # ----------------------------------------------------------------------
-def random_fault_plan(seed: int, categories, n_events: int = 6,
-                      include_fetch_errors: bool = True) -> FaultPlan:
+def random_fault_plan(seed: int, categories, n_events: int = 6) -> FaultPlan:
     """A plausible random schedule over ``categories``.
 
     Draws ``n_events`` data faults (kind, category, window, intensity)
-    plus — when ``include_fetch_errors`` — one transient fetch failure,
-    all from a generator seeded with ``seed``; the plan itself then
-    reuses ``seed`` for application, so a single integer reproduces the
-    whole chaos run.
+    plus one delisting, all from a generator seeded with ``seed``; the
+    plan itself then reuses ``seed`` for application, so a single
+    integer reproduces the whole chaos run. It has no ``fetch_error``:
+    every category stays available.
     """
     categories = [
         c if isinstance(c, str) else c.value for c in categories
@@ -389,10 +349,4 @@ def random_fault_plan(seed: int, categories, n_events: int = 6,
         start_frac=float(rng.uniform(0.6, 0.9)),
         column_frac=float(rng.uniform(0.1, 0.3)),
     ))
-    if include_fetch_errors:
-        events.append(FaultEvent(
-            kind="fetch_error",
-            category=categories[int(rng.integers(len(categories)))],
-            failures=int(rng.integers(1, 3)),
-        ))
     return FaultPlan(seed=seed, events=tuple(events))

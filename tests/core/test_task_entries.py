@@ -61,8 +61,7 @@ def study(tmp_path_factory, record_cache_reads):
         faulted = dataclasses.replace(
             config,
             fault_plan=random_fault_plan(
-                11, ["sentiment", "macro", "onchain_btc"],
-                include_fetch_errors=False,
+                11, ["sentiment", "macro", "onchain_btc"]
             ),
             degradation="fill",
             periods=("2019",),

@@ -36,7 +36,7 @@ def _write(directory: Path, suite: str, benchmarks: dict,
 class TestLoadBench:
     def test_every_committed_artefact_parses(self):
         suites = load_bench_dir(BASELINES)
-        assert {"kernels", "incremental", "supervision", "obs"} <= set(suites)
+        assert {"kernels", "incremental", "obs"} <= set(suites)
         for suite, payload in suites.items():
             assert payload["schema"] == 1, suite
             assert isinstance(payload["benchmarks"], dict), suite

@@ -57,10 +57,10 @@ class TestRenderChaosTable:
 
     def test_counters_listed(self):
         table = render_chaos_table(self._report(
-            counters={"resilience.retry": 3}
+            counters={"resilience.category.dropped": 1}
         ))
         assert "resilience counters:" in table
-        assert "resilience.retry = 3" in table
+        assert "resilience.category.dropped = 1" in table
 
 
 class TestRunChaos:
@@ -77,8 +77,7 @@ class TestRunChaos:
             n_jobs=1,
         )
         plan = random_fault_plan(
-            11, ["sentiment", "macro", "onchain_btc"],
-            include_fetch_errors=False,
+            11, ["sentiment", "macro", "onchain_btc"]
         )
         return run_chaos(config, plan, policy="fill")
 

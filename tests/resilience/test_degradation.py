@@ -1,5 +1,6 @@
 """Tests for degrading a simulated dataset under a fault plan."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -23,12 +24,10 @@ def sim_config():
                             seed=42, n_assets=105)
 
 
-def _fetch_errors(*failures, permanent=()):
-    """A plan of ``fetch_error`` events on macro, in the given order."""
-    return FaultPlan(seed=1, events=tuple(
-        FaultEvent(kind="fetch_error", category="macro", failures=f,
-                   permanent=i in permanent)
-        for i, f in enumerate(failures)
+def _fetch_error(category="macro"):
+    """The one-event plan that leaves ``category`` out."""
+    return FaultPlan(seed=1, events=(
+        FaultEvent(kind="fetch_error", category=category),
     ))
 
 
@@ -61,75 +60,56 @@ class TestCleanPath:
             raw.features.to_matrix(), plain.features.to_matrix()
         )
 
-    def test_transient_failure_recovers(self, sim_config):
-        plain = generate_raw_dataset(sim_config)
-        raw, report, counters = _degrade(sim_config, _fetch_errors(2))
-        outcome = _outcome(report)
-        assert outcome.status == "recovered"
-        assert outcome.attempts == 3
-        assert report.total_retries() == 2
-        assert counters["resilience.retry"] == 2
-        assert counters["resilience.fetch.failure"] == 2
-        # recovery is invisible in the data itself
-        np.testing.assert_array_equal(
-            raw.features.to_matrix(), plain.features.to_matrix()
-        )
-
     def test_degraded_dataset_cannot_be_extended(self, sim_config):
         raw, _ = resilient_raw_dataset(sim_config)
         assert raw.carry is None
 
 
 class TestFetchFaults:
-    def test_failures_beyond_the_attempt_budget_drop_the_source(
-            self, sim_config):
-        _, report, counters = _degrade(
-            sim_config, _fetch_errors(3), policy="drop-category"
-        )
+    @pytest.mark.parametrize("policy", ["drop-category", "fill"])
+    def test_fetch_error_drops_the_source(self, sim_config, policy):
+        plain = generate_raw_dataset(sim_config)
+        raw, report, counters = _degrade(sim_config, _fetch_error(),
+                                         policy=policy)
         outcome = _outcome(report)
-        assert (outcome.status, outcome.attempts) == ("dropped", 3)
+        assert outcome.status == "dropped"
         assert outcome.detail == (
-            "source 'macro' unavailable after 3 attempts: "
-            "macro: injected transient failure 3/3"
+            "source 'macro' unavailable: injected fetch error"
         )
-        assert counters["resilience.fetch.failure"] == 3
-        assert counters["resilience.retry"] == 2
-        assert counters["resilience.category.dropped"] == 1
-
-    def test_failures_add_up_across_events(self, sim_config):
-        _, recovered, _ = _degrade(sim_config, _fetch_errors(1, 1))
-        assert (_outcome(recovered).status,
-                _outcome(recovered).attempts) == ("recovered", 3)
-        _, dropped, _ = _degrade(
-            sim_config, _fetch_errors(2, 1), policy="drop-category"
-        )
-        assert _outcome(dropped).status == "dropped"
-        # the plan's later event fails first, then the earlier one
-        assert _outcome(dropped).detail.endswith(
-            "macro: injected transient failure 2/2"
+        assert counters == {"resilience.category.dropped": 1}
+        kept = [name for name in plain.features.columns
+                if plain.categories[name] is not DataCategory.MACRO]
+        assert raw.features.columns == kept
+        np.testing.assert_array_equal(
+            raw.features.to_matrix(),
+            plain.features.select(kept).to_matrix(),
         )
 
     @pytest.mark.parametrize("permanent", [0, 1])
     def test_any_permanent_event_never_recovers(self, sim_config,
                                                 permanent):
+        # A fetch error is permanent wherever it sits among the
+        # source's events: the source is dropped and its data faults
+        # are never applied.
+        events = [FaultEvent(kind="outage", category="macro")]
+        events.insert(permanent,
+                      FaultEvent(kind="fetch_error", category="macro"))
         _, report, counters = _degrade(
-            sim_config, _fetch_errors(0, 1, permanent=(permanent,)),
-            policy="drop-category",
+            sim_config, FaultPlan(seed=1, events=tuple(events)),
+            policy="fill",
         )
         outcome = _outcome(report)
-        assert (outcome.status, outcome.attempts) == ("dropped", 3)
-        assert outcome.detail.endswith("macro: permanent injected outage")
-        assert counters["resilience.fetch.failure"] == 3
+        assert (outcome.status, outcome.faults) == ("dropped", [])
+        assert counters == {"resilience.category.dropped": 1}
 
 
 class TestAbortPolicy:
     def test_permanent_failure_aborts(self, sim_config):
-        plan = _fetch_errors(2, permanent=(0,))
         with pytest.raises(SourceUnavailable) as excinfo:
-            resilient_raw_dataset(sim_config, plan=plan, policy="abort")
+            resilient_raw_dataset(sim_config, plan=_fetch_error(),
+                                  policy="abort")
         assert str(excinfo.value) == (
-            "source 'macro' unavailable after 3 attempts: "
-            "macro: permanent injected outage"
+            "source 'macro' unavailable: injected fetch error"
         )
 
     def test_corruption_passes_through_untouched(self, sim_config):
@@ -149,9 +129,8 @@ class TestAbortPolicy:
 
 class TestDropCategoryPolicy:
     def test_dead_source_is_excluded(self, sim_config):
-        plan = _fetch_errors(2, permanent=(0,))
         raw, report = resilient_raw_dataset(
-            sim_config, plan=plan, policy="drop-category"
+            sim_config, plan=_fetch_error(), policy="drop-category"
         )
         assert report.dropped_categories() == ["macro"]
         assert not any(
@@ -163,7 +142,7 @@ class TestDropCategoryPolicy:
 
     def test_every_source_dead_raises(self, sim_config):
         events = tuple(
-            FaultEvent(kind="fetch_error", category=c, permanent=True)
+            FaultEvent(kind="fetch_error", category=c)
             for c in ("technical", "onchain_btc", "onchain_usdc",
                       "sentiment", "tradfi", "macro")
         )
@@ -213,7 +192,7 @@ class TestDeterminism:
         ))
         _, report = resilient_raw_dataset(sim_config, plan=plan,
                                           policy="fill")
-        payload = json.dumps(report.to_dict())
+        payload = json.dumps(dataclasses.asdict(report))
         assert "macro" in payload
         assert "filled" in payload
 
@@ -223,16 +202,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown degradation"):
             resilient_raw_dataset(sim_config, policy="pray")
 
+    @pytest.mark.parametrize("policy", ["abort", "drop-category", "fill"])
+    def test_event_on_a_misspelt_category_rejected(self, sim_config,
+                                                   policy):
+        with pytest.raises(ValueError) as excinfo:
+            resilient_raw_dataset(sim_config, plan=_fetch_error("macr0"),
+                                  policy=policy)
+        assert str(excinfo.value) == (
+            "fault plan names 'macr0', which the dataset does not have; "
+            "its categories are technical, onchain_btc, onchain_usdc, "
+            "sentiment, tradfi, macro"
+        )
+
+    def test_event_on_a_category_not_simulated_rejected(self, sim_config):
+        assert not sim_config.include_eth
+        plan = FaultPlan(seed=1, events=(
+            FaultEvent(kind="outage", category="macro"),
+            FaultEvent(kind="stale", category="onchain_eth"),
+        ))
+        with pytest.raises(ValueError, match="'onchain_eth'"):
+            resilient_raw_dataset(sim_config, plan=plan, policy="fill")
+
 
 # ----------------------------------------------------------------------
 # Byte pins
 # ----------------------------------------------------------------------
-# Recorded when fault plans were applied to datasets rebuilt by a second,
-# retrying generator chain; they prove that degrading the dataset
-# ``generate_raw_dataset`` built gives the same columns, bytes, report
-# and counters. ``test_permanent_failure_aborts`` pins the abort message.
+# Recorded when random plans were drawn over the six simulated
+# categories, at the change that made every ``fetch_error`` an
+# unavailable source. The columns and bytes of ``raw.features`` match
+# what the earlier retrying fetch-fault rule gave for the same plans;
+# the report and counters no longer carry retry bookkeeping.
+# ``test_permanent_failure_aborts`` pins the abort message.
 def _random_plan(seed):
-    return random_fault_plan(seed, list(DataCategory))
+    return random_fault_plan(seed, [
+        c for c in DataCategory if c is not DataCategory.ONCHAIN_ETH
+    ])
 
 
 _PLANS = {
@@ -240,45 +244,46 @@ _PLANS = {
     "random7": lambda: _random_plan(7),
     "random11": lambda: _random_plan(11),
     "random1337": lambda: _random_plan(1337),
-    "macro_permanent": lambda: _fetch_errors(2, permanent=(0,)),
-    "macro_1+1": lambda: _fetch_errors(1, 1),
-    "macro_2+1": lambda: _fetch_errors(2, 1),
+    "macro_permanent": _fetch_error,
 }
 
 _PINS = [
     ("none", "abort",
-     "c2d670f4a9d49a5e540d2863bc9c8a98b509d6972a9ef9f98c1da042648ddf2c"),
+     "c34cb6443e10b8377f68ccf9f8baeacb944b39e1b287ff23107122de7d0da2a3"),
     ("none", "drop-category",
-     "5378419363f799b50463089b5e948a6d9e926b2a9f045655ca517819e73899dc"),
+     "afc4f08fd1b4806ba184fa5d6ae50fd5e26bc2af7dfb10c14f2da7b18324d6b1"),
     ("none", "fill",
-     "8ba95748cca5a257531af49983309e1a6ae0fc3df5a30163e6051c2122435429"),
+     "0c214689ab1567196d0b1669c65d9d5469a6afff25c8b7082e07f54c56a21e95"),
+    ("random7", "abort",
+     "c25621fba458691f9950a563fcb6d307e87b05033eabe6fdb7c10a82b225ae80"),
     ("random7", "drop-category",
-     "6a55beb3de034548a9cecc4b1ee5b78cd89b40cab2de02f8ab21851ce043a1ce"),
+     "109cecb74cf1550cfc49760e9451756704553240ae425e3109f3dc2b55b4cdd7"),
     ("random7", "fill",
-     "575aa1495eaa386d0e6bfabe59f7d659d3c669a5f4d49a097e66c62faf948092"),
+     "aa4d69bd114b04b3ef014b4646a65de5efefcefe7331642caa611a95c1f451d0"),
+    ("random11", "abort",
+     "95325927bb74fb5b5f421816503fa5395e7478ddc50b27f715c10471d32dd6ec"),
     ("random11", "drop-category",
-     "f02054251f206775d94f7ac347bf85611da0a1b5eb741bf51adbf164eecfcc78"),
+     "e0f2fa2610f009499c86cc99d8bb7dc98e14c19e8eeaaf1c5020e8d65a39216e"),
     ("random11", "fill",
-     "73bd46b4a7cad70ddcd78f3922445f4fdbd3dba92ba7dad1324afbbb518112ef"),
+     "ef56b5c215e0e7e9f549f04a597b0a6e2de2042b9755e4e623a7619fb61b69db"),
+    ("random1337", "abort",
+     "d68ac723af8b4507ae951ed9f4c89634b111e83bcd5eafe72a71619ddbaf589f"),
     ("random1337", "drop-category",
-     "fce8505d18409bb14c41f83ba2ae709f6f31a0f37ce3b84c0e1616ffedfa7974"),
+     "d34c68df3415bf05744d08ed3c23e3eaa930306c33764503fb7f038def4324f7"),
     ("random1337", "fill",
-     "9d80c8406a620d7a7c22ed101c4474f0a1f1ca4389787de70c0813cbbe9ad8a5"),
+     "d766279eda85fe3a9b038d30a4f8d9bd486f84eb172d0fbaf4fe97a764597cbd"),
     ("macro_permanent", "drop-category",
-     "6fbd8b27d3422580d26cc88a65a5949f661f1e15499bbd518f5c6f4d21f2b3dc"),
+     "c3cae8b37a3bcd812ebdc3e4dd9a7f2734e5f39c756f1f65a999b64a72da24b3"),
     ("macro_permanent", "fill",
-     "bdcc11503a3e2a254976ec9fd23faf8281415e6738855502d4430340abe3eda4"),
-    ("macro_1+1", "abort",
-     "eb9074d23a79c8d9607421a46dabab7b16329138a3241ee0da05cf0b92e7dc31"),
-    ("macro_2+1", "drop-category",
-     "3fc2db13c9e6cd1817fd88b84a96cbafda1c5ffeebe906892f8453b526a54017"),
+     "cc4452fb9a9ea34e8ce71eeabdcc29b8466fc31010b7c926a3834fcf7043f94f"),
 ]
 
 
 def _digest(raw, report, counters) -> str:
     digest = hashlib.sha256("\n".join(raw.features.columns).encode())
     digest.update(raw.features.to_matrix().tobytes())
-    digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    digest.update(json.dumps(dataclasses.asdict(report),
+                             sort_keys=True).encode())
     digest.update(json.dumps(counters, sort_keys=True).encode())
     return digest.hexdigest()
 

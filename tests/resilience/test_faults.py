@@ -1,5 +1,7 @@
 """Unit tests for repro.resilience.faults."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,20 @@ class TestFaultEvent:
             FaultEvent(kind="outage", category="m", duration_frac=0.0)
         with pytest.raises(ValueError):
             FaultEvent(kind="outage", category="m", column_frac=1.5)
-        with pytest.raises(ValueError):
-            FaultEvent(kind="fetch_error", category="m", failures=-1)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown FaultEvent fields"):
             FaultEvent.from_dict({"kind": "outage", "category": "m",
                                   "severity": "bad"})
+
+    @pytest.mark.parametrize("key, value", [("failures", 2),
+                                            ("permanent", True)])
+    def test_retired_fetch_fields_rejected(self, key, value):
+        # A plan file from when fetch errors could be transient fails
+        # loudly instead of being read as an outage.
+        with pytest.raises(ValueError, match=key):
+            FaultEvent.from_dict({"kind": "fetch_error",
+                                  "category": "macro", key: value})
 
 
 class TestFaultPlan:
@@ -71,22 +80,6 @@ class TestFaultPlan:
         plan = FaultPlan(seed=0, events=events)
         assert plan.events_for("a") == [(0, events[0]), (2, events[2])]
         assert plan.events_for("a", ("stale",)) == [(2, events[2])]
-
-    def test_fetch_faults_and_categories(self):
-        plan = FaultPlan(seed=0, events=(
-            FaultEvent(kind="fetch_error", category="a", failures=1),
-            FaultEvent(kind="outage", category="b"),
-        ))
-        assert [e.kind for e in plan.fetch_faults("a")] == ["fetch_error"]
-        assert plan.fetch_faults("b") == []
-        assert plan.categories() == ["a", "b"]
-
-    def test_with_seed(self):
-        plan = FaultPlan(seed=1, events=(
-            FaultEvent(kind="outage", category="a"),
-        ))
-        assert plan.with_seed(9).seed == 9
-        assert plan.with_seed(9).events == plan.events
 
 
 class TestWindow:
@@ -180,7 +173,7 @@ class TestApplyFaultPlan:
     def test_fetch_error_not_applied_to_data(self):
         frame = _frame()
         plan = FaultPlan(seed=3, events=(
-            FaultEvent(kind="fetch_error", category="m", failures=2),
+            FaultEvent(kind="fetch_error", category="m"),
         ))
         out, injected = apply_fault_plan(frame, "m", plan)
         assert injected == []
@@ -202,7 +195,8 @@ class TestApplyFaultPlan:
                        start_frac=0.1, duration_frac=0.6, rate=0.3),
         ))
         out1, _ = apply_fault_plan(frame, "m", plan)
-        out2, _ = apply_fault_plan(frame, "m", plan.with_seed(6))
+        out2, _ = apply_fault_plan(frame, "m",
+                                   dataclasses.replace(plan, seed=6))
         different = any(
             not np.array_equal(out1[name], out2[name], equal_nan=True)
             for name in out1.columns
@@ -244,20 +238,16 @@ class TestRandomFaultPlan:
         b = random_fault_plan(9, ["x", "y"])
         assert a == b
 
-    def test_contains_delisting_and_fetch_error(self):
+    def test_contains_a_delisting_and_no_fetch_error(self):
+        # Every category stays available: a random plan only corrupts.
         plan = random_fault_plan(9, ["x"])
-        kinds = {e.kind for e in plan.events}
-        assert "delisting" in kinds
-        assert "fetch_error" in kinds
-
-    def test_fetch_errors_can_be_disabled(self):
-        plan = random_fault_plan(9, ["x"], include_fetch_errors=False)
-        assert all(e.kind != "fetch_error" for e in plan.events)
+        kinds = [e.kind for e in plan.events]
+        assert kinds.count("delisting") == 1
+        assert "fetch_error" not in kinds
 
     def test_all_kinds_valid(self):
         plan = random_fault_plan(9, ["x", "y"], n_events=30)
-        assert all(e.kind in DATA_FAULT_KINDS + ("fetch_error",)
-                   for e in plan.events)
+        assert all(e.kind in DATA_FAULT_KINDS for e in plan.events)
 
     def test_empty_categories_rejected(self):
         with pytest.raises(ValueError):

@@ -53,8 +53,7 @@ def tiny_raw(tiny_config):
 @pytest.fixture(scope="module")
 def fault_plan():
     return random_fault_plan(
-        11, ["sentiment", "macro", "onchain_btc"],
-        include_fetch_errors=False,
+        11, ["sentiment", "macro", "onchain_btc"]
     )
 
 

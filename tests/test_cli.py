@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.categories import DataCategory
 from repro.cli import build_parser, main
 
 
@@ -271,7 +272,8 @@ class TestTraceSummaryCounters:
                                                    capsys):
         path = tmp_path / "runs.jsonl"
         record = _ledger_with_run(path, counters={
-            "resilience.retry": 3, "predict.compiled_rows": 4800,
+            "resilience.category.dropped": 1,
+            "predict.compiled_rows": 4800,
         })
         code = main(["report", str(path), "--run", record.run_id])
         assert code == 0
@@ -279,7 +281,8 @@ class TestTraceSummaryCounters:
         counters = lines.index("counters:")
         assert lines[counters + 1].split() == ["predict.compiled_rows",
                                                "4800"]
-        assert lines[counters + 2].split() == ["resilience.retry", "3"]
+        assert lines[counters + 2].split() == [
+            "resilience.category.dropped", "1"]
         # the counters come after the stage table and the slowest list
         assert counters > lines.index("slowest 2 spans:")
 
@@ -390,6 +393,18 @@ class TestChaosCommand:
         assert "+25.0%" in out
         assert store["policy"] == "fill"
         assert len(store["plan"].events) > 0
+
+    @pytest.mark.parametrize("seed", ["7", "11"])
+    def test_random_plan_only_hits_simulated_categories(
+            self, monkeypatch, capsys, seed):
+        # No preset simulates ETH, so no drawn event may land on it.
+        store = {}
+        self._stub_chaos(monkeypatch, store)
+        assert main(["chaos", "--chaos-seed", seed, "--quiet"]) == 0
+        assert not store["config"].simulation.include_eth
+        hit = {event.category for event in store["plan"].events}
+        assert "onchain_eth" not in hit
+        assert hit <= {c.value for c in DataCategory} - {"onchain_eth"}
 
     def test_loads_existing_plan(self, tmp_path, monkeypatch, capsys):
         from repro.resilience import random_fault_plan
